@@ -5,6 +5,11 @@ Long-run variances use the Bartlett kernel with weight 1 - j/(L+1) at lag j
 so bandwidth 0 reproduces the classical one-sample t and the textbook OLS
 covariance on homoskedastic fixtures. The circular block bootstrap follows
 Politis-Romano: fixed-length blocks with wraparound, percentile intervals.
+For the Sharpe ratio a resample is reduced from its blocks' sums of x and
+x**2, read off prefix sums of the demeaned series, so it costs O(n/block)
+rather than O(n); other statistics gather each resample's values. Draws are
+processed in fixed-size chunks, so memory does not grow with the number of
+iterations.
 Sharpe equality uses the Jobson-Korkie statistic with Memmel's variance
 correction.
 """
@@ -16,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .timeseries import TRADING_DAYS_PER_YEAR, Series
 
@@ -160,6 +164,56 @@ _NAMED_STATS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 _MAX_REDRAW_ROUNDS = 100
+# Resamples are drawn and reduced this many at a time, so memory is bounded by
+# the chunk and the series length whatever spec.iterations is.
+_CHUNK_ROWS = 256
+# A block-sum Sharpe resample whose sum of squared deviations is at or below
+# this fraction of sum(v**2) is recomputed from its gathered values. Above it
+# the prefix-sum rounding error is negligible; at or below it the gathered
+# values decide, so a resample is redrawn exactly when its gathered sd is 0.
+_SS_REL_FLOOR = 1e-6
+
+
+def _gather(v: np.ndarray, starts: np.ndarray, block: int) -> np.ndarray:
+    """One resample per row of `starts`: the wraparound blocks of length
+    `block` starting there, concatenated and truncated to len(v)."""
+    n = len(v)
+    k, nblocks = starts.shape
+    idx = (starts[:, :, None] + np.arange(block)) % n
+    return v[idx.reshape(k, nblocks * block)[:, :n]]
+
+
+def _block_sum_sharpe(v: np.ndarray, block: int) -> Callable[[np.ndarray], np.ndarray]:
+    """A function from block starts (k x nblocks) to the Sharpe ratios of
+    the k resamples they define, computed from the blocks' sums of x and x**2.
+
+    The sums come from prefix sums of the demeaned series laid twice end to
+    end: a block starts below n and covers at most n values, so each block
+    sum is one difference and a resample costs O(nblocks), not O(n)."""
+    n = len(v)
+    nblocks = -(-n // block)
+    centre = float(np.mean(v))
+    d = np.tile(v - centre, 2)
+    p1 = np.concatenate([[0.0], np.cumsum(d)])
+    p2 = np.concatenate([[0.0], np.cumsum(d * d)])
+    lengths = np.full(nblocks, block)
+    lengths[-1] = n - (nblocks - 1) * block
+    floor = _SS_REL_FLOOR * float(np.dot(v, v))
+    annualize = math.sqrt(TRADING_DAYS_PER_YEAR)
+
+    def stat(starts: np.ndarray) -> np.ndarray:
+        ends = starts + lengths
+        s1 = (p1[ends] - p1[starts]).sum(axis=1)
+        s2 = (p2[ends] - p2[starts]).sum(axis=1)
+        ss = s2 - s1 * s1 / n
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = (centre + s1 / n) / np.sqrt(ss / (n - 1)) * annualize
+        tiny = ~(ss > floor)
+        if tiny.any():
+            out[tiny] = _stat_sharpe(_gather(v, starts[tiny], block))
+        return out
+
+    return stat
 
 
 def circular_block_bootstrap(
@@ -171,6 +225,11 @@ def circular_block_bootstrap(
     where the statistic is undefined (e.g. zero volatility under "sharpe")
     are redrawn, with a hard retry limit. Deterministic in spec.seed and
     independent of any parallelism in the caller.
+
+    "sharpe" is computed from per-block sums of x and x**2, so a resample
+    costs O(ceil(n/block)); "cagr" and callables gather each resample's
+    values. Both work through the draws in fixed-size chunks, so memory does
+    not grow with spec.iterations beyond the array of statistics.
     """
     v = _values(returns)
     n = len(v)
@@ -192,25 +251,31 @@ def circular_block_bootstrap(
 
     b = spec.block
     nblocks = -(-n // b)  # ceil
+    if stat_rows is _stat_sharpe:
+        resample = _block_sum_sharpe(v, b)
+    else:
+        def resample(starts: np.ndarray) -> np.ndarray:
+            return stat_rows(_gather(v, starts, b))
     rng = np.random.default_rng(spec.seed)
-    offsets = np.arange(b)
 
     def draw(k: int) -> np.ndarray:
-        starts = rng.integers(0, n, size=(k, nblocks))
-        idx = (starts[:, :, None] + offsets[None, None, :]) % n
-        return v[idx.reshape(k, nblocks * b)[:, :n]]
+        out = np.empty(k)
+        for i in range(0, k, _CHUNK_ROWS):
+            m = min(_CHUNK_ROWS, k - i)
+            out[i:i + m] = resample(rng.integers(0, n, size=(m, nblocks)))
+        return out
 
-    stats = stat_rows(draw(spec.iterations))
+    stats = draw(spec.iterations)
     for _ in range(_MAX_REDRAW_ROUNDS):
         bad = ~np.isfinite(stats)
         if not bad.any():
             break
-        stats[bad] = stat_rows(draw(int(bad.sum())))
+        stats[bad] = draw(int(bad.sum()))
     else:
         raise ValueError("bootstrap retry limit exceeded; statistic undefined too often")
 
     lo = (1.0 - spec.confidence) / 2.0
-    ci_lo, ci_hi = np.quantile(stats, [lo, 1.0 - lo])
+    ci_lo, ci_hi = np.quantile(stats, [lo, 1.0 - lo], overwrite_input=True)
     return BootstrapResult(point=point, ci_lo=float(ci_lo), ci_hi=float(ci_hi), spec=spec)
 
 
@@ -258,6 +323,21 @@ def sharpe_equality_test(r1, r2) -> SharpeEquality:
     return SharpeEquality(z=z, p=p, sharpe_1=sr1, sharpe_2=sr2)
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n, each tie group given the mean of the ranks it spans; all
+    NaN if x holds a NaN."""
+    if np.isnan(x).any():
+        return np.full(len(x), np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    first = np.concatenate([[True], xs[1:] != xs[:-1]])
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], len(x))
+    ranks = np.empty(len(x))
+    ranks[order] = ((starts + ends + 1) / 2.0)[np.cumsum(first) - 1]
+    return ranks
+
+
 def spearman(a, b) -> float:
     """Rank correlation with average ranks on ties."""
     x = _values(a)
@@ -266,8 +346,8 @@ def spearman(a, b) -> float:
         raise ValueError("series lengths differ")
     if len(x) < 2:
         raise ValueError("need at least two observations")
-    rx = rankdata(x)
-    ry = rankdata(y)
+    rx = _average_ranks(x)
+    ry = _average_ranks(y)
     if np.all(rx == rx[0]) or np.all(ry == ry[0]):
         raise ValueError("zero rank variance (all values tied)")
     rxd = rx - rx.mean()

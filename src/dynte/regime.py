@@ -8,6 +8,15 @@ by EM: Hamilton's forward filter for the likelihood, the Kim smoother for
 state probabilities, Baum-Welch updates for means, variances, transition
 matrix, and initial distribution. Exact M-steps keep the log-likelihood
 non-decreasing across iterations.
+
+Emissions are evaluated in log space less each week's larger one, and the
+filter and the backward recursion are written as prefix products of 2x2
+matrices evaluated by a log-depth scan (Hassan, Sarkka & Garcia-Fernandez,
+"Temporal parallelization of inference in hidden Markov models", 2021), so
+an EM pass is whole-array arithmetic rather than a loop over weeks. A trial
+collapses, and is redrawn, only when a variance falls below the floor, a
+state's smoothed weight is empty or the log-likelihood is not finite; a week
+far in the tail of both states no longer collapses it by underflow.
 """
 
 from __future__ import annotations
@@ -163,60 +172,100 @@ class MSModel:
 
 
 class _Collapse(Exception):
-    """A trial hit a degenerate variance or zero likelihood."""
+    """A trial hit a degenerate variance, an empty state or a non-finite
+    log-likelihood."""
+
+
+def _prefix_rows(m00, m01, m10, m11):
+    """Row 0 of the inclusive prefix products M[0] @ M[1] @ ... @ M[t] of a
+    sequence of 2x2 matrices stored as four arrays, each product scaled to
+    entries summing to 1. M[0] must have equal rows, so every prefix product
+    does too and its row 0 is the recursion's state up to scale.
+
+    Hillis-Steele scan: after the pass with offset d, element t holds the
+    product of elements max(0, t - 2d + 1)..t, so ceil(log2 T) passes of
+    whole-array arithmetic replace a loop over t. Rescaling is exact up to
+    rounding because the recursions are linear and only their direction is
+    used."""
+    c00, c01, c10, c11 = (np.array(m, dtype=np.float64) for m in (m00, m01, m10, m11))
+    d = 1
+    while d < len(c00):
+        l00, l01, l10, l11 = c00[:-d], c01[:-d], c10[:-d], c11[:-d]
+        r00, r01, r10, r11 = c00[d:], c01[d:], c10[d:], c11[d:]
+        n00 = l00 * r00 + l01 * r10
+        n01 = l00 * r01 + l01 * r11
+        n10 = l10 * r00 + l11 * r10
+        n11 = l10 * r01 + l11 * r11
+        scale = 1.0 / (n00 + n01 + n10 + n11)
+        c00[d:] = n00 * scale
+        c01[d:] = n01 * scale
+        c10[d:] = n10 * scale
+        c11[d:] = n11 * scale
+        d *= 2
+    return c00, c01
 
 
 def _filter_smoother(y, mu, var, P, pi):
-    """Hamilton filter + Kim smoother for two states.
+    """Hamilton filter + smoother for two states.
 
     Returns (loglik, filt[T,2], smooth[T,2], pair[T-1,2,2]) where pair[t] is
     the smoothed probability of (s_t = i, s_{t+1} = j).
+
+    Emissions are taken in log space less each week's larger one, so no week
+    underflows both states. With e_t those scaled emissions, the filter's
+    unnormalised state is alpha_t = alpha_{t-1} P diag(e_t) and the backward
+    one is beta_t = P diag(e_{t+1}) beta_{t+1}; both are prefix products of
+    2x2 matrices (the backward one transposed, in reverse time), evaluated by
+    `_prefix_rows`. The log-likelihood sums each week's log predictive
+    density. Raises _Collapse if it is not finite.
     """
+    y = np.asarray(y, dtype=np.float64)
     T = len(y)
-    filt = np.empty((T, 2))
-    pred = np.empty((T, 2))
-    c0 = 1.0 / math.sqrt(2.0 * math.pi * var[0])
-    c1 = 1.0 / math.sqrt(2.0 * math.pi * var[1])
-    inv0 = 0.5 / var[0]
-    inv1 = 0.5 / var[1]
     p00, p01 = P[0, 0], P[0, 1]
     p10, p11 = P[1, 0], P[1, 1]
+    le0 = -0.5 * math.log(2.0 * math.pi * var[0]) - (y - mu[0]) ** 2 * (0.5 / var[0])
+    le1 = -0.5 * math.log(2.0 * math.pi * var[1]) - (y - mu[1]) ** 2 * (0.5 / var[1])
+    top = np.maximum(le0, le1)
+    e0 = np.exp(le0 - top)
+    e1 = np.exp(le1 - top)
 
-    pr0, pr1 = pi[0], pi[1]
-    ll = 0.0
-    for t in range(T):
-        pred[t, 0] = pr0
-        pred[t, 1] = pr1
-        d0 = y[t] - mu[0]
-        d1 = y[t] - mu[1]
-        e0 = c0 * math.exp(-d0 * d0 * inv0)
-        e1 = c1 * math.exp(-d1 * d1 * inv1)
-        j0 = e0 * pr0
-        j1 = e1 * pr1
-        lik = j0 + j1
-        if not lik > 0.0 or not math.isfinite(lik):
-            raise _Collapse
-        f0 = j0 / lik
-        f1 = j1 / lik
-        filt[t, 0] = f0
-        filt[t, 1] = f1
-        ll += math.log(lik)
-        pr0 = f0 * p00 + f1 * p10
-        pr1 = f0 * p01 + f1 * p11
+    # forward: M[0] has both rows pi * e_0, M[t] = P diag(e_t)
+    m00, m01 = p00 * e0, p01 * e1
+    m10, m11 = p10 * e0, p11 * e1
+    m00[0] = m10[0] = pi[0] * e0[0]
+    m01[0] = m11[0] = pi[1] * e1[0]
+    # a week with zero likelihood zeroes every later product; the NaNs that
+    # follow make ll non-finite
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a0, a1 = _prefix_rows(m00, m01, m10, m11)
+        total = a0 + a1
+        filt = np.column_stack([a0 / total, a1 / total])
+        pred0 = np.empty(T)
+        pred1 = np.empty(T)
+        pred0[0], pred1[0] = pi[0], pi[1]
+        pred0[1:] = filt[:-1, 0] * p00 + filt[:-1, 1] * p10
+        pred1[1:] = filt[:-1, 0] * p01 + filt[:-1, 1] * p11
+        ll = float(np.sum(top) + np.sum(np.log(pred0 * e0 + pred1 * e1)))
+    if not math.isfinite(ll):
+        raise _Collapse
+
+    # backward, in reverse time: M[0] has rows of ones, M[k] = (P diag(e_{T-k}))'
+    g0, g1 = _prefix_rows(*(np.concatenate([[1.0], m[:0:-1]]) for m in (m00, m10, m01, m11)))
+    # g[t] is beta_{T-1-t} up to scale; weight week t+1's emission by it
+    g0 = g0[::-1][1:] * e0[1:]
+    g1 = g1[::-1][1:] * e1[1:]
+
+    f0, f1 = filt[:-1, 0], filt[:-1, 1]
+    pair = np.empty((T - 1, 2, 2))
+    pair[:, 0, 0] = f0 * p00 * g0
+    pair[:, 0, 1] = f0 * p01 * g1
+    pair[:, 1, 0] = f1 * p10 * g0
+    pair[:, 1, 1] = f1 * p11 * g1
+    pair /= pair.sum(axis=(1, 2))[:, None, None]
 
     smooth = np.empty((T, 2))
-    pair = np.empty((T - 1, 2, 2))
-    smooth[T - 1] = filt[T - 1]
-    for t in range(T - 2, -1, -1):
-        r0 = smooth[t + 1, 0] / pred[t + 1, 0] if pred[t + 1, 0] > 0.0 else 0.0
-        r1 = smooth[t + 1, 1] / pred[t + 1, 1] if pred[t + 1, 1] > 0.0 else 0.0
-        f0, f1 = filt[t, 0], filt[t, 1]
-        pair[t, 0, 0] = f0 * p00 * r0
-        pair[t, 0, 1] = f0 * p01 * r1
-        pair[t, 1, 0] = f1 * p10 * r0
-        pair[t, 1, 1] = f1 * p11 * r1
-        smooth[t, 0] = pair[t, 0, 0] + pair[t, 0, 1]
-        smooth[t, 1] = pair[t, 1, 0] + pair[t, 1, 1]
+    smooth[:-1] = pair.sum(axis=2)
+    smooth[-1] = filt[-1]
     return ll, filt, smooth, pair
 
 

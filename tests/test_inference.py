@@ -1,11 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from dynte import inference
 from dynte.inference import (
+    BootstrapResult,
     BootstrapSpec,
     circular_block_bootstrap,
     hac_ols,
@@ -193,6 +198,140 @@ def test_bootstrap_interval_brackets_truth_generously():
     spec = BootstrapSpec(block=63, iterations=800, seed=1)
     out = circular_block_bootstrap(r, spec, "sharpe")
     assert out.ci_lo < out.point < out.ci_hi
+
+
+# The all-at-once gather implementation that the block-sum and chunked
+# paths replaced: every resample is materialised as a row of an
+# iterations x n array. Kept as the reference they must reproduce.
+
+
+def _oracle_stat_sharpe(rows):
+    mu = rows.mean(axis=1)
+    sd = rows.std(axis=1, ddof=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = mu / sd * math.sqrt(252.0)
+    out[sd == 0.0] = np.nan
+    return out
+
+
+def _oracle_stat_cagr(rows):
+    n = rows.shape[1]
+    growth = np.prod(1.0 + rows, axis=1)
+    return growth ** (252.0 / n) - 1.0
+
+
+def oracle_bootstrap(v, spec: BootstrapSpec, statistic: str) -> BootstrapResult:
+    v = np.asarray(v, dtype=np.float64)
+    stat_rows = {"sharpe": _oracle_stat_sharpe, "cagr": _oracle_stat_cagr}[statistic]
+    n = len(v)
+    point = float(stat_rows(v[None, :])[0])
+    if not np.isfinite(point):
+        raise ValueError("statistic undefined on the original sample")
+    b = spec.block
+    nblocks = -(-n // b)
+    rng = np.random.default_rng(spec.seed)
+    offsets = np.arange(b)
+
+    def draw(k):
+        starts = rng.integers(0, n, size=(k, nblocks))
+        idx = (starts[:, :, None] + offsets[None, None, :]) % n
+        return v[idx.reshape(k, nblocks * b)[:, :n]]
+
+    stats_ = stat_rows(draw(spec.iterations))
+    for _ in range(100):
+        bad = ~np.isfinite(stats_)
+        if not bad.any():
+            break
+        stats_[bad] = stat_rows(draw(int(bad.sum())))
+    else:
+        raise ValueError("bootstrap retry limit exceeded; statistic undefined too often")
+    lo = (1.0 - spec.confidence) / 2.0
+    ci_lo, ci_hi = np.quantile(stats_, [lo, 1.0 - lo])
+    return BootstrapResult(point=point, ci_lo=float(ci_lo), ci_hi=float(ci_hi), spec=spec)
+
+
+def assert_matches_oracle(r, spec, statistic):
+    try:
+        want = oracle_bootstrap(r, spec, statistic)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            circular_block_bootstrap(r, spec, statistic)
+        return
+    got = circular_block_bootstrap(r, spec, statistic)
+    assert got.point == want.point
+    if statistic == "cagr":
+        # same gathered values, reduced one chunk of rows at a time
+        assert (got.ci_lo, got.ci_hi) == (want.ci_lo, want.ci_hi)
+    else:
+        # block sums add in another order; a resample whose mean is exactly
+        # zero reads rounding dust of order 1e-16 in either method
+        assert_allclose([got.ci_lo, got.ci_hi], [want.ci_lo, want.ci_hi],
+                        rtol=1e-12, atol=1e-13)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 300),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    ticks=st.booleans(),
+    statistic=st.sampled_from(["sharpe", "cagr"]),
+)
+def test_bootstrap_matches_gather_oracle(n, data, seed, ticks, statistic):
+    # block >= n and n % block != 0 are both in range
+    block = data.draw(st.integers(1, 2 * n), label="block")
+    rng = np.random.default_rng(seed)
+    if ticks:
+        # a few distinct values: ties and constant resamples, so redraws
+        r = 0.01 * rng.integers(-1, 2, size=n).astype(np.float64)
+    else:
+        r = 0.0003 + 0.01 * rng.standard_normal(n)
+    # more than two chunks of draws
+    spec = BootstrapSpec(block=block, iterations=601, seed=seed % 1000)
+    assert_matches_oracle(r, spec, statistic)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("base", [0.0, 0.01])
+def test_bootstrap_redraws_match_gather_oracle(seed, base):
+    # block 1 on nine equal values and one 0.01 above them: about a third of
+    # the resamples repeat one value. Their gathered sd is exactly 0 for
+    # zeros, so they are redrawn, but rounding dust for 0.01, so they are
+    # kept with a Sharpe near 1e17 and fill the top third of the draws. A
+    # redraw decided otherwise than by the gathered sd moves the quartiles.
+    r = np.full(10, base)
+    r[3] = base + 0.01
+    spec = BootstrapSpec(block=1, iterations=2000, seed=seed, confidence=0.5)
+    assert_matches_oracle(r, spec, "sharpe")
+
+
+@pytest.mark.parametrize("statistic", ["sharpe", "cagr"])
+def test_bootstrap_chunked_draws_equal_one_shot(monkeypatch, statistic):
+    rng = np.random.default_rng(18)
+    r = 0.0004 + 0.01 * rng.standard_normal(250)
+    spec = BootstrapSpec(block=50, iterations=1001, seed=4)  # 5 blocks a resample
+    one_shot = circular_block_bootstrap(r, spec, statistic)
+    monkeypatch.setattr(inference, "_CHUNK_ROWS", 3)
+    chunked = circular_block_bootstrap(r, spec, statistic)
+    assert (chunked.ci_lo, chunked.ci_hi) == (one_shot.ci_lo, one_shot.ci_hi)
+    assert_matches_oracle(r, spec, statistic)
+
+
+@pytest.mark.parametrize("statistic", ["sharpe", "cagr"])
+def test_bootstrap_memory_bounded_in_iterations(statistic):
+    rng = np.random.default_rng(19)
+    r = 0.0003 + 0.01 * rng.standard_normal(252)
+    iterations = 200_000
+    spec = BootstrapSpec(block=21, iterations=iterations, seed=0)
+    tracemalloc.start()
+    try:
+        circular_block_bootstrap(r, spec, statistic)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # all-at-once resampling would hold iterations x 252 values (400 MB);
+    # beyond the statistics array only chunk-sized buffers may remain
+    assert peak - 8 * iterations < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_bootstrap_spec_validation():

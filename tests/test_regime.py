@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dynte.regime import (
+    _Collapse,
+    _filter_smoother,
     AgreementReport,
     MSModel,
     Regime,
@@ -300,8 +304,6 @@ def test_smoothed_prob_identical_states_is_stationary():
 
 
 def test_smoothed_prob_pair_probabilities_sum_to_one():
-    from dynte.regime import _filter_smoother  # white-box: invariant check
-
     weekly, _ = planted_weekly(150, (0.02, -0.01), (0.008, 0.02), (0.9, 0.9), seed=10)
     m = fit_markov_switching(weekly, restarts=3, seed=3)
     _ll, filt, smooth, pair = _filter_smoother(
@@ -310,6 +312,124 @@ def test_smoothed_prob_pair_probabilities_sum_to_one():
     assert_allclose(smooth.sum(axis=1), 1.0, atol=1e-10)
     assert_allclose(filt.sum(axis=1), 1.0, atol=1e-10)
     assert_allclose(pair.sum(axis=(1, 2)), 1.0, atol=1e-10)
+
+
+# ------------------------------------------- filter and smoother vs oracle
+
+
+def sequential_filter_smoother(y, mu, var, P, pi):
+    """The week-by-week Hamilton filter and Kim smoother that the scan in
+    `_filter_smoother` replaced, kept as its reference. Emissions are in
+    linear space, so a week that underflows both states raises _Collapse."""
+    T = len(y)
+    filt = np.empty((T, 2))
+    pred = np.empty((T, 2))
+    c0 = 1.0 / math.sqrt(2.0 * math.pi * var[0])
+    c1 = 1.0 / math.sqrt(2.0 * math.pi * var[1])
+    inv0 = 0.5 / var[0]
+    inv1 = 0.5 / var[1]
+    p00, p01 = P[0, 0], P[0, 1]
+    p10, p11 = P[1, 0], P[1, 1]
+
+    pr0, pr1 = pi[0], pi[1]
+    ll = 0.0
+    for t in range(T):
+        pred[t, 0] = pr0
+        pred[t, 1] = pr1
+        d0 = y[t] - mu[0]
+        d1 = y[t] - mu[1]
+        e0 = c0 * math.exp(-d0 * d0 * inv0)
+        e1 = c1 * math.exp(-d1 * d1 * inv1)
+        j0 = e0 * pr0
+        j1 = e1 * pr1
+        lik = j0 + j1
+        if not lik > 0.0 or not math.isfinite(lik):
+            raise _Collapse
+        f0 = j0 / lik
+        f1 = j1 / lik
+        filt[t, 0] = f0
+        filt[t, 1] = f1
+        ll += math.log(lik)
+        pr0 = f0 * p00 + f1 * p10
+        pr1 = f0 * p01 + f1 * p11
+
+    smooth = np.empty((T, 2))
+    pair = np.empty((T - 1, 2, 2))
+    smooth[T - 1] = filt[T - 1]
+    for t in range(T - 2, -1, -1):
+        r0 = smooth[t + 1, 0] / pred[t + 1, 0] if pred[t + 1, 0] > 0.0 else 0.0
+        r1 = smooth[t + 1, 1] / pred[t + 1, 1] if pred[t + 1, 1] > 0.0 else 0.0
+        f0, f1 = filt[t, 0], filt[t, 1]
+        pair[t, 0, 0] = f0 * p00 * r0
+        pair[t, 0, 1] = f0 * p01 * r1
+        pair[t, 1, 0] = f1 * p10 * r0
+        pair[t, 1, 1] = f1 * p11 * r1
+        smooth[t, 0] = pair[t, 0, 0] + pair[t, 0, 1]
+        smooth[t, 1] = pair[t, 1, 0] + pair[t, 1, 1]
+    return ll, filt, smooth, pair
+
+
+SCAN_LENGTHS = [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 32, 33, 64, 65, 255, 256, 257,
+                1024, 1025, 1311, 8192, 8193]
+unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    T=st.sampled_from(SCAN_LENGTHS),
+    seed=st.integers(0, 2**32 - 1),
+    mu=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    log_var=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    stay=st.tuples(st.floats(0.001, 0.999), st.floats(0.001, 0.999)),
+    pi0=unit,
+    switching=st.booleans(),
+)
+# a sticky chain against data that keep favouring the other state: the
+# unscaled prefix products would underflow within a few hundred weeks
+@example(T=8193, seed=0, mu=(0.0, 0.0), log_var=(-1.0, 1.0), stay=(0.999, 0.999),
+         pi0=0.5, switching=False)
+def test_filter_smoother_matches_sequential_oracle(T, seed, mu, log_var, stay, pi0,
+                                                   switching):
+    sd = 0.02
+    if switching:
+        weekly, _ = planted_weekly(T, (0.5 * sd, -0.5 * sd), (0.5 * sd, 1.5 * sd),
+                                   (0.9, 0.9), seed % 1000)
+        y = weekly.values
+    else:
+        y = sd * np.random.default_rng(seed).standard_normal(T)
+    mu = (sd * mu[0], sd * mu[1])
+    var = (sd * sd * 10.0 ** log_var[0], sd * sd * 10.0 ** log_var[1])
+    P = np.array([[stay[0], 1.0 - stay[0]], [1.0 - stay[1], stay[1]]])
+    pi = (pi0, 1.0 - pi0)
+
+    want = sequential_filter_smoother(y, mu, var, P, pi)
+    got = _filter_smoother(y, mu, var, P, pi)
+    assert abs(got[0] - want[0]) <= 1e-9 * max(1.0, abs(want[0]))
+    for g, w in zip(got[1:], want[1:]):
+        assert g.shape == w.shape
+        assert_allclose(g, w, rtol=0.0, atol=1e-12)
+
+
+def test_outlier_week_no_longer_collapses_the_filter():
+    # one week 50 high-state sds out underflows both states' linear densities
+    mu, sd, stay = (0.02, -0.01), (0.01, 0.025), (0.95, 0.94)
+    weekly, _ = planted_weekly(1200, mu, sd, stay, seed=0)
+    y = weekly.values.copy()
+    y[600] = mu[1] + 50.0 * sd[1]
+    var = (sd[0] ** 2, sd[1] ** 2)
+    P = np.array([[stay[0], 1.0 - stay[0]], [1.0 - stay[1], stay[1]]])
+    with pytest.raises(_Collapse):
+        sequential_filter_smoother(y, mu, var, P, (0.5, 0.5))
+    ll, filt, smooth, pair = _filter_smoother(y, mu, var, P, (0.5, 0.5))
+    assert math.isfinite(ll)
+    for probs in (filt, smooth, pair.reshape(-1, 4)):
+        assert np.all(np.isfinite(probs)) and np.all(probs >= 0.0)
+        assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    assert smooth[600, 1] > 0.99  # the wider state takes the outlier
+
+    m = fit_markov_switching(Series(weekly.calendar, y, UNIT_RETURN), restarts=4, seed=0)
+    assert m.converged
+    assert math.isfinite(m.loglik)
 
 
 # -------------------------------------------------------- signal agreement
