@@ -22,6 +22,7 @@ from .inference import (
 from .metrics import (
     cagr,
     annualized_vol,
+    drawdown_path,
     max_drawdown,
     realized_te,
     sharpe,
@@ -62,9 +63,7 @@ from .simulate import (
     OverlayPolicy,
     SimResult,
     benchmark_7030,
-    constraint_spectrum,
     fixed_mix,
-    overlay_weight,
     simulate_overlay,
 )
 from .timeseries import (

@@ -3,8 +3,9 @@
 Subcommands: synth, exhibit N (1..7), converge, omega, regret, sweep,
 props. Settings come from a versioned JSON config; flags override config
 fields. Outputs are CSV tables named {name}_{hash}.csv where the hash is
-derived from the effective config and command, never from the clock, so a
-re-run with the same config writes byte-identical CSVs to the same paths.
+derived from the command, the effective config less `out` and `svg`, and
+the bytes of the input files, never from the clock, so a re-run with the
+same config and inputs writes byte-identical CSVs under the same names.
 Optional SVG charts accompany time-series tables. Exit codes: 0 success,
 2 bad flags or config, 1 runtime failure.
 """
@@ -18,6 +19,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -31,7 +33,7 @@ from .events import (
     window_sweep,
 )
 from .inference import BootstrapSpec, circular_block_bootstrap
-from .metrics import METRICS_CSV_HEADER, summarize, wealth_path
+from .metrics import METRICS_CSV_HEADER, drawdown_path, summarize
 from .model import GovernanceParams, RegimeParams, proposition_suite
 from .regime import RegimePath, RegimeThresholds, classify
 from .rolling import (
@@ -72,6 +74,8 @@ class ConfigError(Exception):
 
 
 _ROLE_KEYS = ("eq", "bd", "vix", "tlt", "rf", "spread", "sectors")
+# top-level objects whose own keys are free-form, so not merged with defaults
+_FREE_FORM = frozenset({"data", "synth", "crises"})
 
 _DEFAULTS: dict[str, Any] = {
     "version": CONFIG_VERSION,
@@ -123,12 +127,14 @@ def _merge_defaults(user: dict, defaults: dict, path: str = "") -> dict:
     for k, v in user.items():
         if k not in defaults:
             raise ConfigError(f"{path}{k}", "unknown config key")
-        if isinstance(defaults[k], dict) and not k.startswith(("data", "synth", "crises")):
-            if not isinstance(v, dict):
-                raise ConfigError(f"{path}{k}", "expected an object")
-            out[k] = _merge_defaults(v, defaults[k], f"{path}{k}.")
-        else:
+        if not isinstance(defaults[k], dict):
             out[k] = v
+        elif not isinstance(v, dict):
+            raise ConfigError(f"{path}{k}", "expected an object")
+        elif not path and k in _FREE_FORM:
+            out[k] = v
+        else:
+            out[k] = _merge_defaults(v, defaults[k], f"{path}{k}.")
     return out
 
 
@@ -235,6 +241,20 @@ class RunConfig:
             raise ConfigError(f"data.{name}", "expected {path, column|columns}")
         return d
 
+    @cached_property
+    def input_digests(self) -> dict[str, str]:
+        """SHA-256 of each configured input file, read once per run."""
+        out = {}
+        for name, spec in self.raw["data"].items():
+            if spec is None:
+                continue
+            path = self.role(name, "the output hash")["path"]
+            try:
+                out[name] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            except FileNotFoundError:
+                raise ConfigError(f"data.{name}.path", f"file not found: {path}") from None
+        return out
+
 
 def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
     user: dict = {}
@@ -269,11 +289,17 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
 
     _require(raw, "seed", int, "")
     _require(raw, "out", str, "")
-    for name, kind in (("caps", list), ("omega_horizons", list),
-                       ("regret_horizons", list), ("sweep_windows", list)):
+    for name in ("caps", "omega_horizons", "regret_horizons", "sweep_windows"):
         v = _require(raw, name, list, "")
         if len(v) == 0:
             raise ConfigError(name, "must be non-empty")
+        # caps are positive numbers or null (uncapped); the rest are day counts
+        kind, what = ((int, float), "number or null") if name == "caps" else (int, "integer")
+        for i, x in enumerate(v):
+            if x is None and name == "caps":
+                continue
+            if isinstance(x, bool) or not isinstance(x, kind) or not x > 0:
+                raise ConfigError(f"{name}[{i}]", f"expected a positive {what}, got {x!r}")
     for k, v in raw["data"].items():
         if k not in _ROLE_KEYS:
             raise ConfigError(f"data.{k}", f"unknown role; expected one of {_ROLE_KEYS}")
@@ -288,7 +314,11 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
 # ---------------------------------------------------------------- output --
 
 def _cfg_hash(cfg: RunConfig, token: str) -> str:
-    blob = json.dumps({"cmd": token, "cfg": cfg.raw}, sort_keys=True, default=str)
+    """Digest of the command token, the config less `out` and `svg` (neither
+    changes a table) and the bytes of every configured input file."""
+    hashed = {k: v for k, v in cfg.raw.items() if k not in ("out", "svg")}
+    blob = json.dumps({"cmd": token, "cfg": hashed, "inputs": cfg.input_digests},
+                      sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
@@ -373,6 +403,21 @@ def _maybe_svg(cfg: RunConfig, stem: str, token: str, dates, named_series: dict,
     return path
 
 
+def _write_dated(cfg: RunConfig, stem: str, token: str, dates, columns: dict,
+                 chart: dict | None = None, ylabel: str = "") -> list[Path]:
+    """One `date, column...` CSV, a row per date; integer columns print as
+    integers. With `chart`, the SVG of those series goes alongside."""
+    cols = [np.asarray(v) for v in columns.values()]
+    fmts = [str if c.dtype.kind in "iu" else _fmt for c in cols]
+    cols = [c.tolist() for c in cols]
+    rows = [["date", *columns]]
+    for i, d in enumerate(dates):
+        rows.append([d.isoformat()] + [f(c[i]) for f, c in zip(fmts, cols)])
+    out = [_write_csv(cfg, stem, token, rows)]
+    svg = _maybe_svg(cfg, stem, token, dates, chart, ylabel) if chart else None
+    return out + [svg] if svg else out
+
+
 # ----------------------------------------------------------- data loading --
 
 @dataclass
@@ -392,46 +437,36 @@ class Market:
     sectors: AssetPanel | None = None
 
 
-def _load_series(role: dict, fieldname: str, unit: str) -> Series:
-    col = role.get("column")
-    if not isinstance(col, str):
-        raise ConfigError(f"data.{fieldname}.column", "expected a column name")
+def _load_role(cfg: RunConfig, name: str, command: str) -> Series | AssetPanel:
+    """One configured input: a panel of columns for `sectors`, else a
+    single-column series (vix and rf are levels, the rest prices)."""
+    spec = cfg.role(name, command)
+    if name == "sectors":
+        cols = spec.get("columns")
+    elif isinstance(spec.get("column"), str):
+        cols = [spec["column"]]
+    else:
+        raise ConfigError(f"data.{name}.column", "expected a column name")
+    unit = UNIT_LEVEL if name in ("vix", "rf") else UNIT_PRICE
     try:
-        res = ingest_csv(role["path"], columns=[col], unit=unit)
+        panel = ingest_csv(spec["path"], columns=cols, unit=unit).panel
     except FileNotFoundError:
-        raise ConfigError(f"data.{fieldname}.path",
-                          f"file not found: {role['path']}") from None
-    return res.panel[col]
-
-
-def _load_sectors(role: dict) -> AssetPanel:
-    cols = role.get("columns")
-    res = ingest_csv(role["path"], columns=cols, unit=UNIT_PRICE)
-    if len(res.panel.symbols) < 2:
+        raise ConfigError(f"data.{name}.path", f"file not found: {spec['path']}") from None
+    if name != "sectors":
+        return panel[cols[0]]
+    if len(panel.symbols) < 2:
         raise ConfigError("data.sectors", "need at least two sector columns")
-    return res.panel
+    return panel
 
 
 def load_market(cfg: RunConfig, command: str,
                 need: Sequence[str] = ("eq", "bd", "vix")) -> Market:
-    roles: dict[str, Series | AssetPanel] = {}
-    for name in need:
-        spec = cfg.role(name, command)
-        if name == "sectors":
-            roles[name] = _load_sectors(spec)
-        else:
-            unit = UNIT_LEVEL if name in ("vix", "rf") else UNIT_PRICE
-            roles[name] = _load_series(spec, name, unit)
-    for name in ("tlt", "spread", "sectors"):
-        if name not in roles and cfg.raw["data"].get(name) is not None:
-            spec = cfg.role(name, command)
-            roles[name] = _load_sectors(spec) if name == "sectors" else \
-                _load_series(spec, name, UNIT_PRICE)
-    if "rf" not in roles and cfg.raw["data"].get("rf") is not None:
-        roles["rf"] = _load_series(cfg.role("rf", command), "rf", UNIT_LEVEL)
-
-    if "vix" not in roles:
-        raise ConfigError("data.vix", f"required for {command}")
+    # optional roles load when configured; eq and bd only when needed, since
+    # every loaded role narrows the shared calendar
+    optional = [r for r in ("tlt", "spread", "sectors", "rf")
+                if cfg.raw["data"].get(r) is not None]
+    roles = {name: _load_role(cfg, name, command)
+             for name in dict.fromkeys([*need, *optional])}
 
     cal = intersect_calendars([v.calendar for v in roles.values()])
     start, end = cfg.date_range()
@@ -494,9 +529,6 @@ def synthetic_market(cfg: RunConfig) -> Market:
         spread=panel["SPREAD"],
         vix=panel["VIX"],
         vix_full=panel["VIX"],
-        rf=0.0,
-        tlt=None,
-        sectors=None,
     )
 
 
@@ -512,25 +544,39 @@ def _market_or_synth(cfg: RunConfig, command: str,
 
 @dataclass
 class Engine:
+    """The benchmark, regime path and smoothed gauge of one run. The static
+    and dynamic overlays are simulated on first use, so commands that never
+    read them do not pay for them."""
+
+    cfg: RunConfig
     market: Market
     bench: SimResult
-    static: SimResult
-    dynamic: SimResult
     path: RegimePath
     smoothed_vix: Series
+
+    def overlay(self, policy: OverlayPolicy) -> SimResult:
+        return simulate_overlay(self.bench, self.market.spread, self.path, policy,
+                                self.cfg.window("vol"))
+
+    @cached_property
+    def static(self) -> SimResult:
+        return self.overlay(self.cfg.static_policy)
+
+    @cached_property
+    def dynamic(self) -> SimResult:
+        return self.overlay(self.cfg.dynamic_policy)
 
 
 def build_engine(cfg: RunConfig, market: Market) -> Engine:
     if market.eq is None or market.bd is None or market.spread is None:
         raise ValueError("benchmark legs are missing")
-    bench = benchmark_7030(market.eq, market.bd)
-    path = classify(market.vix, cfg.window("signal"), cfg.thresholds)
-    vol_w = cfg.window("vol")
-    static = simulate_overlay(bench, market.spread, None, cfg.static_policy, vol_w)
-    dynamic = simulate_overlay(bench, market.spread, path, cfg.dynamic_policy, vol_w)
-    sm = moving_average(market.vix, cfg.window("signal"))
-    return Engine(market=market, bench=bench, static=static, dynamic=dynamic,
-                  path=path, smoothed_vix=sm)
+    return Engine(
+        cfg=cfg,
+        market=market,
+        bench=benchmark_7030(market.eq, market.bd),
+        path=classify(market.vix, cfg.window("signal"), cfg.thresholds),
+        smoothed_vix=moving_average(market.vix, cfg.window("signal")),
+    )
 
 
 # -------------------------------------------------------------- commands --
@@ -538,63 +584,32 @@ def build_engine(cfg: RunConfig, market: Market) -> Engine:
 def cmd_synth(cfg: RunConfig) -> list[Path]:
     """Write the synthetic panel as index levels plus the true state path."""
     panel, states = synth_regime_panel(cfg.synth_params)
-    cal = panel.calendar
-    levels = {
-        sym: prices_from_returns(panel[sym]).values
-        for sym in ("BENCH_EQ", "BENCH_BD", "SPREAD")
-    }
-    rows = [["date", "BENCH_EQ", "BENCH_BD", "SPREAD", "VIX"]]
-    vix = panel["VIX"].values
-    for i, d in enumerate(cal.dates):
-        rows.append([d.isoformat()] + [_fmt(levels[s][i]) for s in
-                     ("BENCH_EQ", "BENCH_BD", "SPREAD")] + [_fmt(vix[i])])
-    p1 = _write_csv(cfg, "synth_panel", "synth", rows)
-    rows = [["date", "state"]]
-    for i, d in enumerate(cal.dates):
-        rows.append([d.isoformat(), str(int(states[i]))])
-    p2 = _write_csv(cfg, "synth_states", "synth", rows)
-    return [p1, p2]
+    dates = panel.calendar.dates
+    columns = {sym: prices_from_returns(panel[sym]).values
+               for sym in ("BENCH_EQ", "BENCH_BD", "SPREAD")}
+    columns["VIX"] = panel["VIX"].values
+    return (_write_dated(cfg, "synth_panel", "synth", dates, columns)
+            + _write_dated(cfg, "synth_states", "synth", dates, {"state": states}))
 
 
 def _exhibit1(cfg: RunConfig) -> list[Path]:
     market = load_market(cfg, "exhibit 1", need=("sectors", "vix"))
-    if market.sectors is None:
-        raise ConfigError("data.sectors", "required for exhibit 1")
-    w = cfg.window("pairwise_corr")
-    avg = rolling_avg_pairwise_corr(market.sectors, w)
+    avg = rolling_avg_pairwise_corr(market.sectors, cfg.window("pairwise_corr"))
     vix = market.vix_full.restrict(avg.calendar)
-    rows = [["date", "avg_pairwise_corr", "vix"]]
-    for i, d in enumerate(avg.calendar.dates):
-        rows.append([d.isoformat(), _fmt(avg.values[i]), _fmt(vix.values[i])])
-    out = [_write_csv(cfg, "exhibit1", "exhibit1", rows)]
-    svg = _maybe_svg(cfg, "exhibit1", "exhibit1", avg.calendar.dates,
-                     {"avg pairwise corr": avg.values}, "correlation")
-    if svg:
-        out.append(svg)
-    return out
+    return _write_dated(cfg, "exhibit1", "exhibit1", avg.calendar.dates,
+                        {"avg_pairwise_corr": avg.values, "vix": vix.values},
+                        {"avg pairwise corr": avg.values}, "correlation")
 
 
 def _exhibit2(cfg: RunConfig) -> list[Path]:
-    market = load_market(cfg, "exhibit 2", need=("eq", "bd", "vix"))
+    market = _market_or_synth(cfg, "exhibit 2")
     w = cfg.window("stock_bond_corr")
-    c_bd = rolling_corr(market.eq, market.bd, w)
-    named = {"eq_bd": c_bd.values}
-    header = ["date", "corr_eq_bd"]
-    cols = [c_bd.values]
+    corr = {"eq_bd": rolling_corr(market.eq, market.bd, w)}
     if market.tlt is not None:
-        c_tlt = rolling_corr(market.eq, market.tlt, w)
-        named["eq_tlt"] = c_tlt.values
-        header.append("corr_eq_tlt")
-        cols.append(c_tlt.values)
-    rows = [header]
-    for i, d in enumerate(c_bd.calendar.dates):
-        rows.append([d.isoformat()] + [_fmt(c[i]) for c in cols])
-    out = [_write_csv(cfg, "exhibit2", "exhibit2", rows)]
-    svg = _maybe_svg(cfg, "exhibit2", "exhibit2", c_bd.calendar.dates, named,
-                     "correlation")
-    if svg:
-        out.append(svg)
-    return out
+        corr["eq_tlt"] = rolling_corr(market.eq, market.tlt, w)
+    return _write_dated(cfg, "exhibit2", "exhibit2", corr["eq_bd"].calendar.dates,
+                        {f"corr_{k}": c.values for k, c in corr.items()},
+                        {k: c.values for k, c in corr.items()}, "correlation")
 
 
 def _exhibit3(cfg: RunConfig) -> list[Path]:
@@ -616,39 +631,39 @@ def _exhibit4(cfg: RunConfig) -> list[Path]:
     te_s, te_d = eng.static.te, eng.dynamic.te
     assert te_s is not None and te_d is not None
     sm = eng.smoothed_vix.restrict(te_s.calendar)
-    rows = [["date", "te_static", "te_dynamic", "smoothed_vix"]]
-    for i, d in enumerate(te_s.calendar.dates):
-        rows.append([d.isoformat(), _fmt(te_s.values[i]), _fmt(te_d.values[i]),
-                     _fmt(sm.values[i])])
-    out = [_write_csv(cfg, "exhibit4", "exhibit4", rows)]
-    svg = _maybe_svg(cfg, "exhibit4", "exhibit4", te_s.calendar.dates,
-                     {"static": te_s.values, "dynamic": te_d.values},
-                     "realized tracking error")
-    if svg:
-        out.append(svg)
-    return out
+    return _write_dated(cfg, "exhibit4", "exhibit4", te_s.calendar.dates,
+                        {"te_static": te_s.values, "te_dynamic": te_d.values,
+                         "smoothed_vix": sm.values},
+                        {"static": te_s.values, "dynamic": te_d.values},
+                        "realized tracking error")
 
 
 def cmd_omega(cfg: RunConfig) -> list[Path]:
     market = _market_or_synth(cfg, "omega", need=("eq", "vix"))
-    vix = market.vix_full
-    prices = market.eq_prices.restrict(vix.calendar) if \
-        len(vix) != len(market.eq_prices) else market.eq_prices
     horizons = [int(h) for h in cfg.raw["omega_horizons"]]
-    rep = omega_table(vix, prices, horizons)
+    rep = omega_table(market.vix_full, market.eq_prices, horizons)
     return [_write_csv(cfg, "exhibit5", "omega", rep.to_csv_rows())]
 
 
-def cmd_regret(cfg: RunConfig) -> list[Path]:
-    market = _market_or_synth(cfg, "regret")
+def cmd_regret(cfg: RunConfig, market: Market | None = None) -> list[Path]:
+    """Stay-vs-derisk table from the trough of each crisis window; windows
+    with no trading day in the sample are skipped and named on stderr."""
+    if market is None:
+        market = _market_or_synth(cfg, "regret")
     bench = benchmark_7030(market.eq, market.bd)
-    troughs = []
+    troughs, skipped = [], []
     for name, span in cfg.raw["crises"].items():
         try:
             w = (dt.date.fromisoformat(span[0]), dt.date.fromisoformat(span[1]))
         except (ValueError, IndexError, TypeError):
             raise ConfigError(f"crises.{name}", "expected [start, end] ISO dates") from None
-        troughs.append((name, find_trough(bench, w, market.vix)))
+        if any(w[0] <= d <= w[1] for d in bench.calendar.dates):
+            troughs.append((name, find_trough(bench, w, market.vix)))
+        else:
+            skipped.append(name)
+    if skipped:
+        print(f"regret: skipped crisis windows with no trading days: "
+              f"{', '.join(skipped)}", file=sys.stderr)
     horizons = [int(h) for h in cfg.raw["regret_horizons"]]
     entries = regret_table(market.eq, market.bd, troughs, horizons)
     rows = [list(RegretEntry.CSV_HEADER)]
@@ -660,34 +675,21 @@ def cmd_regret(cfg: RunConfig) -> list[Path]:
 def _exhibit6(cfg: RunConfig) -> list[Path]:
     market = _market_or_synth(cfg, "exhibit 6")
     bench = benchmark_7030(market.eq, market.bd)
-    w = wealth_path(bench.portfolio)
-    peak = np.maximum.accumulate(w)
-    dd = 1.0 - w[1:] / peak[1:]
-    rows = [["date", "drawdown", "vix"]]
-    for i, d in enumerate(bench.calendar.dates):
-        rows.append([d.isoformat(), _fmt(dd[i]), _fmt(market.vix.values[i])])
-    out = [_write_csv(cfg, "exhibit6a", "exhibit6", rows)]
-    svg = _maybe_svg(cfg, "exhibit6a", "exhibit6", bench.calendar.dates,
-                     {"drawdown": dd}, "drawdown from peak")
-    if svg:
-        out.append(svg)
-    out.extend(cmd_regret(cfg))
-    return out
+    dd = drawdown_path(bench.portfolio)
+    return _write_dated(cfg, "exhibit6a", "exhibit6", bench.calendar.dates,
+                        {"drawdown": dd, "vix": market.vix.values},
+                        {"drawdown": dd}, "drawdown from peak") + cmd_regret(cfg, market)
 
 
 def cmd_converge(cfg: RunConfig) -> list[Path]:
     eng = build_engine(cfg, _market_or_synth(cfg, "converge"))
-    market = eng.market
-    path = eng.path
-    vol_w = cfg.window("vol")
     bspec = cfg.bootstrap_spec
     header = ["cap", "cagr", "vol", "sharpe", "max_drawdown", "te_level",
               "te_sigma", "sharpe_ci_lo", "sharpe_ci_hi", "ci_width"]
     rows = [header]
     for cap in cfg.caps:
-        pol = cfg.dynamic_policy.with_ceiling(cap)
-        sim = simulate_overlay(eng.bench, market.spread, path, pol, vol_w)
-        rep = summarize(sim.portfolio, rf=market.rf, te=sim.te,
+        sim = eng.overlay(cfg.dynamic_policy.with_ceiling(cap))
+        rep = summarize(sim.portfolio, rf=eng.market.rf, te=sim.te,
                         smoothed_vix=eng.smoothed_vix)
         boot = circular_block_bootstrap(sim.portfolio, bspec, "sharpe")
         rows.append([
@@ -720,22 +722,21 @@ def cmd_props(cfg: RunConfig) -> list[Path]:
     return [_write_csv(cfg, "props", "props", rep.to_csv_rows())]
 
 
-def cmd_exhibit(cfg: RunConfig, n: int) -> list[Path]:
-    dispatch = {
-        1: _exhibit1,
-        2: _exhibit2,
-        3: _exhibit3,
-        4: _exhibit4,
-        5: cmd_omega,
-        6: _exhibit6,
-        7: cmd_converge,
-    }
-    if n not in dispatch:
-        raise ConfigError("exhibit", f"exhibit number must be 1..7, got {n}")
-    return dispatch[n](cfg)
-
-
 # ------------------------------------------------------------------ main --
+
+# subcommand -> (help, command); `exhibit` maps its number N to a command
+COMMANDS: dict[str, tuple[str, Any]] = {
+    "synth": ("write a synthetic two-regime panel", cmd_synth),
+    "exhibit": ("reproduce one of the numbered report tables",
+                {1: _exhibit1, 2: _exhibit2, 3: _exhibit3, 4: _exhibit4,
+                 5: cmd_omega, 6: _exhibit6, 7: cmd_converge}),
+    "converge": ("metrics and bootstrap CIs across the TE-cap spectrum", cmd_converge),
+    "omega": ("forward returns by fear-gauge quintile", cmd_omega),
+    "regret": ("stay-vs-derisk outcomes from crisis troughs", cmd_regret),
+    "sweep": ("signal-window robustness sweep", cmd_sweep),
+    "props": ("closed-form model checks as a pass/fail table", cmd_props),
+}
+
 
 def _parse_caps(text: str) -> list[float | None]:
     out: list[float | None] = []
@@ -775,21 +776,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regime-conditioned tracking-error engine",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    sub.add_parser("synth", parents=[common],
-                   help="write a synthetic two-regime panel")
-    pe = sub.add_parser("exhibit", parents=[common],
-                        help="reproduce one of the numbered report tables")
-    pe.add_argument("n", type=int, help="exhibit number, 1..7")
-    sub.add_parser("converge", parents=[common],
-                   help="metrics and bootstrap CIs across the TE-cap spectrum")
-    sub.add_parser("omega", parents=[common],
-                   help="forward returns by fear-gauge quintile")
-    sub.add_parser("regret", parents=[common],
-                   help="stay-vs-derisk outcomes from crisis troughs")
-    sub.add_parser("sweep", parents=[common],
-                   help="signal-window robustness sweep")
-    sub.add_parser("props", parents=[common],
-                   help="closed-form model checks as a pass/fail table")
+    for name, (text, run) in COMMANDS.items():
+        sp = sub.add_parser(name, parents=[common], help=text)
+        if isinstance(run, dict):
+            sp.add_argument("n", type=int, help="exhibit number, 1..7")
     return p
 
 
@@ -804,22 +794,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             "horizons": _parse_ints(args.horizons, "--horizons") if args.horizons else None,
         }
         cfg = load_config(args.config, overrides)
-        if args.command == "synth":
-            paths = cmd_synth(cfg)
-        elif args.command == "exhibit":
-            paths = cmd_exhibit(cfg, args.n)
-        elif args.command == "converge":
-            paths = cmd_converge(cfg)
-        elif args.command == "omega":
-            paths = cmd_omega(cfg)
-        elif args.command == "regret":
-            paths = cmd_regret(cfg)
-        elif args.command == "sweep":
-            paths = cmd_sweep(cfg)
-        elif args.command == "props":
-            paths = cmd_props(cfg)
-        else:  # pragma: no cover
-            raise ConfigError("command", f"unknown command {args.command!r}")
+        run = COMMANDS[args.command][1]
+        if isinstance(run, dict):
+            if args.n not in run:
+                raise ConfigError("exhibit", f"exhibit number must be 1..7, got {args.n}")
+            run = run[args.n]
+        paths = run(cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .inference import MeanTest, OlsFit, hac_ols, newey_west_mean_test
-from .metrics import cagr, max_drawdown, sharpe, wealth_path
+from .metrics import cagr, drawdown_path, max_drawdown, sharpe
 from .regime import RegimeThresholds, classify, percentile_thresholds
 from .rolling import WindowSpec, moving_average
 from .simulate import (
@@ -235,9 +235,7 @@ def find_trough(
     window's first day."""
     start, end = window
     cal = benchmark.calendar
-    w = wealth_path(benchmark.portfolio)       # w[0] = 1 before the first date
-    peak = np.maximum.accumulate(w)
-    dd = 1.0 - w[1:] / peak[1:]                # dd[t] belongs to cal[t]
+    dd = drawdown_path(benchmark.portfolio)    # dd[t] belongs to cal[t]
     idx = [i for i, d in enumerate(cal.dates) if start <= d <= end]
     if not idx:
         raise ValueError(f"no trading days in [{start}, {end}]")

@@ -83,11 +83,17 @@ def sharpe(returns, rf=0.0) -> float:
     return float(np.mean(ex)) * TRADING_DAYS_PER_YEAR / (sd * math.sqrt(TRADING_DAYS_PER_YEAR))
 
 
-def max_drawdown(returns) -> float:
-    """Largest peak-to-trough wealth loss, as a positive fraction."""
+def drawdown_path(returns) -> np.ndarray:
+    """Loss from the running wealth peak after each return, as positive
+    fractions; the peak includes the starting wealth of 1."""
     w = wealth_path(returns)
     peak = np.maximum.accumulate(w)
-    return float(np.max(1.0 - w / peak))
+    return 1.0 - w[1:] / peak[1:]
+
+
+def max_drawdown(returns) -> float:
+    """Largest peak-to-trough wealth loss, as a positive fraction."""
+    return float(np.max(drawdown_path(returns)))
 
 
 def realized_te(portfolio: Series, benchmark: Series, w: WindowSpec) -> Series:

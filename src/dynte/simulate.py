@@ -13,7 +13,6 @@ information; the first vol_window.length days are a warm-up with theta 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -97,12 +96,6 @@ class SimResult:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def portfolio_series(self) -> Series:
-        return Series(self.calendar, self.portfolio, UNIT_RETURN)
-
-    def benchmark_series(self) -> Series:
-        return Series(self.calendar, self.benchmark, UNIT_RETURN)
-
 
 def fixed_mix(eq: Series, bd: Series, w_eq: float = 0.70) -> SimResult:
     """Two-asset portfolio reset to (w_eq, 1 - w_eq) on the first trading
@@ -140,18 +133,6 @@ def fixed_mix(eq: Series, bd: Series, w_eq: float = 0.70) -> SimResult:
 
 def benchmark_7030(eq: Series, bd: Series) -> SimResult:
     return fixed_mix(eq, bd, 0.70)
-
-
-def overlay_weight(target_te: float, spread_vol_lagged: float,
-                   theta_cap: float = 0.25) -> float:
-    """Active weight sized to a tracking-error target given the trailing
-    spread vol known the day before. A zero vol estimate pins the weight at
-    the cap: the demand target/0 is infinite and the cap binds."""
-    if target_te < 0.0 or spread_vol_lagged < 0.0 or theta_cap <= 0.0:
-        raise ValueError("target, vol, and cap must be non-negative (cap positive)")
-    if spread_vol_lagged == 0.0:
-        return theta_cap
-    return min(target_te / spread_vol_lagged, theta_cap)
 
 
 def _decision_labels(regimes: RegimePath, cal: TradingCalendar,
@@ -225,21 +206,3 @@ def simulate_overlay(
         policy=policy,
         first_active=L,
     )
-
-
-def constraint_spectrum(
-    benchmark: SimResult,
-    spread: Series,
-    regimes: RegimePath | None,
-    policy: OverlayPolicy,
-    caps: Sequence[float] = DEFAULT_CAPS,
-    vol_window: WindowSpec = WindowSpec(63),
-) -> list[SimResult]:
-    """The same overlay run under each tracking-error ceiling in caps."""
-    if len(caps) == 0:
-        raise ValueError("caps must be non-empty")
-    return [
-        simulate_overlay(benchmark, spread, regimes,
-                         policy.with_ceiling(float(c)), vol_window)
-        for c in caps
-    ]

@@ -164,6 +164,79 @@ def test_unknown_subcommand_is_usage_error():
         main(["frobnicate"])
 
 
+@pytest.mark.parametrize("cfg,field", [
+    ({"data": 5}, "data"),
+    ({"crises": []}, "crises"),
+    ({"synth": "x"}, "synth"),
+    ({"caps": [0.01, "a"]}, "caps[1]"),
+    ({"caps": [True]}, "caps[0]"),
+    ({"omega_horizons": ["x"]}, "omega_horizons[0]"),
+    ({"regret_horizons": [63, 0]}, "regret_horizons[1]"),
+    ({"sweep_windows": [5.5]}, "sweep_windows[0]"),
+])
+def test_config_type_errors_name_the_field(tmp_path, capsys, cfg, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["props", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+FORMS = [("synth",)] + [("exhibit", str(n)) for n in range(1, 8)] + [
+    ("converge",), ("omega",), ("regret",), ("sweep",), ("props",)]
+
+
+@pytest.mark.parametrize("form", FORMS, ids=" ".join)
+def test_every_subcommand_runs_on_an_empty_config(tmp_path, capsys, form):
+    # the default synthetic panel covers only the first default crisis window
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    code = main([*form, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    if form == ("exhibit", "1"):  # the synthetic panel has no sectors
+        assert code == 2 and "data.sectors" in err
+        return
+    assert code == 0, err
+    if form in (("regret",), ("exhibit", "6")):
+        assert "skipped crisis windows with no trading days: covid, tightening_2022" in err
+        assert sum(1 for _ in tmp_path.glob("o/exhibit6b_*.csv")) == 1
+
+
+def outputs(out):
+    return {p.name: sha(p) for p in sorted(out.glob("*"))}
+
+
+def test_output_names_ignore_out_and_svg(tmp_path):
+    runs = {}
+    for out, svg in (("o1", True), ("o2", True), ("o3", False)):
+        cfg = write_config(tmp_path, svg=svg, synth={"horizon": 900},
+                           bootstrap={"iterations": 200})
+        for form in FORMS:
+            if form != ("exhibit", "1"):
+                assert main([*form, "--config", cfg, "--out", str(tmp_path / out)]) == 0
+        runs[out] = outputs(tmp_path / out)
+    assert runs["o1"] == runs["o2"]
+    assert any(name.endswith(".svg") for name in runs["o1"])
+    csvs = {k: v for k, v in runs["o1"].items() if k.endswith(".csv")}
+    assert runs["o3"] == csvs
+
+
+def test_output_name_covers_input_bytes(tmp_path):
+    _, files = run(tmp_path, "synth")
+    panel = next(f for f in files if f.name.startswith("synth_panel"))
+    data = {role: {"path": str(panel), "column": col}
+            for role, col in (("eq", "BENCH_EQ"), ("bd", "BENCH_BD"), ("vix", "VIX"))}
+    code, first = run(tmp_path, "omega", "--horizons", "21,63", config_extra={"data": data})
+    assert code == 0
+    omega = [f.name for f in first if f.name.startswith("exhibit5_")]
+    lines = panel.read_text().splitlines()
+    lines[-1] = ",".join(lines[-1].split(",")[:-1] + ["20.5"])  # one VIX cell
+    panel.write_text("\n".join(lines) + "\n")
+    code, second = run(tmp_path, "omega", "--horizons", "21,63", config_extra={"data": data})
+    assert code == 0
+    new = [f.name for f in second if f.name.startswith("exhibit5_")]
+    assert len(omega) == 1 and len(new) == 2 and omega[0] in new
+
+
 # ---------------------------------------------------------------- exhibits
 
 

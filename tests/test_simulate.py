@@ -2,17 +2,17 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dynte.regime import RegimeThresholds, classify
+from dynte.regime import Regime, RegimeThresholds, classify
 from dynte.rolling import WindowSpec, rolling_vol
 from dynte.simulate import (
     DEFAULT_CAPS,
     OverlayPolicy,
     benchmark_7030,
-    constraint_spectrum,
     fixed_mix,
-    overlay_weight,
     simulate_overlay,
 )
 from dynte.timeseries import (
@@ -84,15 +84,53 @@ def test_fixed_mix_validation():
 # ----------------------------------------------------------- sizing rule
 
 
-def test_overlay_weight_examples():
-    assert overlay_weight(0.02, 0.08) == 0.25
-    assert overlay_weight(0.05, 0.10) == 0.25   # 0.5 capped
-    assert overlay_weight(0.005, 0.10) == pytest.approx(0.05, rel=1e-15)
-    assert overlay_weight(0.02, 0.0) == 0.25    # zero vol pins at cap
-    with pytest.raises(ValueError):
-        overlay_weight(-0.01, 0.10)
-    with pytest.raises(ValueError):
-        overlay_weight(0.02, -0.10)
+# a stretch of the spread: (k, days, noisy); constant stretches hold the
+# dyadic value k/256, so sums are exact and a window inside one has vol 0
+STRETCHES = st.lists(
+    st.tuples(st.integers(-8, 8), st.integers(1, 40), st.booleans()),
+    min_size=1, max_size=10,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    stretches=STRETCHES,
+    L=st.integers(2, 30),
+    targets=st.tuples(*[st.floats(0.001, 0.1)] * 3),
+    theta_cap=st.floats(0.01, 2.0),
+    ceiling=st.none() | st.floats(0.001, 0.1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_overlay_theta_is_capped_target_over_lagged_vol(
+        stretches, L, targets, theta_cap, ceiling, seed):
+    rng = np.random.default_rng(seed)
+    vals = np.concatenate([
+        rng.normal(0.0, 0.01, days) if noisy else np.full(days, k / 256.0)
+        for k, days, noisy in stretches
+    ])
+    n = len(vals)
+    if n <= L:
+        vals = np.concatenate([vals, np.zeros(L + 1 - n)])
+        n = L + 1
+    spread = rser(vals)
+    bench = benchmark_7030(rser(np.zeros(n)), rser(np.zeros(n)))
+    path = classify(Series(spread.calendar, rng.choice([10.0, 15.0, 30.0], n), UNIT_LEVEL),
+                    WindowSpec(1), T13_22)
+    assert len(path.labels) == n
+    policy = OverlayPolicy(*targets, theta_cap=theta_cap, te_ceiling=ceiling)
+    out = simulate_overlay(bench, spread, path, policy, WindowSpec(L))
+
+    by_label = dict(zip((int(Regime.LOW), int(Regime.NEUTRAL), int(Regime.HIGH)),
+                        policy.effective_targets()))
+    vol = rolling_vol(spread, WindowSpec(L)).values   # vol[k]: returns k..k+L-1
+    assert np.all(out.theta[:L] == 0.0)
+    for t in range(L, n):
+        v = float(vol[t - L])                         # known the day before t
+        target = by_label[int(path.labels[t - 1])]
+        want = theta_cap if v == 0.0 else min(target / v, theta_cap)
+        assert out.theta[t] == want
+        if np.ptp(vals[t - L : t]) == 0.0:
+            assert v == 0.0 and out.theta[t] == theta_cap
 
 
 def test_policy_validation_and_effective_targets():
@@ -274,7 +312,9 @@ def test_spectrum_cap_at_top_matches_uncapped():
 
 def test_spectrum_sigma_te_monotone():
     bench, spread, path = synth_market(seed=9, horizon=900)
-    runs = constraint_spectrum(bench, spread, path, OverlayPolicy.dynamic())
+    policy = OverlayPolicy.dynamic()
+    runs = [simulate_overlay(bench, spread, path, policy.with_ceiling(float(c)))
+            for c in DEFAULT_CAPS]
     sig = [float(np.std(r.te.values, ddof=1)) for r in runs]
     assert all(b >= a - 1e-15 for a, b in zip(sig, sig[1:]))
     # the tightest ceiling clips every target to one number
@@ -289,8 +329,3 @@ def test_spectrum_targets_clipped_ex_ante():
         base = policy.effective_targets()
         assert all(e <= b for e, b in zip(eff, base))
 
-
-def test_spectrum_rejects_empty_caps():
-    bench, spread, path = synth_market(horizon=200)
-    with pytest.raises(ValueError, match="non-empty"):
-        constraint_spectrum(bench, spread, path, OverlayPolicy.dynamic(), caps=())
