@@ -8,13 +8,11 @@ from .events import (
     omega_table,
     regret_table,
     vix_quintiles,
-    vol_surprise_regression,
     window_sweep,
 )
 from .inference import (
     BootstrapSpec,
     circular_block_bootstrap,
-    hac_ols,
     newey_west_mean_test,
     sharpe_equality_test,
     spearman,
@@ -24,7 +22,6 @@ from .metrics import (
     annualized_vol,
     drawdown_path,
     max_drawdown,
-    realized_te,
     sharpe,
     summarize,
     te_policy_stats,
@@ -74,7 +71,6 @@ from .timeseries import (
     ingest_csv,
     intersect_calendars,
     make_weekday_calendar,
-    merge_series,
     prices_from_returns,
     returns_from_prices,
     synth_regime_panel,

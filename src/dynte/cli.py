@@ -26,6 +26,9 @@ from typing import Any, Sequence
 import numpy as np
 
 from .events import (
+    DEFAULT_OMEGA_HORIZONS,
+    DEFAULT_REGRET_HORIZONS,
+    DEFAULT_SWEEP_WINDOWS,
     RegretEntry,
     find_trough,
     omega_table,
@@ -36,12 +39,7 @@ from .inference import BootstrapSpec, circular_block_bootstrap
 from .metrics import METRICS_CSV_HEADER, drawdown_path, summarize
 from .model import GovernanceParams, RegimeParams, proposition_suite
 from .regime import RegimePath, RegimeThresholds, classify
-from .rolling import (
-    WindowSpec,
-    moving_average,
-    rolling_avg_pairwise_corr,
-    rolling_corr,
-)
+from .rolling import WindowSpec, rolling_avg_pairwise_corr, rolling_corr
 from .simulate import (
     DEFAULT_CAPS,
     OverlayPolicy,
@@ -89,7 +87,6 @@ _DEFAULTS: dict[str, Any] = {
         "vol": 63,
         "pairwise_corr": 63,
         "stock_bond_corr": 126,
-        "vol_surprise": 42,
     },
     "thresholds": {"low": 13.0, "high": 22.0},
     "percentiles": {"low": 0.16, "high": 0.76},
@@ -101,9 +98,9 @@ _DEFAULTS: dict[str, Any] = {
         "theta_cap": 0.25,
     },
     "caps": [float(c) for c in DEFAULT_CAPS],
-    "omega_horizons": [21, 42, 63, 126, 252],
-    "regret_horizons": [63, 126, 252],
-    "sweep_windows": [1, 5, 21, 63],
+    "omega_horizons": list(DEFAULT_OMEGA_HORIZONS),
+    "regret_horizons": list(DEFAULT_REGRET_HORIZONS),
+    "sweep_windows": list(DEFAULT_SWEEP_WINDOWS),
     "crises": {
         "gfc": ["2007-10-01", "2009-06-30"],
         "covid": ["2020-01-01", "2020-06-30"],
@@ -115,11 +112,16 @@ _DEFAULTS: dict[str, Any] = {
 }
 
 
-def _require(d: dict, fieldname: str, kind, path: str):
-    v = d.get(fieldname)
-    if not isinstance(v, kind):
-        raise ConfigError(f"{path}{fieldname}", f"expected {kind.__name__}")
-    return v
+# the JSON values a key takes, by the type of its default; a bool is never
+# taken for a number
+_ACCEPTS = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    type(None): ((str, type(None)), "a string or null"),
+    list: ((list,), "a list"),
+}
 
 
 def _merge_defaults(user: dict, defaults: dict, path: str = "") -> dict:
@@ -128,6 +130,9 @@ def _merge_defaults(user: dict, defaults: dict, path: str = "") -> dict:
         if k not in defaults:
             raise ConfigError(f"{path}{k}", "unknown config key")
         if not isinstance(defaults[k], dict):
+            kinds, what = _ACCEPTS[type(defaults[k])]
+            if not isinstance(v, kinds) or (isinstance(v, bool) and bool not in kinds):
+                raise ConfigError(f"{path}{k}", f"expected {what}, got {v!r}")
             out[k] = v
         elif not isinstance(v, dict):
             raise ConfigError(f"{path}{k}", "expected an object")
@@ -136,6 +141,14 @@ def _merge_defaults(user: dict, defaults: dict, path: str = "") -> dict:
         else:
             out[k] = _merge_defaults(v, defaults[k], f"{path}{k}.")
     return out
+
+
+def _checked(section: str, build):
+    """build(), with a range error in the section reported as a config error."""
+    try:
+        return build()
+    except (TypeError, ValueError) as e:
+        raise ConfigError(section, str(e)) from None
 
 
 @dataclass(frozen=True)
@@ -155,30 +168,31 @@ class RunConfig:
 
     @property
     def svg(self) -> bool:
-        return bool(self.raw["svg"])
+        return self.raw["svg"]
 
     def window(self, name: str) -> WindowSpec:
-        return WindowSpec(int(self.raw["windows"][name]))
+        return _checked(f"windows.{name}", lambda: WindowSpec(self.raw["windows"][name]))
 
     @property
     def thresholds(self) -> RegimeThresholds:
         t = self.raw["thresholds"]
-        return RegimeThresholds(low=float(t["low"]), high=float(t["high"]))
+        return _checked("thresholds", lambda: RegimeThresholds(
+            low=float(t["low"]), high=float(t["high"])))
 
     @property
     def dynamic_policy(self) -> OverlayPolicy:
         p = self.raw["policy"]
-        return OverlayPolicy.dynamic(
+        return _checked("policy", lambda: OverlayPolicy.dynamic(
             low=float(p["low"]), neutral=float(p["neutral"]),
             high=float(p["high"]), theta_cap=float(p["theta_cap"]),
-        )
+        ))
 
     @property
     def static_policy(self) -> OverlayPolicy:
         p = self.raw["policy"]
-        return OverlayPolicy.static(
+        return _checked("policy", lambda: OverlayPolicy.static(
             target=float(p["static"]), theta_cap=float(p["theta_cap"]),
-        )
+        ))
 
     @property
     def caps(self) -> list[float | None]:
@@ -187,10 +201,10 @@ class RunConfig:
     @property
     def bootstrap_spec(self) -> BootstrapSpec:
         b = self.raw["bootstrap"]
-        return BootstrapSpec(
-            block=int(b["block"]), iterations=int(b["iterations"]),
-            seed=int(b["seed"]), confidence=float(b["confidence"]),
-        )
+        return _checked("bootstrap", lambda: BootstrapSpec(
+            block=b["block"], iterations=b["iterations"],
+            seed=b["seed"], confidence=float(b["confidence"]),
+        ))
 
     @property
     def synth_params(self) -> SynthParams:
@@ -202,22 +216,15 @@ class RunConfig:
                   "bd_drift", "bd_vol", "vix_mean"):
             if k in s:
                 s[k] = tuple(tuple(r) for r in s[k]) if k == "transition" else tuple(s[k])
-        try:
-            return SynthParams(**s)
-        except (TypeError, ValueError) as e:
-            raise ConfigError("synth", str(e)) from None
+        return _checked("synth", lambda: SynthParams(**s))
 
     @property
     def model_params(self) -> tuple[RegimeParams, GovernanceParams]:
         m = self.raw["model"]
-        try:
-            rp = RegimeParams(
-                alpha=tuple(m["alpha"]), sigma=tuple(m["sigma"]), p=float(m["p"])
-            )
-            gov = GovernanceParams(tau_bar=float(m["tau_bar"]))
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError("model", str(e)) from None
-        return rp, gov
+        return _checked("model", lambda: (
+            RegimeParams(alpha=tuple(m["alpha"]), sigma=tuple(m["sigma"]), p=float(m["p"])),
+            GovernanceParams(tau_bar=float(m["tau_bar"])),
+        ))
 
     def date_range(self) -> tuple[dt.date | None, dt.date | None]:
         r = self.raw["range"]
@@ -287,10 +294,8 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
         raw["omega_horizons"] = overrides["horizons"]
         raw["regret_horizons"] = overrides["horizons"]
 
-    _require(raw, "seed", int, "")
-    _require(raw, "out", str, "")
     for name in ("caps", "omega_horizons", "regret_horizons", "sweep_windows"):
-        v = _require(raw, name, list, "")
+        v = raw[name]
         if len(v) == 0:
             raise ConfigError(name, "must be non-empty")
         # caps are positive numbers or null (uncapped); the rest are day counts
@@ -303,12 +308,13 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
     for k, v in raw["data"].items():
         if k not in _ROLE_KEYS:
             raise ConfigError(f"data.{k}", f"unknown role; expected one of {_ROLE_KEYS}")
-    th = raw["thresholds"]
-    if not (isinstance(th.get("low"), (int, float)) and isinstance(th.get("high"), (int, float))):
-        raise ConfigError("thresholds", "low and high must be numbers")
-    if not th["low"] < th["high"]:
-        raise ConfigError("thresholds", "low must be below high")
-    return RunConfig(raw=raw)
+    cfg = RunConfig(raw=raw)
+    # build the range-checked sections now, so a bad value fails every command
+    for name in raw["windows"]:
+        cfg.window(name)
+    for section in ("thresholds", "dynamic_policy", "static_policy", "bootstrap_spec"):
+        getattr(cfg, section)
+    return cfg
 
 
 # ---------------------------------------------------------------- output --
@@ -322,18 +328,30 @@ def _cfg_hash(cfg: RunConfig, token: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _write_csv(cfg: RunConfig, stem: str, token: str, rows: list[list[str]]) -> Path:
+def _cell(x) -> str:
+    """How every CSV cell prints: None empty, booleans as true/false,
+    integers as integers, text as is, any other number as repr(float), which
+    reads back to the same float."""
+    if x is None:
+        return ""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, str):
+        return x
+    return repr(float(x))
+
+
+def _write_csv(cfg: RunConfig, stem: str, token: str, header: Sequence[str],
+               rows: list[list]) -> Path:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / f"{stem}_{_cfg_hash(cfg, token)}.csv"
     with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([_cell(x) for x in row] for row in rows)
     return path
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return repr(float(x))
 
 
 _SVG_W, _SVG_H = 900, 450
@@ -405,15 +423,11 @@ def _maybe_svg(cfg: RunConfig, stem: str, token: str, dates, named_series: dict,
 
 def _write_dated(cfg: RunConfig, stem: str, token: str, dates, columns: dict,
                  chart: dict | None = None, ylabel: str = "") -> list[Path]:
-    """One `date, column...` CSV, a row per date; integer columns print as
-    integers. With `chart`, the SVG of those series goes alongside."""
-    cols = [np.asarray(v) for v in columns.values()]
-    fmts = [str if c.dtype.kind in "iu" else _fmt for c in cols]
-    cols = [c.tolist() for c in cols]
-    rows = [["date", *columns]]
-    for i, d in enumerate(dates):
-        rows.append([d.isoformat()] + [f(c[i]) for f, c in zip(fmts, cols)])
-    out = [_write_csv(cfg, stem, token, rows)]
+    """One `date, column...` CSV, a row per date. With `chart`, the SVG of
+    those series goes alongside."""
+    cols = [np.asarray(v).tolist() for v in columns.values()]
+    rows = [[d.isoformat(), *vals] for d, *vals in zip(dates, *cols)]
+    out = [_write_csv(cfg, stem, token, ["date", *columns], rows)]
     svg = _maybe_svg(cfg, stem, token, dates, chart, ylabel) if chart else None
     return out + [svg] if svg else out
 
@@ -570,12 +584,13 @@ class Engine:
 def build_engine(cfg: RunConfig, market: Market) -> Engine:
     if market.eq is None or market.bd is None or market.spread is None:
         raise ValueError("benchmark legs are missing")
+    path = classify(market.vix, cfg.window("signal"), cfg.thresholds)
     return Engine(
         cfg=cfg,
         market=market,
         bench=benchmark_7030(market.eq, market.bd),
-        path=classify(market.vix, cfg.window("signal"), cfg.thresholds),
-        smoothed_vix=moving_average(market.vix, cfg.window("signal")),
+        path=path,
+        smoothed_vix=Series(path.calendar, path.signal, market.vix.unit),
     )
 
 
@@ -614,16 +629,16 @@ def _exhibit2(cfg: RunConfig) -> list[Path]:
 
 def _exhibit3(cfg: RunConfig) -> list[Path]:
     eng = build_engine(cfg, _market_or_synth(cfg, "exhibit 3"))
-    rows = [["portfolio"] + list(METRICS_CSV_HEADER)]
+    rows = []
     for name, sim in (("benchmark", eng.bench), ("static", eng.static),
                       ("dynamic", eng.dynamic)):
         rep = summarize(sim.portfolio, rf=eng.market.rf, te=sim.te,
                         smoothed_vix=eng.smoothed_vix)
-        row = rep.to_csv_row()
+        row = rep.csv_row()
         # display convention: drawdowns are losses, shown negative
-        row[3] = _fmt(-rep.max_drawdown)
-        rows.append([name] + row)
-    return [_write_csv(cfg, "exhibit3", "exhibit3", rows)]
+        row[3] = -rep.max_drawdown
+        rows.append([name, *row])
+    return [_write_csv(cfg, "exhibit3", "exhibit3", ["portfolio", *METRICS_CSV_HEADER], rows)]
 
 
 def _exhibit4(cfg: RunConfig) -> list[Path]:
@@ -642,15 +657,18 @@ def cmd_omega(cfg: RunConfig) -> list[Path]:
     market = _market_or_synth(cfg, "omega", need=("eq", "vix"))
     horizons = [int(h) for h in cfg.raw["omega_horizons"]]
     rep = omega_table(market.vix_full, market.eq_prices, horizons)
-    return [_write_csv(cfg, "exhibit5", "omega", rep.to_csv_rows())]
+    return [_write_csv(cfg, "exhibit5", "omega", rep.CSV_HEADER, rep.csv_rows())]
 
 
-def cmd_regret(cfg: RunConfig, market: Market | None = None) -> list[Path]:
+def cmd_regret(cfg: RunConfig, market: Market | None = None,
+               bench: SimResult | None = None) -> list[Path]:
     """Stay-vs-derisk table from the trough of each crisis window; windows
-    with no trading day in the sample are skipped and named on stderr."""
+    with no trading day in the sample are skipped, and horizons that run past
+    its end are left empty, both named on stderr."""
     if market is None:
         market = _market_or_synth(cfg, "regret")
-    bench = benchmark_7030(market.eq, market.bd)
+    if bench is None:
+        bench = benchmark_7030(market.eq, market.bd)
     troughs, skipped = [], []
     for name, span in cfg.raw["crises"].items():
         try:
@@ -666,10 +684,13 @@ def cmd_regret(cfg: RunConfig, market: Market | None = None) -> list[Path]:
               f"{', '.join(skipped)}", file=sys.stderr)
     horizons = [int(h) for h in cfg.raw["regret_horizons"]]
     entries = regret_table(market.eq, market.bd, troughs, horizons)
-    rows = [list(RegretEntry.CSV_HEADER)]
-    for e in entries:
-        rows.extend(e.to_csv_rows())
-    return [_write_csv(cfg, "exhibit6b", "regret", rows)]
+    short = [f"{e.name} {h}" for e in entries
+             for h, s in zip(e.horizons, e.stay) if s is None]
+    if short:
+        print(f"regret: left empty, horizons past the end of the sample: "
+              f"{', '.join(short)}", file=sys.stderr)
+    rows = [row for e in entries for row in e.csv_rows()]
+    return [_write_csv(cfg, "exhibit6b", "regret", RegretEntry.CSV_HEADER, rows)]
 
 
 def _exhibit6(cfg: RunConfig) -> list[Path]:
@@ -678,7 +699,7 @@ def _exhibit6(cfg: RunConfig) -> list[Path]:
     dd = drawdown_path(bench.portfolio)
     return _write_dated(cfg, "exhibit6a", "exhibit6", bench.calendar.dates,
                         {"drawdown": dd, "vix": market.vix.values},
-                        {"drawdown": dd}, "drawdown from peak") + cmd_regret(cfg, market)
+                        {"drawdown": dd}, "drawdown from peak") + cmd_regret(cfg, market, bench)
 
 
 def cmd_converge(cfg: RunConfig) -> list[Path]:
@@ -686,19 +707,18 @@ def cmd_converge(cfg: RunConfig) -> list[Path]:
     bspec = cfg.bootstrap_spec
     header = ["cap", "cagr", "vol", "sharpe", "max_drawdown", "te_level",
               "te_sigma", "sharpe_ci_lo", "sharpe_ci_hi", "ci_width"]
-    rows = [header]
+    rows = []
     for cap in cfg.caps:
         sim = eng.overlay(cfg.dynamic_policy.with_ceiling(cap))
         rep = summarize(sim.portfolio, rf=eng.market.rf, te=sim.te,
                         smoothed_vix=eng.smoothed_vix)
         boot = circular_block_bootstrap(sim.portfolio, bspec, "sharpe")
         rows.append([
-            "uncapped" if cap is None else _fmt(cap),
-            _fmt(rep.cagr), _fmt(rep.vol), _fmt(rep.sharpe),
-            _fmt(rep.max_drawdown), _fmt(rep.te_level), _fmt(rep.te_sigma),
-            _fmt(boot.ci_lo), _fmt(boot.ci_hi), _fmt(boot.width),
+            "uncapped" if cap is None else cap,
+            rep.cagr, rep.vol, rep.sharpe, rep.max_drawdown, rep.te_level,
+            rep.te_sigma, boot.ci_lo, boot.ci_hi, boot.width,
         ])
-    return [_write_csv(cfg, "exhibit7", "converge", rows)]
+    return [_write_csv(cfg, "exhibit7", "converge", header, rows)]
 
 
 def cmd_sweep(cfg: RunConfig) -> list[Path]:
@@ -713,13 +733,13 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
         vol_window=cfg.window("vol"),
         rf=market.rf,
     )
-    return [_write_csv(cfg, "sweep", "sweep", rep.to_csv_rows())]
+    return [_write_csv(cfg, "sweep", "sweep", rep.CSV_HEADER, rep.csv_rows())]
 
 
 def cmd_props(cfg: RunConfig) -> list[Path]:
     rp, gov = cfg.model_params
     rep = proposition_suite(rp, gov)
-    return [_write_csv(cfg, "props", "props", rep.to_csv_rows())]
+    return [_write_csv(cfg, "props", "props", rep.CSV_HEADER, rep.csv_rows())]
 
 
 # ------------------------------------------------------------------ main --

@@ -1,6 +1,5 @@
-"""Conditioning studies: forward returns by fear-gauge quintile, the
-volatility-surprise regression, crisis-trough regret accounting, and the
-signal-window sweep.
+"""Conditioning studies: forward returns by fear-gauge quintile,
+crisis-trough regret accounting, and the signal-window sweep.
 
 Forward returns are overlapping, so every t-statistic here uses a
 Newey-West long-run variance with bandwidth equal to the forward horizon.
@@ -14,9 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .inference import MeanTest, OlsFit, hac_ols, newey_west_mean_test
+from .inference import newey_west_mean_test
 from .metrics import cagr, drawdown_path, max_drawdown, sharpe
 from .regime import RegimeThresholds, classify, percentile_thresholds
 from .rolling import WindowSpec, moving_average
@@ -106,17 +104,12 @@ class QuintileReport:
         + [f"boundary_{p}" for p in (20, 40, 60, 80)]
     )
 
-    def to_csv_rows(self) -> list[list[str]]:
-        rows = [list(self.CSV_HEADER)]
-        for i, h in enumerate(self.horizons):
-            rows.append(
-                [str(h)]
-                + [repr(float(x)) for x in self.means[i]]
-                + [repr(float(self.spreads[i])), repr(float(self.t_stats[i]))]
-                + [str(int(c)) for c in self.counts[i]]
-                + [repr(float(b)) for b in self.boundaries]
-            )
-        return rows
+    def csv_rows(self) -> list[list]:
+        return [
+            [h, *self.means[i], self.spreads[i], self.t_stats[i],
+             *self.counts[i], *self.boundaries]
+            for i, h in enumerate(self.horizons)
+        ]
 
 
 def omega_table(
@@ -165,59 +158,6 @@ def omega_table(
 
 
 @dataclass(frozen=True)
-class VolSurpriseRegression:
-    """Forward cumulative return regressed on the level of implied vol and
-    on the realized-minus-implied surprise over the same forward window.
-    Vol units are index points (annualized percent); the fit carries HAC
-    standard errors with bandwidth equal to the window."""
-
-    fit: OlsFit
-    window: int
-
-    @property
-    def coef_implied(self) -> float:
-        return float(self.fit.coef[1])
-
-    @property
-    def coef_surprise(self) -> float:
-        return float(self.fit.coef[2])
-
-    @property
-    def t_implied(self) -> float:
-        return float(self.fit.t[1])
-
-    @property
-    def t_surprise(self) -> float:
-        return float(self.fit.t[2])
-
-
-def vol_surprise_regression(
-    prices: Series, implied: Series, window: WindowSpec = WindowSpec(42)
-) -> VolSurpriseRegression:
-    if prices.calendar.dates != implied.calendar.dates:
-        raise ValueError("price and gauge series are not on the same calendar")
-    if prices.unit != UNIT_PRICE:
-        raise ValueError("need a price series")
-    h = window.length
-    n = len(prices)
-    if n <= h + 3:
-        raise ValueError("not enough observations for the forward window")
-    p = prices.values
-    y = p[h:] / p[:-h] - 1.0
-    rets = p[1:] / p[:-1] - 1.0
-    realized = (
-        np.std(sliding_window_view(rets, h), axis=1, ddof=1)
-        * math.sqrt(TRADING_DAYS_PER_YEAR)
-        * 100.0
-    )
-    iv = implied.values[: n - h]
-    surprise = realized - iv
-    X = np.column_stack([iv, surprise])
-    fit = hac_ols(y, X, bandwidth=h)
-    return VolSurpriseRegression(fit=fit, window=h)
-
-
-@dataclass(frozen=True)
 class Trough:
     date: dt.date
     drawdown: float          # magnitude at the trough vs the running peak
@@ -258,30 +198,20 @@ class RegretEntry:
     name: str
     trough: Trough
     horizons: tuple[int, ...]
-    stay: tuple[float, ...]
-    derisk: tuple[float, ...]
+    stay: tuple[float | None, ...]      # None where the horizon runs past the sample
+    derisk: tuple[float | None, ...]
 
     @property
-    def regret(self) -> tuple[float, ...]:
-        return tuple(s - d for s, d in zip(self.stay, self.derisk))
+    def regret(self) -> tuple[float | None, ...]:
+        return tuple(None if s is None else s - d for s, d in zip(self.stay, self.derisk))
 
     CSV_HEADER = ["crisis", "trough_date", "max_drawdown", "vix_at_trough",
                   "horizon_days", "stay_70_30", "derisk_30_70", "regret"]
 
-    def to_csv_rows(self) -> list[list[str]]:
-        rows = []
-        for h, s, d in zip(self.horizons, self.stay, self.derisk):
-            rows.append([
-                self.name,
-                self.trough.date.isoformat(),
-                repr(float(self.trough.drawdown)),
-                "" if self.trough.vix is None else repr(float(self.trough.vix)),
-                str(h),
-                repr(float(s)),
-                repr(float(d)),
-                repr(float(s - d)),
-            ])
-        return rows
+    def csv_rows(self) -> list[list]:
+        t = self.trough
+        return [[self.name, t.date.isoformat(), t.drawdown, t.vix, h, s, d, r]
+                for h, s, d, r in zip(self.horizons, self.stay, self.derisk, self.regret)]
 
 
 def _cum_mix(eq: Series, bd: Series, i0: int, h: int, w_eq: float) -> float:
@@ -301,22 +231,20 @@ def regret_table(
 ) -> tuple[RegretEntry, ...]:
     """Stay-vs-derisk outcomes from each trough. Both paths restart at
     their target weights on the day after the trough and rebalance monthly
-    thereafter; the de-risked path mirrors the weights."""
+    thereafter; the de-risked path mirrors the weights. A horizon that runs
+    past the end of the sample has no outcome (None)."""
     if eq.calendar.dates != bd.calendar.dates:
         raise ValueError("legs are not on the same calendar")
     out = []
     n = len(eq)
     for name, trough in troughs:
         i = eq.calendar.index(trough.date)
-        stay = []
-        derisk = []
+        stay: list[float | None] = []
+        derisk: list[float | None] = []
         for h in horizons:
-            if i + h > n - 1:
-                raise ValueError(
-                    f"{name}: horizon {h} runs past the end of the sample"
-                )
-            stay.append(_cum_mix(eq, bd, i + 1, h, w_eq))
-            derisk.append(_cum_mix(eq, bd, i + 1, h, 1.0 - w_eq))
+            fits = i + h <= n - 1
+            stay.append(_cum_mix(eq, bd, i + 1, h, w_eq) if fits else None)
+            derisk.append(_cum_mix(eq, bd, i + 1, h, 1.0 - w_eq) if fits else None)
         out.append(RegretEntry(
             name=name,
             trough=trough,
@@ -356,20 +284,14 @@ class SweepReport:
                   "static_cagr_over_maxdd", "passes_sharpe", "passes_calmar",
                   "passes_both"]
 
-    def to_csv_rows(self) -> list[list[str]]:
-        rows = [list(self.CSV_HEADER)]
-        for r in self.rows:
-            rows.append([
-                str(r.window),
-                repr(float(r.thresholds.low)), repr(float(r.thresholds.high)),
-                repr(float(r.cagr)), repr(float(r.sharpe)),
-                repr(float(r.cagr_over_maxdd)), repr(float(r.excess_cagr)),
-                repr(float(self.static_cagr)), repr(float(self.static_sharpe)),
-                repr(float(self.static_cagr_over_maxdd)),
-                str(r.passes_sharpe).lower(), str(r.passes_calmar).lower(),
-                str(r.passes_both).lower(),
-            ])
-        return rows
+    def csv_rows(self) -> list[list]:
+        return [
+            [r.window, r.thresholds.low, r.thresholds.high, r.cagr, r.sharpe,
+             r.cagr_over_maxdd, r.excess_cagr, self.static_cagr, self.static_sharpe,
+             self.static_cagr_over_maxdd, r.passes_sharpe, r.passes_calmar,
+             r.passes_both]
+            for r in self.rows
+        ]
 
 
 def window_sweep(

@@ -1,10 +1,9 @@
 """Serial-correlation-robust inference.
 
 Long-run variances use the Bartlett kernel with weight 1 - j/(L+1) at lag j
-(Newey-West). Small-sample scaling n/(n-k) is applied to the sandwich meat,
-so bandwidth 0 reproduces the classical one-sample t and the textbook OLS
-covariance on homoskedastic fixtures. The circular block bootstrap follows
-Politis-Romano: fixed-length blocks with wraparound, percentile intervals.
+(Newey-West), scaled by n/(n-1), so bandwidth 0 reproduces the classical
+one-sample t. The circular block bootstrap follows Politis-Romano:
+fixed-length blocks with wraparound, percentile intervals.
 For the Sharpe ratio a resample is reduced from its blocks' sums of x and
 x**2, read off prefix sums of the demeaned series, so it costs O(n/block)
 rather than O(n); other statistics gather each resample's values. Draws are
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -69,52 +68,6 @@ def newey_west_mean_test(x, bandwidth: int) -> MeanTest:
         raise ValueError("long-run variance is not positive")
     se = math.sqrt(lrv / n)
     return MeanTest(mean=m, se=se, t=m / se, bandwidth=bandwidth, n=n)
-
-
-@dataclass(frozen=True)
-class OlsFit:
-    coef: np.ndarray       # intercept first
-    se: np.ndarray
-    t: np.ndarray
-    resid: np.ndarray
-    bandwidth: int
-    n: int
-
-
-def hac_ols(y, X, bandwidth: int) -> OlsFit:
-    """OLS with Bartlett (Newey-West) standard errors; an intercept column is
-    prepended. bandwidth 0 gives heteroskedasticity-only (White) errors."""
-    yv = _values(y)
-    Xm = np.asarray(X, dtype=np.float64)
-    if Xm.ndim == 1:
-        Xm = Xm[:, None]
-    n = len(yv)
-    if Xm.shape[0] != n:
-        raise ValueError("y and X lengths differ")
-    if bandwidth < 0 or bandwidth >= n:
-        raise ValueError("bandwidth must satisfy 0 <= bandwidth < n")
-    Z = np.column_stack([np.ones(n), Xm])
-    k = Z.shape[1]
-    if n <= k:
-        raise ValueError("need more observations than regressors")
-    if np.linalg.matrix_rank(Z) < k:
-        raise ValueError("regressor matrix is rank deficient")
-
-    XtX = Z.T @ Z
-    coef = np.linalg.solve(XtX, Z.T @ yv)
-    resid = yv - Z @ coef
-
-    zu = Z * resid[:, None]
-    S = (zu.T @ zu) / n
-    for j in range(1, bandwidth + 1):
-        w = 1.0 - j / (bandwidth + 1.0)
-        G = (zu[j:].T @ zu[:-j]) / n
-        S += w * (G + G.T)
-    S *= n / (n - k)
-    bread = np.linalg.inv(XtX / n)
-    cov = bread @ S @ bread / n
-    se = np.sqrt(np.diag(cov))
-    return OlsFit(coef=coef, se=se, t=coef / se, resid=resid, bandwidth=bandwidth, n=n)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rolling import WindowSpec, rolling_vol
 from .timeseries import TRADING_DAYS_PER_YEAR, UNIT_RETURN, Series
 
 
@@ -96,14 +95,6 @@ def max_drawdown(returns) -> float:
     return float(np.max(drawdown_path(returns)))
 
 
-def realized_te(portfolio: Series, benchmark: Series, w: WindowSpec) -> Series:
-    """Annualized trailing volatility of the daily active return."""
-    if portfolio.calendar.dates != benchmark.calendar.dates:
-        raise ValueError("portfolio and benchmark are not on the same calendar")
-    diff = portfolio.values - benchmark.values
-    return rolling_vol(Series(portfolio.calendar, diff, UNIT_RETURN), w)
-
-
 @dataclass(frozen=True)
 class TePolicyStats:
     level: float           # mean tracking error
@@ -157,12 +148,8 @@ class MetricsReport:
     te_sigma: float | None = None
     te_cyclicality: float | None = None
 
-    def to_csv_row(self) -> list[str]:
-        row = []
-        for name in METRICS_CSV_HEADER:
-            v = getattr(self, name)
-            row.append("" if v is None else repr(float(v)))
-        return row
+    def csv_row(self) -> list[float | None]:
+        return [getattr(self, name) for name in METRICS_CSV_HEADER]
 
 
 def summarize(returns, rf=0.0, te: Series | None = None,

@@ -135,12 +135,12 @@ class PropositionReport:
     def all_pass(self) -> bool:
         return all(c.status == "pass" for c in self.checks)
 
-    def to_csv_rows(self) -> list[list[str]]:
-        rows = [["prop", "status", "boundary", "values", "note"]]
-        for c in self.checks:
-            vals = ";".join(f"{k}={v!r}" for k, v in c.values.items())
-            rows.append([str(c.prop), c.status, str(c.boundary).lower(), vals, c.note])
-        return rows
+    CSV_HEADER = ["prop", "status", "boundary", "values", "note"]
+
+    def csv_rows(self) -> list[list]:
+        return [[c.prop, c.status, c.boundary,
+                 ";".join(f"{k}={v!r}" for k, v in c.values.items()), c.note]
+                for c in self.checks]
 
 
 def proposition_suite(params: RegimeParams, governance: GovernanceParams) -> PropositionReport:

@@ -134,15 +134,6 @@ def weekly_returns(daily: Series) -> Series:
     return Series(TradingCalendar(tuple(out_dates)), np.asarray(out_vals), UNIT_RETURN)
 
 
-def stationary_distribution(P: np.ndarray) -> tuple[float, float]:
-    """Stationary distribution of a 2x2 row-stochastic matrix; uniform when
-    the chain never leaves its start state (identity matrix)."""
-    a, b = float(P[0, 1]), float(P[1, 0])
-    if a + b == 0.0:
-        return (0.5, 0.5)
-    return (b / (a + b), a / (a + b))
-
-
 @dataclass(frozen=True)
 class MSModel:
     """Two-state Gaussian HMM; state 0 is low-variance, state 1 high."""
@@ -368,23 +359,6 @@ def fit_markov_switching(
         trace=tuple(trace),
         converged=converged,
         n_iter=len(trace),
-    )
-
-
-def model_from_params(mu, var, transition, initial=None) -> MSModel:
-    """MSModel from explicit parameters; initial defaults to the stationary
-    distribution of the transition matrix."""
-    P = np.asarray(transition, dtype=np.float64)
-    pi = stationary_distribution(P) if initial is None else tuple(initial)
-    return MSModel(
-        mu=tuple(mu),
-        var=tuple(var),
-        transition=P,
-        initial=pi,  # type: ignore[arg-type]
-        loglik=float("nan"),
-        trace=(),
-        converged=True,
-        n_iter=0,
     )
 
 

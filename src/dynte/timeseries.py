@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -190,12 +190,6 @@ class AssetPanel:
             return self.series[sym]
         except KeyError:
             raise ValueError(f"symbol {sym!r} not in panel") from None
-
-
-def merge_series(named: Mapping[str, Series]) -> AssetPanel:
-    """Panel from independently dated series, intersected onto common dates."""
-    cal = intersect_calendars([s.calendar for s in named.values()])
-    return AssetPanel(cal, {sym: s.restrict(cal) for sym, s in named.items()})
 
 
 @dataclass(frozen=True)

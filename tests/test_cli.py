@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import hashlib
 import json
@@ -7,9 +8,10 @@ import sys
 import warnings
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from dynte.cli import CONFIG_VERSION, ConfigError, _maybe_svg, load_config, main
+from dynte.cli import CONFIG_VERSION, ConfigError, _cell, _maybe_svg, load_config, main
 from dynte.events import QuintileReport
 from dynte.timeseries import SynthParams, synth_regime_panel
 
@@ -173,6 +175,15 @@ def test_unknown_subcommand_is_usage_error():
     ({"omega_horizons": ["x"]}, "omega_horizons[0]"),
     ({"regret_horizons": [63, 0]}, "regret_horizons[1]"),
     ({"sweep_windows": [5.5]}, "sweep_windows[0]"),
+    ({"windows": {"vol": "x"}}, "windows.vol"),
+    ({"windows": {"vol": 0}}, "windows.vol"),
+    ({"policy": {"low": "x"}}, "policy.low"),
+    ({"percentiles": {"low": "x"}}, "percentiles.low"),
+    ({"bootstrap": {"block": "x"}}, "bootstrap.block"),
+    ({"bootstrap": {"iterations": 0}}, "bootstrap"),
+    ({"seed": True}, "seed"),
+    ({"svg": "no"}, "svg"),
+    ({"thresholds": {"low": True, "high": 22}}, "thresholds.low"),
 ])
 def test_config_type_errors_name_the_field(tmp_path, capsys, cfg, field):
     path = tmp_path / "cfg.json"
@@ -277,6 +288,19 @@ def test_regret_synthetic_crisis(tmp_path):
         assert float(r[7]) == pytest.approx(float(r[5]) - float(r[6]), abs=1e-15)
 
 
+def test_regret_leaves_horizons_past_the_sample_empty(tmp_path, capsys):
+    # the 1150-day default panel ends 162 trading days after the gfc trough
+    code, files = run(tmp_path, "regret", config_extra={"synth": {"horizon": 1150}})
+    err = capsys.readouterr().err
+    assert code == 0, err
+    rows = read_rows(files[0])
+    assert [r[4] for r in rows[1:]] == ["63", "126", "252"]
+    for r in rows[1:3]:
+        assert "" not in r and np.isfinite([float(c) for c in r[2:]]).all()
+    assert rows[3][5:] == ["", "", ""]
+    assert "horizons past the end of the sample: gfc 252" in err
+
+
 def test_sweep_synthetic(tmp_path):
     code, files = run(tmp_path, "sweep", "--windows", "1,21",
                       config_extra={"synth": {"horizon": 700}})
@@ -300,6 +324,43 @@ def test_converge_caps_flag_and_uncapped(tmp_path):
     for r in rows[1:]:
         lo, hi = float(r[7]), float(r[8])
         assert lo <= float(r[3]) <= hi  # CI brackets the sharpe point
+
+
+INT_COLUMNS = {"horizon_days", "window", "prop", *(f"n_q{k}" for k in range(1, 6))}
+BOOL_COLUMNS = {"passes_sharpe", "passes_calmar", "passes_both", "boundary"}
+TEXT_COLUMNS = {"portfolio", "crisis", "trough_date", "status", "values", "note"}
+
+
+def test_cells_print_in_one_format(tmp_path):
+    assert [_cell(x) for x in (None, True, np.False_, 7, np.int64(-3), "a b",
+                               0.1, np.float64(2.0), float("inf"))] == [
+        "", "true", "false", "7", "-3", "a b", "0.1", "2.0", "inf"]
+    panel, _ = synth_regime_panel(SynthParams(horizon=900))
+    dates = panel.calendar.dates
+    extra = {"synth": {"horizon": 900}, "bootstrap": {"iterations": 200},
+             "crises": {"dip": [dates[500].isoformat(), dates[700].isoformat()]}}
+    for form in (["exhibit", "3"], ["converge"], ["omega"], ["sweep"], ["props"],
+                 ["regret", "--horizons", "21,400"]):  # 400 days run past the end
+        assert run(tmp_path, *form, config_extra=extra)[0] == 0
+    empty = set()
+    for path in sorted((tmp_path / "out").glob("*.csv")):
+        header, *rows = csv.reader(path.open())
+        for row in rows:
+            for name, cell in zip(header, row, strict=True):
+                if name in INT_COLUMNS:
+                    assert re.fullmatch(r"-?\d+", cell), (path.name, name, cell)
+                elif name in BOOL_COLUMNS:
+                    assert cell in ("true", "false"), (path.name, name, cell)
+                elif name in TEXT_COLUMNS or cell == "uncapped":
+                    continue
+                elif cell == "":
+                    empty.add((path.name.split("_")[0], name))
+                else:
+                    assert repr(float(cell)) == cell, (path.name, name, cell)
+    # the benchmark row has no tracking error; the 400-day horizon no outcome
+    assert empty == {("exhibit3", "te_level"), ("exhibit3", "te_sigma"),
+                     ("exhibit3", "te_cyclicality"), ("exhibit6b", "stay_70_30"),
+                     ("exhibit6b", "derisk_30_70"), ("exhibit6b", "regret")}
 
 
 def test_exhibit4_svg_emitted(tmp_path):

@@ -1,5 +1,4 @@
 import datetime as dt
-import math
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from dynte.events import (
     omega_table,
     regret_table,
     vix_quintiles,
-    vol_surprise_regression,
     window_sweep,
 )
 from dynte.inference import newey_west_mean_test
@@ -206,58 +204,13 @@ def test_omega_alignment_error():
 def test_omega_csv_layout():
     vix, prices = synth_vix_and_prices(seed=5)
     rep = omega_table(vix, prices, horizons=(21, 63))
-    rows = rep.to_csv_rows()
-    assert rows[0] == list(QuintileReport.CSV_HEADER)
-    assert len(rows) == 3
-    assert rows[1][0] == "21" and rows[2][0] == "63"
-    assert float(rows[1][6]) == rep.spreads[0]
-
-
-# ----------------------------------------------------- vol surprise regression
-
-
-def test_vol_surprise_zero_surprise_is_collinear():
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    rng = np.random.default_rng(6)
-    rets = 0.01 * rng.standard_normal(300)
-    prices = prices_from_returns(rser(rets), initial=100.0)
-    n = len(prices)
-    h = 42
-    # feed back the exact realized path so the surprise column is all zeros
-    r = prices.values[1:] / prices.values[:-1] - 1.0
-    realized = np.std(sliding_window_view(r, h), axis=1, ddof=1) * math.sqrt(252.0) * 100.0
-    implied_vals = np.concatenate([realized, np.full(n - len(realized), 20.0)])
-    implied = Series(prices.calendar, implied_vals, UNIT_LEVEL)
-    with pytest.raises(ValueError, match="rank deficient"):
-        vol_surprise_regression(prices, implied, WindowSpec(h))
-
-
-def test_vol_surprise_independent_returns():
-    flags = 0
-    for seed in range(6):
-        rng = np.random.default_rng(200 + seed)
-        n = 700
-        rets = 0.01 * rng.standard_normal(n)
-        prices = prices_from_returns(rser(rets), initial=100.0)
-        implied = Series(prices.calendar, 16.0 + 4.0 * rng.random(n), UNIT_LEVEL)
-        out = vol_surprise_regression(prices, implied)
-        assert out.window == 42
-        assert out.fit.n == n - 42
-        flags += (abs(out.t_implied) < 2.0) and (abs(out.t_surprise) < 2.0)
-    assert flags >= 4
-
-
-def test_vol_surprise_validation():
-    p = pser(np.full(50, 100.0))
-    iv = lser(np.full(50, 20.0))
-    with pytest.raises(ValueError, match="not enough"):
-        vol_surprise_regression(p, iv, WindowSpec(48))
-    with pytest.raises(ValueError, match="price series"):
-        vol_surprise_regression(rser(np.zeros(50)), iv)
-    off = lser(np.full(50, 20.0), start=dt.date(2016, 1, 4))
-    with pytest.raises(ValueError, match="calendar"):
-        vol_surprise_regression(p, off)
+    rows = rep.csv_rows()
+    assert len(rows) == 2
+    assert all(len(r) == len(QuintileReport.CSV_HEADER) for r in rows)
+    assert rows[0][0] == 21 and rows[1][0] == 63
+    assert rows[0][6] == rep.spreads[0]
+    assert rows[1][8:13] == list(rep.counts[1])
+    assert rows[1][13:] == list(rep.boundaries)
 
 
 # -------------------------------------------------------------------- trough
@@ -364,8 +317,9 @@ def test_regret_insufficient_forward_data():
     eq = rser(np.zeros(100))
     bd = rser(np.zeros(100))
     trough = Trough(date=eq.calendar.dates[80], drawdown=0.1, vix=None)
-    with pytest.raises(ValueError, match="runs past the end"):
-        regret_table(eq, bd, [("x", trough)], horizons=(63,))
+    (entry,) = regret_table(eq, bd, [("x", trough)], horizons=(19, 20))
+    assert entry.stay[0] == entry.derisk[0] == entry.regret[0] == 0.0
+    assert entry.stay[1] is entry.derisk[1] is entry.regret[1] is None
 
 
 def test_regret_csv_rows():
@@ -374,11 +328,11 @@ def test_regret_csv_rows():
     bd = rser(0.003 * rng.standard_normal(300))
     trough = Trough(date=eq.calendar.dates[10], drawdown=0.12, vix=31.5)
     (entry,) = regret_table(eq, bd, [("gfc", trough)], horizons=(63, 126))
-    rows = entry.to_csv_rows()
+    rows = entry.csv_rows()
     assert len(rows) == 2
-    assert rows[0][0] == "gfc"
-    assert rows[0][4] == "63" and rows[1][4] == "126"
-    assert float(rows[0][7]) == entry.regret[0]
+    assert rows[0][:4] == ["gfc", trough.date.isoformat(), 0.12, 31.5]
+    assert rows[0][4] == 63 and rows[1][4] == 126
+    assert rows[0][5:] == [entry.stay[0], entry.derisk[0], entry.regret[0]]
     assert len(RegretEntry.CSV_HEADER) == len(rows[0])
 
 
@@ -437,11 +391,12 @@ def test_sweep_empty_windows():
 def test_sweep_csv_layout():
     vix, eq, bd, spread = sweep_inputs(seed=3, horizon=500)
     rep = window_sweep(vix, eq, bd, spread, windows=(1, 21))
-    rows = rep.to_csv_rows()
-    assert len(rows) == 3
-    assert rows[0][0] == "window"
-    assert rows[1][0] == "1" and rows[2][0] == "21"
-    assert rows[1][-1] in ("true", "false")
+    rows = rep.csv_rows()
+    assert len(rows) == 2
+    assert all(len(r) == len(rep.CSV_HEADER) for r in rows)
+    assert rows[0][0] == 1 and rows[1][0] == 21
+    assert rows[0][-3:] == [rep.rows[0].passes_sharpe, rep.rows[0].passes_calmar,
+                            rep.rows[0].passes_both]
 
 
 def test_default_constants():

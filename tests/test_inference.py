@@ -13,7 +13,6 @@ from dynte.inference import (
     BootstrapResult,
     BootstrapSpec,
     circular_block_bootstrap,
-    hac_ols,
     newey_west_mean_test,
     sharpe_equality_test,
     spearman,
@@ -89,60 +88,6 @@ def test_nw_iid_size_control():
     one = newey_west_mean_test(x[0], bandwidth=21)
     assert_allclose(one.t, t[0], rtol=1e-12)
     assert np.mean(np.abs(t) < 2.0) >= 0.90
-
-
-# --------------------------------------------------------------- hac ols
-
-
-def test_hac_ols_exact_fit():
-    rng = np.random.default_rng(4)
-    X = rng.standard_normal((60, 2))
-    beta = np.array([1.5, -2.0, 0.5])
-    y = beta[0] + X @ beta[1:]
-    fit = hac_ols(y, X, bandwidth=5)
-    assert_allclose(fit.coef, beta, atol=1e-12)
-    assert_allclose(fit.resid, 0.0, atol=1e-12)
-
-
-def test_hac_bandwidth_zero_matches_textbook_ols_on_balanced_fixture():
-    # residuals with constant magnitude and exact orthogonality to the
-    # design make White and classical covariances coincide
-    x = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-    e = 0.5 * np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
-    y = 2.0 + 3.0 * x + e
-    fit = hac_ols(y, x, bandwidth=0)
-    assert_allclose(fit.coef, [2.0, 3.0], atol=1e-14)
-    n, k = 8, 2
-    Z = np.column_stack([np.ones(n), x])
-    sigma2 = float(e @ e) / (n - k)
-    cov_tb = sigma2 * np.linalg.inv(Z.T @ Z)
-    assert_allclose(fit.se, np.sqrt(np.diag(cov_tb)), atol=1e-10)
-
-
-def test_hac_se_exceeds_white_under_serial_correlation():
-    rng = np.random.default_rng(5)
-    ratios = []
-    for _ in range(20):
-        n = 1000
-        x = rng.standard_normal(n)
-        u = np.empty(n)
-        u[0] = rng.standard_normal()
-        eps = rng.standard_normal(n)
-        for t in range(1, n):
-            u[t] = 0.8 * u[t - 1] + eps[t]
-        y = 1.0 + 0.5 * x + u
-        hac = hac_ols(y, x, bandwidth=20)
-        white = hac_ols(y, x, bandwidth=0)
-        ratios.append(hac.se[0] / white.se[0])  # intercept carries the AR noise
-    assert np.mean(ratios) > 1.3
-    assert np.mean(np.asarray(ratios) > 1.0) >= 0.9
-
-
-def test_hac_rank_deficiency():
-    x = np.ones(30)  # collinear with the prepended intercept
-    y = np.arange(30.0)
-    with pytest.raises(ValueError, match="rank deficient"):
-        hac_ols(y, x, bandwidth=0)
 
 
 # -------------------------------------------------------------- bootstrap

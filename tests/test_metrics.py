@@ -11,13 +11,12 @@ from dynte.metrics import (
     annualized_vol,
     cagr,
     max_drawdown,
-    realized_te,
     sharpe,
     summarize,
     te_policy_stats,
     wealth_path,
 )
-from dynte.rolling import WindowSpec
+from dynte.rolling import WindowSpec, rolling_vol
 from dynte.timeseries import (
     UNIT_LEVEL,
     UNIT_RETURN,
@@ -154,34 +153,6 @@ def test_wealth_path_shape():
     assert_allclose(w, [1.0, 1.1, 0.55, 0.825], rtol=1e-15)
 
 
-# ------------------------------------------------------------ realized te
-
-
-def test_realized_te_identical_paths():
-    rng = np.random.default_rng(5)
-    r = 0.01 * rng.standard_normal(120)
-    p = rser(r)
-    te = realized_te(p, rser(r.copy()), WindowSpec(63))
-    assert np.all(te.values == 0.0)
-    assert te.unit == UNIT_LEVEL
-
-
-def test_realized_te_constant_offset():
-    # fl(r + c) - r is not exactly c, so only near-zero can be asserted
-    rng = np.random.default_rng(6)
-    r = 0.01 * rng.standard_normal(120)
-    p = rser(r + 0.003)
-    te = realized_te(p, rser(r), WindowSpec(63))
-    assert np.max(np.abs(te.values)) < 1e-12
-
-
-def test_realized_te_misalignment():
-    p = rser(np.zeros(80))
-    b = rser(np.zeros(80), start=dt.date(2016, 1, 4))
-    with pytest.raises(ValueError, match="calendar"):
-        realized_te(p, b, WindowSpec(63))
-
-
 # -------------------------------------------------------- te policy stats
 
 
@@ -208,10 +179,8 @@ def test_te_stats_proportional_to_gauge():
 
 def test_te_stats_level_is_mean_of_realized_te():
     rng = np.random.default_rng(7)
-    r = 0.01 * rng.standard_normal(200)
-    p = rser(r + 0.002 * rng.standard_normal(200))
-    b = rser(r)
-    te = realized_te(p, b, WindowSpec(63))
+    active = 0.002 * rng.standard_normal(200)
+    te = rolling_vol(rser(active), WindowSpec(63))
     gauge = vix_like(15.0 + rng.random(200)).restrict(te.calendar)
     out = te_policy_stats(te, gauge)
     assert out.level == pytest.approx(float(np.mean(te.values)), rel=1e-14)
@@ -251,11 +220,10 @@ def test_summarize_no_drawdown_leaves_ratio_unset():
 def test_summarize_with_te_and_gauge():
     rng = np.random.default_rng(10)
     r = 0.01 * rng.standard_normal(250) + 0.0004
-    p = rser(r + 0.001 * rng.standard_normal(250))
-    b = rser(r)
-    te = realized_te(p, b, WindowSpec(63))
+    active = 0.001 * rng.standard_normal(250)
+    te = rolling_vol(rser(active), WindowSpec(63))
     gauge = vix_like(15.0 + rng.random(250))
-    rep = summarize(p.values, te=te, smoothed_vix=gauge)
+    rep = summarize(r + active, te=te, smoothed_vix=gauge)
     assert rep.te_level is not None
     assert rep.te_sigma is not None
     assert rep.te_cyclicality is not None
@@ -263,9 +231,8 @@ def test_summarize_with_te_and_gauge():
 
 def test_csv_row_blanks_for_none():
     rep = summarize(np.tile([0.001, 0.002], 20))
-    row = rep.to_csv_row()
+    row = rep.csv_row()
     assert len(row) == len(METRICS_CSV_HEADER)
-    assert row[METRICS_CSV_HEADER.index("cagr_over_maxdd")] == ""
-    assert row[METRICS_CSV_HEADER.index("te_level")] == ""
-    # numeric cells round-trip exactly
-    assert float(row[0]) == rep.cagr
+    assert row[METRICS_CSV_HEADER.index("cagr_over_maxdd")] is None
+    assert row[METRICS_CSV_HEADER.index("te_level")] is None
+    assert row[:4] == [rep.cagr, rep.vol, rep.sharpe, rep.max_drawdown]

@@ -226,8 +226,9 @@ def test_suite_vacuous_omega_condition():
 
 
 def test_suite_csv_rows():
-    rows = proposition_suite(PAPERISH, GOV).to_csv_rows()
-    assert rows[0] == ["prop", "status", "boundary", "values", "note"]
-    assert len(rows) == 6
-    assert rows[1][0] == "1" and rows[1][1] == "pass"
-    assert all(r[2] in ("true", "false") for r in rows[1:])
+    rep = proposition_suite(PAPERISH, GOV)
+    rows = rep.csv_rows()
+    assert rep.CSV_HEADER == ["prop", "status", "boundary", "values", "note"]
+    assert len(rows) == 5
+    assert rows[0][0] == 1 and rows[0][1] == "pass"
+    assert all(isinstance(r[2], bool) for r in rows)

@@ -17,11 +17,9 @@ from dynte.regime import (
     RegimeThresholds,
     classify,
     fit_markov_switching,
-    model_from_params,
     percentile_thresholds,
     signal_agreement,
     smoothed_high_prob,
-    stationary_distribution,
     weekly_returns,
 )
 from dynte.rolling import WindowSpec
@@ -210,19 +208,18 @@ def planted_weekly(n, mu, sd, stay, seed):
     return Series(friday_calendar(n), vals, UNIT_RETURN), states
 
 
+def hmm(mu, var, transition, initial=(0.5, 0.5)) -> MSModel:
+    return MSModel(mu=mu, var=var, transition=np.asarray(transition), initial=initial,
+                   loglik=float("nan"), trace=(), converged=True, n_iter=0)
+
+
 def test_ms_model_validation():
     with pytest.raises(ValueError, match="row-stochastic"):
-        model_from_params((0.0, 0.0), (1.0, 2.0), [[0.9, 0.2], [0.1, 0.9]])
+        hmm((0.0, 0.0), (1.0, 2.0), [[0.9, 0.2], [0.1, 0.9]])
     with pytest.raises(ValueError, match="ordered"):
-        model_from_params((0.0, 0.0), (2.0, 1.0), [[0.9, 0.1], [0.1, 0.9]])
+        hmm((0.0, 0.0), (2.0, 1.0), [[0.9, 0.1], [0.1, 0.9]])
     with pytest.raises(ValueError, match="positive"):
-        model_from_params((0.0, 0.0), (0.0, 1.0), [[0.9, 0.1], [0.1, 0.9]])
-
-
-def test_stationary_distribution_cases():
-    assert stationary_distribution(np.eye(2)) == (0.5, 0.5)
-    pi = stationary_distribution(np.array([[0.9, 0.1], [0.2, 0.8]]))
-    assert_allclose(pi, (2.0 / 3.0, 1.0 / 3.0), rtol=1e-12)
+        hmm((0.0, 0.0), (0.0, 1.0), [[0.9, 0.1], [0.1, 0.9]])
 
 
 def test_em_recovers_planted_parameters():
@@ -296,11 +293,11 @@ def test_em_unconverged_flag():
 
 
 def test_smoothed_prob_identical_states_is_stationary():
-    P = np.array([[0.7, 0.3], [0.4, 0.6]])
-    m = model_from_params((0.001, 0.001), (0.0001, 0.0001), P)
+    # the chain starts in its stationary distribution (4/7, 3/7)
+    m = hmm((0.001, 0.001), (0.0001, 0.0001), [[0.7, 0.3], [0.4, 0.6]], (4 / 7, 3 / 7))
     weekly, _ = planted_weekly(100, (0.0, 0.0), (0.01, 0.01), (0.9, 0.9), seed=9)
     prob = smoothed_high_prob(m, weekly)
-    assert_allclose(prob.values, stationary_distribution(P)[1], atol=1e-12)
+    assert_allclose(prob.values, 3 / 7, atol=1e-12)
 
 
 def test_smoothed_prob_pair_probabilities_sum_to_one():

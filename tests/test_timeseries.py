@@ -17,7 +17,6 @@ from dynte.timeseries import (
     ingest_csv,
     intersect_calendars,
     make_weekday_calendar,
-    merge_series,
     prices_from_returns,
     returns_from_prices,
     synth_regime_panel,
@@ -143,13 +142,11 @@ def test_panel_requires_shared_calendar():
         AssetPanel(a.calendar, {"A": a, "B": b})
 
 
-def test_merge_series_intersects():
-    a = pser([1.0, 2.0, 3.0, 4.0])
-    b = pser([9.0, 8.0, 7.0], start=a.calendar[1])
-    panel = merge_series({"A": a, "B": b})
-    assert panel.calendar.dates == a.calendar.dates[1:]
-    assert_array_equal(panel["A"].values, [2.0, 3.0, 4.0])
-    with pytest.raises(ValueError, match="not in panel"):
+def test_panel_unknown_symbol_is_named():
+    a = pser([1.0, 2.0, 3.0])
+    panel = AssetPanel(a.calendar, {"A": a})
+    assert_array_equal(panel["A"].values, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="'C' not in panel"):
         panel["C"]
 
 
