@@ -207,16 +207,26 @@ class RunConfig:
         ))
 
     @property
+    def percentiles(self) -> tuple[float, float]:
+        p = self.raw["percentiles"]
+        lo, hi = float(p["low"]), float(p["high"])
+        if not 0.0 < lo < hi < 1.0:
+            raise ConfigError("percentiles", f"need 0 < low < high < 1, got low={lo} high={hi}")
+        return lo, hi
+
+    @property
     def synth_params(self) -> SynthParams:
-        s = dict(self.raw["synth"])
-        s.setdefault("seed", self.seed)
-        if "start_date" in s:
-            s["start_date"] = dt.date.fromisoformat(s["start_date"])
-        for k in ("transition", "alpha", "sigma", "eq_drift", "eq_vol",
-                  "bd_drift", "bd_vol", "vix_mean"):
-            if k in s:
-                s[k] = tuple(tuple(r) for r in s[k]) if k == "transition" else tuple(s[k])
-        return _checked("synth", lambda: SynthParams(**s))
+        def build() -> SynthParams:
+            s = dict(self.raw["synth"])
+            s.setdefault("seed", self.seed)
+            if "start_date" in s:
+                s["start_date"] = dt.date.fromisoformat(s["start_date"])
+            for k in ("transition", "alpha", "sigma", "eq_drift", "eq_vol",
+                      "bd_drift", "bd_vol", "vix_mean"):
+                if k in s:
+                    s[k] = tuple(tuple(r) for r in s[k]) if k == "transition" else tuple(s[k])
+            return SynthParams(**s)
+        return _checked("synth", build)
 
     @property
     def model_params(self) -> tuple[RegimeParams, GovernanceParams]:
@@ -312,7 +322,8 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
     # build the range-checked sections now, so a bad value fails every command
     for name in raw["windows"]:
         cfg.window(name)
-    for section in ("thresholds", "dynamic_policy", "static_policy", "bootstrap_spec"):
+    for section in ("thresholds", "percentiles", "dynamic_policy", "static_policy",
+                    "bootstrap_spec", "synth_params"):
         getattr(cfg, section)
     return cfg
 
@@ -451,9 +462,11 @@ class Market:
     sectors: AssetPanel | None = None
 
 
-def _load_role(cfg: RunConfig, name: str, command: str) -> Series | AssetPanel:
+def _load_role(cfg: RunConfig, name: str,
+               command: str) -> tuple[Series | AssetPanel, int]:
     """One configured input: a panel of columns for `sectors`, else a
-    single-column series (vix and rf are levels, the rest prices)."""
+    single-column series (vix and rf are levels, the rest prices), with the
+    number of incomplete rows the file dropped."""
     spec = cfg.role(name, command)
     if name == "sectors":
         cols = spec.get("columns")
@@ -463,14 +476,14 @@ def _load_role(cfg: RunConfig, name: str, command: str) -> Series | AssetPanel:
         raise ConfigError(f"data.{name}.column", "expected a column name")
     unit = UNIT_LEVEL if name in ("vix", "rf") else UNIT_PRICE
     try:
-        panel = ingest_csv(spec["path"], columns=cols, unit=unit).panel
+        res = ingest_csv(spec["path"], columns=cols, unit=unit)
     except FileNotFoundError:
         raise ConfigError(f"data.{name}.path", f"file not found: {spec['path']}") from None
     if name != "sectors":
-        return panel[cols[0]]
-    if len(panel.symbols) < 2:
+        return res.panel[cols[0]], res.n_dropped
+    if len(res.panel.symbols) < 2:
         raise ConfigError("data.sectors", "need at least two sector columns")
-    return panel
+    return res.panel, res.n_dropped
 
 
 def load_market(cfg: RunConfig, command: str,
@@ -479,10 +492,17 @@ def load_market(cfg: RunConfig, command: str,
     # every loaded role narrows the shared calendar
     optional = [r for r in ("tlt", "spread", "sectors", "rf")
                 if cfg.raw["data"].get(r) is not None]
-    roles = {name: _load_role(cfg, name, command)
-             for name in dict.fromkeys([*need, *optional])}
+    loaded = {name: _load_role(cfg, name, command)
+              for name in dict.fromkeys([*need, *optional])}
+    roles = {name: v for name, (v, _) in loaded.items()}
 
     cal = intersect_calendars([v.calendar for v in roles.values()])
+    every = np.sort(np.concatenate([v.calendar.days for v in roles.values()]))
+    lost = np.count_nonzero(every[1:] != every[:-1]) + 1 - len(cal)
+    print("data: " + "; ".join(
+        f"{cfg.raw['data'][name]['path']} dropped {n} incomplete rows"
+        for name, (_, n) in loaded.items())
+        + f"; intersection dropped {lost} dates", file=sys.stderr)
     start, end = cfg.date_range()
     cal = cal.window(start, end)
     if len(cal) < 3:
@@ -675,7 +695,8 @@ def cmd_regret(cfg: RunConfig, market: Market | None = None,
             w = (dt.date.fromisoformat(span[0]), dt.date.fromisoformat(span[1]))
         except (ValueError, IndexError, TypeError):
             raise ConfigError(f"crises.{name}", "expected [start, end] ISO dates") from None
-        if any(w[0] <= d <= w[1] for d in bench.calendar.dates):
+        i0, i1 = bench.calendar.span(*w)
+        if i1 > i0:
             troughs.append((name, find_trough(bench, w, market.vix)))
         else:
             skipped.append(name)
@@ -723,11 +744,10 @@ def cmd_converge(cfg: RunConfig) -> list[Path]:
 
 def cmd_sweep(cfg: RunConfig) -> list[Path]:
     market = _market_or_synth(cfg, "sweep")
-    pct = cfg.raw["percentiles"]
     rep = window_sweep(
         market.vix, market.eq, market.bd, market.spread,
         windows=[int(w) for w in cfg.raw["sweep_windows"]],
-        percentiles=(float(pct["low"]), float(pct["high"])),
+        percentiles=cfg.percentiles,
         dynamic=cfg.dynamic_policy,
         static=cfg.static_policy,
         vol_window=cfg.window("vol"),

@@ -84,7 +84,7 @@ def forward_return(prices: Series, horizon: int, annualize: bool = True) -> Seri
     p = prices.values
     cum = p[horizon:] / p[:-horizon] - 1.0
     out = (1.0 + cum) ** (TRADING_DAYS_PER_YEAR / horizon) - 1.0 if annualize else cum
-    return Series(TradingCalendar(prices.calendar.dates[: n - horizon]), out, UNIT_LEVEL)
+    return Series(TradingCalendar(prices.calendar.days[: n - horizon]), out, UNIT_LEVEL)
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def omega_table(
     q=1, else 0), whose mean equals the quintile-mean spread; bandwidth
     equals the horizon.
     """
-    if vix.calendar.dates != prices.calendar.dates:
+    if vix.calendar != prices.calendar:
         raise ValueError("gauge and price series are not on the same calendar")
     if len(horizons) == 0:
         raise ValueError("need at least one horizon")
@@ -176,12 +176,11 @@ def find_trough(
     start, end = window
     cal = benchmark.calendar
     dd = drawdown_path(benchmark.portfolio)    # dd[t] belongs to cal[t]
-    idx = [i for i, d in enumerate(cal.dates) if start <= d <= end]
-    if not idx:
+    i0, i1 = cal.span(start, end)
+    if i1 <= i0:
         raise ValueError(f"no trading days in [{start}, {end}]")
-    sl = dd[idx[0] : idx[-1] + 1]
-    t = idx[0] + int(np.argmax(sl))
-    date = cal.dates[t]
+    t = i0 + int(np.argmax(dd[i0:i1]))
+    date = cal[t]
     return Trough(
         date=date,
         drawdown=float(dd[t]),
@@ -215,7 +214,7 @@ class RegretEntry:
 
 
 def _cum_mix(eq: Series, bd: Series, i0: int, h: int, w_eq: float) -> float:
-    cal = TradingCalendar(eq.calendar.dates[i0 : i0 + h])
+    cal = TradingCalendar(eq.calendar.days[i0 : i0 + h])
     sub_eq = Series(cal, eq.values[i0 : i0 + h], eq.unit)
     sub_bd = Series(cal, bd.values[i0 : i0 + h], bd.unit)
     r = fixed_mix(sub_eq, sub_bd, w_eq).portfolio
@@ -233,7 +232,7 @@ def regret_table(
     their target weights on the day after the trough and rebalance monthly
     thereafter; the de-risked path mirrors the weights. A horizon that runs
     past the end of the sample has no outcome (None)."""
-    if eq.calendar.dates != bd.calendar.dates:
+    if eq.calendar != bd.calendar:
         raise ValueError("legs are not on the same calendar")
     out = []
     n = len(eq)

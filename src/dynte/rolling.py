@@ -87,6 +87,11 @@ def rolling_vol(r: Series, w: WindowSpec) -> Series:
     return Series(r.calendar.suffix(mp - 1), out, UNIT_LEVEL)
 
 
+# full windows demeaned at a time in rolling_avg_pairwise_corr, which bounds
+# its memory at symbols x _CHUNK_ROWS x window length floats
+_CHUNK_ROWS = 512
+
+
 def _window_corr(a: np.ndarray, b: np.ndarray) -> float:
     am = a - np.mean(a)
     bm = b - np.mean(b)
@@ -97,44 +102,65 @@ def _window_corr(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(am, bm) / np.sqrt(va * vb))
 
 
-def rolling_corr(a: Series, b: Series, w: WindowSpec) -> Series:
-    """Trailing Pearson correlation of two aligned series."""
-    if a.calendar.dates != b.calendar.dates:
-        raise ValueError("series are not on the same calendar")
-    mp = _check_nonempty(a, w, 2)
-    x, y = a.values, b.values
-    n, L = len(x), w.length
+def _head_corr(x: np.ndarray, y: np.ndarray, mp: int, L: int) -> np.ndarray:
+    """The output array, filled for the growing head windows, which hold
+    fewer than L observations; the full windows are the caller's."""
+    n = len(x)
     out = np.empty(n - mp + 1)
     for j in range(mp - 1, min(L - 1, n - 1) + 1):
         out[j - (mp - 1)] = _window_corr(x[: j + 1], y[: j + 1])
-    if n >= L:
-        xw = sliding_window_view(x, L)
-        yw = sliding_window_view(y, L)
-        xd = xw - xw.mean(axis=1, keepdims=True)
-        yd = yw - yw.mean(axis=1, keepdims=True)
-        va = np.einsum("ij,ij->i", xd, xd)
-        vb = np.einsum("ij,ij->i", yd, yd)
-        cov = np.einsum("ij,ij->i", xd, yd)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            full = cov / np.sqrt(va * vb)
-        full[(va == 0.0) | (vb == 0.0)] = np.nan
-        out[L - mp :] = full
+    return out
+
+
+def _demeaned_windows(x: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each full trailing window of x less its mean, and its sum of squares."""
+    xw = sliding_window_view(x, L)
+    xd = xw - xw.mean(axis=1, keepdims=True)
+    return xd, np.einsum("ij,ij->i", xd, xd)
+
+
+def _full_corr(xd: np.ndarray, va: np.ndarray, yd: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    cov = np.einsum("ij,ij->i", xd, yd)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        full = cov / np.sqrt(va * vb)
+    full[(va == 0.0) | (vb == 0.0)] = np.nan
+    return full
+
+
+def rolling_corr(a: Series, b: Series, w: WindowSpec) -> Series:
+    """Trailing Pearson correlation of two aligned series."""
+    if a.calendar != b.calendar:
+        raise ValueError("series are not on the same calendar")
+    mp = _check_nonempty(a, w, 2)
+    x, y = a.values, b.values
+    L = w.length
+    out = _head_corr(x, y, mp, L)
+    if len(x) >= L:
+        out[L - mp :] = _full_corr(*_demeaned_windows(x, L), *_demeaned_windows(y, L))
     return Series(a.calendar.suffix(mp - 1), out, UNIT_LEVEL)
 
 
 def rolling_avg_pairwise_corr(panel: AssetPanel, w: WindowSpec) -> Series:
     """Mean of all pairwise trailing correlations across the panel's symbols.
 
-    A date where any pair is undefined (zero variance) carries NaN.
+    A date where any pair is undefined (zero variance) carries NaN. Each
+    symbol's windows are demeaned once, not once per pair.
     """
     syms = panel.symbols
     if len(syms) < 2:
         raise ValueError("need at least two symbols for pairwise correlation")
+    mp = _check_nonempty(panel[syms[0]], w, 2)
+    vals = [panel[s].values for s in syms]
+    n, L = len(panel.calendar), w.length
+    pairs = list(combinations(range(len(syms)), 2))
+    full = np.empty((len(pairs), max(n - L + 1, 0)))
+    for a in range(0, full.shape[1], _CHUNK_ROWS):
+        parts = [_demeaned_windows(v[a : a + _CHUNK_ROWS + L - 1], L) for v in vals]
+        for k, (i, j) in enumerate(pairs):
+            full[k, a : a + _CHUNK_ROWS] = _full_corr(*parts[i], *parts[j])
     acc = None
-    npairs = 0
-    for s1, s2 in combinations(syms, 2):
-        c = rolling_corr(panel[s1], panel[s2], w)
-        acc = c.values.copy() if acc is None else acc + c.values
-        npairs += 1
-        cal = c.calendar
-    return Series(cal, acc / npairs, UNIT_LEVEL)
+    for k, (i, j) in enumerate(pairs):
+        c = _head_corr(vals[i], vals[j], mp, L)
+        c[L - mp :] = full[k]
+        acc = c if acc is None else acc + c
+    return Series(panel.calendar.suffix(mp - 1), acc / len(pairs), UNIT_LEVEL)

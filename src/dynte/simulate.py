@@ -100,23 +100,21 @@ class SimResult:
 def fixed_mix(eq: Series, bd: Series, w_eq: float = 0.70) -> SimResult:
     """Two-asset portfolio reset to (w_eq, 1 - w_eq) on the first trading
     day of each month; weights drift with relative performance in between."""
-    if eq.calendar.dates != bd.calendar.dates:
+    if eq.calendar != bd.calendar:
         raise ValueError("legs are not on the same calendar")
     if eq.unit != UNIT_RETURN or bd.unit != UNIT_RETURN:
         raise ValueError("legs must be return series")
     if not 0.0 <= w_eq <= 1.0:
         raise ValueError("w_eq must be in [0, 1]")
-    dates = eq.calendar.dates
+    months = eq.calendar.days.astype("datetime64[M]")
+    month_start = np.r_[True, months[1:] != months[:-1]].tolist()
     re, rb = eq.values, bd.values
-    n = len(dates)
+    n = len(months)
     out = np.empty(n)
     w = w_eq
-    prev_month = None
     for t in range(n):
-        month = (dates[t].year, dates[t].month)
-        if month != prev_month:
+        if month_start[t]:
             w = w_eq
-            prev_month = month
         r = w * re[t] + (1.0 - w) * rb[t]
         out[t] = r
         w = w * (1.0 + re[t]) / (1.0 + r)
@@ -138,10 +136,10 @@ def benchmark_7030(eq: Series, bd: Series) -> SimResult:
 def _decision_labels(regimes: RegimePath, cal: TradingCalendar,
                      start: int, stop: int) -> np.ndarray:
     """Labels at cal[start:stop], verified to line up date-for-date."""
-    need = cal.dates[start:stop]
+    need = cal.days[start:stop]
     k0 = regimes.calendar.index(need[0])
     k1 = k0 + len(need)
-    if regimes.calendar.dates[k0:k1] != need:
+    if not np.array_equal(regimes.calendar.days[k0:k1], need):
         raise ValueError("regime path is not aligned with the simulation calendar")
     return regimes.labels[k0:k1]
 
@@ -161,7 +159,7 @@ def simulate_overlay(
     labels covering every decision date.
     """
     cal = benchmark.calendar
-    if spread.calendar.dates != cal.dates:
+    if spread.calendar != cal:
         raise ValueError("spread is not on the benchmark calendar")
     if spread.unit != UNIT_RETURN:
         raise ValueError("spread must be a return series")

@@ -42,72 +42,122 @@ def _as_date(d) -> dt.date:
     return dt.date.fromisoformat(str(d))
 
 
-@dataclass(frozen=True)
+def _as_day(d) -> np.datetime64:
+    if isinstance(d, np.datetime64):
+        return d.astype("datetime64[D]")
+    return np.datetime64(_as_date(d), "D")
+
+
 class TradingCalendar:
-    """Strictly increasing, unique weekday dates."""
+    """Strictly increasing, unique weekday dates, held as a read-only
+    datetime64[D] array (`days`); `dates` is the same as a tuple of
+    datetime.date. Two calendars are equal when their dates are."""
 
-    dates: tuple[dt.date, ...]
-
-    def __post_init__(self):
-        if len(self.dates) == 0:
+    def __init__(self, dates):
+        days = np.array(dates, dtype="datetime64[D]")
+        if len(days) == 0:
             raise ValueError("calendar must be non-empty")
-        prev = None
-        for d in self.dates:
-            if d.weekday() >= 5:
-                raise ValueError(f"calendar date {d} falls on a weekend")
-            if prev is not None and d <= prev:
-                raise ValueError(f"calendar dates not strictly increasing at {d}")
-            prev = d
+        weekend = np.flatnonzero(~np.is_busday(days))
+        disorder = np.flatnonzero(days[1:] <= days[:-1]) + 1
+        first_weekend = weekend[0] if len(weekend) else len(days)
+        first_disorder = disorder[0] if len(disorder) else len(days)
+        if first_weekend < len(days) and first_weekend <= first_disorder:
+            raise ValueError(f"calendar date {days[first_weekend].item()} falls on a weekend")
+        if first_disorder < len(days):
+            raise ValueError(
+                f"calendar dates not strictly increasing at {days[first_disorder].item()}"
+            )
+        self._set(days)
+
+    @classmethod
+    def _unchecked(cls, days: np.ndarray) -> "TradingCalendar":
+        """A calendar over days already known to be valid, e.g. a slice or an
+        intersection of calendars."""
+        cal = cls.__new__(cls)
+        cal._set(days)
+        return cal
+
+    def _set(self, days: np.ndarray) -> None:
+        days = days.view()
+        days.setflags(write=False)
+        self._days = days
+
+    @property
+    def days(self) -> np.ndarray:
+        return self._days
 
     @cached_property
-    def _index(self) -> dict[dt.date, int]:
-        return {d: i for i, d in enumerate(self.dates)}
+    def dates(self) -> tuple[dt.date, ...]:
+        return tuple(self._days.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TradingCalendar):
+            return NotImplemented
+        return self is other or np.array_equal(self._days, other._days)
+
+    def __hash__(self) -> int:
+        return hash(self._days.tobytes())
+
+    def __repr__(self) -> str:
+        return f"TradingCalendar({len(self)} days, {self[0]}..{self[-1]})"
 
     def __len__(self) -> int:
-        return len(self.dates)
+        return len(self._days)
 
     def __getitem__(self, i: int) -> dt.date:
-        return self.dates[i]
+        return self._days[i].item()
+
+    def _find(self, d) -> tuple[np.datetime64, int, bool]:
+        day = _as_day(d)
+        i = int(np.searchsorted(self._days, day))
+        return day, i, i < len(self._days) and self._days[i] == day
 
     def __contains__(self, d) -> bool:
-        return _as_date(d) in self._index
+        return self._find(d)[2]
 
     def index(self, d) -> int:
-        d = _as_date(d)
-        try:
-            return self._index[d]
-        except KeyError:
-            raise ValueError(f"date {d} not on calendar") from None
+        day, i, found = self._find(d)
+        if not found:
+            raise ValueError(f"date {day.item()} not on calendar")
+        return i
+
+    def span(self, start=None, end=None) -> tuple[int, int]:
+        """Positions [i0, i1) of the dates with start <= date <= end (either
+        bound optional); i1 <= i0 when there are none."""
+        i0 = 0 if start is None else int(np.searchsorted(self._days, _as_day(start), "left"))
+        i1 = (len(self._days) if end is None
+              else int(np.searchsorted(self._days, _as_day(end), "right")))
+        return i0, i1
 
     def suffix(self, start: int) -> "TradingCalendar":
-        if not 0 <= start < len(self.dates):
+        if not 0 <= start < len(self._days):
             raise ValueError(f"suffix start {start} out of range")
-        return TradingCalendar(self.dates[start:])
+        return TradingCalendar._unchecked(self._days[start:])
 
     def window(self, start=None, end=None) -> "TradingCalendar":
         """Sub-calendar with start <= date <= end (either bound optional)."""
-        lo = _as_date(start) if start is not None else self.dates[0]
-        hi = _as_date(end) if end is not None else self.dates[-1]
-        kept = tuple(d for d in self.dates if lo <= d <= hi)
-        if not kept:
+        i0, i1 = self.span(start, end)
+        if i1 <= i0:
+            lo = _as_date(start) if start is not None else self[0]
+            hi = _as_date(end) if end is not None else self[-1]
             raise ValueError(f"no calendar dates in [{lo}, {hi}]")
-        return TradingCalendar(kept)
+        return TradingCalendar._unchecked(self._days[i0:i1])
 
     def is_suffix_of(self, other: "TradingCalendar") -> bool:
         k = len(other) - len(self)
-        return k >= 0 and other.dates[k:] == self.dates
+        return k >= 0 and np.array_equal(other._days[k:], self._days)
 
 
 def intersect_calendars(cals: Iterable[TradingCalendar]) -> TradingCalendar:
     cals = list(cals)
     if not cals:
         raise ValueError("need at least one calendar")
-    common = set(cals[0].dates)
+    common = cals[0].days
     for c in cals[1:]:
-        common &= set(c.dates)
-    if not common:
+        common = np.intersect1d(common, c.days, assume_unique=True)
+    if len(common) == 0:
         raise ValueError("calendars have empty intersection")
-    return TradingCalendar(tuple(sorted(common)))
+    return TradingCalendar._unchecked(common)
 
 
 @dataclass(frozen=True)
@@ -151,9 +201,11 @@ class Series:
 
     def restrict(self, calendar: TradingCalendar) -> "Series":
         """Values sampled at the given calendar; every date must exist here."""
-        idx = np.fromiter(
-            (self.calendar.index(d) for d in calendar.dates), dtype=np.intp
-        )
+        have, want = self.calendar.days, calendar.days
+        idx = np.searchsorted(have, want)
+        found = have[np.minimum(idx, len(have) - 1)] == want
+        if not found.all():
+            raise ValueError(f"date {want[np.argmin(found)].item()} not on calendar")
         return Series(calendar, self.values[idx], self.unit)
 
     def window(self, start=None, end=None) -> "Series":
@@ -177,7 +229,7 @@ class AssetPanel:
         if len(set(syms)) != len(syms):
             raise ValueError("duplicate symbols in panel")
         for sym, s in self.series.items():
-            if s.calendar.dates != self.calendar.dates:
+            if s.calendar != self.calendar:
                 raise ValueError(f"symbol {sym} not on the shared calendar")
         object.__setattr__(self, "series", MappingProxyType(dict(self.series)))
 
@@ -204,6 +256,75 @@ class IngestResult:
 
 _MISSING_CELLS = frozenset(("", "na", "nan", "null", "none", "#n/a"))
 
+# bytes of a line the vectorised reader takes: a YYYY-MM-DD date and plain
+# decimal numbers, comma-separated
+_PLAIN_BYTES = np.zeros(256, dtype=bool)
+_PLAIN_BYTES[list(b"0123456789+-.eE,\n")] = True
+_DATE_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9])
+
+
+def _plain_lines(body: str, n_lines: int, n_commas: int) -> tuple[np.ndarray, np.ndarray]:
+    """Which lines of `body` are plain, and their dates.
+
+    A plain line holds plain bytes only, starts with a valid YYYY-MM-DD
+    date, and has exactly `n_commas` commas and no empty cell, so it has
+    no missing token, quote, padding or short row, and np.loadtxt reads its
+    numbers as float() would. Every other line goes through _parse_row.
+    """
+    buf = np.frombuffer(body.encode(), dtype=np.uint8)
+    newlines = np.flatnonzero(buf == 10)
+    starts = np.r_[0, newlines + 1]
+    ends = np.r_[newlines, len(buf)]
+    ok = ends - starts > 10
+    ok[np.searchsorted(newlines, np.flatnonzero(~_PLAIN_BYTES[buf]))] = False
+    commas = np.flatnonzero(buf == 44)
+    comma_line = np.searchsorted(newlines, commas)
+    ok &= np.bincount(comma_line, minlength=n_lines) == n_commas
+    after = buf[np.minimum(commas + 1, len(buf) - 1)]
+    empty = (commas + 1 == len(buf)) | (after == 44) | (after == 10)
+    ok[comma_line[empty]] = False
+
+    lines = np.flatnonzero(ok)
+    s = starts[lines]
+    digits = buf[s[:, None] + _DATE_DIGITS].astype(np.int64) - 48
+    shape = ((digits >= 0) & (digits <= 9)).all(axis=1)
+    shape &= (buf[s + 4] == 45) & (buf[s + 7] == 45) & (buf[s + 10] == 44)
+    year = digits[:, 0] * 1000 + digits[:, 1] * 100 + digits[:, 2] * 10 + digits[:, 3]
+    month = digits[:, 4] * 10 + digits[:, 5]
+    day = digits[:, 6] * 10 + digits[:, 7]
+    shape &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+    months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    days = months.astype("datetime64[D]") + (day - 1)
+    shape &= days.astype("datetime64[M]") == months    # day within its month
+    ok[lines[~shape]] = False
+    return ok, days[shape]
+
+
+def _parse_row(path, lineno: int, line: str, symbols: Sequence[str],
+               positions: Sequence[int]) -> tuple[dt.date, list[float | None]] | None:
+    """One line read cell by cell: None for a blank line, else its date and
+    the requested cells, None where a cell holds a missing token."""
+    raw = next(csv.reader([line]))
+    if not raw or all(not c.strip() for c in raw):
+        return None
+    try:
+        d = dt.date.fromisoformat(raw[0].strip())
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: malformed date {raw[0]!r}") from None
+    cells: list[float | None] = []
+    for sym, pos in zip(symbols, positions):
+        cell = raw[pos].strip() if pos < len(raw) else ""
+        if cell.lower() in _MISSING_CELLS:
+            cells.append(None)
+            continue
+        try:
+            cells.append(float(cell))
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: non-numeric cell {cell!r} in column {sym}"
+            ) from None
+    return d, cells
+
 
 def ingest_csv(
     path,
@@ -213,87 +334,84 @@ def ingest_csv(
 ) -> IngestResult:
     """Load a wide CSV (first column ISO dates, remaining columns symbols).
 
-    Rows where any requested symbol is missing are dropped and reported.
-    Raises on malformed dates, non-numeric cells, duplicate dates, empty
-    result, or a gap of more than MAX_WEEKDAY_GAP weekdays between
-    consecutive surviving rows.
+    Rows may come in any order. Rows where any requested symbol is missing
+    are dropped and reported. Raises on malformed dates, non-numeric cells,
+    duplicate dates, empty result, or a gap of more than MAX_WEEKDAY_GAP
+    weekdays between consecutive surviving rows. A quoted cell must not
+    span lines.
+
+    Plain lines (see _plain_lines) are parsed as arrays; the rest, typically
+    the few rows with a missing cell, one by one.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        text = fh.read()
+    if not text:
+        raise ValueError(f"{path}: empty file")
+    if "\r" in text:
+        # the line ends csv.reader knows
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    head, _, body = text.partition("\n")
+    header = [h.strip() for h in next(csv.reader([head]))]
+    if len(header) < 2:
+        raise ValueError(f"{path}: need a date column plus at least one symbol")
+    if header[0] != date_column:
+        raise ValueError(
+            f"{path}: first column is {header[0]!r}, expected {date_column!r}"
+        )
+    symbols = header[1:]
+    if columns is not None:
+        missing = [c for c in columns if c not in symbols]
+        if missing:
+            raise ValueError(f"{path}: columns not found: {missing}")
+        symbols = list(columns)
+    positions = [header.index(sym) for sym in symbols]
+
+    lines = body.split("\n")                       # lines[i] is line i + 2
+    plain, plain_days = _plain_lines(body, len(lines), len(header) - 1)
+    plain_vals = np.empty((0, len(symbols)))
+    if len(plain_days):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if len(header) < 2:
-            raise ValueError(f"{path}: need a date column plus at least one symbol")
-        if header[0] != date_column:
-            raise ValueError(
-                f"{path}: first column is {header[0]!r}, expected {date_column!r}"
+            plain_vals = np.loadtxt(
+                [lines[i] for i in np.flatnonzero(plain).tolist()], delimiter=",",
+                usecols=positions, comments=None, ndmin=2,
             )
-        symbols = header[1:]
-        if columns is not None:
-            missing = [c for c in columns if c not in symbols]
-            if missing:
-                raise ValueError(f"{path}: columns not found: {missing}")
-            symbols = list(columns)
-        col_pos = {sym: header.index(sym) for sym in symbols}
+        except ValueError:
+            # a cell that is no number: the row-by-row reader names the first
+            plain[:] = False
+            plain_days = plain_days[:0]
+    rows = [r for i in np.flatnonzero(~plain).tolist()
+            if (r := _parse_row(path, i + 2, lines[i], symbols, positions)) is not None]
 
-        rows: list[tuple[dt.date, list[float | None]]] = []
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw or all(not c.strip() for c in raw):
-                continue
-            try:
-                d = dt.date.fromisoformat(raw[0].strip())
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: malformed date {raw[0]!r}"
-                ) from None
-            cells: list[float | None] = []
-            for sym in symbols:
-                pos = col_pos[sym]
-                cell = raw[pos].strip() if pos < len(raw) else ""
-                if cell.lower() in _MISSING_CELLS:
-                    cells.append(None)
-                    continue
-                try:
-                    cells.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: non-numeric cell {cell!r} in column {sym}"
-                    ) from None
-            rows.append((d, cells))
+    days = np.concatenate([plain_days, np.array([d for d, _ in rows], dtype="datetime64[D]")])
+    vals = np.concatenate([plain_vals, np.array(
+        [[np.nan if v is None else v for v in cells] for _, cells in rows],
+        dtype=np.float64).reshape(len(rows), len(symbols))])
+    complete = np.concatenate([np.ones(len(plain_days), dtype=bool), np.array(
+        [None not in cells for _, cells in rows], dtype=bool)])
 
-    rows.sort(key=lambda r: r[0])
-    for (d1, _), (d2, _) in zip(rows, rows[1:]):
-        if d1 == d2:
-            raise ValueError(f"{path}: duplicate date {d1}")
-
-    kept_dates: list[dt.date] = []
-    kept_vals: list[list[float]] = []
-    dropped: list[dt.date] = []
-    for d, cells in rows:
-        if any(v is None for v in cells):
-            dropped.append(d)
-        else:
-            kept_dates.append(d)
-            kept_vals.append(cells)  # type: ignore[arg-type]
-    if not kept_dates:
+    order = np.argsort(days)
+    days, vals, complete = days[order], vals[order], complete[order]
+    dup = np.flatnonzero(days[1:] == days[:-1])
+    if len(dup):
+        raise ValueError(f"{path}: duplicate date {days[dup[0]].item()}")
+    kept = days[complete]
+    if len(kept) == 0:
         raise ValueError(f"{path}: no complete rows (empty intersection)")
+    between = np.busday_count(kept[:-1], kept[1:]) - 1
+    gaps = np.flatnonzero(between > MAX_WEEKDAY_GAP)
+    if len(gaps):
+        i = gaps[0]
+        raise ValueError(
+            f"{path}: gap of {between[i]} weekdays between {kept[i].item()} and "
+            f"{kept[i + 1].item()}"
+        )
 
-    for d1, d2 in zip(kept_dates, kept_dates[1:]):
-        between = int(np.busday_count(d1, d2)) - 1
-        if between > MAX_WEEKDAY_GAP:
-            raise ValueError(
-                f"{path}: gap of {between} weekdays between {d1} and {d2}"
-            )
-
-    cal = TradingCalendar(tuple(kept_dates))
-    mat = np.asarray(kept_vals, dtype=np.float64)
+    cal = TradingCalendar(kept)
+    mat = vals[complete]
     series = {
         sym: Series(cal, mat[:, j], unit) for j, sym in enumerate(symbols)
     }
-    return IngestResult(AssetPanel(cal, series), tuple(dropped))
+    return IngestResult(AssetPanel(cal, series), tuple(days[~complete].tolist()))
 
 
 def returns_from_prices(prices: Series) -> Series:
@@ -321,15 +439,8 @@ def make_weekday_calendar(start: dt.date, n: int) -> TradingCalendar:
     """n consecutive weekdays beginning at the first weekday >= start."""
     if n <= 0:
         raise ValueError("calendar length must be positive")
-    d = _as_date(start)
-    while d.weekday() >= 5:
-        d += dt.timedelta(days=1)
-    out = []
-    while len(out) < n:
-        if d.weekday() < 5:
-            out.append(d)
-        d += dt.timedelta(days=1)
-    return TradingCalendar(tuple(out))
+    first = np.busday_offset(_as_day(start), 0, roll="forward")
+    return TradingCalendar._unchecked(np.busday_offset(first, np.arange(n)))
 
 
 @dataclass(frozen=True)

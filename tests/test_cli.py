@@ -184,6 +184,8 @@ def test_unknown_subcommand_is_usage_error():
     ({"seed": True}, "seed"),
     ({"svg": "no"}, "svg"),
     ({"thresholds": {"low": True, "high": 22}}, "thresholds.low"),
+    ({"percentiles": {"low": 2.0}}, "percentiles"),
+    ({"synth": {"start_date": "x"}}, "synth"),
 ])
 def test_config_type_errors_name_the_field(tmp_path, capsys, cfg, field):
     path = tmp_path / "cfg.json"
@@ -246,6 +248,29 @@ def test_output_name_covers_input_bytes(tmp_path):
     assert code == 0
     new = [f.name for f in second if f.name.startswith("exhibit5_")]
     assert len(omega) == 1 and len(new) == 2 and omega[0] in new
+
+
+def test_dropped_rows_reported_on_stderr(tmp_path, capsys):
+    _, files = run(tmp_path, "synth")
+    panel = next(f for f in files if f.name.startswith("synth_panel"))
+    lines = panel.read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[40].split(",")
+    row[header.index("BENCH_EQ")] = ""                 # one incomplete row
+    eq_file = tmp_path / "eq.csv"
+    eq_file.write_text("\n".join(lines[:40] + [",".join(row)] + lines[41:]) + "\n")
+    data = {"eq": {"path": str(eq_file), "column": "BENCH_EQ"},
+            "bd": {"path": str(panel), "column": "BENCH_BD"},
+            "vix": {"path": str(panel), "column": "VIX"}}
+    capsys.readouterr()
+    code, _ = run(tmp_path, "exhibit", "2", config_extra={"data": data})
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    data_lines = [line for line in err if line.startswith("data: ")]
+    assert data_lines == [
+        f"data: {eq_file} dropped 1 incomplete rows; {panel} dropped 0 incomplete rows; "
+        f"{panel} dropped 0 incomplete rows; intersection dropped 1 dates"
+    ]
 
 
 # ---------------------------------------------------------------- exhibits

@@ -117,6 +117,31 @@ def test_classify_constant_high():
     assert_allclose(path.signal, 30.0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    low=st.integers(1, 400),
+    gap=st.integers(1, 400),
+    window=st.integers(1, 12),
+    runs=st.lists(st.tuples(st.sampled_from(["low", "high", "other"]),
+                            st.integers(0, 10), st.integers(0, 900)), max_size=10),
+)
+def test_signal_on_a_threshold_is_neutral(low, gap, window, runs):
+    # levels are multiples of 1/8, so a window that sits on one level has a
+    # mean exactly equal to it, threshold included
+    lo, hi = low / 8.0, (low + gap) / 8.0
+    vals = [lo] * window + [hi] * window
+    for kind, extra, other in runs:
+        level = {"low": lo, "high": hi, "other": other / 8.0}[kind]
+        vals += [level] * (window + extra)
+    path = classify(lser(vals), WindowSpec(window), RegimeThresholds(lo, hi))
+    sig = path.signal
+    on = (sig == lo) | (sig == hi)
+    assert on[0] and on[window]
+    assert np.all(path.labels[on] == int(Regime.NEUTRAL))
+    assert np.all(path.labels[sig < lo] == int(Regime.LOW))
+    assert np.all(path.labels[sig > hi] == int(Regime.HIGH))
+
+
 def test_classify_no_lookahead():
     rng = np.random.default_rng(1)
     s = lser(15.0 + 6.0 * rng.standard_normal(300))

@@ -1,13 +1,19 @@
+import csv
 import datetime as dt
+from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dynte.timeseries import (
+    MAX_WEEKDAY_GAP,
     STATE_HIGH,
     STATE_LOW,
     AssetPanel,
+    IngestResult,
     Series,
     SynthParams,
     TradingCalendar,
@@ -91,6 +97,36 @@ def test_window_bounds_inclusive():
         cal.window(dt.date(2030, 1, 1), dt.date(2030, 2, 1))
 
 
+def test_calendar_holds_days_and_compares_by_date():
+    cal = make_weekday_calendar(MON, 6)
+    assert cal.days.dtype == np.dtype("datetime64[D]")
+    assert not cal.days.flags.writeable
+    assert cal.dates == tuple(cal.days.tolist())
+    same = TradingCalendar(cal.dates)
+    assert same == cal and hash(same) == hash(cal) and same is not cal
+    assert cal != cal.suffix(1) and cal != cal.dates
+    assert TradingCalendar(cal.days) == cal
+    with pytest.raises(ValueError, match="weekend"):
+        TradingCalendar(np.array(["2015-01-05", "2015-01-10"], dtype="datetime64[D]"))
+
+
+def test_calendar_first_error_in_date_order():
+    # the weekend comes after the disorder, so the disorder is named
+    with pytest.raises(ValueError, match="not strictly increasing at 2015-01-05"):
+        TradingCalendar((dt.date(2015, 1, 6), dt.date(2015, 1, 5), dt.date(2015, 1, 10)))
+    with pytest.raises(ValueError, match="2015-01-10 falls on a weekend"):
+        TradingCalendar((dt.date(2015, 1, 10), dt.date(2015, 1, 5)))
+
+
+def test_span_positions():
+    cal = make_weekday_calendar(MON, 10)          # 2015-01-05 .. 2015-01-16
+    assert cal.span() == (0, 10)
+    assert cal.span(dt.date(2015, 1, 3), dt.date(2015, 1, 7)) == (0, 3)
+    assert cal.span("2015-01-10", None) == (5, 10)
+    i0, i1 = cal.span(dt.date(2015, 1, 10), dt.date(2015, 1, 11))
+    assert i1 <= i0
+
+
 def test_intersect_calendars():
     a = make_weekday_calendar(MON, 10)
     b = a.suffix(4)
@@ -133,6 +169,10 @@ def test_series_restrict_and_at():
     sub = s.restrict(s.calendar.suffix(2))
     assert_array_equal(sub.values, [102.0, 103.0])
     assert s.at(s.calendar[1]) == 101.0
+    gappy = TradingCalendar((s.calendar[0], s.calendar[2]))
+    assert_array_equal(s.restrict(gappy).values, [100.0, 102.0])
+    with pytest.raises(ValueError, match="date 2015-01-09 not on calendar"):
+        s.restrict(make_weekday_calendar(s.calendar[2], 3))
 
 
 def test_panel_requires_shared_calendar():
@@ -285,6 +325,183 @@ def test_ingest_missing_column(tmp_path):
     p = write_csv(tmp_path / "k.csv", "date,AAA\n2015-01-05,100\n")
     with pytest.raises(ValueError, match="columns not found"):
         ingest_csv(p, columns=["ZZZ"])
+
+
+# The row-by-row reader ingest_csv replaced, kept as the oracle it must match.
+_MISSING_CELLS = frozenset(("", "na", "nan", "null", "none", "#n/a"))
+
+
+def oracle_ingest_csv(
+    path,
+    columns: Sequence[str] | None = None,
+    date_column: str = "date",
+    unit: str = UNIT_PRICE,
+) -> IngestResult:
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        if len(header) < 2:
+            raise ValueError(f"{path}: need a date column plus at least one symbol")
+        if header[0] != date_column:
+            raise ValueError(
+                f"{path}: first column is {header[0]!r}, expected {date_column!r}"
+            )
+        symbols = header[1:]
+        if columns is not None:
+            missing = [c for c in columns if c not in symbols]
+            if missing:
+                raise ValueError(f"{path}: columns not found: {missing}")
+            symbols = list(columns)
+        col_pos = {sym: header.index(sym) for sym in symbols}
+
+        rows: list[tuple[dt.date, list[float | None]]] = []
+        for lineno, raw in enumerate(reader, start=2):
+            if not raw or all(not c.strip() for c in raw):
+                continue
+            try:
+                d = dt.date.fromisoformat(raw[0].strip())
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: malformed date {raw[0]!r}"
+                ) from None
+            cells: list[float | None] = []
+            for sym in symbols:
+                pos = col_pos[sym]
+                cell = raw[pos].strip() if pos < len(raw) else ""
+                if cell.lower() in _MISSING_CELLS:
+                    cells.append(None)
+                    continue
+                try:
+                    cells.append(float(cell))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: non-numeric cell {cell!r} in column {sym}"
+                    ) from None
+            rows.append((d, cells))
+
+    rows.sort(key=lambda r: r[0])
+    for (d1, _), (d2, _) in zip(rows, rows[1:]):
+        if d1 == d2:
+            raise ValueError(f"{path}: duplicate date {d1}")
+
+    kept_dates: list[dt.date] = []
+    kept_vals: list[list[float]] = []
+    dropped: list[dt.date] = []
+    for d, cells in rows:
+        if any(v is None for v in cells):
+            dropped.append(d)
+        else:
+            kept_dates.append(d)
+            kept_vals.append(cells)  # type: ignore[arg-type]
+    if not kept_dates:
+        raise ValueError(f"{path}: no complete rows (empty intersection)")
+
+    for d1, d2 in zip(kept_dates, kept_dates[1:]):
+        between = int(np.busday_count(d1, d2)) - 1
+        if between > MAX_WEEKDAY_GAP:
+            raise ValueError(
+                f"{path}: gap of {between} weekdays between {d1} and {d2}"
+            )
+
+    cal = TradingCalendar(tuple(kept_dates))
+    mat = np.asarray(kept_vals, dtype=np.float64)
+    series = {
+        sym: Series(cal, mat[:, j], unit) for j, sym in enumerate(symbols)
+    }
+    return IngestResult(AssetPanel(cal, series), tuple(dropped))
+
+
+def _cased(token: str):
+    return st.tuples(*[st.sampled_from((c.lower(), c.upper())) for c in token]).map("".join)
+
+
+_PAD = st.sampled_from(("", "", "", " ", "\t", "  "))
+_MISSING = st.sampled_from(sorted(_MISSING_CELLS)).flatmap(_cased)
+_NUMBER = st.floats(0.01, 1e4).flatmap(lambda x: st.sampled_from(
+    ("%.6f" % x, repr(x), str(int(x) + 1), "%.3e" % x, "+%.2f" % x, '"%.4f"' % x,
+     "-%.2f" % x, "0")))
+_BAD_CELL = st.sampled_from(("abc", "1.2.3", "--1", "e", "+", '"1,5"', "1_000", "inf",
+                             "-nan", "0x10", ". 5"))
+_CELL = st.tuples(_PAD, st.one_of(*[_NUMBER] * 4, *[_MISSING] * 3, _BAD_CELL),
+                  _PAD).map("".join)
+_BAD_DATE = st.sampled_from(("2015-13-01", "2015-02-30", "not-a-date", "", "0000-01-03",
+                             "2015-1-5", "20150105", "2015-01-05T00", '"2015-01-07"',
+                             "2015-01-10"))
+_BLANK = st.sampled_from(("", " ", ",,", " , ", "\t,"))
+
+
+@st.composite
+def csv_texts(draw):
+    """A small wide CSV in the shapes the reader must handle, its column
+    request and unit."""
+    symbols = ["A", "B", "C"][: draw(st.integers(1, 3))]
+    header = ",".join(draw(_PAD) + h for h in ["date", *symbols])
+    steps = draw(st.lists(st.sampled_from((1, 1, 1, 2, 3)), min_size=1, max_size=25))
+    # a duplicate date; a gap of MAX_WEEKDAY_GAP weekdays or one more
+    for odd in (0, draw(st.sampled_from((MAX_WEEKDAY_GAP + 1, MAX_WEEKDAY_GAP + 2)))):
+        if draw(st.integers(0, 4)) == 0:
+            steps.insert(draw(st.integers(0, len(steps))), odd)
+    days = np.busday_offset("2015-01-05", np.cumsum(steps)).tolist()
+    lines = []
+    for d in days:
+        date = d.isoformat() if draw(st.integers(0, 39)) else draw(_BAD_DATE)
+        cells = [draw(_CELL) if draw(st.integers(0, 3)) == 0 else "%.4f" % draw(
+            st.floats(1.0, 500.0)) for _ in symbols]
+        width = draw(st.sampled_from((len(cells),) * 8 + (len(cells) - 1, len(cells) + 1)))
+        cells = (cells + ["7.5"])[:width]
+        lines.append(",".join([draw(_PAD) + date + draw(_PAD), *cells]))
+    lines = draw(st.permutations(lines)) if draw(st.booleans()) else lines
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_BLANK))
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    text = end.join([header, *lines]) + (end if draw(st.booleans()) else "")
+    columns = draw(st.none() | st.permutations(symbols).flatmap(
+        lambda p: st.integers(1, len(p)).map(lambda k: p[:k])))
+    unit = draw(st.sampled_from((UNIT_PRICE, UNIT_LEVEL)))
+    return text, columns, unit
+
+
+def ingest_outcome(reader, path, columns, unit):
+    try:
+        res = reader(path, columns=columns, unit=unit)
+    except ValueError as e:
+        return "error", str(e)
+    panel = res.panel
+    return ("ok", panel.calendar.dates, panel.symbols,
+            [panel[s].values.tobytes() for s in panel.symbols], res.dropped_dates)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=csv_texts())
+def test_ingest_matches_row_by_row_oracle(tmp_path, case):
+    text, columns, unit = case
+    path = tmp_path / "x.csv"
+    path.write_bytes(text.encode())
+    assert ingest_outcome(ingest_csv, path, columns, unit) == \
+        ingest_outcome(oracle_ingest_csv, path, columns, unit)
+
+
+def test_ingest_edge_files_match_oracle(tmp_path):
+    texts = ["", "\n", "date\n", "day,A\n2015-01-05,1\n", "date,A",
+             "date,A\r2015-01-05,1\r2015-01-06,2", "date,A\n\n\n2015-01-05,1\n",
+             "date,A,A\n2015-01-05,1,2\n", '"date","A"\n"2015-01-05","3"\n',
+             "date,A\n2015-02-27,1\n2015-02-30,2\n", "date,A\n2015-04-30,1\n2015-04-31,2\n",
+             "date,A\n2016-02-29,1\n2016-03-01,2\n", "date,A\n2015-02-27,1\n2015-02-29,2\n",
+             "date,A\n0000-01-03,1\n", "date,A\n2015-00-05,1\n", "date,A\n2015-01-00,1\n",
+             "date,A\n2015-01-05,1e400\n", "date,A\n2015-01-05,1e-400\n",
+             "date,A\n2015-01-05,1\n2015-01-06,1.2.3\n2015-01-07,na\n",
+             "date,A\n2015-01-05,-\n2015-01-06,x\n"]
+    for k, text in enumerate(texts):
+        path = tmp_path / f"e{k}.csv"
+        path.write_bytes(text.encode())
+        for columns in (None, ["A"]):
+            assert ingest_outcome(ingest_csv, path, columns, UNIT_PRICE) == \
+                ingest_outcome(oracle_ingest_csv, path, columns, UNIT_PRICE), text
 
 
 # --------------------------------------------------------------- synthetic
