@@ -53,6 +53,7 @@ from .timeseries import (
     AssetPanel,
     Series,
     SynthParams,
+    TradingCalendar,
     ingest_csv,
     intersect_calendars,
     prices_from_returns,
@@ -106,7 +107,7 @@ _DEFAULTS: dict[str, Any] = {
         "covid": ["2020-01-01", "2020-06-30"],
         "tightening_2022": ["2022-01-01", "2022-12-31"],
     },
-    "bootstrap": {"block": 63, "iterations": 10000, "seed": 0, "confidence": 0.95},
+    "bootstrap": {"block": 63, "iterations": 10000, "confidence": 0.95},
     "synth": {},
     "model": {"alpha": [0.02, 0.10], "sigma": [0.10, 0.25], "p": 0.3, "tau_bar": 0.05},
 }
@@ -143,137 +144,100 @@ def _merge_defaults(user: dict, defaults: dict, path: str = "") -> dict:
     return out
 
 
-def _checked(section: str, build):
-    """build(), with a range error in the section reported as a config error."""
+def _checked(section: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with a range error in the section reported as
+    a config error."""
     try:
-        return build()
+        return build(*args, **kwargs)
     except (TypeError, ValueError) as e:
         raise ConfigError(section, str(e)) from None
 
 
+def _iso(fieldname: str, text) -> dt.date:
+    try:
+        return dt.date.fromisoformat(text)
+    except (TypeError, ValueError):
+        raise ConfigError(fieldname, f"bad ISO date {text!r}") from None
+
+
+def _ordered(fieldname: str, start: dt.date | None,
+             end: dt.date | None) -> tuple[dt.date | None, dt.date | None]:
+    if start is not None and end is not None and start > end:
+        raise ConfigError(fieldname, f"start {start} is after end {end}")
+    return start, end
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated, fully-resolved settings; `raw` is the canonical dict the
-    output hash is computed from."""
+    """Validated, fully-resolved settings, built once by load_config. `raw`
+    is the canonical dict the output hash is computed from; commands read
+    the typed fields."""
 
     raw: dict
+    out_dir: Path
+    svg: bool
+    windows: dict[str, WindowSpec]
+    thresholds: RegimeThresholds
+    percentiles: tuple[float, float]
+    dynamic_policy: OverlayPolicy
+    static_policy: OverlayPolicy
+    caps: list[float | None]
+    omega_horizons: tuple[int, ...]
+    regret_horizons: tuple[int, ...]
+    sweep_windows: tuple[int, ...]
+    crises: dict[str, tuple[dt.date, dt.date]]
+    bootstrap_spec: BootstrapSpec
+    synth_params: SynthParams
+    model_params: tuple[RegimeParams, GovernanceParams]
+    date_range: tuple[dt.date | None, dt.date | None]
+    # role -> (path, columns); columns None reads every column of a sectors file
+    roles: dict[str, tuple[str, list[str] | None]]
+    # role -> SHA-256 of its file, read once per run
+    input_digests: dict[str, str]
 
-    @property
-    def seed(self) -> int:
-        return self.raw["seed"]
 
-    @property
-    def out_dir(self) -> Path:
-        return Path(self.raw["out"])
-
-    @property
-    def svg(self) -> bool:
-        return self.raw["svg"]
-
-    def window(self, name: str) -> WindowSpec:
-        return _checked(f"windows.{name}", lambda: WindowSpec(self.raw["windows"][name]))
-
-    @property
-    def thresholds(self) -> RegimeThresholds:
-        t = self.raw["thresholds"]
-        return _checked("thresholds", lambda: RegimeThresholds(
-            low=float(t["low"]), high=float(t["high"])))
-
-    @property
-    def dynamic_policy(self) -> OverlayPolicy:
-        p = self.raw["policy"]
-        return _checked("policy", lambda: OverlayPolicy.dynamic(
-            low=float(p["low"]), neutral=float(p["neutral"]),
-            high=float(p["high"]), theta_cap=float(p["theta_cap"]),
-        ))
-
-    @property
-    def static_policy(self) -> OverlayPolicy:
-        p = self.raw["policy"]
-        return _checked("policy", lambda: OverlayPolicy.static(
-            target=float(p["static"]), theta_cap=float(p["theta_cap"]),
-        ))
-
-    @property
-    def caps(self) -> list[float | None]:
-        return [None if c is None else float(c) for c in self.raw["caps"]]
-
-    @property
-    def bootstrap_spec(self) -> BootstrapSpec:
-        b = self.raw["bootstrap"]
-        return _checked("bootstrap", lambda: BootstrapSpec(
-            block=b["block"], iterations=b["iterations"],
-            seed=b["seed"], confidence=float(b["confidence"]),
-        ))
-
-    @property
-    def percentiles(self) -> tuple[float, float]:
-        p = self.raw["percentiles"]
-        lo, hi = float(p["low"]), float(p["high"])
-        if not 0.0 < lo < hi < 1.0:
-            raise ConfigError("percentiles", f"need 0 < low < high < 1, got low={lo} high={hi}")
-        return lo, hi
-
-    @property
-    def synth_params(self) -> SynthParams:
-        def build() -> SynthParams:
-            s = dict(self.raw["synth"])
-            s.setdefault("seed", self.seed)
-            if "start_date" in s:
-                s["start_date"] = dt.date.fromisoformat(s["start_date"])
-            for k in ("transition", "alpha", "sigma", "eq_drift", "eq_vol",
-                      "bd_drift", "bd_vol", "vix_mean"):
-                if k in s:
-                    s[k] = tuple(tuple(r) for r in s[k]) if k == "transition" else tuple(s[k])
-            return SynthParams(**s)
-        return _checked("synth", build)
-
-    @property
-    def model_params(self) -> tuple[RegimeParams, GovernanceParams]:
-        m = self.raw["model"]
-        return _checked("model", lambda: (
-            RegimeParams(alpha=tuple(m["alpha"]), sigma=tuple(m["sigma"]), p=float(m["p"])),
-            GovernanceParams(tau_bar=float(m["tau_bar"])),
-        ))
-
-    def date_range(self) -> tuple[dt.date | None, dt.date | None]:
-        r = self.raw["range"]
-        out = []
-        for k in ("start", "end"):
-            v = r.get(k)
-            if v is None:
-                out.append(None)
-            else:
-                try:
-                    out.append(dt.date.fromisoformat(v))
-                except ValueError:
-                    raise ConfigError(f"range.{k}", f"bad ISO date {v!r}") from None
-        return out[0], out[1]
-
-    def role(self, name: str, required_by: str):
-        d = self.raw["data"].get(name)
-        if d is None:
-            raise ConfigError(f"data.{name}", f"required for {required_by}")
-        if not isinstance(d, dict) or "path" not in d:
+def _roles(data: dict) -> tuple[dict, dict[str, str]]:
+    """Each configured input role as (path, columns), and its file's digest."""
+    roles, digests = {}, {}
+    for name, spec in data.items():
+        if name not in _ROLE_KEYS:
+            raise ConfigError(f"data.{name}", f"unknown role; expected one of {_ROLE_KEYS}")
+        if spec is None:
+            continue
+        if not isinstance(spec, dict) or not isinstance(spec.get("path"), str):
             raise ConfigError(f"data.{name}", "expected {path, column|columns}")
-        return d
+        if name != "sectors":
+            if not isinstance(spec.get("column"), str):
+                raise ConfigError(f"data.{name}.column", "expected a column name")
+            cols = [spec["column"]]
+        else:
+            cols = spec.get("columns")
+            if cols is not None and not (isinstance(cols, list)
+                                         and all(isinstance(c, str) for c in cols)):
+                raise ConfigError("data.sectors.columns", "expected a list of column names")
+        try:
+            digests[name] = hashlib.sha256(Path(spec["path"]).read_bytes()).hexdigest()
+        except FileNotFoundError:
+            raise ConfigError(f"data.{name}.path", f"file not found: {spec['path']}") from None
+        roles[name] = (spec["path"], cols)
+    return roles, digests
 
-    @cached_property
-    def input_digests(self) -> dict[str, str]:
-        """SHA-256 of each configured input file, read once per run."""
-        out = {}
-        for name, spec in self.raw["data"].items():
-            if spec is None:
-                continue
-            path = self.role(name, "the output hash")["path"]
-            try:
-                out[name] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-            except FileNotFoundError:
-                raise ConfigError(f"data.{name}.path", f"file not found: {path}") from None
-        return out
+
+def _synth_params(synth: dict, seed: int) -> SynthParams:
+    s = dict(synth)
+    s.setdefault("seed", seed)
+    if "start_date" in s:
+        s["start_date"] = dt.date.fromisoformat(s["start_date"])
+    for k in ("transition", "alpha", "sigma", "eq_drift", "eq_vol",
+              "bd_drift", "bd_vol", "vix_mean"):
+        if k in s:
+            s[k] = tuple(tuple(r) for r in s[k]) if k == "transition" else tuple(s[k])
+    return SynthParams(**s)
 
 
 def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
+    """The config file merged over the defaults, with each non-None override
+    (keyed by config field) in place of its field, checked and converted."""
     user: dict = {}
     if path is not None:
         try:
@@ -288,21 +252,8 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
         if user.get("version", CONFIG_VERSION) != CONFIG_VERSION:
             raise ConfigError("version", f"unsupported version {user.get('version')!r}")
 
-    raw = _merge_defaults(user, _DEFAULTS)
-
-    if overrides.get("out") is not None:
-        raw["out"] = overrides["out"]
-    if overrides.get("seed") is not None:
-        raw["seed"] = overrides["seed"]
-        raw["bootstrap"] = dict(raw["bootstrap"], seed=overrides["seed"])
-        raw["synth"] = dict(raw["synth"], seed=overrides["seed"])
-    if overrides.get("caps") is not None:
-        raw["caps"] = overrides["caps"]
-    if overrides.get("windows") is not None:
-        raw["sweep_windows"] = overrides["windows"]
-    if overrides.get("horizons") is not None:
-        raw["omega_horizons"] = overrides["horizons"]
-        raw["regret_horizons"] = overrides["horizons"]
+    raw = _merge_defaults({**user, **{k: v for k, v in overrides.items() if v is not None}},
+                          _DEFAULTS)
 
     for name in ("caps", "omega_horizons", "regret_horizons", "sweep_windows"):
         v = raw[name]
@@ -315,17 +266,52 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
                 continue
             if isinstance(x, bool) or not isinstance(x, kind) or not x > 0:
                 raise ConfigError(f"{name}[{i}]", f"expected a positive {what}, got {x!r}")
-    for k, v in raw["data"].items():
-        if k not in _ROLE_KEYS:
-            raise ConfigError(f"data.{k}", f"unknown role; expected one of {_ROLE_KEYS}")
-    cfg = RunConfig(raw=raw)
-    # build the range-checked sections now, so a bad value fails every command
-    for name in raw["windows"]:
-        cfg.window(name)
-    for section in ("thresholds", "percentiles", "dynamic_policy", "static_policy",
-                    "bootstrap_spec", "synth_params"):
-        getattr(cfg, section)
-    return cfg
+    roles, digests = _roles(raw["data"])
+    r = raw["range"]
+    date_range = _ordered("range", *(None if r[k] is None else _iso(f"range.{k}", r[k])
+                                     for k in ("start", "end")))
+    crises = {}
+    for name, span in raw["crises"].items():
+        if not isinstance(span, list) or len(span) != 2:
+            raise ConfigError(f"crises.{name}", "expected [start, end] ISO dates")
+        crises[name] = _ordered(f"crises.{name}", *(_iso(f"crises.{name}", d) for d in span))
+    pct = raw["percentiles"]
+    lo, hi = float(pct["low"]), float(pct["high"])
+    if not 0.0 < lo < hi < 1.0:
+        raise ConfigError("percentiles", f"need 0 < low < high < 1, got low={lo} high={hi}")
+    t, p, b, m = raw["thresholds"], raw["policy"], raw["bootstrap"], raw["model"]
+    return RunConfig(
+        raw=raw,
+        out_dir=Path(raw["out"]),
+        svg=raw["svg"],
+        windows={name: _checked(f"windows.{name}", WindowSpec, n)
+                 for name, n in raw["windows"].items()},
+        thresholds=_checked("thresholds", RegimeThresholds,
+                            low=float(t["low"]), high=float(t["high"])),
+        percentiles=(lo, hi),
+        dynamic_policy=_checked("policy", OverlayPolicy.dynamic,
+                                low=float(p["low"]), neutral=float(p["neutral"]),
+                                high=float(p["high"]), theta_cap=float(p["theta_cap"])),
+        static_policy=_checked("policy", OverlayPolicy.static, target=float(p["static"]),
+                               theta_cap=float(p["theta_cap"])),
+        caps=[None if c is None else float(c) for c in raw["caps"]],
+        omega_horizons=tuple(raw["omega_horizons"]),
+        regret_horizons=tuple(raw["regret_horizons"]),
+        sweep_windows=tuple(raw["sweep_windows"]),
+        crises=crises,
+        bootstrap_spec=_checked("bootstrap", BootstrapSpec, block=b["block"],
+                                iterations=b["iterations"], seed=raw["seed"],
+                                confidence=float(b["confidence"])),
+        synth_params=_checked("synth", _synth_params, raw["synth"], raw["seed"]),
+        model_params=_checked("model", lambda: (
+            RegimeParams(alpha=tuple(map(float, m["alpha"])),
+                         sigma=tuple(map(float, m["sigma"])), p=float(m["p"])),
+            GovernanceParams(tau_bar=float(m["tau_bar"])),
+        )),
+        date_range=date_range,
+        roles=roles,
+        input_digests=digests,
+    )
 
 
 # ---------------------------------------------------------------- output --
@@ -467,18 +453,11 @@ def _load_role(cfg: RunConfig, name: str,
     """One configured input: a panel of columns for `sectors`, else a
     single-column series (vix and rf are levels, the rest prices), with the
     number of incomplete rows the file dropped."""
-    spec = cfg.role(name, command)
-    if name == "sectors":
-        cols = spec.get("columns")
-    elif isinstance(spec.get("column"), str):
-        cols = [spec["column"]]
-    else:
-        raise ConfigError(f"data.{name}.column", "expected a column name")
+    if name not in cfg.roles:
+        raise ConfigError(f"data.{name}", f"required for {command}")
+    path, cols = cfg.roles[name]
     unit = UNIT_LEVEL if name in ("vix", "rf") else UNIT_PRICE
-    try:
-        res = ingest_csv(spec["path"], columns=cols, unit=unit)
-    except FileNotFoundError:
-        raise ConfigError(f"data.{name}.path", f"file not found: {spec['path']}") from None
+    res = ingest_csv(path, columns=cols, unit=unit)
     if name != "sectors":
         return res.panel[cols[0]], res.n_dropped
     if len(res.panel.symbols) < 2:
@@ -490,8 +469,7 @@ def load_market(cfg: RunConfig, command: str,
                 need: Sequence[str] = ("eq", "bd", "vix")) -> Market:
     # optional roles load when configured; eq and bd only when needed, since
     # every loaded role narrows the shared calendar
-    optional = [r for r in ("tlt", "spread", "sectors", "rf")
-                if cfg.raw["data"].get(r) is not None]
+    optional = [r for r in ("tlt", "spread", "sectors", "rf") if r in cfg.roles]
     loaded = {name: _load_role(cfg, name, command)
               for name in dict.fromkeys([*need, *optional])}
     roles = {name: v for name, (v, _) in loaded.items()}
@@ -500,13 +478,10 @@ def load_market(cfg: RunConfig, command: str,
     every = np.sort(np.concatenate([v.calendar.days for v in roles.values()]))
     lost = np.count_nonzero(every[1:] != every[:-1]) + 1 - len(cal)
     print("data: " + "; ".join(
-        f"{cfg.raw['data'][name]['path']} dropped {n} incomplete rows"
+        f"{cfg.roles[name][0]} dropped {n} incomplete rows"
         for name, (_, n) in loaded.items())
         + f"; intersection dropped {lost} dates", file=sys.stderr)
-    start, end = cfg.date_range()
-    cal = cal.window(start, end)
-    if len(cal) < 3:
-        raise ValueError("fewer than three shared dates after alignment")
+    cal = _in_range(cfg, cal)
     rcal = cal.suffix(1)
 
     def rets(name: str) -> Series | None:
@@ -551,27 +526,37 @@ def load_market(cfg: RunConfig, command: str,
     )
 
 
+def _in_range(cfg: RunConfig, cal: TradingCalendar) -> TradingCalendar:
+    """The dates of cal inside the configured range; at least three."""
+    cal = cal.window(*cfg.date_range)
+    if len(cal) < 3:
+        raise ValueError("fewer than three shared dates in range")
+    return cal
+
+
 def synthetic_market(cfg: RunConfig) -> Market:
-    """In-memory synthetic equivalent of load_market, for data-free runs."""
+    """In-memory synthetic equivalent of load_market, for data-free runs,
+    windowed to the configured range like a file calendar."""
     panel, _states = synth_regime_panel(cfg.synth_params)
-    eq = panel["BENCH_EQ"]
-    eq_p = prices_from_returns(eq)
+    cal = _in_range(cfg, panel.calendar)
+    eq = panel["BENCH_EQ"].restrict(cal)
+    vix = panel["VIX"].restrict(cal)
     return Market(
-        eq_prices=eq_p,
+        eq_prices=prices_from_returns(eq),
         eq=eq,
-        bd=panel["BENCH_BD"],
-        spread=panel["SPREAD"],
-        vix=panel["VIX"],
-        vix_full=panel["VIX"],
+        bd=panel["BENCH_BD"].restrict(cal),
+        spread=panel["SPREAD"].restrict(cal),
+        vix=vix,
+        vix_full=vix,
     )
 
 
 def _market_or_synth(cfg: RunConfig, command: str,
                      need: Sequence[str] = ("eq", "bd", "vix")) -> Market:
-    if all(cfg.raw["data"].get(r) is not None for r in need):
+    missing = [r for r in need if r not in cfg.roles]
+    if not missing:
         return load_market(cfg, command, need)
-    if any(cfg.raw["data"].get(r) is not None for r in need):
-        missing = [r for r in need if cfg.raw["data"].get(r) is None]
+    if len(missing) < len(need):
         raise ConfigError(f"data.{missing[0]}", f"required for {command}")
     return synthetic_market(cfg)
 
@@ -590,7 +575,7 @@ class Engine:
 
     def overlay(self, policy: OverlayPolicy) -> SimResult:
         return simulate_overlay(self.bench, self.market.spread, self.path, policy,
-                                self.cfg.window("vol"))
+                                self.cfg.windows["vol"])
 
     @cached_property
     def static(self) -> SimResult:
@@ -604,7 +589,7 @@ class Engine:
 def build_engine(cfg: RunConfig, market: Market) -> Engine:
     if market.eq is None or market.bd is None or market.spread is None:
         raise ValueError("benchmark legs are missing")
-    path = classify(market.vix, cfg.window("signal"), cfg.thresholds)
+    path = classify(market.vix, cfg.windows["signal"], cfg.thresholds)
     return Engine(
         cfg=cfg,
         market=market,
@@ -629,7 +614,7 @@ def cmd_synth(cfg: RunConfig) -> list[Path]:
 
 def _exhibit1(cfg: RunConfig) -> list[Path]:
     market = load_market(cfg, "exhibit 1", need=("sectors", "vix"))
-    avg = rolling_avg_pairwise_corr(market.sectors, cfg.window("pairwise_corr"))
+    avg = rolling_avg_pairwise_corr(market.sectors, cfg.windows["pairwise_corr"])
     vix = market.vix_full.restrict(avg.calendar)
     return _write_dated(cfg, "exhibit1", "exhibit1", avg.calendar.dates,
                         {"avg_pairwise_corr": avg.values, "vix": vix.values},
@@ -638,7 +623,7 @@ def _exhibit1(cfg: RunConfig) -> list[Path]:
 
 def _exhibit2(cfg: RunConfig) -> list[Path]:
     market = _market_or_synth(cfg, "exhibit 2")
-    w = cfg.window("stock_bond_corr")
+    w = cfg.windows["stock_bond_corr"]
     corr = {"eq_bd": rolling_corr(market.eq, market.bd, w)}
     if market.tlt is not None:
         corr["eq_tlt"] = rolling_corr(market.eq, market.tlt, w)
@@ -675,8 +660,7 @@ def _exhibit4(cfg: RunConfig) -> list[Path]:
 
 def cmd_omega(cfg: RunConfig) -> list[Path]:
     market = _market_or_synth(cfg, "omega", need=("eq", "vix"))
-    horizons = [int(h) for h in cfg.raw["omega_horizons"]]
-    rep = omega_table(market.vix_full, market.eq_prices, horizons)
+    rep = omega_table(market.vix_full, market.eq_prices, cfg.omega_horizons)
     return [_write_csv(cfg, "exhibit5", "omega", rep.CSV_HEADER, rep.csv_rows())]
 
 
@@ -690,11 +674,7 @@ def cmd_regret(cfg: RunConfig, market: Market | None = None,
     if bench is None:
         bench = benchmark_7030(market.eq, market.bd)
     troughs, skipped = [], []
-    for name, span in cfg.raw["crises"].items():
-        try:
-            w = (dt.date.fromisoformat(span[0]), dt.date.fromisoformat(span[1]))
-        except (ValueError, IndexError, TypeError):
-            raise ConfigError(f"crises.{name}", "expected [start, end] ISO dates") from None
+    for name, w in cfg.crises.items():
         i0, i1 = bench.calendar.span(*w)
         if i1 > i0:
             troughs.append((name, find_trough(bench, w, market.vix)))
@@ -703,8 +683,7 @@ def cmd_regret(cfg: RunConfig, market: Market | None = None,
     if skipped:
         print(f"regret: skipped crisis windows with no trading days: "
               f"{', '.join(skipped)}", file=sys.stderr)
-    horizons = [int(h) for h in cfg.raw["regret_horizons"]]
-    entries = regret_table(market.eq, market.bd, troughs, horizons)
+    entries = regret_table(market.eq, market.bd, troughs, cfg.regret_horizons)
     short = [f"{e.name} {h}" for e in entries
              for h, s in zip(e.horizons, e.stay) if s is None]
     if short:
@@ -746,11 +725,11 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
     market = _market_or_synth(cfg, "sweep")
     rep = window_sweep(
         market.vix, market.eq, market.bd, market.spread,
-        windows=[int(w) for w in cfg.raw["sweep_windows"]],
+        windows=cfg.sweep_windows,
         percentiles=cfg.percentiles,
         dynamic=cfg.dynamic_policy,
         static=cfg.static_policy,
-        vol_window=cfg.window("vol"),
+        vol_window=cfg.windows["vol"],
         rf=market.rf,
     )
     return [_write_csv(cfg, "sweep", "sweep", rep.CSV_HEADER, rep.csv_rows())]
@@ -826,14 +805,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        overrides = {
+        horizons = _parse_ints(args.horizons, "--horizons") if args.horizons else None
+        cfg = load_config(args.config, {
             "out": args.out,
             "seed": args.seed,
             "caps": _parse_caps(args.caps) if args.caps else None,
-            "windows": _parse_ints(args.windows, "--windows") if args.windows else None,
-            "horizons": _parse_ints(args.horizons, "--horizons") if args.horizons else None,
-        }
-        cfg = load_config(args.config, overrides)
+            "sweep_windows": _parse_ints(args.windows, "--windows") if args.windows else None,
+            "omega_horizons": horizons,
+            "regret_horizons": horizons,
+        })
         run = COMMANDS[args.command][1]
         if isinstance(run, dict):
             if args.n not in run:

@@ -27,6 +27,8 @@ class RegimeParams:
     p: float
 
     def __post_init__(self):
+        if len(self.alpha) != 2 or len(self.sigma) != 2:
+            raise ValueError("alpha and sigma need one value per state")
         if min(self.sigma) <= 0.0:
             raise ValueError("sigma must be positive in both states")
         if not 0.0 <= self.p <= 1.0:

@@ -93,7 +93,6 @@ class RegimePath:
         return Regime(int(self.labels[self.calendar.index(d)]))
 
     def fractions(self) -> dict[Regime, float]:
-        n = len(self.labels)
         return {r: float(np.mean(self.labels == int(r))) for r in Regime}
 
 

@@ -27,8 +27,6 @@ _VALID_UNITS = frozenset((UNIT_PRICE, UNIT_RETURN, UNIT_LEVEL))
 STATE_LOW = 0
 STATE_HIGH = 1
 
-SYNTH_SYMBOLS = ("BENCH_EQ", "BENCH_BD", "SPREAD", "VIX")
-
 # More than this many missing weekdays between consecutive observations is
 # treated as a corrupt feed rather than a holiday stretch.
 MAX_WEEKDAY_GAP = 10

@@ -186,6 +186,14 @@ def test_unknown_subcommand_is_usage_error():
     ({"thresholds": {"low": True, "high": 22}}, "thresholds.low"),
     ({"percentiles": {"low": 2.0}}, "percentiles"),
     ({"synth": {"start_date": "x"}}, "synth"),
+    ({"crises": {"gfc": ["x", "y"]}}, "crises.gfc"),
+    ({"crises": {"gfc": ["2009-06-30", "2007-10-01"]}}, "crises.gfc"),
+    ({"range": {"start": "x"}}, "range.start"),
+    ({"range": {"start": "2010-01-04", "end": "2009-01-05"}}, "range"),
+    ({"data": {"tlt": {"path": __file__, "column": 5}}}, "data.tlt.column"),
+    ({"data": {"sectors": {"path": __file__, "columns": "AB"}}}, "data.sectors.columns"),
+    ({"bootstrap": {"seed": 1}}, "bootstrap.seed"),
+    ({"model": {"alpha": [0.1]}}, "model"),
 ])
 def test_config_type_errors_name_the_field(tmp_path, capsys, cfg, field):
     path = tmp_path / "cfg.json"
@@ -212,6 +220,45 @@ def test_every_subcommand_runs_on_an_empty_config(tmp_path, capsys, form):
     if form in (("regret",), ("exhibit", "6")):
         assert "skipped crisis windows with no trading days: covid, tightening_2022" in err
         assert sum(1 for _ in tmp_path.glob("o/exhibit6b_*.csv")) == 1
+
+
+@pytest.mark.parametrize("cfg,field", [
+    ({"model": {"p": 2.0}}, "model"),
+    ({"crises": {"gfc": ["x", "y"]}}, "crises.gfc"),
+])
+def test_every_subcommand_rejects_a_bad_config(tmp_path, capsys, cfg, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for form in FORMS:
+        assert main([*form, "--config", str(path), "--out", str(tmp_path / "o")]) == 2, form
+        assert capsys.readouterr().err.startswith(f"config error: {field}: "), form
+    assert not (tmp_path / "o").exists()
+
+
+def test_seed_flag_equals_config_seed(tmp_path):
+    extra = {"bootstrap": {"iterations": 200}}
+    cfg = write_config(tmp_path, seed=5, **extra)
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    cfg = write_config(tmp_path, **extra)
+    assert main(["converge", "--config", cfg, "--seed", "5", "--out", str(tmp_path / "b")]) == 0
+    a, b = outputs(tmp_path / "a"), outputs(tmp_path / "b")
+    assert len(a) == 1 and a == b
+
+
+def test_range_windows_the_synthetic_panel(tmp_path, capsys):
+    # the 900-day panel runs from 2004-01-05 to 2007-06
+    extra = {"synth": {"horizon": 900}, "range": {"start": "2005-01-03", "end": "2006-06-30"}}
+    code, files = run(tmp_path, "exhibit", "2", config_extra=extra)
+    assert code == 0
+    dates = [r[0] for r in read_rows(files[0])[1:]]
+    assert dates[0] > "2005-01-03" and dates[-1] == "2006-06-30"
+    _, files = run(tmp_path, "synth", config_extra=extra)
+    panel = next(f for f in files if f.name.startswith("synth_panel"))
+    assert len(read_rows(panel)) == 901  # synth writes the whole panel
+    extra["range"] = {"start": "2005-01-03", "end": "2005-01-04"}
+    code, _ = run(tmp_path, "exhibit", "2", config_extra=extra)
+    assert code == 1
+    assert "fewer than three" in capsys.readouterr().err
 
 
 def outputs(out):
