@@ -223,15 +223,16 @@ def _roles(data: dict) -> tuple[dict, dict[str, str]]:
     return roles, digests
 
 
+def _tuples(x):
+    """JSON lists, nested or not, as tuples."""
+    return tuple(map(_tuples, x)) if isinstance(x, list) else x
+
+
 def _synth_params(synth: dict, seed: int) -> SynthParams:
-    s = dict(synth)
+    s = {k: _tuples(v) for k, v in synth.items()}
     s.setdefault("seed", seed)
     if "start_date" in s:
         s["start_date"] = dt.date.fromisoformat(s["start_date"])
-    for k in ("transition", "alpha", "sigma", "eq_drift", "eq_vol",
-              "bd_drift", "bd_vol", "vix_mean"):
-        if k in s:
-            s[k] = tuple(tuple(r) for r in s[k]) if k == "transition" else tuple(s[k])
     return SynthParams(**s)
 
 

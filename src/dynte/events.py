@@ -16,7 +16,7 @@ import numpy as np
 
 from .inference import newey_west_mean_test
 from .metrics import cagr, drawdown_path, max_drawdown, sharpe
-from .regime import RegimeThresholds, classify, percentile_thresholds
+from .regime import RegimePath, RegimeThresholds, percentile_thresholds
 from .rolling import WindowSpec, moving_average
 from .simulate import (
     OverlayPolicy,
@@ -323,7 +323,7 @@ def window_sweep(
     for w in windows:
         sm = moving_average(vix, WindowSpec(int(w)))
         th = percentile_thresholds(sm, percentiles[0], percentiles[1])
-        path = classify(vix, WindowSpec(int(w)), th)
+        path = RegimePath(sm.calendar, sm.values, th)
         res = simulate_overlay(bench, spread, path, dynamic, vol_window)
         c = cagr(res.portfolio)
         sh = sharpe(res.portfolio, rf)

@@ -3,10 +3,10 @@
 Long-run variances use the Bartlett kernel with weight 1 - j/(L+1) at lag j
 (Newey-West), scaled by n/(n-1), so bandwidth 0 reproduces the classical
 one-sample t. The circular block bootstrap follows Politis-Romano:
-fixed-length blocks with wraparound, percentile intervals.
-For the Sharpe ratio a resample is reduced from its blocks' sums of x and
-x**2, read off prefix sums of the demeaned series, so it costs O(n/block)
-rather than O(n); other statistics gather each resample's values. Draws are
+fixed-length blocks with wraparound, percentile intervals, for the Sharpe
+ratio. A resample is reduced from its blocks' sums of x and x**2, read off
+prefix sums of the demeaned series, so it costs O(n/block) rather than O(n);
+only a resample with near-zero variance gathers its values. Draws are
 processed in fixed-size chunks, so memory does not grow with the number of
 iterations.
 Sharpe equality uses the Jobson-Korkie statistic with Memmel's variance
@@ -106,15 +106,6 @@ def _stat_sharpe(rows: np.ndarray) -> np.ndarray:
     out[sd == 0.0] = np.nan
     return out
 
-def _stat_cagr(rows: np.ndarray) -> np.ndarray:
-    n = rows.shape[1]
-    growth = np.prod(1.0 + rows, axis=1)
-    return growth ** (TRADING_DAYS_PER_YEAR / n) - 1.0
-
-_NAMED_STATS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "sharpe": _stat_sharpe,
-    "cagr": _stat_cagr,
-}
 
 _MAX_REDRAW_ROUNDS = 100
 # Resamples are drawn and reduced this many at a time, so memory is bounded by
@@ -170,45 +161,33 @@ def _block_sum_sharpe(v: np.ndarray, block: int) -> Callable[[np.ndarray], np.nd
 
 
 def circular_block_bootstrap(
-    returns, spec: BootstrapSpec, statistic: str | Callable = "sharpe"
+    returns, spec: BootstrapSpec, statistic: str = "sharpe"
 ) -> BootstrapResult:
-    """Percentile CI for a statistic of a daily return series.
+    """Percentile CI for the annualized Sharpe ratio of a daily return
+    series; "sharpe" is the only statistic.
 
     Resamples are ceil(n/block) wraparound blocks truncated to n. Resamples
-    where the statistic is undefined (e.g. zero volatility under "sharpe")
-    are redrawn, with a hard retry limit. Deterministic in spec.seed and
-    independent of any parallelism in the caller.
+    with zero volatility are redrawn, with a hard retry limit. Deterministic
+    in spec.seed and independent of any parallelism in the caller.
 
-    "sharpe" is computed from per-block sums of x and x**2, so a resample
-    costs O(ceil(n/block)); "cagr" and callables gather each resample's
-    values. Both work through the draws in fixed-size chunks, so memory does
-    not grow with spec.iterations beyond the array of statistics.
+    Each resample is computed from per-block sums of x and x**2, so it costs
+    O(ceil(n/block)), and the draws are worked through in fixed-size chunks,
+    so memory does not grow with spec.iterations beyond the array of
+    statistics.
     """
+    if statistic != "sharpe":
+        raise ValueError(f"unknown statistic {statistic!r}")
     v = _values(returns)
     n = len(v)
     if n < 2:
         raise ValueError("need at least two observations")
-    if isinstance(statistic, str):
-        try:
-            stat_rows = _NAMED_STATS[statistic]
-        except KeyError:
-            raise ValueError(f"unknown statistic {statistic!r}") from None
-    else:
-        fn = statistic
-        def stat_rows(rows: np.ndarray) -> np.ndarray:
-            return np.asarray([fn(row) for row in rows], dtype=np.float64)
-
-    point = float(stat_rows(v[None, :])[0])
+    point = float(_stat_sharpe(v[None, :])[0])
     if not np.isfinite(point):
         raise ValueError("statistic undefined on the original sample")
 
     b = spec.block
     nblocks = -(-n // b)  # ceil
-    if stat_rows is _stat_sharpe:
-        resample = _block_sum_sharpe(v, b)
-    else:
-        def resample(starts: np.ndarray) -> np.ndarray:
-            return stat_rows(_gather(v, starts, b))
+    resample = _block_sum_sharpe(v, b)
     rng = np.random.default_rng(spec.seed)
 
     def draw(k: int) -> np.ndarray:

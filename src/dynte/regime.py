@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,25 +65,23 @@ def percentile_thresholds(
 
 @dataclass(frozen=True)
 class RegimePath:
-    """Per-date label plus the smoothed signal that produced it."""
+    """The smoothed signal, and the per-date label it gives under the thresholds."""
 
     calendar: TradingCalendar
-    labels: np.ndarray
     signal: np.ndarray
     thresholds: RegimeThresholds
+    labels: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int8)
-        signal = np.asarray(self.signal, dtype=np.float64)
-        if len(labels) != len(self.calendar) or len(signal) != len(self.calendar):
-            raise ValueError("labels/signal length must match the calendar")
-        expect = np.where(
+        # a copy, so freezing it leaves the caller's array writable
+        signal = np.array(self.signal, dtype=np.float64)
+        if len(signal) != len(self.calendar):
+            raise ValueError("signal length must match the calendar")
+        labels = np.where(
             signal < self.thresholds.low,
             int(Regime.LOW),
             np.where(signal > self.thresholds.high, int(Regime.HIGH), int(Regime.NEUTRAL)),
         ).astype(np.int8)
-        if not np.array_equal(labels, expect):
-            raise ValueError("labels inconsistent with signal and thresholds")
         labels.setflags(write=False)
         signal.setflags(write=False)
         object.__setattr__(self, "labels", labels)
@@ -101,12 +99,7 @@ def classify(
 ) -> RegimePath:
     """Label each date from the trailing moving average of the gauge."""
     sig = moving_average(vix, w)
-    labels = np.where(
-        sig.values < thresholds.low,
-        int(Regime.LOW),
-        np.where(sig.values > thresholds.high, int(Regime.HIGH), int(Regime.NEUTRAL)),
-    ).astype(np.int8)
-    return RegimePath(sig.calendar, labels, sig.values, thresholds)
+    return RegimePath(sig.calendar, sig.values, thresholds)
 
 
 def weekly_returns(daily: Series) -> Series:

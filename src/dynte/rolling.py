@@ -1,10 +1,11 @@
 """Trailing-window statistics.
 
 Every value dated t summarizes the window ending at t, so output calendars
-are suffixes of input calendars. Windows are recomputed from raw values,
-never updated incrementally; this keeps each output equal to a from-scratch
-recomputation at float precision. Correlations over a zero-variance window
-are undefined and carried as NaN.
+are suffixes of input calendars; before a window can hold its full length,
+the growing head window counts once it has min_periods observations. One
+kernel, `_trailing`, evaluates every statistic from raw values, never
+updated incrementally, so each output equals a from-scratch recomputation at
+float precision. Correlations over a zero-variance window are NaN.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .timeseries import (
     UNIT_RETURN,
     AssetPanel,
     Series,
+    TradingCalendar,
 )
 
 
@@ -41,7 +43,18 @@ class WindowSpec:
         object.__setattr__(self, "min_periods", mp)
 
 
-def _check_nonempty(s: Series, w: WindowSpec, floor: int) -> int:
+# floats of full windows, over all columns, evaluated at a time: a statistic's
+# memory stays a few arrays of this size whatever the length or symbol count
+_CHUNK_FLOATS = 2**18
+
+
+def _trailing(cal: TradingCalendar, cols: list[np.ndarray], w: WindowSpec,
+              floor: int, stat, unit: str) -> Series:
+    """stat of each trailing window of `cols` (arrays on `cal`), from the
+    first date with max(min_periods, floor) observations. stat reduces the
+    last axis: it gets each growing head window, shorter than w.length, as a
+    1-D prefix, and the full windows as sliding_window_view rows, as many at
+    a time as fit in _CHUNK_FLOATS."""
     mp = max(w.min_periods, floor)
     if w.length < floor:
         # e.g. a sample std over a one-point window: nothing can be emitted
@@ -49,95 +62,54 @@ def _check_nonempty(s: Series, w: WindowSpec, floor: int) -> int:
             f"window of length {w.length} never holds the {floor} observations"
             " this statistic needs, so no value can be emitted"
         )
-    if len(s) < mp:
-        raise ValueError(
-            f"series of length {len(s)} shorter than min_periods {mp}"
-        )
-    return mp
+    n, L = len(cal), w.length
+    if n < mp:
+        raise ValueError(f"series of length {n} shorter than min_periods {mp}")
+    out = np.empty(n - mp + 1)
+    for j in range(mp - 1, min(L - 1, n)):
+        out[j - (mp - 1)] = stat(*(c[: j + 1] for c in cols))
+    if n >= L:
+        views = [sliding_window_view(c, L) for c in cols]
+        rows = max(1, _CHUNK_FLOATS // (len(cols) * L))
+        for a in range(0, n - L + 1, rows):
+            out[L - mp + a : L - mp + a + rows] = stat(*(v[a : a + rows] for v in views))
+    return Series(cal.suffix(mp - 1), out, unit)
 
 
 def moving_average(s: Series, w: WindowSpec) -> Series:
     """Trailing mean; first value once min_periods observations exist."""
-    mp = _check_nonempty(s, w, 1)
-    vals = s.values
-    n, L = len(vals), w.length
-    out = np.empty(n - mp + 1)
-    # growing head windows while fewer than L observations are available
-    for j in range(mp - 1, min(L - 1, n - 1) + 1):
-        out[j - (mp - 1)] = np.mean(vals[: j + 1])
-    if n >= L:
-        full = sliding_window_view(vals, L).mean(axis=1)
-        out[L - mp :] = full
-    return Series(s.calendar.suffix(mp - 1), out, s.unit)
+    return _trailing(s.calendar, [s.values], w, 1, lambda x: x.mean(axis=-1), s.unit)
 
 
 def rolling_vol(r: Series, w: WindowSpec) -> Series:
     """Annualized trailing sample standard deviation of daily returns."""
     if r.unit != UNIT_RETURN:
         raise ValueError(f"need a return series, got unit {r.unit!r}")
-    mp = _check_nonempty(r, w, 2)  # sample std needs two points
-    vals = r.values
-    n, L = len(vals), w.length
-    out = np.empty(n - mp + 1)
-    for j in range(mp - 1, min(L - 1, n - 1) + 1):
-        out[j - (mp - 1)] = np.std(vals[: j + 1], ddof=1)
-    if n >= L:
-        out[L - mp :] = np.std(sliding_window_view(vals, L), axis=1, ddof=1)
-    out *= np.sqrt(TRADING_DAYS_PER_YEAR)
-    return Series(r.calendar.suffix(mp - 1), out, UNIT_LEVEL)
+    annualize = np.sqrt(TRADING_DAYS_PER_YEAR)
+    # a sample std needs two points
+    return _trailing(r.calendar, [r.values], w, 2,
+                     lambda x: np.std(x, axis=-1, ddof=1) * annualize, UNIT_LEVEL)
 
 
-# full windows demeaned at a time in rolling_avg_pairwise_corr, which bounds
-# its memory at symbols x _CHUNK_ROWS x window length floats
-_CHUNK_ROWS = 512
+def _demean(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each window (along the last axis) less its mean, and its sum of squares."""
+    xd = x - x.mean(axis=-1, keepdims=True)
+    return xd, np.einsum("...j,...j->...", xd, xd)
 
 
-def _window_corr(a: np.ndarray, b: np.ndarray) -> float:
-    am = a - np.mean(a)
-    bm = b - np.mean(b)
-    va = np.dot(am, am)
-    vb = np.dot(bm, bm)
-    if va == 0.0 or vb == 0.0:
-        return np.nan
-    return float(np.dot(am, bm) / np.sqrt(va * vb))
-
-
-def _head_corr(x: np.ndarray, y: np.ndarray, mp: int, L: int) -> np.ndarray:
-    """The output array, filled for the growing head windows, which hold
-    fewer than L observations; the full windows are the caller's."""
-    n = len(x)
-    out = np.empty(n - mp + 1)
-    for j in range(mp - 1, min(L - 1, n - 1) + 1):
-        out[j - (mp - 1)] = _window_corr(x[: j + 1], y[: j + 1])
-    return out
-
-
-def _demeaned_windows(x: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each full trailing window of x less its mean, and its sum of squares."""
-    xw = sliding_window_view(x, L)
-    xd = xw - xw.mean(axis=1, keepdims=True)
-    return xd, np.einsum("ij,ij->i", xd, xd)
-
-
-def _full_corr(xd: np.ndarray, va: np.ndarray, yd: np.ndarray, vb: np.ndarray) -> np.ndarray:
-    cov = np.einsum("ij,ij->i", xd, yd)
+def _correlate(xd: np.ndarray, va: np.ndarray, yd: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """Pearson correlation of demeaned windows; NaN where either has no variance."""
+    cov = np.einsum("...j,...j->...", xd, yd)
     with np.errstate(invalid="ignore", divide="ignore"):
-        full = cov / np.sqrt(va * vb)
-    full[(va == 0.0) | (vb == 0.0)] = np.nan
-    return full
+        return np.where((va == 0.0) | (vb == 0.0), np.nan, cov / np.sqrt(va * vb))
 
 
 def rolling_corr(a: Series, b: Series, w: WindowSpec) -> Series:
     """Trailing Pearson correlation of two aligned series."""
     if a.calendar != b.calendar:
         raise ValueError("series are not on the same calendar")
-    mp = _check_nonempty(a, w, 2)
-    x, y = a.values, b.values
-    L = w.length
-    out = _head_corr(x, y, mp, L)
-    if len(x) >= L:
-        out[L - mp :] = _full_corr(*_demeaned_windows(x, L), *_demeaned_windows(y, L))
-    return Series(a.calendar.suffix(mp - 1), out, UNIT_LEVEL)
+    return _trailing(a.calendar, [a.values, b.values], w, 2,
+                     lambda x, y: _correlate(*_demean(x), *_demean(y)), UNIT_LEVEL)
 
 
 def rolling_avg_pairwise_corr(panel: AssetPanel, w: WindowSpec) -> Series:
@@ -149,18 +121,15 @@ def rolling_avg_pairwise_corr(panel: AssetPanel, w: WindowSpec) -> Series:
     syms = panel.symbols
     if len(syms) < 2:
         raise ValueError("need at least two symbols for pairwise correlation")
-    mp = _check_nonempty(panel[syms[0]], w, 2)
-    vals = [panel[s].values for s in syms]
-    n, L = len(panel.calendar), w.length
     pairs = list(combinations(range(len(syms)), 2))
-    full = np.empty((len(pairs), max(n - L + 1, 0)))
-    for a in range(0, full.shape[1], _CHUNK_ROWS):
-        parts = [_demeaned_windows(v[a : a + _CHUNK_ROWS + L - 1], L) for v in vals]
-        for k, (i, j) in enumerate(pairs):
-            full[k, a : a + _CHUNK_ROWS] = _full_corr(*parts[i], *parts[j])
-    acc = None
-    for k, (i, j) in enumerate(pairs):
-        c = _head_corr(vals[i], vals[j], mp, L)
-        c[L - mp :] = full[k]
-        acc = c if acc is None else acc + c
-    return Series(panel.calendar.suffix(mp - 1), acc / len(pairs), UNIT_LEVEL)
+
+    def mean_corr(*cols):
+        parts = [_demean(c) for c in cols]
+        acc = None
+        for i, j in pairs:
+            c = _correlate(*parts[i], *parts[j])
+            acc = c if acc is None else acc + c
+        return acc / len(pairs)
+
+    return _trailing(panel.calendar, [panel[s].values for s in syms], w, 2,
+                     mean_corr, UNIT_LEVEL)

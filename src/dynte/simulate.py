@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regime import Regime, RegimePath
+from .regime import RegimePath
 from .rolling import WindowSpec, rolling_vol
 from .timeseries import UNIT_RETURN, Series, TradingCalendar
 
@@ -172,18 +172,14 @@ def simulate_overlay(
     vol = rolling_vol(spread, WindowSpec(L)).values
     m = n - L  # number of active days
 
-    t_low, t_neutral, t_high = policy.effective_targets()
+    targets = np.array(policy.effective_targets())
     if policy.is_static:
-        target = np.full(m, t_neutral)
+        target = np.full(m, targets[1])
     else:
         if regimes is None:
             raise ValueError("dynamic policy needs a regime path")
-        lab = _decision_labels(regimes, cal, L - 1, n - 1)
-        target = np.where(
-            lab == int(Regime.LOW),
-            t_low,
-            np.where(lab == int(Regime.HIGH), t_high, t_neutral),
-        )
+        # labels -1, 0, 1 (Low, Neutral, High) index the targets
+        target = targets[_decision_labels(regimes, cal, L - 1, n - 1) + 1]
 
     lagged_vol = vol[:m]
     theta = np.zeros(n)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -205,9 +206,6 @@ class Series:
         if not found.all():
             raise ValueError(f"date {want[np.argmin(found)].item()} not on calendar")
         return Series(calendar, self.values[idx], self.unit)
-
-    def window(self, start=None, end=None) -> "Series":
-        return self.restrict(self.calendar.window(start, end))
 
     def suffix(self, start: int) -> "Series":
         return Series(self.calendar.suffix(start), self.values[start:], self.unit)
@@ -441,6 +439,15 @@ def make_weekday_calendar(start: dt.date, n: int) -> TradingCalendar:
     return TradingCalendar._unchecked(np.busday_offset(first, np.arange(n)))
 
 
+def _is_number(x) -> bool:
+    # a bool is never taken for a number
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _number_pair(x) -> bool:
+    return isinstance(x, Sequence) and len(x) == 2 and all(map(_is_number, x))
+
+
 @dataclass(frozen=True)
 class SynthParams:
     """Two-state world: a persistent Markov chain drives the drift and
@@ -468,10 +475,20 @@ class SynthParams:
     start_date: dt.date = dt.date(2004, 1, 5)
 
     def __post_init__(self):
-        P = np.asarray(self.transition, dtype=np.float64)
-        if P.shape != (2, 2) or np.any(P < 0) or np.any(
-            np.abs(P.sum(axis=1) - 1.0) > 1e-12
-        ):
+        for name in ("alpha", "sigma", "eq_drift", "eq_vol",
+                     "bd_drift", "bd_vol", "vix_mean"):
+            if not _number_pair(getattr(self, name)):
+                raise ValueError(f"{name} must be a (calm, stressed) pair of numbers")
+        for name in ("horizon", "seed", "start_state"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        if not _is_number(self.vix_noise):
+            raise ValueError(f"vix_noise must be a number, got {self.vix_noise!r}")
+        T = self.transition
+        if not (isinstance(T, Sequence) and len(T) == 2 and all(map(_number_pair, T))
+                and np.all(np.asarray(T) >= 0)
+                and np.all(np.abs(np.sum(T, axis=1) - 1.0) <= 1e-12)):
             raise ValueError("transition must be 2x2 row-stochastic")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")

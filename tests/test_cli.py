@@ -225,6 +225,11 @@ def test_every_subcommand_runs_on_an_empty_config(tmp_path, capsys, form):
 @pytest.mark.parametrize("cfg,field", [
     ({"model": {"p": 2.0}}, "model"),
     ({"crises": {"gfc": ["x", "y"]}}, "crises.gfc"),
+    ({"synth": {"alpha": [0.1]}}, "synth"),
+    ({"synth": {"vix_mean": ["a", "b"]}}, "synth"),
+    ({"synth": {"seed": True}}, "synth"),
+    ({"synth": {"horizon": True}}, "synth"),
+    ({"synth": {"transition": [[True, False], [False, True]]}}, "synth"),
 ])
 def test_every_subcommand_rejects_a_bad_config(tmp_path, capsys, cfg, field):
     path = tmp_path / "cfg.json"

@@ -122,18 +122,6 @@ def test_bootstrap_point_estimates():
     sharpe_pt = circular_block_bootstrap(r, spec, "sharpe").point
     want = np.mean(r) / np.std(r, ddof=1) * math.sqrt(252.0)
     assert_allclose(sharpe_pt, want, rtol=1e-12)
-    cagr_pt = circular_block_bootstrap(r, spec, "cagr").point
-    want = float(np.prod(1.0 + r)) ** (252.0 / len(r)) - 1.0
-    assert_allclose(cagr_pt, want, rtol=1e-12)
-
-
-def test_bootstrap_custom_statistic_callable():
-    rng = np.random.default_rng(9)
-    r = 0.01 * rng.standard_normal(200)
-    spec = BootstrapSpec(block=200, iterations=100, seed=0)
-    out = circular_block_bootstrap(r, spec, np.mean)
-    assert_allclose(out.point, np.mean(r), rtol=1e-12)
-    assert out.width <= 1e-15  # rotations preserve the mean
 
 
 def test_bootstrap_interval_brackets_truth_generously():
@@ -159,17 +147,10 @@ def _oracle_stat_sharpe(rows):
     return out
 
 
-def _oracle_stat_cagr(rows):
-    n = rows.shape[1]
-    growth = np.prod(1.0 + rows, axis=1)
-    return growth ** (252.0 / n) - 1.0
-
-
-def oracle_bootstrap(v, spec: BootstrapSpec, statistic: str) -> BootstrapResult:
+def oracle_bootstrap(v, spec: BootstrapSpec) -> BootstrapResult:
     v = np.asarray(v, dtype=np.float64)
-    stat_rows = {"sharpe": _oracle_stat_sharpe, "cagr": _oracle_stat_cagr}[statistic]
     n = len(v)
-    point = float(stat_rows(v[None, :])[0])
+    point = float(_oracle_stat_sharpe(v[None, :])[0])
     if not np.isfinite(point):
         raise ValueError("statistic undefined on the original sample")
     b = spec.block
@@ -182,12 +163,12 @@ def oracle_bootstrap(v, spec: BootstrapSpec, statistic: str) -> BootstrapResult:
         idx = (starts[:, :, None] + offsets[None, None, :]) % n
         return v[idx.reshape(k, nblocks * b)[:, :n]]
 
-    stats_ = stat_rows(draw(spec.iterations))
+    stats_ = _oracle_stat_sharpe(draw(spec.iterations))
     for _ in range(100):
         bad = ~np.isfinite(stats_)
         if not bad.any():
             break
-        stats_[bad] = stat_rows(draw(int(bad.sum())))
+        stats_[bad] = _oracle_stat_sharpe(draw(int(bad.sum())))
     else:
         raise ValueError("bootstrap retry limit exceeded; statistic undefined too often")
     lo = (1.0 - spec.confidence) / 2.0
@@ -195,23 +176,19 @@ def oracle_bootstrap(v, spec: BootstrapSpec, statistic: str) -> BootstrapResult:
     return BootstrapResult(point=point, ci_lo=float(ci_lo), ci_hi=float(ci_hi), spec=spec)
 
 
-def assert_matches_oracle(r, spec, statistic):
+def assert_matches_oracle(r, spec):
     try:
-        want = oracle_bootstrap(r, spec, statistic)
+        want = oracle_bootstrap(r, spec)
     except ValueError as exc:
         with pytest.raises(ValueError, match=str(exc)):
-            circular_block_bootstrap(r, spec, statistic)
+            circular_block_bootstrap(r, spec, "sharpe")
         return
-    got = circular_block_bootstrap(r, spec, statistic)
+    got = circular_block_bootstrap(r, spec, "sharpe")
     assert got.point == want.point
-    if statistic == "cagr":
-        # same gathered values, reduced one chunk of rows at a time
-        assert (got.ci_lo, got.ci_hi) == (want.ci_lo, want.ci_hi)
-    else:
-        # block sums add in another order; a resample whose mean is exactly
-        # zero reads rounding dust of order 1e-16 in either method
-        assert_allclose([got.ci_lo, got.ci_hi], [want.ci_lo, want.ci_hi],
-                        rtol=1e-12, atol=1e-13)
+    # block sums add in another order; a resample whose mean is exactly
+    # zero reads rounding dust of order 1e-16 in either method
+    assert_allclose([got.ci_lo, got.ci_hi], [want.ci_lo, want.ci_hi],
+                    rtol=1e-12, atol=1e-13)
 
 
 @settings(max_examples=80, deadline=None)
@@ -220,9 +197,8 @@ def assert_matches_oracle(r, spec, statistic):
     data=st.data(),
     seed=st.integers(0, 2**32 - 1),
     ticks=st.booleans(),
-    statistic=st.sampled_from(["sharpe", "cagr"]),
 )
-def test_bootstrap_matches_gather_oracle(n, data, seed, ticks, statistic):
+def test_bootstrap_matches_gather_oracle(n, data, seed, ticks):
     # block >= n and n % block != 0 are both in range
     block = data.draw(st.integers(1, 2 * n), label="block")
     rng = np.random.default_rng(seed)
@@ -233,7 +209,7 @@ def test_bootstrap_matches_gather_oracle(n, data, seed, ticks, statistic):
         r = 0.0003 + 0.01 * rng.standard_normal(n)
     # more than two chunks of draws
     spec = BootstrapSpec(block=block, iterations=601, seed=seed % 1000)
-    assert_matches_oracle(r, spec, statistic)
+    assert_matches_oracle(r, spec)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -247,10 +223,10 @@ def test_bootstrap_redraws_match_gather_oracle(seed, base):
     r = np.full(10, base)
     r[3] = base + 0.01
     spec = BootstrapSpec(block=1, iterations=2000, seed=seed, confidence=0.5)
-    assert_matches_oracle(r, spec, "sharpe")
+    assert_matches_oracle(r, spec)
 
 
-@pytest.mark.parametrize("statistic", ["sharpe", "cagr"])
+@pytest.mark.parametrize("statistic", ["sharpe"])
 def test_bootstrap_chunked_draws_equal_one_shot(monkeypatch, statistic):
     rng = np.random.default_rng(18)
     r = 0.0004 + 0.01 * rng.standard_normal(250)
@@ -259,10 +235,10 @@ def test_bootstrap_chunked_draws_equal_one_shot(monkeypatch, statistic):
     monkeypatch.setattr(inference, "_CHUNK_ROWS", 3)
     chunked = circular_block_bootstrap(r, spec, statistic)
     assert (chunked.ci_lo, chunked.ci_hi) == (one_shot.ci_lo, one_shot.ci_hi)
-    assert_matches_oracle(r, spec, statistic)
+    assert_matches_oracle(r, spec)
 
 
-@pytest.mark.parametrize("statistic", ["sharpe", "cagr"])
+@pytest.mark.parametrize("statistic", ["sharpe"])
 def test_bootstrap_memory_bounded_in_iterations(statistic):
     rng = np.random.default_rng(19)
     r = 0.0003 + 0.01 * rng.standard_normal(252)
@@ -286,8 +262,9 @@ def test_bootstrap_spec_validation():
         BootstrapSpec(iterations=0)
     with pytest.raises(ValueError):
         BootstrapSpec(confidence=1.0)
-    with pytest.raises(ValueError, match="unknown statistic"):
-        circular_block_bootstrap(np.ones(10) * 0.01, BootstrapSpec(), "median")
+    for statistic in ("median", "cagr", np.mean):
+        with pytest.raises(ValueError, match="unknown statistic"):
+            circular_block_bootstrap(np.ones(10) * 0.01, BootstrapSpec(), statistic)
 
 
 # -------------------------------------------------------- sharpe equality

@@ -173,13 +173,22 @@ def test_label_at_and_fractions():
     assert f[Regime.LOW] == 0.25
 
 
-def test_regime_path_rejects_inconsistent_labels():
-    cal = make_weekday_calendar(MON, 3)
-    sig = np.array([12.0, 17.0, 25.0])
-    with pytest.raises(ValueError, match="inconsistent"):
-        RegimePath(cal, np.array([1, 0, 1], dtype=np.int8), sig, T13_22)
+def test_regime_path_labels_follow_signal_and_are_read_only():
+    cal = make_weekday_calendar(MON, 5)
+    sig = np.array([12.0, 13.0, 17.0, 22.0, 25.0])
+    path = RegimePath(cal, sig, T13_22)
+    assert list(path.labels) == [-1, 0, 0, 0, 1]
+    assert path.labels.dtype == np.int8
+    wider = RegimePath(cal, sig, RegimeThresholds(20.0, 24.0))
+    assert list(wider.labels) == [-1, -1, -1, 0, 1]
+    for arr in (path.labels, path.signal):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    assert sig.flags.writeable  # the path holds a copy
+    with pytest.raises(TypeError):
+        RegimePath(cal, sig, T13_22, np.zeros(5, dtype=np.int8))
     with pytest.raises(ValueError, match="length"):
-        RegimePath(cal, np.array([-1, 0], dtype=np.int8), sig[:2], T13_22)
+        RegimePath(cal, sig[:2], T13_22)
 
 
 # --------------------------------------------------------- weekly returns

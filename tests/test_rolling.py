@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from dynte import rolling
 from dynte.rolling import (
     WindowSpec,
     moving_average,
@@ -226,3 +227,27 @@ def test_output_calendars_are_suffixes():
     for w in (WindowSpec(5), WindowSpec(9, min_periods=4)):
         assert moving_average(s, w).calendar.is_suffix_of(s.calendar)
         assert rolling_vol(s, w).calendar.is_suffix_of(s.calendar)
+
+
+def test_chunked_full_windows_equal_one_shot(monkeypatch):
+    rng = np.random.default_rng(11)
+    n = 300
+    cal = make_weekday_calendar(dt.date(2012, 1, 2), n)
+    cols = 0.01 * rng.standard_normal((3, n))
+    cols[:, 100:140] = 0.0  # zero-variance windows in some chunks
+    series = [Series(cal, c, UNIT_RETURN) for c in cols]
+    panel = AssetPanel(cal, {f"S{i}": s for i, s in enumerate(series)})
+
+    def run(w):
+        return [moving_average(series[0], w), rolling_vol(series[0], w),
+                rolling_corr(series[0], series[1], w), rolling_avg_pairwise_corr(panel, w)]
+
+    for w in (WindowSpec(21), WindowSpec(21, min_periods=5)):
+        one_shot = run(w)
+        # one full window a chunk, then a few, with a short last chunk
+        for floats in (1, 7 * 3 * 21):
+            monkeypatch.setattr(rolling, "_CHUNK_FLOATS", floats)
+            for a, b in zip(run(w), one_shot):
+                assert a.calendar == b.calendar
+                assert a.values.tobytes() == b.values.tobytes()
+            monkeypatch.undo()
