@@ -23,9 +23,8 @@ def main():
     params = RegimeParams(alpha=(0.02, 0.10), sigma=(0.10, 0.25), p=0.3)
     gov = GovernanceParams(tau_bar=0.05)
 
-    report = proposition_suite(params, gov)
     print("proposition checks")
-    for c in report.checks:
+    for c in proposition_suite(params, gov):
         flag = " (boundary)" if c.boundary else ""
         print(f"  prop {c.prop}: {c.status}{flag}  {c.note}")
     print(f"  jensen advantage: {jensen_advantage(params):.6f}")

@@ -2,7 +2,9 @@
 
 Subcommands: synth, exhibit N (1..7), converge, omega, regret, sweep,
 props. Settings come from a versioned JSON config; flags override config
-fields. Outputs are CSV tables named {name}_{hash}.csv where the hash is
+fields. The library returns results; each command here lays out its own
+table's columns, and every table goes through one writer, _write_table.
+Outputs are CSV tables named {name}_{hash}.csv where the hash is
 derived from the command, the effective config less `out` and `svg`, and
 the bytes of the input files, never from the clock, so a re-run with the
 same config and inputs writes byte-identical CSVs under the same names.
@@ -29,14 +31,13 @@ from .events import (
     DEFAULT_OMEGA_HORIZONS,
     DEFAULT_REGRET_HORIZONS,
     DEFAULT_SWEEP_WINDOWS,
-    RegretEntry,
     find_trough,
     omega_table,
     regret_table,
     window_sweep,
 )
 from .inference import BootstrapSpec, circular_block_bootstrap
-from .metrics import METRICS_CSV_HEADER, drawdown_path, summarize
+from .metrics import drawdown_path, summarize
 from .model import GovernanceParams, RegimeParams, proposition_suite
 from .regime import RegimePath, RegimeThresholds, classify
 from .rolling import WindowSpec, rolling_avg_pairwise_corr, rolling_corr
@@ -151,6 +152,15 @@ def _checked(section: str, build, *args, **kwargs):
         return build(*args, **kwargs)
     except (TypeError, ValueError) as e:
         raise ConfigError(section, str(e)) from None
+
+
+def _blame(fieldname: str, build, *args):
+    """build(*args), with a runtime failure reported against the setting
+    that caused it; still a runtime error (exit 1), not a config error."""
+    try:
+        return build(*args)
+    except ValueError as e:
+        raise ValueError(f"{fieldname}: {e}") from None
 
 
 def _iso(fieldname: str, text) -> dt.date:
@@ -328,8 +338,8 @@ def _cfg_hash(cfg: RunConfig, token: str) -> str:
 
 def _cell(x) -> str:
     """How every CSV cell prints: None empty, booleans as true/false,
-    integers as integers, text as is, any other number as repr(float), which
-    reads back to the same float."""
+    integers as integers, text as is, dates as ISO, any other number as
+    repr(float), which reads back to the same float."""
     if x is None:
         return ""
     if isinstance(x, (bool, np.bool_)):
@@ -338,18 +348,28 @@ def _cell(x) -> str:
         return str(int(x))
     if isinstance(x, str):
         return x
+    if isinstance(x, dt.date):
+        return x.isoformat()
     return repr(float(x))
 
 
-def _write_csv(cfg: RunConfig, stem: str, token: str, header: Sequence[str],
-               rows: list[list]) -> Path:
+def _write_table(cfg: RunConfig, stem: str, token: str, header: Sequence[str],
+                 rows, chart: dict[str, str] | None = None, ylabel: str = "") -> list[Path]:
+    """The one way a table is written: `header`, then a line per row, every
+    cell printed by _cell. With `chart` (legend label -> column), an SVG of
+    those columns against the `date` column goes alongside."""
+    rows = list(rows)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / f"{stem}_{_cfg_hash(cfg, token)}.csv"
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(header)
         out.writerows([_cell(x) for x in row] for row in rows)
-    return path
+    if not (chart and cfg.svg):
+        return [path]
+    cols = dict(zip(header, zip(*rows)))
+    return [path, _svg(cfg, stem, token, cols["date"],
+                       {label: cols[c] for label, c in chart.items()}, ylabel)]
 
 
 _SVG_W, _SVG_H = 900, 450
@@ -357,16 +377,14 @@ _SVG_LEFT, _SVG_RIGHT, _SVG_TOP, _SVG_BOTTOM = 80, 20, 20, 40
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd")
 
 
-def _maybe_svg(cfg: RunConfig, stem: str, token: str, dates, named_series: dict,
-               ylabel: str) -> Path | None:
+def _svg(cfg: RunConfig, stem: str, token: str, dates, named_series: dict,
+         ylabel: str) -> Path:
     """Line chart of each named series against dates, written as plain SVG.
 
     Each series is a group of <polyline>s, broken wherever a value is not
     finite; the y axis spans the finite range of all series. Coordinates are
     printed at fixed precision, so a rerun writes identical bytes.
     """
-    if not cfg.svg:
-        return None
     from html import escape as esc  # here, so chartless runs skip its import
 
     x0, x1 = _SVG_LEFT, _SVG_W - _SVG_RIGHT
@@ -417,17 +435,6 @@ def _maybe_svg(cfg: RunConfig, stem: str, token: str, dates, named_series: dict,
     path = cfg.out_dir / f"{stem}_{_cfg_hash(cfg, token)}.svg"
     path.write_text("\n".join(parts))
     return path
-
-
-def _write_dated(cfg: RunConfig, stem: str, token: str, dates, columns: dict,
-                 chart: dict | None = None, ylabel: str = "") -> list[Path]:
-    """One `date, column...` CSV, a row per date. With `chart`, the SVG of
-    those series goes alongside."""
-    cols = [np.asarray(v).tolist() for v in columns.values()]
-    rows = [[d.isoformat(), *vals] for d, *vals in zip(dates, *cols)]
-    out = [_write_csv(cfg, stem, token, ["date", *columns], rows)]
-    svg = _maybe_svg(cfg, stem, token, dates, chart, ylabel) if chart else None
-    return out + [svg] if svg else out
 
 
 # ----------------------------------------------------------- data loading --
@@ -575,8 +582,8 @@ class Engine:
     smoothed_vix: Series
 
     def overlay(self, policy: OverlayPolicy) -> SimResult:
-        return simulate_overlay(self.bench, self.market.spread, self.path, policy,
-                                self.cfg.windows["vol"])
+        return _blame("windows.vol", simulate_overlay, self.bench, self.market.spread,
+                      self.path, policy, self.cfg.windows["vol"])
 
     @cached_property
     def static(self) -> SimResult:
@@ -606,63 +613,74 @@ def cmd_synth(cfg: RunConfig) -> list[Path]:
     """Write the synthetic panel as index levels plus the true state path."""
     panel, states = synth_regime_panel(cfg.synth_params)
     dates = panel.calendar.dates
-    columns = {sym: prices_from_returns(panel[sym]).values
-               for sym in ("BENCH_EQ", "BENCH_BD", "SPREAD")}
-    columns["VIX"] = panel["VIX"].values
-    return (_write_dated(cfg, "synth_panel", "synth", dates, columns)
-            + _write_dated(cfg, "synth_states", "synth", dates, {"state": states}))
+    legs = ("BENCH_EQ", "BENCH_BD", "SPREAD")
+    levels = [prices_from_returns(panel[sym]).values for sym in legs]
+    return (_write_table(cfg, "synth_panel", "synth", ["date", *legs, "VIX"],
+                         zip(dates, *levels, panel["VIX"].values))
+            + _write_table(cfg, "synth_states", "synth", ["date", "state"], zip(dates, states)))
 
 
 def _exhibit1(cfg: RunConfig) -> list[Path]:
     market = load_market(cfg, "exhibit 1", need=("sectors", "vix"))
-    avg = rolling_avg_pairwise_corr(market.sectors, cfg.windows["pairwise_corr"])
+    avg = _blame("windows.pairwise_corr", rolling_avg_pairwise_corr, market.sectors,
+                 cfg.windows["pairwise_corr"])
     vix = market.vix_full.restrict(avg.calendar)
-    return _write_dated(cfg, "exhibit1", "exhibit1", avg.calendar.dates,
-                        {"avg_pairwise_corr": avg.values, "vix": vix.values},
-                        {"avg pairwise corr": avg.values}, "correlation")
+    return _write_table(cfg, "exhibit1", "exhibit1", ["date", "avg_pairwise_corr", "vix"],
+                        zip(avg.calendar.dates, avg.values, vix.values),
+                        {"avg pairwise corr": "avg_pairwise_corr"}, "correlation")
 
 
 def _exhibit2(cfg: RunConfig) -> list[Path]:
     market = _market_or_synth(cfg, "exhibit 2")
-    w = cfg.windows["stock_bond_corr"]
-    corr = {"eq_bd": rolling_corr(market.eq, market.bd, w)}
-    if market.tlt is not None:
-        corr["eq_tlt"] = rolling_corr(market.eq, market.tlt, w)
-    return _write_dated(cfg, "exhibit2", "exhibit2", corr["eq_bd"].calendar.dates,
-                        {f"corr_{k}": c.values for k, c in corr.items()},
-                        {k: c.values for k, c in corr.items()}, "correlation")
+    legs = {"eq_bd": market.bd, "eq_tlt": market.tlt}
+    corr = {k: _blame("windows.stock_bond_corr", rolling_corr, market.eq, leg,
+                      cfg.windows["stock_bond_corr"])
+            for k, leg in legs.items() if leg is not None}
+    return _write_table(cfg, "exhibit2", "exhibit2", ["date", *(f"corr_{k}" for k in corr)],
+                        zip(corr["eq_bd"].calendar.dates, *(c.values for c in corr.values())),
+                        {k: f"corr_{k}" for k in corr}, "correlation")
 
 
 def _exhibit3(cfg: RunConfig) -> list[Path]:
     eng = build_engine(cfg, _market_or_synth(cfg, "exhibit 3"))
+    metrics = ("cagr", "vol", "sharpe", "max_drawdown", "cagr_over_maxdd",
+               "te_level", "te_sigma", "te_cyclicality")
     rows = []
     for name, sim in (("benchmark", eng.bench), ("static", eng.static),
                       ("dynamic", eng.dynamic)):
         rep = summarize(sim.portfolio, rf=eng.market.rf, te=sim.te,
                         smoothed_vix=eng.smoothed_vix)
-        row = rep.csv_row()
+        cells = {m: getattr(rep, m) for m in metrics}
         # display convention: drawdowns are losses, shown negative
-        row[3] = -rep.max_drawdown
-        rows.append([name, *row])
-    return [_write_csv(cfg, "exhibit3", "exhibit3", ["portfolio", *METRICS_CSV_HEADER], rows)]
+        cells["max_drawdown"] = -rep.max_drawdown
+        rows.append([name, *cells.values()])
+    return _write_table(cfg, "exhibit3", "exhibit3", ["portfolio", *metrics], rows)
 
 
 def _exhibit4(cfg: RunConfig) -> list[Path]:
     eng = build_engine(cfg, _market_or_synth(cfg, "exhibit 4"))
     te_s, te_d = eng.static.te, eng.dynamic.te
-    assert te_s is not None and te_d is not None
+    if te_s is None or te_d is None:
+        raise ValueError(f"windows.vol: a realized tracking error needs twice the "
+                         f"{cfg.windows['vol'].length}-day window, and the sample "
+                         f"has {len(eng.bench.calendar)} days")
     sm = eng.smoothed_vix.restrict(te_s.calendar)
-    return _write_dated(cfg, "exhibit4", "exhibit4", te_s.calendar.dates,
-                        {"te_static": te_s.values, "te_dynamic": te_d.values,
-                         "smoothed_vix": sm.values},
-                        {"static": te_s.values, "dynamic": te_d.values},
+    return _write_table(cfg, "exhibit4", "exhibit4",
+                        ["date", "te_static", "te_dynamic", "smoothed_vix"],
+                        zip(te_s.calendar.dates, te_s.values, te_d.values, sm.values),
+                        {"static": "te_static", "dynamic": "te_dynamic"},
                         "realized tracking error")
 
 
 def cmd_omega(cfg: RunConfig) -> list[Path]:
     market = _market_or_synth(cfg, "omega", need=("eq", "vix"))
-    rep = omega_table(market.vix_full, market.eq_prices, cfg.omega_horizons)
-    return [_write_csv(cfg, "exhibit5", "omega", rep.CSV_HEADER, rep.csv_rows())]
+    rep = _blame("omega_horizons", omega_table, market.vix_full, market.eq_prices,
+                 cfg.omega_horizons)
+    header = ["horizon_days", *(f"q{k}" for k in range(1, 6)), "spread_q5_q1", "nw_t",
+              *(f"n_q{k}" for k in range(1, 6)), *(f"boundary_{p}" for p in (20, 40, 60, 80))]
+    rows = [[h, *rep.means[i], rep.spreads[i], rep.t_stats[i], *rep.counts[i], *rep.boundaries]
+            for i, h in enumerate(rep.horizons)]
+    return _write_table(cfg, "exhibit5", "omega", header, rows)
 
 
 def cmd_regret(cfg: RunConfig, market: Market | None = None,
@@ -690,17 +708,21 @@ def cmd_regret(cfg: RunConfig, market: Market | None = None,
     if short:
         print(f"regret: left empty, horizons past the end of the sample: "
               f"{', '.join(short)}", file=sys.stderr)
-    rows = [row for e in entries for row in e.csv_rows()]
-    return [_write_csv(cfg, "exhibit6b", "regret", RegretEntry.CSV_HEADER, rows)]
+    header = ["crisis", "trough_date", "max_drawdown", "vix_at_trough",
+              "horizon_days", "stay_70_30", "derisk_30_70", "regret"]
+    rows = [[e.name, e.trough.date, e.trough.drawdown, e.trough.vix, h, s, d, r]
+            for e in entries for h, s, d, r in zip(e.horizons, e.stay, e.derisk, e.regret)]
+    return _write_table(cfg, "exhibit6b", "regret", header, rows)
 
 
 def _exhibit6(cfg: RunConfig) -> list[Path]:
     market = _market_or_synth(cfg, "exhibit 6")
     bench = benchmark_7030(market.eq, market.bd)
     dd = drawdown_path(bench.portfolio)
-    return _write_dated(cfg, "exhibit6a", "exhibit6", bench.calendar.dates,
-                        {"drawdown": dd, "vix": market.vix.values},
-                        {"drawdown": dd}, "drawdown from peak") + cmd_regret(cfg, market, bench)
+    return _write_table(cfg, "exhibit6a", "exhibit6", ["date", "drawdown", "vix"],
+                        zip(bench.calendar.dates, dd, market.vix.values),
+                        {"drawdown": "drawdown"}, "drawdown from peak"
+                        ) + cmd_regret(cfg, market, bench)
 
 
 def cmd_converge(cfg: RunConfig) -> list[Path]:
@@ -719,7 +741,7 @@ def cmd_converge(cfg: RunConfig) -> list[Path]:
             rep.cagr, rep.vol, rep.sharpe, rep.max_drawdown, rep.te_level,
             rep.te_sigma, boot.ci_lo, boot.ci_hi, boot.width,
         ])
-    return [_write_csv(cfg, "exhibit7", "converge", header, rows)]
+    return _write_table(cfg, "exhibit7", "converge", header, rows)
 
 
 def cmd_sweep(cfg: RunConfig) -> list[Path]:
@@ -733,13 +755,22 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
         vol_window=cfg.windows["vol"],
         rf=market.rf,
     )
-    return [_write_csv(cfg, "sweep", "sweep", rep.CSV_HEADER, rep.csv_rows())]
+    header = ["window", "threshold_low", "threshold_high", "cagr", "sharpe",
+              "cagr_over_maxdd", "excess_cagr", "static_cagr", "static_sharpe",
+              "static_cagr_over_maxdd", "passes_sharpe", "passes_calmar", "passes_both"]
+    rows = [[r.window, r.thresholds.low, r.thresholds.high, r.cagr, r.sharpe,
+             r.cagr_over_maxdd, r.excess_cagr, rep.static_cagr, rep.static_sharpe,
+             rep.static_cagr_over_maxdd, r.passes_sharpe, r.passes_calmar, r.passes_both]
+            for r in rep.rows]
+    return _write_table(cfg, "sweep", "sweep", header, rows)
 
 
 def cmd_props(cfg: RunConfig) -> list[Path]:
-    rp, gov = cfg.model_params
-    rep = proposition_suite(rp, gov)
-    return [_write_csv(cfg, "props", "props", rep.CSV_HEADER, rep.csv_rows())]
+    rows = [[c.prop, c.status, c.boundary,
+             ";".join(f"{k}={v!r}" for k, v in c.values.items()), c.note]
+            for c in proposition_suite(*cfg.model_params)]
+    return _write_table(cfg, "props", "props",
+                        ["prop", "status", "boundary", "values", "note"], rows)
 
 
 # ------------------------------------------------------------------ main --
@@ -806,12 +837,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        horizons = _parse_ints(args.horizons, "--horizons") if args.horizons else None
+        horizons = (None if args.horizons is None
+                    else _parse_ints(args.horizons, "--horizons"))
         cfg = load_config(args.config, {
             "out": args.out,
             "seed": args.seed,
-            "caps": _parse_caps(args.caps) if args.caps else None,
-            "sweep_windows": _parse_ints(args.windows, "--windows") if args.windows else None,
+            "caps": None if args.caps is None else _parse_caps(args.caps),
+            "sweep_windows": (None if args.windows is None
+                              else _parse_ints(args.windows, "--windows")),
             "omega_horizons": horizons,
             "regret_horizons": horizons,
         })

@@ -3,6 +3,8 @@ crisis-trough regret accounting, and the signal-window sweep.
 
 Forward returns are overlapping, so every t-statistic here uses a
 Newey-West long-run variance with bandwidth equal to the forward horizon.
+The sweep scores each run with metrics.summarize. Every study returns its
+results as values; the command line lays out and writes the tables.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .inference import newey_west_mean_test
-from .metrics import cagr, drawdown_path, max_drawdown, sharpe
+from .metrics import MetricsReport, drawdown_path, summarize
 from .regime import RegimePath, RegimeThresholds, percentile_thresholds
 from .rolling import WindowSpec, moving_average
 from .simulate import (
@@ -38,36 +40,15 @@ DEFAULT_REGRET_HORIZONS = (63, 126, 252)
 DEFAULT_SWEEP_WINDOWS = (1, 5, 21, 63)
 
 
-@dataclass(frozen=True)
-class QuintileAssignment:
+def vix_quintiles(vix: Series) -> tuple[np.ndarray, np.ndarray]:
     """Breakpoints at the 20/40/60/80 linear-interpolation percentiles and a
     1..5 label per date. A value tied with a breakpoint takes the lower
     bucket, so a constant series lands entirely in bucket 1."""
-
-    calendar: TradingCalendar
-    boundaries: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.boundaries, dtype=np.float64)
-        l = np.asarray(self.labels, dtype=np.int64)
-        if b.shape != (4,):
-            raise ValueError("need exactly four quintile boundaries")
-        if len(l) != len(self.calendar):
-            raise ValueError("labels length must match the calendar")
-        b.setflags(write=False)
-        l.setflags(write=False)
-        object.__setattr__(self, "boundaries", b)
-        object.__setattr__(self, "labels", l)
-
-
-def vix_quintiles(vix: Series) -> QuintileAssignment:
     v = vix.values
     if len(v) < 5:
         raise ValueError("need at least five observations")
     bounds = np.quantile(v, [0.2, 0.4, 0.6, 0.8])
-    labels = np.searchsorted(bounds, v, side="left") + 1
-    return QuintileAssignment(vix.calendar, bounds, labels)
+    return bounds, np.searchsorted(bounds, v, side="left") + 1
 
 
 def forward_return(prices: Series, horizon: int, annualize: bool = True) -> Series:
@@ -96,21 +77,6 @@ class QuintileReport:
     t_stats: np.ndarray      # Newey-West t per horizon (bandwidth = horizon)
     counts: np.ndarray       # horizons x 5 observation counts
 
-    CSV_HEADER = (
-        ["horizon_days"]
-        + [f"q{k}" for k in range(1, 6)]
-        + ["spread_q5_q1", "nw_t"]
-        + [f"n_q{k}" for k in range(1, 6)]
-        + [f"boundary_{p}" for p in (20, 40, 60, 80)]
-    )
-
-    def csv_rows(self) -> list[list]:
-        return [
-            [h, *self.means[i], self.spreads[i], self.t_stats[i],
-             *self.counts[i], *self.boundaries]
-            for i, h in enumerate(self.horizons)
-        ]
-
 
 def omega_table(
     vix: Series, prices: Series, horizons: Sequence[int] = DEFAULT_OMEGA_HORIZONS
@@ -126,16 +92,19 @@ def omega_table(
         raise ValueError("gauge and price series are not on the same calendar")
     if len(horizons) == 0:
         raise ValueError("need at least one horizon")
-    q = vix_quintiles(vix)
+    bounds, labels = vix_quintiles(vix)
     nh = len(horizons)
     means = np.empty((nh, 5))
     counts = np.empty((nh, 5), dtype=np.int64)
     spreads = np.empty(nh)
     tstats = np.empty(nh)
     for i, h in enumerate(horizons):
+        if 2 * h >= len(prices):
+            # the t-test's bandwidth h must stay below the len(prices) - h returns
+            raise ValueError(f"horizon {h} needs more than {2 * h} prices, got {len(prices)}")
         fwd = forward_return(prices, h)
         N = len(fwd)
-        lab = q.labels[:N]
+        lab = labels[:N]
         for k in range(1, 6):
             mask = lab == k
             counts[i, k - 1] = int(mask.sum())
@@ -148,7 +117,7 @@ def omega_table(
         w[lab == 1] = -N / counts[i, 0]
         tstats[i] = newey_west_mean_test(fwd.values * w, bandwidth=h).t
     return QuintileReport(
-        boundaries=q.boundaries,
+        boundaries=bounds,
         horizons=tuple(int(h) for h in horizons),
         means=means,
         spreads=spreads,
@@ -203,14 +172,6 @@ class RegretEntry:
     @property
     def regret(self) -> tuple[float | None, ...]:
         return tuple(None if s is None else s - d for s, d in zip(self.stay, self.derisk))
-
-    CSV_HEADER = ["crisis", "trough_date", "max_drawdown", "vix_at_trough",
-                  "horizon_days", "stay_70_30", "derisk_30_70", "regret"]
-
-    def csv_rows(self) -> list[list]:
-        t = self.trough
-        return [[self.name, t.date.isoformat(), t.drawdown, t.vix, h, s, d, r]
-                for h, s, d, r in zip(self.horizons, self.stay, self.derisk, self.regret)]
 
 
 def _cum_mix(eq: Series, bd: Series, i0: int, h: int, w_eq: float) -> float:
@@ -278,20 +239,6 @@ class SweepReport:
     static_cagr_over_maxdd: float
     rows: tuple[SweepRow, ...]
 
-    CSV_HEADER = ["window", "threshold_low", "threshold_high", "cagr", "sharpe",
-                  "cagr_over_maxdd", "excess_cagr", "static_cagr", "static_sharpe",
-                  "static_cagr_over_maxdd", "passes_sharpe", "passes_calmar",
-                  "passes_both"]
-
-    def csv_rows(self) -> list[list]:
-        return [
-            [r.window, r.thresholds.low, r.thresholds.high, r.cagr, r.sharpe,
-             r.cagr_over_maxdd, r.excess_cagr, self.static_cagr, self.static_sharpe,
-             self.static_cagr_over_maxdd, r.passes_sharpe, r.passes_calmar,
-             r.passes_both]
-            for r in self.rows
-        ]
-
 
 def window_sweep(
     vix: Series,
@@ -313,36 +260,32 @@ def window_sweep(
     dynamic = dynamic or OverlayPolicy.dynamic()
     static = static or OverlayPolicy.static()
     bench = benchmark_7030(eq, bd)
-    s_res = simulate_overlay(bench, spread, None, static, vol_window)
-    s_cagr = cagr(s_res.portfolio)
-    s_sharpe = sharpe(s_res.portfolio, rf)
-    s_dd = max_drawdown(s_res.portfolio)
-    s_calmar = s_cagr / s_dd if s_dd > 0 else math.inf
 
+    def run(policy: OverlayPolicy, path: RegimePath | None) -> tuple[MetricsReport, float]:
+        rep = summarize(simulate_overlay(bench, spread, path, policy, vol_window).portfolio, rf)
+        # a run that never draws down has an infinite CAGR/drawdown ratio
+        return rep, math.inf if rep.cagr_over_maxdd is None else rep.cagr_over_maxdd
+
+    st, st_calmar = run(static, None)
     rows = []
     for w in windows:
         sm = moving_average(vix, WindowSpec(int(w)))
         th = percentile_thresholds(sm, percentiles[0], percentiles[1])
-        path = RegimePath(sm.calendar, sm.values, th)
-        res = simulate_overlay(bench, spread, path, dynamic, vol_window)
-        c = cagr(res.portfolio)
-        sh = sharpe(res.portfolio, rf)
-        dd = max_drawdown(res.portfolio)
-        calmar = c / dd if dd > 0 else math.inf
+        rep, calmar = run(dynamic, RegimePath(sm.calendar, sm.values, th))
         rows.append(SweepRow(
             window=int(w),
             thresholds=th,
-            cagr=c,
-            sharpe=sh,
-            max_drawdown=dd,
+            cagr=rep.cagr,
+            sharpe=rep.sharpe,
+            max_drawdown=rep.max_drawdown,
             cagr_over_maxdd=calmar,
-            excess_cagr=c - s_cagr,
-            passes_sharpe=sh >= s_sharpe,
-            passes_calmar=calmar >= s_calmar,
+            excess_cagr=rep.cagr - st.cagr,
+            passes_sharpe=rep.sharpe >= st.sharpe,
+            passes_calmar=calmar >= st_calmar,
         ))
     return SweepReport(
-        static_cagr=s_cagr,
-        static_sharpe=s_sharpe,
-        static_cagr_over_maxdd=s_calmar,
+        static_cagr=st.cagr,
+        static_sharpe=st.sharpe,
+        static_cagr_over_maxdd=st_calmar,
         rows=tuple(rows),
     )

@@ -7,8 +7,8 @@ fixed-length blocks with wraparound, percentile intervals, for the Sharpe
 ratio. A resample is reduced from its blocks' sums of x and x**2, read off
 prefix sums of the demeaned series, so it costs O(n/block) rather than O(n);
 only a resample with near-zero variance gathers its values. Draws are
-processed in fixed-size chunks, so memory does not grow with the number of
-iterations.
+processed in chunks sized by a value budget, so memory does not grow with
+the number of iterations.
 Sharpe equality uses the Jobson-Korkie statistic with Memmel's variance
 correction.
 """
@@ -108,9 +108,13 @@ def _stat_sharpe(rows: np.ndarray) -> np.ndarray:
 
 
 _MAX_REDRAW_ROUNDS = 100
-# Resamples are drawn and reduced this many at a time, so memory is bounded by
-# the chunk and the series length whatever spec.iterations is.
+# Resamples are drawn and reduced in chunks of at most _CHUNK_ROWS resamples
+# and _CHUNK_VALUES block starts, so memory is bounded by the chunk whatever
+# spec.iterations is. Each per-chunk array (int64 starts, float64 block sums)
+# then stays under 120 KB, below glibc's default 128 KB mmap threshold, so it
+# is reused from the heap rather than mapped and page-faulted anew each chunk.
 _CHUNK_ROWS = 256
+_CHUNK_VALUES = 15_000
 # A block-sum Sharpe resample whose sum of squared deviations is at or below
 # this fraction of sum(v**2) is recomputed from its gathered values. Above it
 # the prefix-sum rounding error is negligible; at or below it the gathered
@@ -171,8 +175,8 @@ def circular_block_bootstrap(
     in spec.seed and independent of any parallelism in the caller.
 
     Each resample is computed from per-block sums of x and x**2, so it costs
-    O(ceil(n/block)), and the draws are worked through in fixed-size chunks,
-    so memory does not grow with spec.iterations beyond the array of
+    O(ceil(n/block)), and the draws are worked through in chunks of bounded
+    size, so memory does not grow with spec.iterations beyond the array of
     statistics.
     """
     if statistic != "sharpe":
@@ -189,11 +193,12 @@ def circular_block_bootstrap(
     nblocks = -(-n // b)  # ceil
     resample = _block_sum_sharpe(v, b)
     rng = np.random.default_rng(spec.seed)
+    rows = max(1, min(_CHUNK_ROWS, _CHUNK_VALUES // nblocks))
 
     def draw(k: int) -> np.ndarray:
         out = np.empty(k)
-        for i in range(0, k, _CHUNK_ROWS):
-            m = min(_CHUNK_ROWS, k - i)
+        for i in range(0, k, rows):
+            m = min(rows, k - i)
             out[i:i + m] = resample(rng.integers(0, n, size=(m, nblocks)))
         return out
 

@@ -6,7 +6,8 @@ scaled by sqrt(252); Sharpe divides the annualized mean excess return by
 the annualized volatility of excess returns. A scalar risk-free rate is an
 annual figure and is applied as rf/252 per day. Max drawdown is reported
 as a magnitude in [0, 1], measured against a running peak that includes
-the starting wealth of 1.
+the starting wealth of 1. `summarize` is the one performance summary of a
+run; it returns a MetricsReport, and callers lay out their own tables.
 """
 
 from __future__ import annotations
@@ -125,18 +126,6 @@ def te_policy_stats(te: Series, smoothed_vix: Series) -> TePolicyStats:
     return TePolicyStats(level=level, sigma_te=sigma, cyclicality=cyc)
 
 
-METRICS_CSV_HEADER = (
-    "cagr",
-    "vol",
-    "sharpe",
-    "max_drawdown",
-    "cagr_over_maxdd",
-    "te_level",
-    "te_sigma",
-    "te_cyclicality",
-)
-
-
 @dataclass(frozen=True)
 class MetricsReport:
     cagr: float
@@ -147,9 +136,6 @@ class MetricsReport:
     te_level: float | None = None
     te_sigma: float | None = None
     te_cyclicality: float | None = None
-
-    def csv_row(self) -> list[float | None]:
-        return [getattr(self, name) for name in METRICS_CSV_HEADER]
 
 
 def summarize(returns, rf=0.0, te: Series | None = None,

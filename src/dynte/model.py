@@ -8,6 +8,8 @@ half its square. A governance ceiling tau_bar clips tracking error at
 min(alpha/sigma, tau_bar). With two states mixed with probability p of the
 stressed state, letting the budget float adds the Jensen gap
 0.5*p*(1-p)*(IR_H - IR_L)^2 over holding the average budget.
+`proposition_suite` checks the five headline claims and returns one
+PropositionCheck per claim.
 """
 
 from __future__ import annotations
@@ -127,26 +129,10 @@ class PropositionCheck:
     note: str
 
 
-@dataclass(frozen=True)
-class PropositionReport:
-    params: RegimeParams
-    governance: GovernanceParams
-    checks: tuple[PropositionCheck, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.status == "pass" for c in self.checks)
-
-    CSV_HEADER = ["prop", "status", "boundary", "values", "note"]
-
-    def csv_rows(self) -> list[list]:
-        return [[c.prop, c.status, c.boundary,
-                 ";".join(f"{k}={v!r}" for k, v in c.values.items()), c.note]
-                for c in self.checks]
-
-
-def proposition_suite(params: RegimeParams, governance: GovernanceParams) -> PropositionReport:
-    """Check the model's five headline claims at the given parameters.
+def proposition_suite(params: RegimeParams,
+                      governance: GovernanceParams) -> tuple[PropositionCheck, ...]:
+    """Check the model's five headline claims at the given parameters; one
+    check per claim, in order.
 
     1. The unconstrained tracking error is larger in the stressed state.
     2. A floating budget disperses constrained TE across states; a cap that
@@ -241,4 +227,4 @@ def proposition_suite(params: RegimeParams, governance: GovernanceParams) -> Pro
             "needs IR_high > IR_low",
         ))
 
-    return PropositionReport(params=params, governance=governance, checks=tuple(checks))
+    return tuple(checks)

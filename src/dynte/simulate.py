@@ -28,7 +28,8 @@ class OverlayPolicy:
     """Tracking-error targets per regime label, in annualized fraction terms.
 
     A policy with three equal targets is static: it never consults the
-    regime label. te_ceiling, when set, clips every target before sizing.
+    regime label. te_ceiling, set by with_ceiling, clips every target before
+    sizing.
     """
 
     target_low: float
@@ -47,15 +48,13 @@ class OverlayPolicy:
             raise ValueError("te_ceiling must be positive when set")
 
     @classmethod
-    def static(cls, target: float = 0.02, theta_cap: float = 0.25,
-               te_ceiling: float | None = None) -> "OverlayPolicy":
-        return cls(target, target, target, theta_cap, te_ceiling)
+    def static(cls, target: float = 0.02, theta_cap: float = 0.25) -> "OverlayPolicy":
+        return cls(target, target, target, theta_cap)
 
     @classmethod
     def dynamic(cls, low: float = 0.005, neutral: float = 0.02,
-                high: float = 0.05, theta_cap: float = 0.25,
-                te_ceiling: float | None = None) -> "OverlayPolicy":
-        return cls(low, neutral, high, theta_cap, te_ceiling)
+                high: float = 0.05, theta_cap: float = 0.25) -> "OverlayPolicy":
+        return cls(low, neutral, high, theta_cap)
 
     @property
     def is_static(self) -> bool:
@@ -83,7 +82,6 @@ class SimResult:
     benchmark: np.ndarray
     theta: np.ndarray
     te: Series | None
-    policy: OverlayPolicy | None
     first_active: int
 
     def __post_init__(self):
@@ -124,7 +122,6 @@ def fixed_mix(eq: Series, bd: Series, w_eq: float = 0.70) -> SimResult:
         benchmark=out,
         theta=np.zeros(n),
         te=None,
-        policy=None,
         first_active=0,
     )
 
@@ -197,6 +194,5 @@ def simulate_overlay(
         benchmark=benchmark.portfolio,
         theta=theta,
         te=te,
-        policy=policy,
         first_active=L,
     )

@@ -325,10 +325,10 @@ def _parse_row(path, lineno: int, line: str, symbols: Sequence[str],
 def ingest_csv(
     path,
     columns: Sequence[str] | None = None,
-    date_column: str = "date",
     unit: str = UNIT_PRICE,
 ) -> IngestResult:
-    """Load a wide CSV (first column ISO dates, remaining columns symbols).
+    """Load a wide CSV (first column `date`, ISO dates; remaining columns
+    symbols).
 
     Rows may come in any order. Rows where any requested symbol is missing
     are dropped and reported. Raises on malformed dates, non-numeric cells,
@@ -350,10 +350,8 @@ def ingest_csv(
     header = [h.strip() for h in next(csv.reader([head]))]
     if len(header) < 2:
         raise ValueError(f"{path}: need a date column plus at least one symbol")
-    if header[0] != date_column:
-        raise ValueError(
-            f"{path}: first column is {header[0]!r}, expected {date_column!r}"
-        )
+    if header[0] != "date":
+        raise ValueError(f"{path}: first column is {header[0]!r}, expected 'date'")
     symbols = header[1:]
     if columns is not None:
         missing = [c for c in columns if c not in symbols]

@@ -11,8 +11,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from dynte.cli import CONFIG_VERSION, ConfigError, _cell, _maybe_svg, load_config, main
-from dynte.events import QuintileReport
+from dynte.cli import CONFIG_VERSION, ConfigError, _cell, _svg, load_config, main
 from dynte.timeseries import SynthParams, synth_regime_panel
 
 
@@ -144,15 +143,17 @@ def test_exhibit_number_out_of_range(tmp_path, capsys):
 
 
 def test_bad_caps_flag(tmp_path, capsys):
-    code, _ = run(tmp_path, "converge", "--caps", "0.01,wat")
-    assert code == 2
-    assert "--caps" in capsys.readouterr().err
+    for caps in ("0.01,wat", ""):  # an empty list is an error, not the default
+        code, _ = run(tmp_path, "converge", "--caps", caps)
+        assert code == 2, caps
+        assert "--caps" in capsys.readouterr().err
 
 
 def test_bad_windows_flag(tmp_path, capsys):
-    code, _ = run(tmp_path, "sweep", "--windows", "5,x")
-    assert code == 2
-    assert "--windows" in capsys.readouterr().err
+    for flag, value in (("--windows", "5,x"), ("--windows", ""), ("--horizons", "")):
+        code, _ = run(tmp_path, "sweep", flag, value)
+        assert code == 2, (flag, value)
+        assert flag in capsys.readouterr().err
 
 
 def test_config_error_field_attribute():
@@ -220,6 +221,73 @@ def test_every_subcommand_runs_on_an_empty_config(tmp_path, capsys, form):
     if form in (("regret",), ("exhibit", "6")):
         assert "skipped crisis windows with no trading days: covid, tightening_2022" in err
         assert sum(1 for _ in tmp_path.glob("o/exhibit6b_*.csv")) == 1
+
+
+METRICS = ["cagr", "vol", "sharpe", "max_drawdown", "cagr_over_maxdd", "te_level",
+           "te_sigma", "te_cyclicality"]
+OMEGA = (["horizon_days", "q1", "q2", "q3", "q4", "q5", "spread_q5_q1", "nw_t"]
+         + ["n_q1", "n_q2", "n_q3", "n_q4", "n_q5"]
+         + ["boundary_20", "boundary_40", "boundary_60", "boundary_80"])
+REGRET = ["crisis", "trough_date", "max_drawdown", "vix_at_trough", "horizon_days",
+          "stay_70_30", "derisk_30_70", "regret"]
+CONVERGE = ["cap", "cagr", "vol", "sharpe", "max_drawdown", "te_level", "te_sigma",
+            "sharpe_ci_lo", "sharpe_ci_hi", "ci_width"]
+# every table each subcommand writes on an empty config, by file stem
+HEADERS = {
+    ("synth",): {"synth_panel": ["date", "BENCH_EQ", "BENCH_BD", "SPREAD", "VIX"],
+                 "synth_states": ["date", "state"]},
+    ("exhibit", "1"): {},
+    ("exhibit", "2"): {"exhibit2": ["date", "corr_eq_bd"]},
+    ("exhibit", "3"): {"exhibit3": ["portfolio", *METRICS]},
+    ("exhibit", "4"): {"exhibit4": ["date", "te_static", "te_dynamic", "smoothed_vix"]},
+    ("exhibit", "5"): {"exhibit5": OMEGA},
+    ("exhibit", "6"): {"exhibit6a": ["date", "drawdown", "vix"], "exhibit6b": REGRET},
+    ("exhibit", "7"): {"exhibit7": CONVERGE},
+    ("converge",): {"exhibit7": CONVERGE},
+    ("omega",): {"exhibit5": OMEGA},
+    ("regret",): {"exhibit6b": REGRET},
+    ("sweep",): {"sweep": ["window", "threshold_low", "threshold_high", "cagr", "sharpe",
+                           "cagr_over_maxdd", "excess_cagr", "static_cagr", "static_sharpe",
+                           "static_cagr_over_maxdd", "passes_sharpe", "passes_calmar",
+                           "passes_both"]},
+    ("props",): {"props": ["prop", "status", "boundary", "values", "note"]},
+}
+
+
+@pytest.mark.parametrize("form", FORMS, ids=" ".join)
+def test_every_table_header_on_an_empty_config(tmp_path, capsys, form):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    main([*form, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    csvs = sorted(tmp_path.glob("o/*.csv"))
+    assert {p.name.rsplit("_", 1)[0]: read_rows(p)[0] for p in csvs} == HEADERS[form]
+
+
+def test_exhibit1_on_sector_files(tmp_path):
+    _, files = run(tmp_path, "synth", config_extra={"synth": {"horizon": 300}})
+    panel = str(next(f for f in files if f.name.startswith("synth_panel")))
+    data = {"sectors": {"path": panel, "columns": ["BENCH_EQ", "BENCH_BD", "SPREAD"]},
+            "vix": {"path": panel, "column": "VIX"}}
+    code, files = run(tmp_path, "exhibit", "1", config_extra={"data": data, "svg": True})
+    assert code == 0
+    (table,) = [f for f in files if f.name.startswith("exhibit1_")
+                and f.suffix == ".csv"]
+    rows = read_rows(table)
+    assert rows[0] == ["date", "avg_pairwise_corr", "vix"]
+    assert len(rows) == 1 + 300 - 63  # a row per full 63-day window of 299 returns
+    (chart,) = [f for f in files if f.name.startswith("exhibit1_") and f.suffix == ".svg"]
+    assert set(svg_series(ET.fromstring(chart.read_bytes()))) == {"avg pairwise corr"}
+
+
+def test_short_samples_name_the_setting(tmp_path, capsys):
+    # 100 days: shorter than the 126-day stock-bond window, than twice the
+    # 63-day vol window, and than twice the 63-day omega horizon
+    for form, field in ((["exhibit", "2"], "windows.stock_bond_corr"),
+                        (["exhibit", "4"], "windows.vol"),
+                        (["omega"], "omega_horizons")):
+        code, _ = run(tmp_path, *form, config_extra={"synth": {"horizon": 100}})
+        assert code == 1, form
+        assert capsys.readouterr().err.startswith(f"error: {field}: "), form
 
 
 @pytest.mark.parametrize("cfg,field", [
@@ -344,7 +412,7 @@ def test_omega_synthetic(tmp_path):
     assert code == 0
     rows = read_rows(files[0])
     assert files[0].name.startswith("exhibit5_")
-    assert rows[0] == list(QuintileReport.CSV_HEADER)
+    assert rows[0][0] == "horizon_days"
     assert [r[0] for r in rows[1:]] == ["21", "63"]
 
 
@@ -494,7 +562,7 @@ def test_svg_writer_gaps_constant_and_escaping(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for stem, named in charts.items():
-            path = _maybe_svg(cfg, stem, stem, dates, named, 'y "&" <z>')
+            path = _svg(cfg, stem, stem, dates, named, 'y "&" <z>')
             texts[stem] = path.read_text()
     roots = {stem: ET.fromstring(t) for stem, t in texts.items()}
     for stem, text in texts.items():

@@ -8,8 +8,6 @@ from dynte.events import (
     DEFAULT_OMEGA_HORIZONS,
     DEFAULT_REGRET_HORIZONS,
     DEFAULT_SWEEP_WINDOWS,
-    QuintileReport,
-    RegretEntry,
     Trough,
     find_trough,
     forward_return,
@@ -55,30 +53,30 @@ def rser(values, start=MON):
 
 
 def test_quintiles_one_to_hundred():
-    q = vix_quintiles(lser(np.arange(1.0, 101.0)))
-    assert_allclose(q.boundaries, [20.8, 40.6, 60.4, 80.2], rtol=1e-13)
+    bounds, labels = vix_quintiles(lser(np.arange(1.0, 101.0)))
+    assert_allclose(bounds, [20.8, 40.6, 60.4, 80.2], rtol=1e-13)
     for k in range(1, 6):
-        assert int(np.sum(q.labels == k)) == 20
+        assert int(np.sum(labels == k)) == 20
 
 
 def test_quintiles_constant_all_bottom():
-    q = vix_quintiles(lser(np.full(50, 17.0)))
-    assert np.all(q.labels == 1)
-    assert np.all(q.boundaries == 17.0)
+    bounds, labels = vix_quintiles(lser(np.full(50, 17.0)))
+    assert np.all(labels == 1)
+    assert np.all(bounds == 17.0)
 
 
 def test_quintiles_tie_takes_lower_bucket():
-    q = vix_quintiles(lser([10.0, 10.0, 10.0, 10.0, 20.0]))
-    assert list(q.labels) == [1, 1, 1, 1, 5]
+    _, labels = vix_quintiles(lser([10.0, 10.0, 10.0, 10.0, 20.0]))
+    assert list(labels) == [1, 1, 1, 1, 5]
 
 
 def test_quintiles_partition_and_monotone_bounds():
     rng = np.random.default_rng(0)
     v = 10.0 + 20.0 * rng.random(503)
-    q = vix_quintiles(lser(v))
-    assert int(np.sum([np.sum(q.labels == k) for k in range(1, 6)])) == 503
-    assert np.all(np.diff(q.boundaries) >= 0.0)
-    counts = [int(np.sum(q.labels == k)) for k in range(1, 6)]
+    bounds, labels = vix_quintiles(lser(v))
+    assert int(np.sum([np.sum(labels == k) for k in range(1, 6)])) == 503
+    assert np.all(np.diff(bounds) >= 0.0)
+    counts = [int(np.sum(labels == k)) for k in range(1, 6)]
     assert max(counts) - min(counts) <= 503 % 5 + 1
 
 
@@ -156,11 +154,11 @@ def test_omega_constant_gauge_degenerate():
 def test_omega_tstat_matches_documented_construction():
     vix, prices = synth_vix_and_prices(seed=2)
     rep = omega_table(vix, prices, horizons=(21, 63))
-    q = vix_quintiles(vix)
+    _, labels = vix_quintiles(vix)
     for i, h in enumerate((21, 63)):
         fwd = forward_return(prices, h)
         N = len(fwd)
-        lab = q.labels[:N]
+        lab = labels[:N]
         n5 = int(np.sum(lab == 5))
         n1 = int(np.sum(lab == 1))
         z = np.zeros(N)
@@ -178,8 +176,8 @@ def test_omega_counts_and_means():
     rep = omega_table(vix, prices, horizons=(21,))
     assert rep.counts[0].sum() == len(prices) - 21
     fwd = forward_return(prices, 21)
-    q = vix_quintiles(vix)
-    lab = q.labels[: len(fwd)]
+    _, labels = vix_quintiles(vix)
+    lab = labels[: len(fwd)]
     assert rep.means[0, 0] == pytest.approx(float(np.mean(fwd.values[lab == 1])))
     assert rep.spreads[0] == pytest.approx(rep.means[0, 4] - rep.means[0, 0])
 
@@ -200,17 +198,6 @@ def test_omega_alignment_error():
     with pytest.raises(ValueError, match="calendar"):
         omega_table(vix, short)
 
-
-def test_omega_csv_layout():
-    vix, prices = synth_vix_and_prices(seed=5)
-    rep = omega_table(vix, prices, horizons=(21, 63))
-    rows = rep.csv_rows()
-    assert len(rows) == 2
-    assert all(len(r) == len(QuintileReport.CSV_HEADER) for r in rows)
-    assert rows[0][0] == 21 and rows[1][0] == 63
-    assert rows[0][6] == rep.spreads[0]
-    assert rows[1][8:13] == list(rep.counts[1])
-    assert rows[1][13:] == list(rep.boundaries)
 
 
 # -------------------------------------------------------------------- trough
@@ -322,19 +309,6 @@ def test_regret_insufficient_forward_data():
     assert entry.stay[1] is entry.derisk[1] is entry.regret[1] is None
 
 
-def test_regret_csv_rows():
-    rng = np.random.default_rng(9)
-    eq = rser(0.01 * rng.standard_normal(300))
-    bd = rser(0.003 * rng.standard_normal(300))
-    trough = Trough(date=eq.calendar.dates[10], drawdown=0.12, vix=31.5)
-    (entry,) = regret_table(eq, bd, [("gfc", trough)], horizons=(63, 126))
-    rows = entry.csv_rows()
-    assert len(rows) == 2
-    assert rows[0][:4] == ["gfc", trough.date.isoformat(), 0.12, 31.5]
-    assert rows[0][4] == 63 and rows[1][4] == 126
-    assert rows[0][5:] == [entry.stay[0], entry.derisk[0], entry.regret[0]]
-    assert len(RegretEntry.CSV_HEADER) == len(rows[0])
-
 
 # --------------------------------------------------------------------- sweep
 
@@ -387,16 +361,6 @@ def test_sweep_empty_windows():
     with pytest.raises(ValueError, match="window"):
         window_sweep(vix, eq, bd, spread, windows=())
 
-
-def test_sweep_csv_layout():
-    vix, eq, bd, spread = sweep_inputs(seed=3, horizon=500)
-    rep = window_sweep(vix, eq, bd, spread, windows=(1, 21))
-    rows = rep.csv_rows()
-    assert len(rows) == 2
-    assert all(len(r) == len(rep.CSV_HEADER) for r in rows)
-    assert rows[0][0] == 1 and rows[1][0] == 21
-    assert rows[0][-3:] == [rep.rows[0].passes_sharpe, rep.rows[0].passes_calmar,
-                            rep.rows[0].passes_both]
 
 
 def test_default_constants():

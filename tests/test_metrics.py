@@ -6,7 +6,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dynte.metrics import (
-    METRICS_CSV_HEADER,
     MetricsReport,
     annualized_vol,
     cagr,
@@ -228,11 +227,3 @@ def test_summarize_with_te_and_gauge():
     assert rep.te_sigma is not None
     assert rep.te_cyclicality is not None
 
-
-def test_csv_row_blanks_for_none():
-    rep = summarize(np.tile([0.001, 0.002], 20))
-    row = rep.csv_row()
-    assert len(row) == len(METRICS_CSV_HEADER)
-    assert row[METRICS_CSV_HEADER.index("cagr_over_maxdd")] is None
-    assert row[METRICS_CSV_HEADER.index("te_level")] is None
-    assert row[:4] == [rep.cagr, rep.vol, rep.sharpe, rep.max_drawdown]

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from dynte.model import (
     GovernanceParams,
-    PropositionReport,
     RegimeParams,
     brute_force_optimum,
     compound_active_return,
@@ -178,11 +177,11 @@ def test_grid_sampled_draws():
 
 
 def test_suite_paperish_parameters_all_pass():
-    rep = proposition_suite(PAPERISH, GOV)
-    assert isinstance(rep, PropositionReport)
-    assert [c.prop for c in rep.checks] == [1, 2, 3, 4, 5]
-    assert rep.all_pass
-    by = {c.prop: c for c in rep.checks}
+    checks = proposition_suite(PAPERISH, GOV)
+    assert isinstance(checks, tuple)
+    assert [c.prop for c in checks] == [1, 2, 3, 4, 5]
+    assert all(c.status == "pass" for c in checks)
+    by = {c.prop: c for c in checks}
     # tau 0.05 binds only the stressed state here (TE* = 0.2 vs 0.4)
     assert by[2].values["te_capped_low"] == pytest.approx(0.05)
     assert by[2].values["te_capped_high"] == pytest.approx(0.05)
@@ -193,8 +192,8 @@ def test_suite_paperish_parameters_all_pass():
 
 def test_suite_equal_ir_boundary():
     params = RegimeParams(alpha=(0.02, 0.04), sigma=(0.10, 0.20), p=0.4)
-    rep = proposition_suite(params, GOV)
-    by = {c.prop: c for c in rep.checks}
+    checks = proposition_suite(params, GOV)
+    by = {c.prop: c for c in checks}
     assert by[3].status == "pass"
     assert by[3].boundary
     assert by[3].values["advantage"] == 0.0
@@ -202,12 +201,11 @@ def test_suite_equal_ir_boundary():
     assert by[1].status == "precondition"
     assert by[2].status == "precondition"
     assert by[5].status == "precondition"
-    assert not rep.all_pass
+    assert not all(c.status == "pass" for c in checks)
 
 
 def test_suite_loose_cap_saturates():
-    rep = proposition_suite(PAPERISH, GovernanceParams(tau_bar=10.0))
-    by = {c.prop: c for c in rep.checks}
+    by = {c.prop: c for c in proposition_suite(PAPERISH, GovernanceParams(tau_bar=10.0))}
     assert by[4].status == "pass"
     assert by[4].boundary  # tau already past the saturation point
     assert by[2].values["te_capped_low"] == pytest.approx(PAPERISH.ir[0])
@@ -218,17 +216,8 @@ def test_suite_vacuous_omega_condition():
     # alpha gap smaller than tau * sigma gap: Prop 5's premise fails
     params = RegimeParams(alpha=(0.001, 0.005), sigma=(0.10, 0.40), p=0.3)
     assert params.ir[1] > params.ir[0]
-    rep = proposition_suite(params, GovernanceParams(tau_bar=0.05))
-    by = {c.prop: c for c in rep.checks}
+    by = {c.prop: c for c in proposition_suite(params, GovernanceParams(tau_bar=0.05))}
     assert by[5].status == "pass"
     assert by[5].boundary
     assert not by[5].values["condition_holds"]
 
-
-def test_suite_csv_rows():
-    rep = proposition_suite(PAPERISH, GOV)
-    rows = rep.csv_rows()
-    assert rep.CSV_HEADER == ["prop", "status", "boundary", "values", "note"]
-    assert len(rows) == 5
-    assert rows[0][0] == 1 and rows[0][1] == "pass"
-    assert all(isinstance(r[2], bool) for r in rows)
