@@ -746,6 +746,11 @@ def cmd_converge(cfg: RunConfig) -> list[Path]:
 
 def cmd_sweep(cfg: RunConfig) -> list[Path]:
     market = _market_or_synth(cfg, "sweep")
+    # window_sweep fails alike on windows.vol and sweep_windows; the warm-up
+    # is windows.vol's only failure
+    vol_days = cfg.windows["vol"].length
+    if len(market.spread) <= vol_days:
+        raise ValueError(f"windows.vol: need more than {vol_days} days for the volatility warm-up")
     rep = window_sweep(
         market.vix, market.eq, market.bd, market.spread,
         windows=cfg.sweep_windows,

@@ -11,12 +11,21 @@ non-decreasing across iterations.
 
 Emissions are evaluated in log space less each week's larger one, and the
 filter and the backward recursion are written as prefix products of 2x2
-matrices evaluated by a log-depth scan (Hassan, Sarkka & Garcia-Fernandez,
-"Temporal parallelization of inference in hidden Markov models", 2021), so
-an EM pass is whole-array arithmetic rather than a loop over weeks. A trial
-collapses, and is redrawn, only when a variance falls below the floor, a
-state's smoothed weight is empty or the log-likelihood is not finite; a week
-far in the tail of both states no longer collapses it by underflow.
+matrices (Hassan, Sarkka & Garcia-Fernandez, "Temporal parallelization of
+inference in hidden Markov models", 2021) evaluated by a work-efficient
+pairwise scan (Blelloch, "Prefix sums and their applications", 1990), so an
+EM pass is about 2T matrix products in whole-array arithmetic rather than a
+loop over weeks.
+
+The EM restarts run together, in batches stacked on a leading axis of that
+arithmetic. A batch holds as many starts as keep a (starts x weeks) block
+within a fixed number of values, `_BATCH_VALUES`, so a fit's memory does not
+grow with the restart count. Starts are drawn and ranked in attempt order,
+so the fit is the one a loop over restarts gives. A start collapses, and is
+redrawn, only when a variance falls below the floor, a state's smoothed
+weight is empty or the log-likelihood is not finite; it then leaves its
+batch and the others go on. A week far in the tail of both states does not
+collapse a start by underflow.
 """
 
 from __future__ import annotations
@@ -32,6 +41,11 @@ from .rolling import WindowSpec, moving_average
 from .timeseries import UNIT_LEVEL, UNIT_RETURN, Series, TradingCalendar
 
 _VAR_FLOOR = 1e-12
+# values in one (starts x weeks) block of a batch of EM starts: 128 KiB, the
+# size of glibc's default mmap threshold. The filter's arrays hold one to
+# four such blocks and a pass keeps about fifteen alive at once, so a batch's
+# working set stays near 2 MB whatever the restart count.
+_BATCH_VALUES = 16_384
 
 
 class Regime(enum.IntEnum):
@@ -154,45 +168,53 @@ class MSModel:
         object.__setattr__(self, "transition", P)
 
 
-class _Collapse(Exception):
-    """A trial hit a degenerate variance, an empty state or a non-finite
-    log-likelihood."""
-
-
-def _prefix_rows(m00, m01, m10, m11):
+def _prefix_rows(m):
     """Row 0 of the inclusive prefix products M[0] @ M[1] @ ... @ M[t] of a
-    sequence of 2x2 matrices stored as four arrays, each product scaled to
-    entries summing to 1. M[0] must have equal rows, so every prefix product
-    does too and its row 0 is the recursion's state up to scale.
+    sequence of 2x2 matrices, stacked as m[i, j, ..., t] = M[t][i, j] (axes
+    between the first two and the last are a batch), each up to a positive
+    scale, as r[j, ..., t]. M[0] must have equal rows, so every prefix
+    product does too and its row 0 is the recursion's state up to scale.
 
-    Hillis-Steele scan: after the pass with offset d, element t holds the
-    product of elements max(0, t - 2d + 1)..t, so ceil(log2 T) passes of
-    whole-array arithmetic replace a loop over t. Rescaling is exact up to
-    rounding because the recursions are linear and only their direction is
-    used."""
-    c00, c01, c10, c11 = (np.array(m, dtype=np.float64) for m in (m00, m01, m10, m11))
-    d = 1
-    while d < len(c00):
-        l00, l01, l10, l11 = c00[:-d], c01[:-d], c10[:-d], c11[:-d]
-        r00, r01, r10, r11 = c00[d:], c01[d:], c10[d:], c11[d:]
-        n00 = l00 * r00 + l01 * r10
-        n01 = l00 * r01 + l01 * r11
-        n10 = l10 * r00 + l11 * r10
-        n11 = l10 * r01 + l11 * r11
-        scale = 1.0 / (n00 + n01 + n10 + n11)
-        c00[d:] = n00 * scale
-        c01[d:] = n01 * scale
-        c10[d:] = n10 * scale
-        c11[d:] = n11 * scale
-        d *= 2
-    return c00, c01
+    Work-efficient pairwise scan (Blelloch 1990): the up-sweep multiplies
+    adjacent pairs level by level, each product scaled to entries summing
+    to 1, until one is left. The down-sweep carries only row vectors,
+    because row 0 of A @ B is (row 0 of A) @ B: at each level the prefix at
+    odd index 2i+1 is pair i's prefix from the level above, and the one at
+    even index 2i > 0 is the prefix at 2i-1 times M[2i]. That is about 2T
+    products in 2 log2(T) passes of whole-array arithmetic. Rescaling is
+    exact up to rounding because the recursions are linear and only their
+    direction is used."""
+    levels = [m]
+    while levels[-1].shape[-1] > 1:
+        n = levels[-1].shape[-1] // 2 * 2
+        left, right = levels[-1][..., 0:n:2], levels[-1][..., 1:n:2]
+        prod = left[:, :1] * right[0]
+        prod += left[:, 1:] * right[1]
+        prod /= prod.sum(axis=(0, 1))
+        levels.append(prod)
+    row = levels.pop()[0]
+    while levels:
+        c = levels.pop()
+        k = (c.shape[-1] - 1) // 2
+        nxt = np.empty(c.shape[1:])
+        nxt[..., 0] = c[0, ..., 0]
+        nxt[..., 1::2] = row
+        step = nxt[..., 2::2]
+        np.multiply(row[:1, ..., :k], c[0, ..., 2::2], out=step)
+        step += row[1:, ..., :k] * c[1, ..., 2::2]
+        step /= step.sum(axis=0)
+        row = nxt
+    return row
 
 
 def _filter_smoother(y, mu, var, P, pi):
     """Hamilton filter + smoother for two states.
 
-    Returns (loglik, filt[T,2], smooth[T,2], pair[T-1,2,2]) where pair[t] is
-    the smoothed probability of (s_t = i, s_{t+1} = j).
+    mu, var and pi have shape (..., 2) and P (..., 2, 2); leading axes are a
+    batch of parameter sets, each filtered independently. Returns (loglik[...],
+    filt[..., T, 2], smooth[..., T, 2], pair[..., T-1, 2, 2]) where pair[t] is
+    the smoothed probability of (s_t = i, s_{t+1} = j). loglik is not finite
+    where some week has zero likelihood; the probabilities are then junk.
 
     Emissions are taken in log space less each week's larger one, so no week
     underflows both states. With e_t those scaled emissions, the filter's
@@ -200,97 +222,97 @@ def _filter_smoother(y, mu, var, P, pi):
     one is beta_t = P diag(e_{t+1}) beta_{t+1}; both are prefix products of
     2x2 matrices (the backward one transposed, in reverse time), evaluated by
     `_prefix_rows`. The log-likelihood sums each week's log predictive
-    density. Raises _Collapse if it is not finite.
+    density. Internally the state axis comes first, so the two states are
+    two contiguous blocks.
     """
     y = np.asarray(y, dtype=np.float64)
-    T = len(y)
-    p00, p01 = P[0, 0], P[0, 1]
-    p10, p11 = P[1, 0], P[1, 1]
-    le0 = -0.5 * math.log(2.0 * math.pi * var[0]) - (y - mu[0]) ** 2 * (0.5 / var[0])
-    le1 = -0.5 * math.log(2.0 * math.pi * var[1]) - (y - mu[1]) ** 2 * (0.5 / var[1])
-    top = np.maximum(le0, le1)
-    e0 = np.exp(le0 - top)
-    e1 = np.exp(le1 - top)
-
-    # forward: M[0] has both rows pi * e_0, M[t] = P diag(e_t)
-    m00, m01 = p00 * e0, p01 * e1
-    m10, m11 = p10 * e0, p11 * e1
-    m00[0] = m10[0] = pi[0] * e0[0]
-    m01[0] = m11[0] = pi[1] * e1[0]
-    # a week with zero likelihood zeroes every later product; the NaNs that
-    # follow make ll non-finite
+    # state axes first, and a trailing length-1 axis to broadcast over weeks
+    mu, var, pi = (np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)[..., None]
+                   for a in (mu, var, pi))
+    P = np.moveaxis(np.asarray(P, dtype=np.float64), (-2, -1), (0, 1))[..., None]
+    # a variance at or below zero, or a week with zero likelihood, gives NaNs
+    # that make ll non-finite
     with np.errstate(divide="ignore", invalid="ignore"):
-        a0, a1 = _prefix_rows(m00, m01, m10, m11)
-        total = a0 + a1
-        filt = np.column_stack([a0 / total, a1 / total])
-        pred0 = np.empty(T)
-        pred1 = np.empty(T)
-        pred0[0], pred1[0] = pi[0], pi[1]
-        pred0[1:] = filt[:-1, 0] * p00 + filt[:-1, 1] * p10
-        pred1[1:] = filt[:-1, 0] * p01 + filt[:-1, 1] * p11
-        ll = float(np.sum(top) + np.sum(np.log(pred0 * e0 + pred1 * e1)))
-    if not math.isfinite(ll):
-        raise _Collapse
+        # whole-batch arrays are updated in place and dropped once used, so
+        # few are alive at once
+        e = -0.5 * np.log(2.0 * np.pi * var) - (y - mu) ** 2 * (0.5 / var)
+        top = e.max(axis=0)
+        e -= top
+        np.exp(e, out=e)
 
-    # backward, in reverse time: M[0] has rows of ones, M[k] = (P diag(e_{T-k}))'
-    g0, g1 = _prefix_rows(*(np.concatenate([[1.0], m[:0:-1]]) for m in (m00, m10, m01, m11)))
-    # g[t] is beta_{T-1-t} up to scale; weight week t+1's emission by it
-    g0 = g0[::-1][1:] * e0[1:]
-    g1 = g1[::-1][1:] * e1[1:]
+        # forward: M[0] has both rows pi * e_0, M[t] = P diag(e_t)
+        m = P * e
+        m[0, ..., 0] = m[1, ..., 0] = pi[..., 0] * e[..., 0]
+        filt = _prefix_rows(m)
+        filt /= filt.sum(axis=0)
+        pred = np.concatenate([pi, filt[:1, ..., :-1] * P[0] + filt[1:, ..., :-1] * P[1]],
+                              axis=-1)
+        pred *= e
+        ll = top.sum(axis=-1) + np.log(pred.sum(axis=0)).sum(axis=-1)
+        del pred, top
 
-    f0, f1 = filt[:-1, 0], filt[:-1, 1]
-    pair = np.empty((T - 1, 2, 2))
-    pair[:, 0, 0] = f0 * p00 * g0
-    pair[:, 0, 1] = f0 * p01 * g1
-    pair[:, 1, 0] = f1 * p10 * g0
-    pair[:, 1, 1] = f1 * p11 * g1
-    pair /= pair.sum(axis=(1, 2))[:, None, None]
+        # backward, in reverse time: M[0] has rows of ones, M[k] = (P diag(e_{T-k}))'
+        ones = np.ones(m.shape[:-1] + (1,))
+        m = np.concatenate([ones, m.swapaxes(0, 1)[..., :0:-1]], axis=-1)
+        # g[t] is beta_{T-1-t} up to scale; weight week t+1's emission by it
+        g = _prefix_rows(m)[..., -2::-1] * e[..., 1:]
+        del m, e
 
-    smooth = np.empty((T, 2))
-    smooth[:-1] = pair.sum(axis=2)
-    smooth[-1] = filt[-1]
-    return ll, filt, smooth, pair
+        pair = filt[:, None, ..., :-1] * P
+        pair *= g
+        pair /= pair.sum(axis=(0, 1))
+
+    smooth = np.empty_like(filt)
+    smooth[..., :-1] = pair.sum(axis=1)
+    smooth[..., -1] = filt[..., -1]
+    return (ll, np.moveaxis(filt, 0, -1), np.moveaxis(smooth, 0, -1),
+            np.moveaxis(pair, (0, 1), (-2, -1)))
 
 
 def _em_trial(y, mu, var, P, pi, tol, max_iter):
-    trace = []
-    prev = -np.inf
-    converged = False
-    fitted = (mu, var, P, pi)
-    for it in range(max_iter):
-        if min(var) < _VAR_FLOOR:
-            raise _Collapse
-        ll, _filt, smooth, pair = _filter_smoother(y, mu, var, P, pi)
-        trace.append(ll)
-        # parameters that produced trace[-1]; the M-step below is only kept
-        # if a later iteration evaluates it
-        fitted = (mu, var, P, pi)
-        if it > 0 and ll - prev < tol:
-            converged = True
-            break
-        prev = ll
-
-        w0 = smooth[:, 0].sum()
-        w1 = smooth[:, 1].sum()
-        if w0 <= 0.0 or w1 <= 0.0:
-            raise _Collapse
-        mu = (
-            float(np.dot(smooth[:, 0], y) / w0),
-            float(np.dot(smooth[:, 1], y) / w1),
-        )
-        var = (
-            float(np.dot(smooth[:, 0], (y - mu[0]) ** 2) / w0),
-            float(np.dot(smooth[:, 1], (y - mu[1]) ** 2) / w1),
-        )
-        denom = smooth[:-1].sum(axis=0)
-        if np.any(denom <= 0.0):
-            raise _Collapse
-        num = pair.sum(axis=0)
-        P = num / denom[:, None]
-        P = P / P.sum(axis=1, keepdims=True)
-        pi = (float(smooth[0, 0]), float(smooth[0, 1]))
+    """EM from each start on the leading axis of mu, var, pi (R, 2) and
+    P (R, 2, 2), all in lock step. A start leaves the batch when it
+    converges or collapses (a variance under the floor, an empty state or a
+    non-finite log-likelihood); the others go on. Returns the fitted
+    parameters stacked the same way, each start's log-likelihood trace (None
+    where it collapsed) and a converged flag per start. A start's fitted
+    parameters are the ones that produced its trace's last entry."""
+    y = np.asarray(y, dtype=np.float64)
+    fitted = [np.array(a, dtype=np.float64) for a in (mu, var, P, pi)]
     mu, var, P, pi = fitted
-    return mu, var, P, pi, trace, converged
+    traces = [[] for _ in range(len(mu))]
+    converged = np.zeros(len(mu), dtype=bool)
+    live = np.arange(len(mu))
+    prev = np.full(len(mu), -np.inf)
+    for _ in range(max_iter):
+        ll, filt, smooth, pair = _filter_smoother(y, mu, var, P, pi)
+        ok = (var.min(axis=1) >= _VAR_FLOOR) & np.isfinite(ll)
+        for dst, src in zip(fitted, (mu, var, P, pi)):
+            dst[live] = src
+        for i, v in zip(live[ok], ll[ok].tolist()):
+            traces[i].append(v)
+        done = ok & (ll - prev < tol)
+        converged[live[done]] = True
+
+        # the M-step; a start whose smoothed weights leave a state empty
+        # collapses
+        w = smooth.sum(axis=-2)
+        denom = smooth[:, :-1].sum(axis=-2)
+        keep = ok & ~done & ~np.any(w <= 0.0, axis=1) & ~np.any(denom <= 0.0, axis=1)
+        for i in live[~keep & ~done]:
+            traces[i] = None
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mu = (y @ smooth) / w
+            var = np.einsum("rtk,rtk->rk", smooth, (y[:, None] - mu[:, None, :]) ** 2) / w
+            P = pair.sum(axis=1) / denom[:, :, None]
+            P /= P.sum(axis=2, keepdims=True)
+        pi = smooth[:, 0]
+        live, prev = live[keep], ll[keep]
+        mu, var, P, pi = mu[keep], var[keep], P[keep], pi[keep]
+        del filt, smooth, pair  # freed before the next pass allocates its own
+        if not len(live):
+            break
+    return (*fitted, traces, converged)
 
 
 def fit_markov_switching(
@@ -314,42 +336,46 @@ def fit_markov_switching(
         raise ValueError("constant input; variance cannot be attributed to states")
 
     rng = np.random.default_rng(seed)
+    sd = math.sqrt(v0)
+    per_batch = max(1, _BATCH_VALUES // len(y))
     best = None
     done = 0
     attempts = 0
+    # attempts run in batches no larger than the restarts still missing, so
+    # the same attempts run, with the same draws, as one at a time
     while done < restarts and attempts < 5 * restarts:
-        attempts += 1
-        sd = math.sqrt(v0)
-        mu = (m0 + 0.5 * sd * rng.standard_normal(), m0 + 0.5 * sd * rng.standard_normal())
-        var = (v0 * rng.uniform(0.2, 1.0), v0 * rng.uniform(1.0, 5.0))
-        stay0 = rng.uniform(0.85, 0.99)
-        stay1 = rng.uniform(0.85, 0.99)
-        P = np.array([[stay0, 1.0 - stay0], [1.0 - stay1, stay1]])
-        pi = (0.5, 0.5)
-        try:
-            out = _em_trial(y, mu, var, P, pi, tol, max_iter)
-        except _Collapse:
-            continue
-        done += 1
-        if best is None or out[4][-1] > best[4][-1]:
-            best = out
+        n = min(per_batch, restarts - done, 5 * restarts - attempts)
+        attempts += n
+        draws = np.array([(m0 + 0.5 * sd * rng.standard_normal(),
+                           m0 + 0.5 * sd * rng.standard_normal(),
+                           v0 * rng.uniform(0.2, 1.0),
+                           v0 * rng.uniform(1.0, 5.0),
+                           rng.uniform(0.85, 0.99),
+                           rng.uniform(0.85, 0.99)) for _ in range(n)])
+        stay0, stay1 = draws[:, 4], draws[:, 5]
+        P = np.stack([stay0, 1.0 - stay0, 1.0 - stay1, stay1], axis=1).reshape(n, 2, 2)
+        out = _em_trial(y, draws[:, 0:2], draws[:, 2:4], P, np.full((n, 2), 0.5), tol, max_iter)
+        for i, trace in enumerate(out[4]):
+            if trace is None:
+                continue
+            done += 1
+            # the first of equal log-likelihoods wins
+            if best is None or trace[-1] > best[4][-1]:
+                best = tuple(x[i] for x in out)
     if best is None:
         raise ValueError("all EM restarts collapsed; no usable fit")
 
     mu, var, P, pi, trace, converged = best
     if var[1] < var[0]:
-        mu = (mu[1], mu[0])
-        var = (var[1], var[0])
-        pi = (pi[1], pi[0])
-        P = P[::-1, ::-1].copy()
+        mu, var, pi, P = mu[::-1], var[::-1], pi[::-1], P[::-1, ::-1]
     return MSModel(
-        mu=mu,
-        var=var,
+        mu=tuple(mu.tolist()),
+        var=tuple(var.tolist()),
         transition=P,
-        initial=pi,
+        initial=tuple(pi.tolist()),
         loglik=trace[-1],
         trace=tuple(trace),
-        converged=converged,
+        converged=bool(converged),
         n_iter=len(trace),
     )
 
@@ -358,13 +384,11 @@ def smoothed_high_prob(model: MSModel, weekly: Series) -> Series:
     """Smoothed probability of the high-variance state at each weekly date."""
     if weekly.unit != UNIT_RETURN:
         raise ValueError(f"need a return series, got unit {weekly.unit!r}")
-    _ll, _filt, smooth, _pair = _filter_smoother(
-        np.asarray(weekly.values),
-        model.mu,
-        model.var,
-        np.asarray(model.transition),
-        model.initial,
+    ll, _filt, smooth, _pair = _filter_smoother(
+        weekly.values, model.mu, model.var, model.transition, model.initial
     )
+    if not math.isfinite(ll):
+        raise ValueError("the model gives some week zero likelihood")
     # backward recursion can overshoot 1 by a few ulp
     return Series(weekly.calendar, np.clip(smooth[:, 1], 0.0, 1.0), UNIT_LEVEL)
 

@@ -281,11 +281,13 @@ def test_exhibit1_on_sector_files(tmp_path):
 
 def test_short_samples_name_the_setting(tmp_path, capsys):
     # 100 days: shorter than the 126-day stock-bond window, than twice the
-    # 63-day vol window, and than twice the 63-day omega horizon
-    for form, field in ((["exhibit", "2"], "windows.stock_bond_corr"),
-                        (["exhibit", "4"], "windows.vol"),
-                        (["omega"], "omega_horizons")):
-        code, _ = run(tmp_path, *form, config_extra={"synth": {"horizon": 100}})
+    # 63-day vol window, and than twice the 63-day omega horizon; 50 days:
+    # no longer than the 63-day vol window
+    for form, days, field in ((["exhibit", "2"], 100, "windows.stock_bond_corr"),
+                              (["exhibit", "4"], 100, "windows.vol"),
+                              (["omega"], 100, "omega_horizons"),
+                              (["sweep"], 50, "windows.vol")):
+        code, _ = run(tmp_path, *form, config_extra={"synth": {"horizon": days}})
         assert code == 1, form
         assert capsys.readouterr().err.startswith(f"error: {field}: "), form
 

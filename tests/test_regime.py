@@ -1,5 +1,8 @@
 import datetime as dt
+import importlib
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dynte import regime
 from dynte.regime import (
-    _Collapse,
+    _em_trial,
     _filter_smoother,
     AgreementReport,
     MSModel,
@@ -31,6 +35,7 @@ from dynte.timeseries import (
     make_weekday_calendar,
 )
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 MON = dt.date(2015, 1, 5)
 T13_22 = RegimeThresholds(low=13.0, high=22.0)
 
@@ -334,6 +339,15 @@ def test_smoothed_prob_identical_states_is_stationary():
     assert_allclose(prob.values, 3 / 7, atol=1e-12)
 
 
+def test_smoothed_prob_rejects_a_model_that_rules_out_a_week():
+    # the chain never leaves its narrow state, which gives a week at 1.0 no
+    # density at all
+    m = hmm((0.0, 0.0), (1e-6, 1.0), [[1.0, 0.0], [0.0, 1.0]], (1.0, 0.0))
+    weekly = Series(friday_calendar(3), np.array([0.0, 1.0, 0.0]), UNIT_RETURN)
+    with pytest.raises(ValueError, match="zero likelihood"):
+        smoothed_high_prob(m, weekly)
+
+
 def test_smoothed_prob_pair_probabilities_sum_to_one():
     weekly, _ = planted_weekly(150, (0.02, -0.01), (0.008, 0.02), (0.9, 0.9), seed=10)
     m = fit_markov_switching(weekly, restarts=3, seed=3)
@@ -348,10 +362,15 @@ def test_smoothed_prob_pair_probabilities_sum_to_one():
 # ------------------------------------------- filter and smoother vs oracle
 
 
+class Collapse(Exception):
+    """An oracle trial hit a degenerate variance, an empty state or a
+    non-finite log-likelihood."""
+
+
 def sequential_filter_smoother(y, mu, var, P, pi):
     """The week-by-week Hamilton filter and Kim smoother that the scan in
     `_filter_smoother` replaced, kept as its reference. Emissions are in
-    linear space, so a week that underflows both states raises _Collapse."""
+    linear space, so a week that underflows both states raises Collapse."""
     T = len(y)
     filt = np.empty((T, 2))
     pred = np.empty((T, 2))
@@ -375,7 +394,7 @@ def sequential_filter_smoother(y, mu, var, P, pi):
         j1 = e1 * pr1
         lik = j0 + j1
         if not lik > 0.0 or not math.isfinite(lik):
-            raise _Collapse
+            raise Collapse
         f0 = j0 / lik
         f1 = j1 / lik
         filt[t, 0] = f0
@@ -433,12 +452,21 @@ def test_filter_smoother_matches_sequential_oracle(T, seed, mu, log_var, stay, p
     P = np.array([[stay[0], 1.0 - stay[0]], [1.0 - stay[1], stay[1]]])
     pi = (pi0, 1.0 - pi0)
 
-    want = sequential_filter_smoother(y, mu, var, P, pi)
-    got = _filter_smoother(y, mu, var, P, pi)
-    assert abs(got[0] - want[0]) <= 1e-9 * max(1.0, abs(want[0]))
-    for g, w in zip(got[1:], want[1:]):
-        assert g.shape == w.shape
-        assert_allclose(g, w, rtol=0.0, atol=1e-12)
+    # a stacked call: the drawn start, the same model with its states
+    # relabelled, and the drawn means and variances under swapped
+    # persistence and initial weights; each matches the oracle on its own
+    starts = [(mu, var, P, pi),
+              (mu[::-1], var[::-1], P[::-1, ::-1], pi[::-1]),
+              (mu, var, P[::-1, ::-1], pi[::-1])]
+    stacked = _filter_smoother(y, *(np.array(a) for a in zip(*starts)))
+    assert stacked[0].shape == (3,)
+    for r, start in enumerate(starts):
+        want = sequential_filter_smoother(y, *start)
+        for got in (_filter_smoother(y, *start), [a[r] for a in stacked]):
+            assert abs(got[0] - want[0]) <= 1e-9 * max(1.0, abs(want[0]))
+            for g, w in zip(got[1:], want[1:]):
+                assert g.shape == w.shape
+                assert_allclose(g, w, rtol=0.0, atol=1e-12)
 
 
 def test_outlier_week_no_longer_collapses_the_filter():
@@ -449,7 +477,7 @@ def test_outlier_week_no_longer_collapses_the_filter():
     y[600] = mu[1] + 50.0 * sd[1]
     var = (sd[0] ** 2, sd[1] ** 2)
     P = np.array([[stay[0], 1.0 - stay[0]], [1.0 - stay[1], stay[1]]])
-    with pytest.raises(_Collapse):
+    with pytest.raises(Collapse):
         sequential_filter_smoother(y, mu, var, P, (0.5, 0.5))
     ll, filt, smooth, pair = _filter_smoother(y, mu, var, P, (0.5, 0.5))
     assert math.isfinite(ll)
@@ -461,6 +489,180 @@ def test_outlier_week_no_longer_collapses_the_filter():
     m = fit_markov_switching(Series(weekly.calendar, y, UNIT_RETURN), restarts=4, seed=0)
     assert m.converged
     assert math.isfinite(m.loglik)
+
+
+# ------------------------------------------- batched EM vs sequential oracle
+
+
+def sequential_em_trial(y, mu, var, P, pi, tol, max_iter):
+    """EM from one start, iteration by iteration: the per-start loop that
+    the batched `_em_trial` replaced, kept as its reference."""
+    trace = []
+    prev = -np.inf
+    converged = False
+    fitted = (mu, var, P, pi)
+    for it in range(max_iter):
+        if min(var) < regime._VAR_FLOOR:
+            raise Collapse
+        ll, _filt, smooth, pair = _filter_smoother(y, mu, var, P, pi)
+        if not math.isfinite(ll):
+            raise Collapse
+        trace.append(ll)
+        fitted = (mu, var, P, pi)
+        if it > 0 and ll - prev < tol:
+            converged = True
+            break
+        prev = ll
+
+        w0 = smooth[:, 0].sum()
+        w1 = smooth[:, 1].sum()
+        if w0 <= 0.0 or w1 <= 0.0:
+            raise Collapse
+        mu = (
+            float(np.dot(smooth[:, 0], y) / w0),
+            float(np.dot(smooth[:, 1], y) / w1),
+        )
+        var = (
+            float(np.dot(smooth[:, 0], (y - mu[0]) ** 2) / w0),
+            float(np.dot(smooth[:, 1], (y - mu[1]) ** 2) / w1),
+        )
+        denom = smooth[:-1].sum(axis=0)
+        if np.any(denom <= 0.0):
+            raise Collapse
+        num = pair.sum(axis=0)
+        P = num / denom[:, None]
+        P = P / P.sum(axis=1, keepdims=True)
+        pi = (float(smooth[0, 0]), float(smooth[0, 1]))
+    mu, var, P, pi = fitted
+    return mu, var, P, pi, trace, converged
+
+
+def sequential_fit(weekly, restarts, tol=1e-8, max_iter=1000, seed=0):
+    """Best of restarts, one start at a time, as `fit_markov_switching` did
+    before it batched them. Returns the winner (mu, var, P, pi, trace,
+    converged), low-variance state first, and the number of attempts that
+    collapsed."""
+    y = weekly.values
+    m0 = float(np.mean(y))
+    v0 = float(np.var(y))
+    rng = np.random.default_rng(seed)
+    best = None
+    done = attempts = collapsed = 0
+    while done < restarts and attempts < 5 * restarts:
+        attempts += 1
+        sd = math.sqrt(v0)
+        mu = (m0 + 0.5 * sd * rng.standard_normal(), m0 + 0.5 * sd * rng.standard_normal())
+        var = (v0 * rng.uniform(0.2, 1.0), v0 * rng.uniform(1.0, 5.0))
+        stay0 = rng.uniform(0.85, 0.99)
+        stay1 = rng.uniform(0.85, 0.99)
+        P = np.array([[stay0, 1.0 - stay0], [1.0 - stay1, stay1]])
+        try:
+            out = sequential_em_trial(y, mu, var, P, (0.5, 0.5), tol, max_iter)
+        except Collapse:
+            collapsed += 1
+            continue
+        done += 1
+        if best is None or out[4][-1] > best[4][-1]:
+            best = out
+    if best is None:
+        raise ValueError("all EM restarts collapsed; no usable fit")
+    mu, var, P, pi, trace, converged = best
+    if var[1] < var[0]:
+        mu, var, pi, P = mu[::-1], var[::-1], pi[::-1], P[::-1, ::-1]
+    return (mu, var, P, pi, trace, converged), collapsed
+
+
+def assert_same_fit(m, want):
+    mu, var, P, pi, trace, converged = want
+    assert (m.n_iter, m.converged, len(m.trace)) == (len(trace), converged, len(trace))
+    for got, exp in ((m.mu, mu), (m.var, var), (m.transition, P), (m.loglik, trace[-1])):
+        assert_allclose(got, exp, rtol=1e-12, atol=0.0)
+
+
+def outlier_weekly(seed):
+    """A 400-week planted series with one week 50 high-state sds out."""
+    mu, sd = (0.02, -0.01), (0.01, 0.025)
+    weekly, _ = planted_weekly(400, mu, sd, (0.95, 0.94), seed)
+    y = weekly.values.copy()
+    y[200] = mu[1] + 50.0 * sd[1]
+    return Series(weekly.calendar, y, UNIT_RETURN)
+
+
+@pytest.mark.parametrize("n,seed,restarts,max_iter", [
+    (400, 0, 5, 1000),
+    (400, 1, 5, 1000),
+    (300, 2, 6, 1000),
+    (600, 3, 4, 1000),
+    (200, 8, 2, 2),
+])
+def test_batched_fit_matches_sequential_oracle(n, seed, restarts, max_iter):
+    weekly, _ = planted_weekly(n, (0.02, -0.01), (0.008, 0.02), (0.9, 0.9), seed + 4)
+    want, _collapsed = sequential_fit(weekly, restarts, max_iter=max_iter, seed=seed)
+    m = fit_markov_switching(weekly, restarts=restarts, max_iter=max_iter, seed=seed)
+    assert_same_fit(m, want)
+
+
+def test_batched_fit_redraws_collapsed_attempts_like_the_oracle():
+    weekly = outlier_weekly(0)
+    want, collapsed = sequential_fit(weekly, 4)
+    assert collapsed > 0
+    assert_same_fit(fit_markov_switching(weekly, restarts=4), want)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 4, 5])
+def test_every_attempt_collapses_on_a_lone_outlier(seed):
+    # one state shrinks onto the outlier week in every attempt, where the
+    # likelihood is singular
+    weekly = outlier_weekly(seed)
+    for fit in (sequential_fit, fit_markov_switching):
+        with pytest.raises(ValueError, match="all EM restarts collapsed"):
+            fit(weekly, 4)
+
+
+@pytest.mark.parametrize("budget", [1, 10**9])  # one start a batch; every start in one
+def test_fit_does_not_depend_on_the_batch_size(monkeypatch, budget):
+    weekly = outlier_weekly(0)
+    want = fit_markov_switching(weekly, restarts=4)
+    monkeypatch.setattr(regime, "_BATCH_VALUES", budget)
+    got = fit_markov_switching(weekly, restarts=4)
+    # each start's arithmetic is elementwise or per row, so the fit is exact
+    assert (got.mu, got.var, got.initial, got.trace, got.converged) == \
+        (want.mu, want.var, want.initial, want.trace, want.converged)
+    assert np.array_equal(got.transition, want.transition)
+
+
+def test_collapsed_start_leaves_the_batch_alone():
+    weekly, _ = planted_weekly(300, (0.02, -0.01), (0.008, 0.02), (0.9, 0.9), seed=5)
+    y = weekly.values
+    v = float(np.var(y))
+    P = np.array([[[0.9, 0.1], [0.1, 0.9]]] * 2)
+    # the second start begins under the variance floor
+    out = _em_trial(y, [[0.02, -0.01]] * 2, [[v, 2 * v], [v, 1e-13]], P, [[0.5, 0.5]] * 2,
+                    1e-8, 1000)
+    assert out[4][1] is None
+    want = sequential_em_trial(y, (0.02, -0.01), (v, 2 * v), P[0], (0.5, 0.5), 1e-8, 1000)
+    assert out[4][0] == pytest.approx(want[4], rel=1e-12) and out[5][0] == want[5]
+
+
+def test_traced_fit_records_em_trial_spans(monkeypatch):
+    # the benchmark's traced pass wraps regime._em_trial by name and reads
+    # n_iter off item 4 of its result
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans = importlib.import_module("spans")
+    for mod in [importlib.import_module("dynte")] + \
+            [importlib.import_module(f"dynte.{m}") for m in spans.LAYERS]:
+        for attr, obj in list(vars(mod).items()):
+            if inspect.isfunction(obj):
+                monkeypatch.setattr(mod, attr, obj)  # restored after the test
+    monkeypatch.setattr(Series, "restrict", Series.restrict)
+    tracer = spans.Tracer()
+    tracer.install()
+    weekly, _ = planted_weekly(300, (0.02, -0.01), (0.008, 0.02), (0.9, 0.9), seed=5)
+    regime.fit_markov_switching(weekly, restarts=3, seed=0)
+    trials = [s for s in tracer.spans if s[spans.NAME] == "regime._em_trial"]
+    assert trials
+    # one span per batch; its n_iter counts the batch's starts
+    assert sum(s[spans.ATTRS]["n_iter"] for s in trials) == 3
 
 
 # -------------------------------------------------------- signal agreement
