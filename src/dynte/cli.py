@@ -353,21 +353,31 @@ def _cell(x) -> str:
     return repr(float(x))
 
 
+def _column_text(column) -> list[str]:
+    """The cells of one column as _cell prints them. A float array prints
+    as repr over its tolist(), the same text, without a numpy scalar and a
+    type dispatch per cell."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return list(map(repr, column.tolist()))
+    return [_cell(x) for x in column]
+
+
 def _write_table(cfg: RunConfig, stem: str, token: str, header: Sequence[str],
-                 rows, chart: dict[str, str] | None = None, ylabel: str = "") -> list[Path]:
-    """The one way a table is written: `header`, then a line per row, every
-    cell printed by _cell. With `chart` (legend label -> column), an SVG of
-    those columns against the `date` column goes alongside."""
-    rows = list(rows)
+                 columns, chart: dict[str, str] | None = None, ylabel: str = "") -> list[Path]:
+    """The one way a table is written: `header`, then a line per row of
+    `columns`, one sequence per header field, formatted column by column.
+    With `chart` (legend label -> column), an SVG of those columns against
+    the `date` column goes alongside."""
+    columns = list(columns)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / f"{stem}_{_cfg_hash(cfg, token)}.csv"
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(header)
-        out.writerows([_cell(x) for x in row] for row in rows)
+        out.writerows(zip(*map(_column_text, columns)))
     if not (chart and cfg.svg):
         return [path]
-    cols = dict(zip(header, zip(*rows)))
+    cols = dict(zip(header, columns))
     return [path, _svg(cfg, stem, token, cols["date"],
                        {label: cols[c] for label, c in chart.items()}, ylabel)]
 
@@ -616,8 +626,8 @@ def cmd_synth(cfg: RunConfig) -> list[Path]:
     legs = ("BENCH_EQ", "BENCH_BD", "SPREAD")
     levels = [prices_from_returns(panel[sym]).values for sym in legs]
     return (_write_table(cfg, "synth_panel", "synth", ["date", *legs, "VIX"],
-                         zip(dates, *levels, panel["VIX"].values))
-            + _write_table(cfg, "synth_states", "synth", ["date", "state"], zip(dates, states)))
+                         [dates, *levels, panel["VIX"].values])
+            + _write_table(cfg, "synth_states", "synth", ["date", "state"], [dates, states]))
 
 
 def _exhibit1(cfg: RunConfig) -> list[Path]:
@@ -626,7 +636,7 @@ def _exhibit1(cfg: RunConfig) -> list[Path]:
                  cfg.windows["pairwise_corr"])
     vix = market.vix_full.restrict(avg.calendar)
     return _write_table(cfg, "exhibit1", "exhibit1", ["date", "avg_pairwise_corr", "vix"],
-                        zip(avg.calendar.dates, avg.values, vix.values),
+                        [avg.calendar.dates, avg.values, vix.values],
                         {"avg pairwise corr": "avg_pairwise_corr"}, "correlation")
 
 
@@ -637,7 +647,7 @@ def _exhibit2(cfg: RunConfig) -> list[Path]:
                       cfg.windows["stock_bond_corr"])
             for k, leg in legs.items() if leg is not None}
     return _write_table(cfg, "exhibit2", "exhibit2", ["date", *(f"corr_{k}" for k in corr)],
-                        zip(corr["eq_bd"].calendar.dates, *(c.values for c in corr.values())),
+                        [corr["eq_bd"].calendar.dates, *(c.values for c in corr.values())],
                         {k: f"corr_{k}" for k in corr}, "correlation")
 
 
@@ -654,7 +664,7 @@ def _exhibit3(cfg: RunConfig) -> list[Path]:
         # display convention: drawdowns are losses, shown negative
         cells["max_drawdown"] = -rep.max_drawdown
         rows.append([name, *cells.values()])
-    return _write_table(cfg, "exhibit3", "exhibit3", ["portfolio", *metrics], rows)
+    return _write_table(cfg, "exhibit3", "exhibit3", ["portfolio", *metrics], zip(*rows))
 
 
 def _exhibit4(cfg: RunConfig) -> list[Path]:
@@ -667,7 +677,7 @@ def _exhibit4(cfg: RunConfig) -> list[Path]:
     sm = eng.smoothed_vix.restrict(te_s.calendar)
     return _write_table(cfg, "exhibit4", "exhibit4",
                         ["date", "te_static", "te_dynamic", "smoothed_vix"],
-                        zip(te_s.calendar.dates, te_s.values, te_d.values, sm.values),
+                        [te_s.calendar.dates, te_s.values, te_d.values, sm.values],
                         {"static": "te_static", "dynamic": "te_dynamic"},
                         "realized tracking error")
 
@@ -680,7 +690,7 @@ def cmd_omega(cfg: RunConfig) -> list[Path]:
               *(f"n_q{k}" for k in range(1, 6)), *(f"boundary_{p}" for p in (20, 40, 60, 80))]
     rows = [[h, *rep.means[i], rep.spreads[i], rep.t_stats[i], *rep.counts[i], *rep.boundaries]
             for i, h in enumerate(rep.horizons)]
-    return _write_table(cfg, "exhibit5", "omega", header, rows)
+    return _write_table(cfg, "exhibit5", "omega", header, zip(*rows))
 
 
 def cmd_regret(cfg: RunConfig, market: Market | None = None,
@@ -712,7 +722,7 @@ def cmd_regret(cfg: RunConfig, market: Market | None = None,
               "horizon_days", "stay_70_30", "derisk_30_70", "regret"]
     rows = [[e.name, e.trough.date, e.trough.drawdown, e.trough.vix, h, s, d, r]
             for e in entries for h, s, d, r in zip(e.horizons, e.stay, e.derisk, e.regret)]
-    return _write_table(cfg, "exhibit6b", "regret", header, rows)
+    return _write_table(cfg, "exhibit6b", "regret", header, zip(*rows))
 
 
 def _exhibit6(cfg: RunConfig) -> list[Path]:
@@ -720,28 +730,32 @@ def _exhibit6(cfg: RunConfig) -> list[Path]:
     bench = benchmark_7030(market.eq, market.bd)
     dd = drawdown_path(bench.portfolio)
     return _write_table(cfg, "exhibit6a", "exhibit6", ["date", "drawdown", "vix"],
-                        zip(bench.calendar.dates, dd, market.vix.values),
+                        [bench.calendar.dates, dd, market.vix.values],
                         {"drawdown": "drawdown"}, "drawdown from peak"
                         ) + cmd_regret(cfg, market, bench)
 
 
 def cmd_converge(cfg: RunConfig) -> list[Path]:
     eng = build_engine(cfg, _market_or_synth(cfg, "converge"))
-    bspec = cfg.bootstrap_spec
     header = ["cap", "cagr", "vol", "sharpe", "max_drawdown", "te_level",
               "te_sigma", "sharpe_ci_lo", "sharpe_ci_hi", "ci_width"]
-    rows = []
-    for cap in cfg.caps:
+    rows, portfolios = [], np.empty((len(cfg.caps), len(eng.bench.calendar)))
+    for cap, portfolio in zip(cfg.caps, portfolios):
         sim = eng.overlay(cfg.dynamic_policy.with_ceiling(cap))
         rep = summarize(sim.portfolio, rf=eng.market.rf, te=sim.te,
                         smoothed_vix=eng.smoothed_vix)
-        boot = circular_block_bootstrap(sim.portfolio, bspec, "sharpe")
+        portfolio[:] = sim.portfolio
         rows.append([
             "uncapped" if cap is None else cap,
-            rep.cagr, rep.vol, rep.sharpe, rep.max_drawdown, rep.te_level,
-            rep.te_sigma, boot.ci_lo, boot.ci_hi, boot.width,
+            rep.cagr, rep.vol, rep.sharpe, rep.max_drawdown, rep.te_level, rep.te_sigma,
         ])
-    return _write_table(cfg, "exhibit7", "converge", header, rows)
+    # the caps share one draw of block starts; the panel and simulations are
+    # freed first so that the bootstrap's tables reuse their memory
+    del eng, sim
+    boots = circular_block_bootstrap(portfolios, cfg.bootstrap_spec, "sharpe")
+    for row, boot in zip(rows, boots):
+        row += [boot.ci_lo, boot.ci_hi, boot.width]
+    return _write_table(cfg, "exhibit7", "converge", header, zip(*rows))
 
 
 def cmd_sweep(cfg: RunConfig) -> list[Path]:
@@ -767,7 +781,7 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
              r.cagr_over_maxdd, r.excess_cagr, rep.static_cagr, rep.static_sharpe,
              rep.static_cagr_over_maxdd, r.passes_sharpe, r.passes_calmar, r.passes_both]
             for r in rep.rows]
-    return _write_table(cfg, "sweep", "sweep", header, rows)
+    return _write_table(cfg, "sweep", "sweep", header, zip(*rows))
 
 
 def cmd_props(cfg: RunConfig) -> list[Path]:
@@ -775,7 +789,7 @@ def cmd_props(cfg: RunConfig) -> list[Path]:
              ";".join(f"{k}={v!r}" for k, v in c.values.items()), c.note]
             for c in proposition_suite(*cfg.model_params)]
     return _write_table(cfg, "props", "props",
-                        ["prop", "status", "boundary", "values", "note"], rows)
+                        ["prop", "status", "boundary", "values", "note"], zip(*rows))
 
 
 # ------------------------------------------------------------------ main --

@@ -5,16 +5,19 @@ Long-run variances use the Bartlett kernel with weight 1 - j/(L+1) at lag j
 one-sample t. The circular block bootstrap follows Politis-Romano:
 fixed-length blocks with wraparound, percentile intervals, for the Sharpe
 ratio. A resample is reduced from its blocks' sums of x and x**2, read off
-prefix sums of the demeaned series, so it costs O(n/block) rather than O(n);
-only a resample with near-zero variance gathers its values. Draws are
-processed in chunks sized by a value budget, so memory does not grow with
-the number of iterations.
+per-start tables built once from prefix sums of the demeaned series, so it
+costs O(n/block) rather than O(n); only a resample with near-zero variance
+gathers its values. k aligned series are bootstrapped on one shared draw of
+block starts, and each one's interval is exactly its single-series result.
+Draws are processed in chunks sized by a value budget, so memory does not
+grow with the number of iterations beyond k x iterations statistics.
 Sharpe equality uses the Jobson-Korkie statistic with Memmel's variance
 correction.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -135,24 +138,38 @@ def _block_sum_sharpe(v: np.ndarray, block: int) -> Callable[[np.ndarray], np.nd
     """A function from block starts (k x nblocks) to the Sharpe ratios of
     the k resamples they define, computed from the blocks' sums of x and x**2.
 
-    The sums come from prefix sums of the demeaned series laid twice end to
-    end: a block starts below n and covers at most n values, so each block
-    sum is one difference and a resample costs O(nblocks), not O(n)."""
+    A block starts below n and covers at most n values, so each block sum is
+    one difference of prefix sums of the demeaned series laid twice end to
+    end. Those differences are tabled once per start: one table for blocks
+    of min(block, n) values and, when the last block is shorter, one for it.
+    A resample is then one gather per table and a row sum, O(nblocks), not
+    O(n)."""
     n = len(v)
     nblocks = -(-n // block)
     centre = float(np.mean(v))
+    full, last = min(block, n), n - (nblocks - 1) * block
+    # d and then d**2 share one buffer, and their prefix sums another: in a
+    # batch these build while the earlier series' tables are held
     d = np.tile(v - centre, 2)
-    p1 = np.concatenate([[0.0], np.cumsum(d)])
-    p2 = np.concatenate([[0.0], np.cumsum(d * d)])
-    lengths = np.full(nblocks, block)
-    lengths[-1] = n - (nblocks - 1) * block
+    p = np.zeros(2 * n + 1)
+    tables = []
+    for square in (False, True):
+        if square:
+            np.multiply(d, d, out=d)
+        np.cumsum(d, out=p[1:])
+        tables.append((p[full:full + n] - p[:n],
+                       None if last == full else p[last:last + n] - p[:n]))
     floor = _SS_REL_FLOOR * float(np.dot(v, v))
     annualize = math.sqrt(TRADING_DAYS_PER_YEAR)
 
+    def block_sums(starts: np.ndarray, table: np.ndarray, last_table) -> np.ndarray:
+        sums = table[starts]
+        if last_table is not None:
+            sums[:, -1] = last_table[starts[:, -1]]
+        return sums.sum(axis=1)
+
     def stat(starts: np.ndarray) -> np.ndarray:
-        ends = starts + lengths
-        s1 = (p1[ends] - p1[starts]).sum(axis=1)
-        s2 = (p2[ends] - p2[starts]).sum(axis=1)
+        s1, s2 = (block_sums(starts, *t) for t in tables)
         ss = s2 - s1 * s1 / n
         with np.errstate(invalid="ignore", divide="ignore"):
             out = (centre + s1 / n) / np.sqrt(ss / (n - 1)) * annualize
@@ -166,54 +183,67 @@ def _block_sum_sharpe(v: np.ndarray, block: int) -> Callable[[np.ndarray], np.nd
 
 def circular_block_bootstrap(
     returns, spec: BootstrapSpec, statistic: str = "sharpe"
-) -> BootstrapResult:
+) -> BootstrapResult | list[BootstrapResult]:
     """Percentile CI for the annualized Sharpe ratio of a daily return
-    series; "sharpe" is the only statistic.
+    series; "sharpe" is the only statistic. `returns` is one series, or a
+    2-D array whose k rows are aligned series, which gives a list of k
+    results.
 
-    Resamples are ceil(n/block) wraparound blocks truncated to n. Resamples
-    with zero volatility are redrawn, with a hard retry limit. Deterministic
-    in spec.seed and independent of any parallelism in the caller.
+    Resamples are ceil(n/block) wraparound blocks truncated to n. All rows
+    read their resamples off one shared draw of block starts. Resamples with
+    zero volatility are redrawn, with a hard retry limit; a row redraws from
+    its own copy of the generator as it stands after the shared draw, so
+    each row's result is exactly that of a call on the row alone.
+    Deterministic in spec.seed and independent of any parallelism in the
+    caller.
 
     Each resample is computed from per-block sums of x and x**2, so it costs
     O(ceil(n/block)), and the draws are worked through in chunks of bounded
-    size, so memory does not grow with spec.iterations beyond the array of
-    statistics.
+    size, so memory does not grow with spec.iterations beyond the k x
+    iterations statistics.
     """
     if statistic != "sharpe":
         raise ValueError(f"unknown statistic {statistic!r}")
-    v = _values(returns)
-    n = len(v)
+    batch = not isinstance(returns, Series) and np.ndim(returns) == 2
+    rows = np.asarray(returns, dtype=np.float64) if batch else _values(returns)[None, :]
+    n = rows.shape[1]
     if n < 2:
         raise ValueError("need at least two observations")
-    point = float(_stat_sharpe(v[None, :])[0])
-    if not np.isfinite(point):
+    points = [float(_stat_sharpe(v[None, :])[0]) for v in rows]
+    if not np.isfinite(points).all():
         raise ValueError("statistic undefined on the original sample")
 
     b = spec.block
     nblocks = -(-n // b)  # ceil
-    resample = _block_sum_sharpe(v, b)
-    rng = np.random.default_rng(spec.seed)
-    rows = max(1, min(_CHUNK_ROWS, _CHUNK_VALUES // nblocks))
+    resamples = [_block_sum_sharpe(v, b) for v in rows]
+    chunk = max(1, min(_CHUNK_ROWS, _CHUNK_VALUES // nblocks))
 
-    def draw(k: int) -> np.ndarray:
-        out = np.empty(k)
-        for i in range(0, k, rows):
-            m = min(rows, k - i)
-            out[i:i + m] = resample(rng.integers(0, n, size=(m, nblocks)))
+    def draw(rng: np.random.Generator, fns: list, k: int) -> np.ndarray:
+        out = np.empty((len(fns), k))
+        for i in range(0, k, chunk):
+            m = min(chunk, k - i)
+            starts = rng.integers(0, n, size=(m, nblocks))
+            for row, resample in zip(out, fns):
+                row[i:i + m] = resample(starts)
         return out
 
-    stats = draw(spec.iterations)
-    for _ in range(_MAX_REDRAW_ROUNDS):
-        bad = ~np.isfinite(stats)
-        if not bad.any():
-            break
-        stats[bad] = draw(int(bad.sum()))
-    else:
-        raise ValueError("bootstrap retry limit exceeded; statistic undefined too often")
-
+    rng = np.random.default_rng(spec.seed)
+    stats = draw(rng, resamples, spec.iterations)
     lo = (1.0 - spec.confidence) / 2.0
-    ci_lo, ci_hi = np.quantile(stats, [lo, 1.0 - lo], overwrite_input=True)
-    return BootstrapResult(point=point, ci_lo=float(ci_lo), ci_hi=float(ci_hi), spec=spec)
+    results = []
+    for point, resample, row in zip(points, resamples, stats):
+        own = copy.deepcopy(rng)
+        for _ in range(_MAX_REDRAW_ROUNDS):
+            bad = ~np.isfinite(row)
+            if not bad.any():
+                break
+            row[bad] = draw(own, [resample], int(bad.sum()))[0]
+        else:
+            raise ValueError("bootstrap retry limit exceeded; statistic undefined too often")
+        ci_lo, ci_hi = np.quantile(row, [lo, 1.0 - lo], overwrite_input=True)
+        results.append(BootstrapResult(point=point, ci_lo=float(ci_lo), ci_hi=float(ci_hi),
+                                       spec=spec))
+    return results if batch else results[0]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from dynte.cli import CONFIG_VERSION, ConfigError, _cell, _svg, load_config, main
+from dynte.cli import (CONFIG_VERSION, ConfigError, _cell, _svg, build_engine, load_config,
+                       main, synthetic_market)
+from dynte.inference import circular_block_bootstrap
 from dynte.timeseries import SynthParams, synth_regime_panel
 
 
@@ -471,6 +473,22 @@ def test_converge_caps_flag_and_uncapped(tmp_path):
     for r in rows[1:]:
         lo, hi = float(r[7]), float(r[8])
         assert lo <= float(r[3]) <= hi  # CI brackets the sharpe point
+
+
+def test_converge_cis_equal_single_series_bootstraps(tmp_path):
+    # the caps share one draw of block starts; each row's CI must still be
+    # the bootstrap of that cap's overlay alone
+    extra = {"synth": {"horizon": 700}, "bootstrap": {"iterations": 200, "block": 30}}
+    code, files = run(tmp_path, "converge", config_extra=extra)
+    assert code == 0
+    cfg = load_config(write_config(tmp_path, **extra), {})
+    eng = build_engine(cfg, synthetic_market(cfg))
+    rows = read_rows(files[0])[1:]
+    assert len(rows) == len(cfg.caps)
+    for cap, row in zip(cfg.caps, rows):
+        sim = eng.overlay(cfg.dynamic_policy.with_ceiling(cap))
+        boot = circular_block_bootstrap(sim.portfolio, cfg.bootstrap_spec, "sharpe")
+        assert (float(row[7]), float(row[8])) == (boot.ci_lo, boot.ci_hi), row[0]
 
 
 INT_COLUMNS = {"horizon_days", "window", "prop", *(f"n_q{k}" for k in range(1, 6))}

@@ -226,33 +226,89 @@ def test_bootstrap_redraws_match_gather_oracle(seed, base):
     assert_matches_oracle(r, spec)
 
 
-@pytest.mark.parametrize("statistic", ["sharpe"])
-def test_bootstrap_chunked_draws_equal_one_shot(monkeypatch, statistic):
-    rng = np.random.default_rng(18)
-    r = 0.0004 + 0.01 * rng.standard_normal(250)
+def series_rows(rng, n, bursts):
+    """One row per entry of `bursts`: where it is true, zeros but for a
+    burst of n // 8 + 1 Gaussian values at a random place, so every
+    resample that misses the burst is constant and redrawn, and the others
+    spread; else a Gaussian series."""
+    rows = 0.0003 + 0.01 * rng.standard_normal((len(bursts), n))
+    for row, burst in zip(rows, bursts):
+        if burst:
+            row[n // 8 + 1:] = 0.0
+            row[:] = np.roll(row, rng.integers(n))
+    return rows
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 200),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bootstrap_rows_equal_single_series(n, data, seed):
+    # block >= n and n % block != 0 are both in range; burst rows redraw
+    # often, Gaussian rows seldom, so each row redraws on its own
+    block = data.draw(st.integers(1, 2 * n), label="block")
+    bursts = data.draw(st.lists(st.booleans(), min_size=1, max_size=5), label="bursts")
+    rows = series_rows(np.random.default_rng(seed), n, bursts)
+    spec = BootstrapSpec(block=block, iterations=601, seed=seed % 1000)
+    singles = [_outcome(lambda: circular_block_bootstrap(r, spec, "sharpe")) for r in rows]
+    errors = [x for x in singles if isinstance(x, str)]
+    if errors:
+        # the points are checked before any draw, then each row's redraws
+        undefined = "statistic undefined on the original sample"
+        with pytest.raises(ValueError, match=undefined if undefined in errors else errors[0]):
+            circular_block_bootstrap(rows, spec, "sharpe")
+        return
+    batch = circular_block_bootstrap(rows, spec, "sharpe")
+    assert [(b.point, b.ci_lo, b.ci_hi) for b in batch] == \
+        [(s.point, s.ci_lo, s.ci_hi) for s in singles]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_bootstrap_chunked_draws_equal_one_shot(monkeypatch, k):
+    rows = series_rows(np.random.default_rng(18), 250, [False] * k)
     spec = BootstrapSpec(block=50, iterations=1001, seed=4)  # 5 blocks a resample
-    one_shot = circular_block_bootstrap(r, spec, statistic)
+    one_shot = circular_block_bootstrap(rows, spec, "sharpe")
     monkeypatch.setattr(inference, "_CHUNK_ROWS", 3)
-    chunked = circular_block_bootstrap(r, spec, statistic)
-    assert (chunked.ci_lo, chunked.ci_hi) == (one_shot.ci_lo, one_shot.ci_hi)
-    assert_matches_oracle(r, spec)
+    chunked = circular_block_bootstrap(rows, spec, "sharpe")
+    assert [(c.ci_lo, c.ci_hi) for c in chunked] == [(o.ci_lo, o.ci_hi) for o in one_shot]
+    for r in rows:
+        assert_matches_oracle(r, spec)
 
 
-@pytest.mark.parametrize("statistic", ["sharpe"])
-def test_bootstrap_memory_bounded_in_iterations(statistic):
-    rng = np.random.default_rng(19)
-    r = 0.0003 + 0.01 * rng.standard_normal(252)
+@pytest.mark.parametrize("k", [1, 3])
+def test_bootstrap_memory_bounded_in_iterations(k):
+    rows = series_rows(np.random.default_rng(19), 252, [False] * k)
     iterations = 200_000
     spec = BootstrapSpec(block=21, iterations=iterations, seed=0)
     tracemalloc.start()
     try:
-        circular_block_bootstrap(r, spec, statistic)
+        circular_block_bootstrap(rows, spec, "sharpe")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # all-at-once resampling would hold iterations x 252 values (400 MB);
-    # beyond the statistics array only chunk-sized buffers may remain
-    assert peak - 8 * iterations < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    # all-at-once resampling would hold k x iterations x 252 values (400 MB
+    # a series); beyond the k x iterations statistics only chunk-sized
+    # buffers may remain
+    assert peak - 8 * k * iterations < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_bootstrap_input_shapes():
+    rows = series_rows(np.random.default_rng(20), 100, [False, False])
+    spec = BootstrapSpec(block=10, iterations=50)
+    one = circular_block_bootstrap(rows[0], spec, "sharpe")
+    assert isinstance(one, BootstrapResult)
+    assert circular_block_bootstrap(rows[:1], spec, "sharpe") == [one]
+    with pytest.raises(ValueError, match="one-dimensional"):
+        circular_block_bootstrap(rows[None], spec, "sharpe")
 
 
 def test_bootstrap_spec_validation():
