@@ -20,13 +20,13 @@ import datetime as dt
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
 
+from ._record import record
 from .events import (
     DEFAULT_OMEGA_HORIZONS,
     DEFAULT_REGRET_HORIZONS,
@@ -177,7 +177,7 @@ def _ordered(fieldname: str, start: dt.date | None,
     return start, end
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RunConfig:
     """Validated, fully-resolved settings, built once by load_config. `raw`
     is the canonical dict the output hash is computed from; commands read
@@ -355,10 +355,14 @@ def _cell(x) -> str:
 
 def _column_text(column) -> list[str]:
     """The cells of one column as _cell prints them. A float array prints
-    as repr over its tolist(), the same text, without a numpy scalar and a
-    type dispatch per cell."""
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return list(map(repr, column.tolist()))
+    as repr over its tolist(), and a datetime64 array (a calendar's `days`)
+    as ISO dates in one datetime_as_string call: the same text, without a
+    Python object and a type dispatch per cell."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return list(map(repr, column.tolist()))
+        if column.dtype.kind == "M":
+            return np.datetime_as_string(column, unit="D").tolist()
     return [_cell(x) for x in column]
 
 
@@ -389,7 +393,8 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd")
 
 def _svg(cfg: RunConfig, stem: str, token: str, dates, named_series: dict,
          ylabel: str) -> Path:
-    """Line chart of each named series against dates, written as plain SVG.
+    """Line chart of each named series against `dates` (a calendar's
+    datetime64 `days`, or anything that converts to them), as plain SVG.
 
     Each series is a group of <polyline>s, broken wherever a value is not
     finite; the y axis spans the finite range of all series. Coordinates are
@@ -399,8 +404,10 @@ def _svg(cfg: RunConfig, stem: str, token: str, dates, named_series: dict,
 
     x0, x1 = _SVG_LEFT, _SVG_W - _SVG_RIGHT
     y0, y1 = _SVG_H - _SVG_BOTTOM, _SVG_TOP
-    days = np.array([d.toordinal() for d in dates], dtype=float)
-    xs = (x0 + (days - days[0]) * ((x1 - x0) / ((days[-1] - days[0]) or 1.0))).tolist()
+    days = np.asarray(dates, dtype="datetime64[D]")
+    elapsed = (days - days[0]).astype(float)
+    xs = (x0 + elapsed * ((x1 - x0) / (elapsed[-1] or 1.0))).tolist()
+    first, last = np.datetime_as_string(days[[0, -1]], unit="D").tolist()
     cols = {name: np.asarray(v, dtype=float) for name, v in named_series.items()}
     allv = np.concatenate(list(cols.values()))
     finite = allv[np.isfinite(allv)]
@@ -418,8 +425,8 @@ def _svg(cfg: RunConfig, stem: str, token: str, dates, named_series: dict,
         f'<text x="{x0 - 4}" y="{y1 + 8}" text-anchor="end">{hi:.4g}</text>',
         f'<text transform="translate(16 {(y0 + y1) / 2:.2f}) rotate(-90)" '
         f'text-anchor="middle">{esc(ylabel)}</text>',
-        f'<text x="{x0}" y="{y0 + 16}" text-anchor="start">{dates[0].isoformat()}</text>',
-        f'<text x="{x1}" y="{y0 + 16}" text-anchor="end">{dates[-1].isoformat()}</text>',
+        f'<text x="{x0}" y="{y0 + 16}" text-anchor="start">{first}</text>',
+        f'<text x="{x1}" y="{y0 + 16}" text-anchor="end">{last}</text>',
     ]
     for k, (name, vals) in enumerate(cols.items()):
         color = _SVG_COLORS[k % len(_SVG_COLORS)]
@@ -449,7 +456,7 @@ def _svg(cfg: RunConfig, stem: str, token: str, dates, named_series: dict,
 
 # ----------------------------------------------------------- data loading --
 
-@dataclass
+@record
 class Market:
     """Everything the exhibit pipeline needs, aligned to one calendar of
     daily returns (prices keep one extra leading date). Roles a command did
@@ -579,7 +586,7 @@ def _market_or_synth(cfg: RunConfig, command: str,
     return synthetic_market(cfg)
 
 
-@dataclass
+@record
 class Engine:
     """The benchmark, regime path and smoothed gauge of one run. The static
     and dynamic overlays are simulated on first use, so commands that never
@@ -622,7 +629,7 @@ def build_engine(cfg: RunConfig, market: Market) -> Engine:
 def cmd_synth(cfg: RunConfig) -> list[Path]:
     """Write the synthetic panel as index levels plus the true state path."""
     panel, states = synth_regime_panel(cfg.synth_params)
-    dates = panel.calendar.dates
+    dates = panel.calendar.days
     legs = ("BENCH_EQ", "BENCH_BD", "SPREAD")
     levels = [prices_from_returns(panel[sym]).values for sym in legs]
     return (_write_table(cfg, "synth_panel", "synth", ["date", *legs, "VIX"],
@@ -636,7 +643,7 @@ def _exhibit1(cfg: RunConfig) -> list[Path]:
                  cfg.windows["pairwise_corr"])
     vix = market.vix_full.restrict(avg.calendar)
     return _write_table(cfg, "exhibit1", "exhibit1", ["date", "avg_pairwise_corr", "vix"],
-                        [avg.calendar.dates, avg.values, vix.values],
+                        [avg.calendar.days, avg.values, vix.values],
                         {"avg pairwise corr": "avg_pairwise_corr"}, "correlation")
 
 
@@ -647,7 +654,7 @@ def _exhibit2(cfg: RunConfig) -> list[Path]:
                       cfg.windows["stock_bond_corr"])
             for k, leg in legs.items() if leg is not None}
     return _write_table(cfg, "exhibit2", "exhibit2", ["date", *(f"corr_{k}" for k in corr)],
-                        [corr["eq_bd"].calendar.dates, *(c.values for c in corr.values())],
+                        [corr["eq_bd"].calendar.days, *(c.values for c in corr.values())],
                         {k: f"corr_{k}" for k in corr}, "correlation")
 
 
@@ -677,7 +684,7 @@ def _exhibit4(cfg: RunConfig) -> list[Path]:
     sm = eng.smoothed_vix.restrict(te_s.calendar)
     return _write_table(cfg, "exhibit4", "exhibit4",
                         ["date", "te_static", "te_dynamic", "smoothed_vix"],
-                        [te_s.calendar.dates, te_s.values, te_d.values, sm.values],
+                        [te_s.calendar.days, te_s.values, te_d.values, sm.values],
                         {"static": "te_static", "dynamic": "te_dynamic"},
                         "realized tracking error")
 
@@ -730,7 +737,7 @@ def _exhibit6(cfg: RunConfig) -> list[Path]:
     bench = benchmark_7030(market.eq, market.bd)
     dd = drawdown_path(bench.portfolio)
     return _write_table(cfg, "exhibit6a", "exhibit6", ["date", "drawdown", "vix"],
-                        [bench.calendar.dates, dd, market.vix.values],
+                        [bench.calendar.days, dd, market.vix.values],
                         {"drawdown": "drawdown"}, "drawdown from peak"
                         ) + cmd_regret(cfg, market, bench)
 

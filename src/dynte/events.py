@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._record import record
 from .inference import newey_west_mean_test
 from .metrics import MetricsReport, drawdown_path, summarize
 from .regime import RegimePath, RegimeThresholds, percentile_thresholds
@@ -68,7 +68,7 @@ def forward_return(prices: Series, horizon: int, annualize: bool = True) -> Seri
     return Series(TradingCalendar(prices.calendar.days[: n - horizon]), out, UNIT_LEVEL)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QuintileReport:
     boundaries: np.ndarray
     horizons: tuple[int, ...]
@@ -126,7 +126,7 @@ def omega_table(
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Trough:
     date: dt.date
     drawdown: float          # magnitude at the trough vs the running peak
@@ -157,7 +157,7 @@ def find_trough(
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RegretEntry:
     """Cumulative returns from the day after a trough: staying in the
     aggressive mix versus de-risking into the mirrored mix, per horizon.
@@ -215,7 +215,7 @@ def regret_table(
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SweepRow:
     window: int
     thresholds: RegimeThresholds
@@ -232,7 +232,7 @@ class SweepRow:
         return self.passes_sharpe and self.passes_calmar
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SweepReport:
     static_cagr: float
     static_sharpe: float

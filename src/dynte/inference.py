@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ._record import record
 from .timeseries import TRADING_DAYS_PER_YEAR, Series
 
 
@@ -36,7 +36,7 @@ def _values(x) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MeanTest:
     mean: float
     se: float
@@ -73,7 +73,7 @@ def newey_west_mean_test(x, bandwidth: int) -> MeanTest:
     return MeanTest(mean=m, se=se, t=m / se, bandwidth=bandwidth, n=n)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BootstrapSpec:
     block: int = 63
     iterations: int = 10_000
@@ -89,7 +89,7 @@ class BootstrapSpec:
             raise ValueError("confidence must be in (0, 1)")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BootstrapResult:
     point: float
     ci_lo: float
@@ -246,7 +246,7 @@ def circular_block_bootstrap(
     return results if batch else results[0]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SharpeEquality:
     z: float
     p: float

@@ -13,10 +13,10 @@ run; it returns a MetricsReport, and callers lay out their own tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .timeseries import TRADING_DAYS_PER_YEAR, UNIT_RETURN, Series
 
 
@@ -96,7 +96,7 @@ def max_drawdown(returns) -> float:
     return float(np.max(drawdown_path(returns)))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TePolicyStats:
     level: float           # mean tracking error
     sigma_te: float        # dispersion of tracking error through time
@@ -126,7 +126,7 @@ def te_policy_stats(te: Series, smoothed_vix: Series) -> TePolicyStats:
     return TePolicyStats(level=level, sigma_te=sigma, cyclicality=cyc)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MetricsReport:
     cagr: float
     vol: float

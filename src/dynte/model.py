@@ -14,12 +14,12 @@ PropositionCheck per claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import record
 
-@dataclass(frozen=True)
+
+@record(frozen=True)
 class RegimeParams:
     """Two-state spread parameters: (calm, stressed) alpha and sigma, and
     the probability p of the stressed state."""
@@ -41,7 +41,7 @@ class RegimeParams:
         return (self.alpha[0] / self.sigma[0], self.alpha[1] / self.sigma[1])
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GovernanceParams:
     """Hard annualized tracking-error ceiling."""
 
@@ -120,7 +120,7 @@ def brute_force_optimum(alpha: float, sigma: float, grid: np.ndarray) -> float:
     return float(g[int(np.argmax(obj))])
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PropositionCheck:
     prop: int
     status: str          # "pass" | "fail" | "precondition"

@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import field, record
 from .inference import spearman
 from .rolling import WindowSpec, moving_average
 from .timeseries import UNIT_LEVEL, UNIT_RETURN, Series, TradingCalendar
@@ -54,7 +54,7 @@ class Regime(enum.IntEnum):
     HIGH = 1
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RegimeThresholds:
     low: float
     high: float
@@ -77,7 +77,7 @@ def percentile_thresholds(
     return RegimeThresholds(low=float(lo), high=float(hi))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RegimePath:
     """The smoothed signal, and the per-date label it gives under the thresholds."""
 
@@ -140,7 +140,7 @@ def weekly_returns(daily: Series) -> Series:
     return Series(TradingCalendar(tuple(out_dates)), np.asarray(out_vals), UNIT_RETURN)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MSModel:
     """Two-state Gaussian HMM; state 0 is low-variance, state 1 high."""
 
@@ -393,7 +393,7 @@ def smoothed_high_prob(model: MSModel, weekly: Series) -> Series:
     return Series(weekly.calendar, np.clip(smooth[:, 1], 0.0, 1.0), UNIT_LEVEL)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AgreementReport:
     spearman: float
     concordance: float

@@ -10,12 +10,12 @@ float precision. Correlations over a zero-variance window are NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._record import record
 from .timeseries import (
     TRADING_DAYS_PER_YEAR,
     UNIT_LEVEL,
@@ -26,7 +26,7 @@ from .timeseries import (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WindowSpec:
     """Trailing window: length in trading days, min_periods observations
     required before a value is emitted (defaults to the full length)."""

@@ -12,10 +12,9 @@ information; the first vol_window.length days are a warm-up with theta 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import record
 from .regime import RegimePath
 from .rolling import WindowSpec, rolling_vol
 from .timeseries import UNIT_RETURN, Series, TradingCalendar
@@ -23,7 +22,7 @@ from .timeseries import UNIT_RETURN, Series, TradingCalendar
 DEFAULT_CAPS: tuple[float, ...] = tuple(np.linspace(0.005, 0.05, 11))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OverlayPolicy:
     """Tracking-error targets per regime label, in annualized fraction terms.
 
@@ -71,7 +70,7 @@ class OverlayPolicy:
         return tuple(min(x, self.te_ceiling) for x in t)  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SimResult:
     """Daily simulation output. portfolio - benchmark == theta * spread by
     construction; te is the realized tracking-error path over the active

@@ -1,8 +1,9 @@
 """Calendar-aligned market data containers, CSV ingestion, and a seeded
 two-state synthetic market generator.
 
-Containers are immutable after construction and safe to share across
-threads. All annualization in this package assumes 252 trading days.
+Containers are frozen records (`dynte._record`), immutable after
+construction and safe to share across threads. All annualization in this
+package assumes 252 trading days.
 """
 
 from __future__ import annotations
@@ -10,12 +11,13 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import numbers
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from ._record import record
 
 TRADING_DAYS_PER_YEAR = 252
 
@@ -159,7 +161,7 @@ def intersect_calendars(cals: Iterable[TradingCalendar]) -> TradingCalendar:
     return TradingCalendar._unchecked(common)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Series:
     """One float per calendar date, tagged with a unit.
 
@@ -211,7 +213,7 @@ class Series:
         return Series(self.calendar.suffix(start), self.values[start:], self.unit)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AssetPanel:
     """Several symbols' series on one shared calendar."""
 
@@ -240,7 +242,7 @@ class AssetPanel:
             raise ValueError(f"symbol {sym!r} not in panel") from None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IngestResult:
     panel: AssetPanel
     dropped_dates: tuple[dt.date, ...]
@@ -446,7 +448,7 @@ def _number_pair(x) -> bool:
     return isinstance(x, Sequence) and len(x) == 2 and all(map(_is_number, x))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SynthParams:
     """Two-state world: a persistent Markov chain drives the drift and
     volatility of the benchmark legs and of the long/short spread, plus the

@@ -11,10 +11,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from dynte.cli import (CONFIG_VERSION, ConfigError, _cell, _svg, build_engine, load_config,
-                       main, synthetic_market)
+from dynte.cli import (CONFIG_VERSION, ConfigError, _cell, _column_text, _svg, build_engine,
+                       load_config, main, synthetic_market)
 from dynte.inference import circular_block_bootstrap
-from dynte.timeseries import SynthParams, synth_regime_panel
+from dynte.timeseries import SynthParams, TradingCalendar, synth_regime_panel
 
 
 def write_config(tmp_path, **overrides):
@@ -566,6 +566,19 @@ def test_exhibit4_svg_byte_stable_and_well_formed(tmp_path):
     assert set(series) == {"static", "dynamic"}
     for lines in series.values():
         assert lines and all(len(pl) >= 2 for pl in lines)
+
+
+def test_date_columns_print_as_iso_dates(tmp_path):
+    dates = [dt.date(1, 1, 1), dt.date(999, 12, 31), dt.date(2000, 2, 29), dt.date(9999, 12, 31)]
+    cal = TradingCalendar(dates)
+    assert _column_text(cal.days) == [d.isoformat() for d in dates] == list(
+        map(_cell, cal.dates))
+    # a chart reads the calendar's days and its dates alike
+    cfg = load_config(None, {"out": str(tmp_path)})
+    named = {"x": [1.0, 2.0, 3.0, 4.0]}
+    texts = [_svg(cfg, stem, stem, d, named, "y").read_text()
+             for stem, d in (("days", cal.days), ("dates", cal.dates))]
+    assert texts[0] == texts[1] and ">0001-01-01<" in texts[0] and ">9999-12-31<" in texts[0]
 
 
 def test_svg_writer_gaps_constant_and_escaping(tmp_path):
