@@ -57,6 +57,7 @@ from .timeseries import (
     TradingCalendar,
     ingest_csv,
     intersect_calendars,
+    parse_date,
     prices_from_returns,
     returns_from_prices,
     synth_regime_panel,
@@ -165,8 +166,8 @@ def _blame(fieldname: str, build, *args):
 
 def _iso(fieldname: str, text) -> dt.date:
     try:
-        return dt.date.fromisoformat(text)
-    except (TypeError, ValueError):
+        return parse_date(text)
+    except ValueError:
         raise ConfigError(fieldname, f"bad ISO date {text!r}") from None
 
 
@@ -242,7 +243,7 @@ def _synth_params(synth: dict, seed: int) -> SynthParams:
     s = {k: _tuples(v) for k, v in synth.items()}
     s.setdefault("seed", seed)
     if "start_date" in s:
-        s["start_date"] = dt.date.fromisoformat(s["start_date"])
+        s["start_date"] = parse_date(s["start_date"])
     return SynthParams(**s)
 
 
@@ -555,7 +556,7 @@ def _in_range(cfg: RunConfig, cal: TradingCalendar) -> TradingCalendar:
     """The dates of cal inside the configured range; at least three."""
     cal = cal.window(*cfg.date_range)
     if len(cal) < 3:
-        raise ValueError("fewer than three shared dates in range")
+        raise ValueError("range: fewer than three shared dates")
     return cal
 
 

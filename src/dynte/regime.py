@@ -9,13 +9,14 @@ state probabilities, Baum-Welch updates for means, variances, transition
 matrix, and initial distribution. Exact M-steps keep the log-likelihood
 non-decreasing across iterations.
 
-Emissions are evaluated in log space less each week's larger one, and the
-filter and the backward recursion are written as prefix products of 2x2
-matrices (Hassan, Sarkka & Garcia-Fernandez, "Temporal parallelization of
-inference in hidden Markov models", 2021) evaluated by a work-efficient
-pairwise scan (Blelloch, "Prefix sums and their applications", 1990), so an
-EM pass is about 2T matrix products in whole-array arithmetic rather than a
-loop over weeks.
+Emissions are evaluated in log space less each week's larger one. The
+filter and the backward recursion are the prefix and suffix products of one
+sequence of 2x2 matrices (Hassan, Sarkka & Garcia-Fernandez, "Temporal
+parallelization of inference in hidden Markov models", 2021); one up-sweep
+of a work-efficient pairwise scan (Blelloch, "Prefix sums and their
+applications", 1990) feeds a down-sweep for each. An EM pass is about 3T
+small products in whole-array arithmetic rather than a loop over weeks, and
+its M-step reads four sums of pair probabilities over weeks per start.
 
 The EM restarts run together, in batches stacked on a leading axis of that
 arithmetic. A batch holds as many starts as keep a (starts x weeks) block
@@ -41,10 +42,11 @@ from .rolling import WindowSpec, moving_average
 from .timeseries import UNIT_LEVEL, UNIT_RETURN, Series, TradingCalendar
 
 _VAR_FLOOR = 1e-12
-# values in one (starts x weeks) block of a batch of EM starts: 128 KiB, the
-# size of glibc's default mmap threshold. The filter's arrays hold one to
-# four such blocks and a pass keeps about fifteen alive at once, so a batch's
-# working set stays near 2 MB whatever the restart count.
+# values in one (starts x weeks) block of a batch of EM starts: 128 KiB. The
+# filter's arrays are two to four blocks, above glibc's default 128 KiB mmap
+# threshold, and a full batch keeps about fourteen alive at once (near 1.8 MB),
+# so a fresh process maps or faults them in again on most passes. That working
+# set does not grow with the restart count.
 _BATCH_VALUES = 16_384
 
 
@@ -117,27 +119,19 @@ def classify(
 
 
 def weekly_returns(daily: Series) -> Series:
-    """Compound daily simple returns within each ISO week; each value is
-    dated at the week's last trading day. Partial edge weeks are kept."""
+    """Compound daily simple returns within each Monday-to-Sunday week, the
+    ISO week; each value is dated at the week's last trading day. Partial
+    edge weeks are kept. Each week's product runs in date order, as a loop
+    over the days would."""
     if daily.unit != UNIT_RETURN:
         raise ValueError(f"need a return series, got unit {daily.unit!r}")
-    dates = daily.calendar.dates
-    vals = daily.values
-    out_dates = []
-    out_vals = []
-    growth = 1.0
-    cur = dates[0].isocalendar()[:2]
-    for i, d in enumerate(dates):
-        key = d.isocalendar()[:2]
-        if key != cur:
-            out_dates.append(dates[i - 1])
-            out_vals.append(growth - 1.0)
-            growth = 1.0
-            cur = key
-        growth *= 1.0 + vals[i]
-    out_dates.append(dates[-1])
-    out_vals.append(growth - 1.0)
-    return Series(TradingCalendar(tuple(out_dates)), np.asarray(out_vals), UNIT_RETURN)
+    days = daily.calendar.days
+    # day 0, 1970-01-01, was a Thursday, so day + 3 counts from a Monday
+    week = (days.astype(np.int64) + 3) // 7
+    starts = np.flatnonzero(np.diff(week, prepend=week[0] - 1))
+    ends = np.append(starts[1:], len(days)) - 1
+    growth = np.multiply.reduceat(1.0 + daily.values, starts)
+    return Series(TradingCalendar._unchecked(days[ends]), growth - 1.0, UNIT_RETURN)
 
 
 @record(frozen=True)
@@ -168,43 +162,62 @@ class MSModel:
         object.__setattr__(self, "transition", P)
 
 
-def _prefix_rows(m):
-    """Row 0 of the inclusive prefix products M[0] @ M[1] @ ... @ M[t] of a
-    sequence of 2x2 matrices, stacked as m[i, j, ..., t] = M[t][i, j] (axes
-    between the first two and the last are a batch), each up to a positive
-    scale, as r[j, ..., t]. M[0] must have equal rows, so every prefix
-    product does too and its row 0 is the recursion's state up to scale.
+def _messages(m):
+    """Row 0 of each prefix product M[0] @ ... @ M[t] of a sequence of 2x2
+    matrices, stacked as m[i, j, ..., t] = M[t][i, j] (axes between the
+    first two and the last are a batch), as rows[j, ..., t], and each suffix
+    product M[t+1] @ ... @ M[T-1] @ 1 as cols[i, ..., t], each up to a
+    positive scale. M[0] must have equal rows, so every prefix product does
+    too and its row 0 is the forward recursion's state up to scale.
 
-    Work-efficient pairwise scan (Blelloch 1990): the up-sweep multiplies
+    Work-efficient pairwise scan (Blelloch 1990): one up-sweep multiplies
     adjacent pairs level by level, each product scaled to entries summing
-    to 1, until one is left. The down-sweep carries only row vectors,
-    because row 0 of A @ B is (row 0 of A) @ B: at each level the prefix at
-    odd index 2i+1 is pair i's prefix from the level above, and the one at
-    even index 2i > 0 is the prefix at 2i-1 times M[2i]. That is about 2T
-    products in 2 log2(T) passes of whole-array arithmetic. Rescaling is
-    exact up to rounding because the recursions are linear and only their
-    direction is used."""
+    to 1 and an odd last matrix carried up as it is, until one is left. Two
+    down-sweeps over it carry only vectors. Row 0 of A @ B is (row 0 of A)
+    @ B, so a level's prefix at odd index 2i+1 is pair i's from the level
+    above and the one at even index 2i > 0 is the prefix at 2i-1 times its
+    matrix. A @ B @ v is A @ (B @ v), so the suffix from even index 2i is
+    pair i's from the level above, the one from odd index 2i+1 is its matrix
+    times the suffix from 2i+2, and the one past the end is 1. That is
+    about 3T products in 3 log2(T) passes of whole-array arithmetic.
+    Rescaling is exact up to rounding because the recursions are linear and
+    only their direction is used."""
     levels = [m]
     while levels[-1].shape[-1] > 1:
-        n = levels[-1].shape[-1] // 2 * 2
-        left, right = levels[-1][..., 0:n:2], levels[-1][..., 1:n:2]
-        prod = left[:, :1] * right[0]
+        c = levels[-1]
+        n = c.shape[-1] // 2 * 2
+        left, right = c[..., 0:n:2], c[..., 1:n:2]
+        up = np.empty(c.shape[:-1] + (c.shape[-1] - n // 2,))
+        prod = up[..., :n // 2]
+        np.multiply(left[:, :1], right[0], out=prod)
         prod += left[:, 1:] * right[1]
         prod /= prod.sum(axis=(0, 1))
-        levels.append(prod)
-    row = levels.pop()[0]
+        up[..., n // 2:] = c[..., n:]
+        levels.append(up)
+    # the suffix from index 0 is never read, so it may start as anything
+    row, col = levels.pop()[0], np.ones(m.shape[1:-1] + (2,))
     while levels:
         c = levels.pop()
-        k = (c.shape[-1] - 1) // 2
+        n = c.shape[-1]
+        h, k = n // 2, (n - 1) // 2
         nxt = np.empty(c.shape[1:])
         nxt[..., 0] = c[0, ..., 0]
-        nxt[..., 1::2] = row
+        nxt[..., 1::2] = row[..., :h]
         step = nxt[..., 2::2]
         np.multiply(row[:1, ..., :k], c[0, ..., 2::2], out=step)
         step += row[1:, ..., :k] * c[1, ..., 2::2]
         step /= step.sum(axis=0)
         row = nxt
-    return row
+
+        nxt = np.empty(c.shape[1:-1] + (n + 1,))
+        nxt[..., 0:n:2] = col[..., :n - h]
+        nxt[..., n] = 1.0
+        step = nxt[..., 1:n:2]
+        np.multiply(c[:, 0, ..., 1::2], col[:1, ..., 1:h + 1], out=step)
+        step += c[:, 1, ..., 1::2] * col[1:, ..., 1:h + 1]
+        step /= step.sum(axis=0)
+        col = nxt
+    return row, col[..., 1:]
 
 
 def _filter_smoother(y, mu, var, P, pi):
@@ -212,61 +225,74 @@ def _filter_smoother(y, mu, var, P, pi):
 
     mu, var and pi have shape (..., 2) and P (..., 2, 2); leading axes are a
     batch of parameter sets, each filtered independently. Returns (loglik[...],
-    filt[..., T, 2], smooth[..., T, 2], pair[..., T-1, 2, 2]) where pair[t] is
-    the smoothed probability of (s_t = i, s_{t+1} = j). loglik is not finite
-    where some week has zero likelihood; the probabilities are then junk.
+    filt[..., T, 2], smooth[..., T, 2], pairs[..., 2, 2]) where pairs[i, j]
+    sums over weeks t < T-1 the smoothed probability of (s_t = i,
+    s_{t+1} = j). loglik is not finite where some week has zero likelihood;
+    the probabilities are then junk.
 
     Emissions are taken in log space less each week's larger one, so no week
     underflows both states. With e_t those scaled emissions, the filter's
     unnormalised state is alpha_t = alpha_{t-1} P diag(e_t) and the backward
-    one is beta_t = P diag(e_{t+1}) beta_{t+1}; both are prefix products of
-    2x2 matrices (the backward one transposed, in reverse time), evaluated by
-    `_prefix_rows`. The log-likelihood sums each week's log predictive
-    density. Internally the state axis comes first, so the two states are
-    two contiguous blocks.
+    one is beta_t = P diag(e_{t+1}) beta_{t+1}: prefix and suffix products
+    of the same 2x2 matrices, which `_messages` takes from one up-sweep.
+    With g_t = e_{t+1} beta_{t+1}, week t's pair probability is
+    filt_i(t) P_ij g_j(t) / norm_t, so the pair sums are P_ij times one sum
+    over weeks of filt_i(t) g_j(t) / norm_t, reduced per parameter set. The
+    log-likelihood sums each week's log predictive density. Internally the
+    state axis comes first, so the two states are two contiguous blocks.
     """
     y = np.asarray(y, dtype=np.float64)
+    P_in = np.asarray(P, dtype=np.float64)
     # state axes first, and a trailing length-1 axis to broadcast over weeks
     mu, var, pi = (np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)[..., None]
                    for a in (mu, var, pi))
-    P = np.moveaxis(np.asarray(P, dtype=np.float64), (-2, -1), (0, 1))[..., None]
+    P = np.moveaxis(P_in, (-2, -1), (0, 1))[..., None]
     # a variance at or below zero, or a week with zero likelihood, gives NaNs
     # that make ll non-finite
     with np.errstate(divide="ignore", invalid="ignore"):
         # whole-batch arrays are updated in place and dropped once used, so
         # few are alive at once
-        e = -0.5 * np.log(2.0 * np.pi * var) - (y - mu) ** 2 * (0.5 / var)
+        e = y - mu
+        np.square(e, out=e)
+        e *= 0.5 / var
+        np.subtract(-0.5 * np.log(2.0 * np.pi * var), e, out=e)
         top = e.max(axis=0)
         e -= top
         np.exp(e, out=e)
+        ll = top.sum(axis=-1)
+        del top
 
-        # forward: M[0] has both rows pi * e_0, M[t] = P diag(e_t)
+        # M[0] has both rows pi * e_0, M[t] = P diag(e_t)
         m = P * e
         m[0, ..., 0] = m[1, ..., 0] = pi[..., 0] * e[..., 0]
-        filt = _prefix_rows(m)
+        filt, beta = _messages(m)
+        del m
         filt /= filt.sum(axis=0)
-        pred = np.concatenate([pi, filt[:1, ..., :-1] * P[0] + filt[1:, ..., :-1] * P[1]],
-                              axis=-1)
+        pred = np.empty_like(filt)
+        pred[..., :1] = pi
+        np.multiply(filt[:1, ..., :-1], P[0], out=pred[..., 1:])
+        pred[..., 1:] += filt[1:, ..., :-1] * P[1]
         pred *= e
-        ll = top.sum(axis=-1) + np.log(pred.sum(axis=0)).sum(axis=-1)
-        del pred, top
+        ll += np.log(pred.sum(axis=0)).sum(axis=-1)
+        del pred
 
-        # backward, in reverse time: M[0] has rows of ones, M[k] = (P diag(e_{T-k}))'
-        ones = np.ones(m.shape[:-1] + (1,))
-        m = np.concatenate([ones, m.swapaxes(0, 1)[..., :0:-1]], axis=-1)
-        # g[t] is beta_{T-1-t} up to scale; weight week t+1's emission by it
-        g = _prefix_rows(m)[..., -2::-1] * e[..., 1:]
-        del m, e
-
-        pair = filt[:, None, ..., :-1] * P
-        pair *= g
-        pair /= pair.sum(axis=(0, 1))
-
-    smooth = np.empty_like(filt)
-    smooth[..., :-1] = pair.sum(axis=1)
-    smooth[..., -1] = filt[..., -1]
-    return (ll, np.moveaxis(filt, 0, -1), np.moveaxis(smooth, 0, -1),
-            np.moveaxis(pair, (0, 1), (-2, -1)))
+        g = beta[..., 1:]
+        g *= e[..., 1:]
+        del e
+        # beta_t = P g_t, so smooth_t is filt_t * (P g_t) / norm_t
+        smooth = filt.copy()
+        back = P[:, 0] * g[0]
+        back += P[:, 1] * g[1]
+        smooth[..., :-1] *= back
+        del back
+        norm = smooth[..., :-1].sum(axis=0)
+        smooth[..., :-1] /= norm
+        g /= norm
+        # einsum sums each parameter set's own weeks in a fixed order, so a
+        # fit does not depend on how its starts are batched
+        pairs = np.einsum("i...t,j...t->...ij", filt[..., :-1], g)
+        pairs *= P_in
+    return ll, np.moveaxis(filt, 0, -1), np.moveaxis(smooth, 0, -1), pairs
 
 
 def _em_trial(y, mu, var, P, pi, tol, max_iter):
@@ -285,7 +311,7 @@ def _em_trial(y, mu, var, P, pi, tol, max_iter):
     live = np.arange(len(mu))
     prev = np.full(len(mu), -np.inf)
     for _ in range(max_iter):
-        ll, filt, smooth, pair = _filter_smoother(y, mu, var, P, pi)
+        ll, filt, smooth, pairs = _filter_smoother(y, mu, var, P, pi)
         ok = (var.min(axis=1) >= _VAR_FLOOR) & np.isfinite(ll)
         for dst, src in zip(fitted, (mu, var, P, pi)):
             dst[live] = src
@@ -294,22 +320,26 @@ def _em_trial(y, mu, var, P, pi, tol, max_iter):
         done = ok & (ll - prev < tol)
         converged[live[done]] = True
 
-        # the M-step; a start whose smoothed weights leave a state empty
-        # collapses
-        w = smooth.sum(axis=-2)
-        denom = smooth[:, :-1].sum(axis=-2)
+        # the M-step, in the filter's states-first layout, sums each start's
+        # weeks with einsum; a start whose smoothed weights leave a state
+        # empty collapses
+        smooth = np.moveaxis(smooth, -1, 0)
+        w = smooth.sum(axis=-1).T
+        denom = smooth[..., :-1].sum(axis=-1).T
         keep = ok & ~done & ~np.any(w <= 0.0, axis=1) & ~np.any(denom <= 0.0, axis=1)
         for i in live[~keep & ~done]:
             traces[i] = None
         with np.errstate(divide="ignore", invalid="ignore"):
-            mu = (y @ smooth) / w
-            var = np.einsum("rtk,rtk->rk", smooth, (y[:, None] - mu[:, None, :]) ** 2) / w
-            P = pair.sum(axis=1) / denom[:, :, None]
+            mu = np.einsum("krt,t->rk", smooth, y) / w
+            dev = y - mu.T[..., None]
+            np.square(dev, out=dev)
+            var = np.einsum("krt,krt->rk", smooth, dev) / w
+            P = pairs / denom[:, :, None]
             P /= P.sum(axis=2, keepdims=True)
-        pi = smooth[:, 0]
+        pi = smooth[..., 0].T
         live, prev = live[keep], ll[keep]
         mu, var, P, pi = mu[keep], var[keep], P[keep], pi[keep]
-        del filt, smooth, pair  # freed before the next pass allocates its own
+        del filt, smooth, pairs, dev  # freed before the next pass allocates its own
         if not len(live):
             break
     return (*fitted, traces, converged)
@@ -384,7 +414,7 @@ def smoothed_high_prob(model: MSModel, weekly: Series) -> Series:
     """Smoothed probability of the high-variance state at each weekly date."""
     if weekly.unit != UNIT_RETURN:
         raise ValueError(f"need a return series, got unit {weekly.unit!r}")
-    ll, _filt, smooth, _pair = _filter_smoother(
+    ll, _filt, smooth, _pairs = _filter_smoother(
         weekly.values, model.mu, model.var, model.transition, model.initial
     )
     if not math.isfinite(ll):

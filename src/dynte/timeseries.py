@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import numbers
+import re
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -35,12 +36,24 @@ STATE_HIGH = 1
 MAX_WEEKDAY_GAP = 10
 
 
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def parse_date(text) -> dt.date:
+    """A date written `YYYY-MM-DD`, the one form dynte reads from files and
+    configs; ValueError for any other text. `date.fromisoformat` alone also
+    takes `20000104` and `2000-W01-3` from Python 3.11 on."""
+    if not isinstance(text, str) or not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return dt.date.fromisoformat(text)
+
+
 def _as_date(d) -> dt.date:
     if isinstance(d, dt.datetime):
         return d.date()
     if isinstance(d, dt.date):
         return d
-    return dt.date.fromisoformat(str(d))
+    return parse_date(str(d))
 
 
 def _as_day(d) -> np.datetime64:
@@ -306,7 +319,7 @@ def _parse_row(path, lineno: int, line: str, symbols: Sequence[str],
     if not raw or all(not c.strip() for c in raw):
         return None
     try:
-        d = dt.date.fromisoformat(raw[0].strip())
+        d = parse_date(raw[0].strip())
     except ValueError:
         raise ValueError(f"{path}:{lineno}: malformed date {raw[0]!r}") from None
     cells: list[float | None] = []

@@ -197,6 +197,12 @@ def test_unknown_subcommand_is_usage_error():
     ({"data": {"sectors": {"path": __file__, "columns": "AB"}}}, "data.sectors.columns"),
     ({"bootstrap": {"seed": 1}}, "bootstrap.seed"),
     ({"model": {"alpha": [0.1]}}, "model"),
+    # dates Python 3.11's date.fromisoformat takes but YYYY-MM-DD does not
+    ({"range": {"start": "20050103"}}, "range.start"),
+    ({"range": {"end": "2005-W01-3"}}, "range.end"),
+    ({"crises": {"gfc": ["20071001", "2009-06-30"]}}, "crises.gfc"),
+    ({"synth": {"start_date": "20040105"}}, "synth"),
+    ({"synth": {"start_date": "2004-W02-1"}}, "synth"),
 ])
 def test_config_type_errors_name_the_field(tmp_path, capsys, cfg, field):
     path = tmp_path / "cfg.json"
@@ -335,7 +341,8 @@ def test_range_windows_the_synthetic_panel(tmp_path, capsys):
     extra["range"] = {"start": "2005-01-03", "end": "2005-01-04"}
     code, _ = run(tmp_path, "exhibit", "2", config_extra=extra)
     assert code == 1
-    assert "fewer than three" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: range: " in err and "fewer than three" in err
 
 
 def outputs(out):
@@ -509,7 +516,8 @@ def test_cells_print_in_one_format(tmp_path):
         assert run(tmp_path, *form, config_extra=extra)[0] == 0
     empty = set()
     for path in sorted((tmp_path / "out").glob("*.csv")):
-        header, *rows = csv.reader(path.open())
+        with path.open() as fh:
+            header, *rows = csv.reader(fh)
         for row in rows:
             for name, cell in zip(header, row, strict=True):
                 if name in INT_COLUMNS:

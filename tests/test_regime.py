@@ -225,6 +225,46 @@ def test_weekly_partial_edge_weeks_kept():
     assert_allclose(got.values[0], 1.01**2 - 1.0, rtol=1e-15)
 
 
+def loop_weekly_returns(daily):
+    """The week-by-week loop `weekly_returns` replaced, kept as its
+    reference: ISO (year, week) keys, compounded in date order."""
+    dates = daily.calendar.dates
+    vals = daily.values
+    out_dates = []
+    out_vals = []
+    growth = 1.0
+    cur = dates[0].isocalendar()[:2]
+    for i, d in enumerate(dates):
+        key = d.isocalendar()[:2]
+        if key != cur:
+            out_dates.append(dates[i - 1])
+            out_vals.append(growth - 1.0)
+            growth = 1.0
+            cur = key
+        growth *= 1.0 + vals[i]
+    out_dates.append(dates[-1])
+    out_vals.append(growth - 1.0)
+    return tuple(out_dates), np.asarray(out_vals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=st.dates(dt.date(1970, 1, 1), dt.date(2030, 12, 31)),
+       steps=st.lists(st.sampled_from((1, 1, 1, 1, 2, 3, 5, 6, 9)), min_size=1,
+                      max_size=600),
+       seed=st.integers(0, 2**32 - 1))
+def test_weekly_matches_the_iso_week_loop(start, steps, seed):
+    # runs of weekdays with holidays and skipped weeks, across year ends
+    # whose ISO week belongs to the other year
+    days = np.busday_offset(np.datetime64(start, "D"), np.cumsum(steps) - 1,
+                            roll="forward")
+    vals = 0.03 * np.random.default_rng(seed).standard_normal(len(days))
+    daily = Series(TradingCalendar(days), vals, UNIT_RETURN)
+    got = weekly_returns(daily)
+    want_dates, want_vals = loop_weekly_returns(daily)
+    assert got.calendar.dates == want_dates
+    assert got.values.tobytes() == want_vals.tobytes()  # the same products, bit for bit
+
+
 def test_weekly_rejects_levels():
     with pytest.raises(ValueError, match="return series"):
         weekly_returns(lser([10.0, 11.0]))
@@ -351,12 +391,16 @@ def test_smoothed_prob_rejects_a_model_that_rules_out_a_week():
 def test_smoothed_prob_pair_probabilities_sum_to_one():
     weekly, _ = planted_weekly(150, (0.02, -0.01), (0.008, 0.02), (0.9, 0.9), seed=10)
     m = fit_markov_switching(weekly, restarts=3, seed=3)
-    _ll, filt, smooth, pair = _filter_smoother(
+    _ll, filt, smooth, pairs = _filter_smoother(
         weekly.values, m.mu, m.var, np.asarray(m.transition), m.initial
     )
     assert_allclose(smooth.sum(axis=1), 1.0, atol=1e-10)
     assert_allclose(filt.sum(axis=1), 1.0, atol=1e-10)
-    assert_allclose(pair.sum(axis=(1, 2)), 1.0, atol=1e-10)
+    # one pair probability a week but the last; a state's pairs from it sum
+    # to its smoothed weight before the last week
+    assert pairs.shape == (2, 2)
+    assert_allclose(pairs.sum(), 149.0, rtol=1e-12)
+    assert_allclose(pairs.sum(axis=1), smooth[:-1].sum(axis=0), rtol=1e-12)
 
 
 # ------------------------------------------- filter and smoother vs oracle
@@ -464,9 +508,12 @@ def test_filter_smoother_matches_sequential_oracle(T, seed, mu, log_var, stay, p
         want = sequential_filter_smoother(y, *start)
         for got in (_filter_smoother(y, *start), [a[r] for a in stacked]):
             assert abs(got[0] - want[0]) <= 1e-9 * max(1.0, abs(want[0]))
-            for g, w in zip(got[1:], want[1:]):
+            for g, w in zip(got[1:3], want[1:3]):
                 assert g.shape == w.shape
                 assert_allclose(g, w, rtol=0.0, atol=1e-12)
+            # the pair sums against the oracle's per-week pairs summed over weeks
+            assert got[3].shape == (2, 2)
+            assert_allclose(got[3], want[3].sum(axis=0), rtol=1e-12, atol=0.0)
 
 
 def test_outlier_week_no_longer_collapses_the_filter():
@@ -479,11 +526,13 @@ def test_outlier_week_no_longer_collapses_the_filter():
     P = np.array([[stay[0], 1.0 - stay[0]], [1.0 - stay[1], stay[1]]])
     with pytest.raises(Collapse):
         sequential_filter_smoother(y, mu, var, P, (0.5, 0.5))
-    ll, filt, smooth, pair = _filter_smoother(y, mu, var, P, (0.5, 0.5))
+    ll, filt, smooth, pairs = _filter_smoother(y, mu, var, P, (0.5, 0.5))
     assert math.isfinite(ll)
-    for probs in (filt, smooth, pair.reshape(-1, 4)):
+    for probs in (filt, smooth, pairs):
         assert np.all(np.isfinite(probs)) and np.all(probs >= 0.0)
+    for probs in (filt, smooth):
         assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    assert_allclose(pairs.sum(), len(y) - 1, rtol=1e-12)
     assert smooth[600, 1] > 0.99  # the wider state takes the outlier
 
     m = fit_markov_switching(Series(weekly.calendar, y, UNIT_RETURN), restarts=4, seed=0)
@@ -504,7 +553,7 @@ def sequential_em_trial(y, mu, var, P, pi, tol, max_iter):
     for it in range(max_iter):
         if min(var) < regime._VAR_FLOOR:
             raise Collapse
-        ll, _filt, smooth, pair = _filter_smoother(y, mu, var, P, pi)
+        ll, _filt, smooth, pairs = _filter_smoother(y, mu, var, P, pi)
         if not math.isfinite(ll):
             raise Collapse
         trace.append(ll)
@@ -529,8 +578,7 @@ def sequential_em_trial(y, mu, var, P, pi, tol, max_iter):
         denom = smooth[:-1].sum(axis=0)
         if np.any(denom <= 0.0):
             raise Collapse
-        num = pair.sum(axis=0)
-        P = num / denom[:, None]
+        P = pairs / denom[:, None]
         P = P / P.sum(axis=1, keepdims=True)
         pi = (float(smooth[0, 0]), float(smooth[0, 1]))
     mu, var, P, pi = fitted

@@ -1,5 +1,6 @@
 import csv
 import datetime as dt
+import re
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +24,7 @@ from dynte.timeseries import (
     ingest_csv,
     intersect_calendars,
     make_weekday_calendar,
+    parse_date,
     prices_from_returns,
     returns_from_prices,
     synth_regime_panel,
@@ -290,6 +292,24 @@ def test_ingest_error_messages_name_the_row(tmp_path):
         ingest_csv(p)
 
 
+@pytest.mark.parametrize("date", ["20150106", "2015-W02-2", "2015-01-06T00:00",
+                                  "2015-1-6", " 2015-01-06x"])
+def test_ingest_reads_only_yyyy_mm_dd_dates(tmp_path, date):
+    # Python 3.11's date.fromisoformat takes the first two
+    for row in (date + ",101", date + ',"101"'):  # the array path and the row path
+        p = write_csv(tmp_path / "d.csv", f"date,AAA\n2015-01-05,100\n{row}\n")
+        with pytest.raises(ValueError, match=r"d\.csv:3: malformed date"):
+            ingest_csv(p)
+
+
+def test_parse_date_is_strict():
+    assert parse_date("2000-02-29") == dt.date(2000, 2, 29)
+    for text in ("20000104", "2000-W01-3", "2000-01-04 ", "2000-001", "２０００-01-04",
+                 "2000-02-30", None, 20000104):
+        with pytest.raises(ValueError, match="YYYY-MM-DD|day is out of range"):
+            parse_date(text)
+
+
 def test_ingest_duplicate_date(tmp_path):
     p = write_csv(
         tmp_path / "g.csv", "date,AAA\n2015-01-05,100\n2015-01-05,101\n"
@@ -363,7 +383,10 @@ def oracle_ingest_csv(
             if not raw or all(not c.strip() for c in raw):
                 continue
             try:
-                d = dt.date.fromisoformat(raw[0].strip())
+                text = raw[0].strip()
+                if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+                    raise ValueError
+                d = dt.date.fromisoformat(text)
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: malformed date {raw[0]!r}"
