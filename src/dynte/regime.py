@@ -186,11 +186,9 @@ def _messages(m):
     while levels[-1].shape[-1] > 1:
         c = levels[-1]
         n = c.shape[-1] // 2 * 2
-        left, right = c[..., 0:n:2], c[..., 1:n:2]
         up = np.empty(c.shape[:-1] + (c.shape[-1] - n // 2,))
-        prod = up[..., :n // 2]
-        np.multiply(left[:, :1], right[0], out=prod)
-        prod += left[:, 1:] * right[1]
+        prod = np.einsum("ik...,kj...->ij...", c[..., 0:n:2], c[..., 1:n:2],
+                         out=up[..., :n // 2])
         prod /= prod.sum(axis=(0, 1))
         up[..., n // 2:] = c[..., n:]
         levels.append(up)
@@ -203,18 +201,15 @@ def _messages(m):
         nxt = np.empty(c.shape[1:])
         nxt[..., 0] = c[0, ..., 0]
         nxt[..., 1::2] = row[..., :h]
-        step = nxt[..., 2::2]
-        np.multiply(row[:1, ..., :k], c[0, ..., 2::2], out=step)
-        step += row[1:, ..., :k] * c[1, ..., 2::2]
+        step = np.einsum("i...,ij...->j...", row[..., :k], c[..., 2::2], out=nxt[..., 2::2])
         step /= step.sum(axis=0)
         row = nxt
 
         nxt = np.empty(c.shape[1:-1] + (n + 1,))
         nxt[..., 0:n:2] = col[..., :n - h]
         nxt[..., n] = 1.0
-        step = nxt[..., 1:n:2]
-        np.multiply(c[:, 0, ..., 1::2], col[:1, ..., 1:h + 1], out=step)
-        step += c[:, 1, ..., 1::2] * col[1:, ..., 1:h + 1]
+        step = np.einsum("ij...,j...->i...", c[..., 1::2], col[..., 1:h + 1],
+                         out=nxt[..., 1:n:2])
         step /= step.sum(axis=0)
         col = nxt
     return row, col[..., 1:]
@@ -270,10 +265,8 @@ def _filter_smoother(y, mu, var, P, pi):
         filt /= filt.sum(axis=0)
         pred = np.empty_like(filt)
         pred[..., :1] = pi
-        np.multiply(filt[:1, ..., :-1], P[0], out=pred[..., 1:])
-        pred[..., 1:] += filt[1:, ..., :-1] * P[1]
-        pred *= e
-        ll += np.log(pred.sum(axis=0)).sum(axis=-1)
+        np.einsum("i...,ij...->j...", filt[..., :-1], P, out=pred[..., 1:])
+        ll += np.log(np.einsum("j...,j...->...", pred, e)).sum(axis=-1)
         del pred
 
         g = beta[..., 1:]
@@ -281,10 +274,7 @@ def _filter_smoother(y, mu, var, P, pi):
         del e
         # beta_t = P g_t, so smooth_t is filt_t * (P g_t) / norm_t
         smooth = filt.copy()
-        back = P[:, 0] * g[0]
-        back += P[:, 1] * g[1]
-        smooth[..., :-1] *= back
-        del back
+        smooth[..., :-1] *= np.einsum("ij...,j...->i...", P, g)
         norm = smooth[..., :-1].sum(axis=0)
         smooth[..., :-1] /= norm
         g /= norm
