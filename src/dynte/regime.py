@@ -44,7 +44,7 @@ from .timeseries import UNIT_LEVEL, UNIT_RETURN, Series, TradingCalendar
 _VAR_FLOOR = 1e-12
 # values in one (starts x weeks) block of a batch of EM starts: 128 KiB. The
 # filter's arrays are two to four blocks, above glibc's default 128 KiB mmap
-# threshold, and a full batch keeps about fourteen alive at once (near 1.8 MB),
+# threshold, and a full batch keeps about thirteen alive at once (near 1.6 MB),
 # so a fresh process maps or faults them in again on most passes. That working
 # set does not grow with the restart count.
 _BATCH_VALUES = 16_384
