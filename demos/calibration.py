@@ -31,7 +31,7 @@ def main():
     covered = 0
     for _ in range(SEEDS):
         r = mu + sd * rng.standard_normal(2000)
-        boot = circular_block_bootstrap(r, spec, "sharpe")
+        boot = circular_block_bootstrap(r, spec)
         covered += boot.ci_lo <= truth <= boot.ci_hi
     print(f"bootstrap 95% CI covers true sharpe: {covered}/{SEEDS} "
           f"({covered / SEEDS:.1%})")

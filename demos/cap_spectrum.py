@@ -30,7 +30,7 @@ def main():
         sim = simulate_overlay(bench, panel["SPREAD"], path, pol)
         s = sharpe(sim.portfolio)
         sig = np.std(sim.te.values, ddof=1)
-        boot = circular_block_bootstrap(sim.portfolio, spec, "sharpe")
+        boot = circular_block_bootstrap(sim.portfolio, spec)
         label = "uncapped" if cap is None else f"{cap:.3f}"
         print(f"{label:>8} {s:8.4f} {sig:9.4%} "
               f"[{boot.ci_lo:8.4f}, {boot.ci_hi:8.4f}]")

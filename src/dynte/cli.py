@@ -2,8 +2,12 @@
 
 Subcommands: synth, exhibit N (1..7), converge, omega, regret, sweep,
 props. Settings come from a versioned JSON config; flags override config
-fields. The library returns results; each command here lays out its own
-table's columns, and every table goes through one writer, _write_table.
+fields. _merge_defaults alone decides which JSON value a setting takes,
+checking each against its default (the `synth` section against
+SynthParams' field defaults), and a bad value fails naming its key and
+index, e.g. `synth.transition[0][0]`. The library returns results; each
+command here lays out its own table's columns, and every table goes
+through one writer, _write_table.
 Outputs are CSV tables named {name}_{hash}.csv where the hash is
 derived from the command, the effective config less `out` and `svg`, and
 the bytes of the input files, never from the clock, so a re-run with the
@@ -75,7 +79,8 @@ class ConfigError(Exception):
 
 
 _ROLE_KEYS = ("eq", "bd", "vix", "tlt", "rf", "spread", "sectors")
-# top-level objects whose own keys are free-form, so not merged with defaults
+# top-level objects whose own keys are free-form, so kept as given: load_config
+# checks `data` and `crises`, and merges `synth` over _SYNTH_DEFAULTS
 _FREE_FORM = frozenset({"data", "synth", "crises"})
 
 _DEFAULTS: dict[str, Any] = {
@@ -111,12 +116,13 @@ _DEFAULTS: dict[str, Any] = {
     },
     "bootstrap": {"block": 63, "iterations": 10000, "confidence": 0.95},
     "synth": {},
-    "model": {"alpha": [0.02, 0.10], "sigma": [0.10, 0.25], "p": 0.3, "tau_bar": 0.05},
+    "model": {"alpha": (0.02, 0.10), "sigma": (0.10, 0.25), "p": 0.3, "tau_bar": 0.05},
 }
+_SYNTH_DEFAULTS = {k: getattr(SynthParams, k) for k in SynthParams.__annotations__}
 
 
-# the JSON values a key takes, by the type of its default; a bool is never
-# taken for a number
+# the JSON values a scalar key takes, by the type of its default; a bool is
+# never taken for a number (tuple and date defaults: see _value)
 _ACCEPTS = {
     bool: ((bool,), "true or false"),
     int: ((int,), "an integer"),
@@ -127,16 +133,32 @@ _ACCEPTS = {
 }
 
 
+def _value(fieldname: str, v, default):
+    """v checked against its setting's default: a tuple default takes a list
+    of exactly as many values, each checked against its own default, and
+    gives a tuple; a date default parses a YYYY-MM-DD string."""
+    if isinstance(default, tuple):
+        if not isinstance(v, list) or len(v) != len(default):
+            raise ConfigError(fieldname, f"expected a list of {len(default)} values, got {v!r}")
+        return tuple(_value(f"{fieldname}[{i}]", x, d)
+                     for i, (x, d) in enumerate(zip(v, default)))
+    if isinstance(default, dt.date):
+        return _iso(fieldname, v)
+    kinds, what = _ACCEPTS[type(default)]
+    if not isinstance(v, kinds) or (isinstance(v, bool) and bool not in kinds):
+        raise ConfigError(fieldname, f"expected {what}, got {v!r}")
+    return v
+
+
 def _merge_defaults(user: dict, defaults: dict, path: str = "") -> dict:
+    """The one check of which JSON value a setting takes: `user` merged over
+    `defaults`, each value checked against its default's type."""
     out = dict(defaults)
     for k, v in user.items():
         if k not in defaults:
             raise ConfigError(f"{path}{k}", "unknown config key")
         if not isinstance(defaults[k], dict):
-            kinds, what = _ACCEPTS[type(defaults[k])]
-            if not isinstance(v, kinds) or (isinstance(v, bool) and bool not in kinds):
-                raise ConfigError(f"{path}{k}", f"expected {what}, got {v!r}")
-            out[k] = v
+            out[k] = _value(f"{path}{k}", v, defaults[k])
         elif not isinstance(v, dict):
             raise ConfigError(f"{path}{k}", "expected an object")
         elif not path and k in _FREE_FORM:
@@ -234,19 +256,6 @@ def _roles(data: dict) -> tuple[dict, dict[str, str]]:
     return roles, digests
 
 
-def _tuples(x):
-    """JSON lists, nested or not, as tuples."""
-    return tuple(map(_tuples, x)) if isinstance(x, list) else x
-
-
-def _synth_params(synth: dict, seed: int) -> SynthParams:
-    s = {k: _tuples(v) for k, v in synth.items()}
-    s.setdefault("seed", seed)
-    if "start_date" in s:
-        s["start_date"] = parse_date(s["start_date"])
-    return SynthParams(**s)
-
-
 def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
     """The config file merged over the defaults, with each non-None override
     (keyed by config field) in place of its field, checked and converted."""
@@ -314,7 +323,8 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
         bootstrap_spec=_checked("bootstrap", BootstrapSpec, block=b["block"],
                                 iterations=b["iterations"], seed=raw["seed"],
                                 confidence=float(b["confidence"])),
-        synth_params=_checked("synth", _synth_params, raw["synth"], raw["seed"]),
+        synth_params=_checked("synth", SynthParams, **_merge_defaults(
+            {"seed": raw["seed"], **raw["synth"]}, _SYNTH_DEFAULTS, "synth.")),
         model_params=_checked("model", lambda: (
             RegimeParams(alpha=tuple(map(float, m["alpha"])),
                          sigma=tuple(map(float, m["sigma"])), p=float(m["p"])),
@@ -760,7 +770,7 @@ def cmd_converge(cfg: RunConfig) -> list[Path]:
     # the caps share one draw of block starts; the panel and simulations are
     # freed first so that the bootstrap's tables reuse their memory
     del eng, sim
-    boots = circular_block_bootstrap(portfolios, cfg.bootstrap_spec, "sharpe")
+    boots = circular_block_bootstrap(portfolios, cfg.bootstrap_spec)
     for row, boot in zip(rows, boots):
         row += [boot.ci_lo, boot.ci_hi, boot.width]
     return _write_table(cfg, "exhibit7", "converge", header, zip(*rows))

@@ -182,10 +182,10 @@ def _block_sum_sharpe(v: np.ndarray, block: int) -> Callable[[np.ndarray], np.nd
 
 
 def circular_block_bootstrap(
-    returns, spec: BootstrapSpec, statistic: str = "sharpe"
+    returns, spec: BootstrapSpec
 ) -> BootstrapResult | list[BootstrapResult]:
     """Percentile CI for the annualized Sharpe ratio of a daily return
-    series; "sharpe" is the only statistic. `returns` is one series, or a
+    series, the only statistic it computes. `returns` is one series, or a
     2-D array whose k rows are aligned series, which gives a list of k
     results.
 
@@ -202,8 +202,6 @@ def circular_block_bootstrap(
     size, so memory does not grow with spec.iterations beyond the k x
     iterations statistics.
     """
-    if statistic != "sharpe":
-        raise ValueError(f"unknown statistic {statistic!r}")
     batch = not isinstance(returns, Series) and np.ndim(returns) == 2
     rows = np.asarray(returns, dtype=np.float64) if batch else _values(returns)[None, :]
     n = rows.shape[1]

@@ -103,9 +103,6 @@ class RegimePath:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "signal", signal)
 
-    def label_at(self, d) -> Regime:
-        return Regime(int(self.labels[self.calendar.index(d)]))
-
     def fractions(self) -> dict[Regime, float]:
         return {r: float(np.mean(self.labels == int(r))) for r in Regime}
 

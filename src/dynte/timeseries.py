@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import numbers
 import re
 from functools import cached_property
 from types import MappingProxyType
@@ -156,10 +155,6 @@ class TradingCalendar:
             hi = _as_date(end) if end is not None else self[-1]
             raise ValueError(f"no calendar dates in [{lo}, {hi}]")
         return TradingCalendar._unchecked(self._days[i0:i1])
-
-    def is_suffix_of(self, other: "TradingCalendar") -> bool:
-        k = len(other) - len(self)
-        return k >= 0 and np.array_equal(other._days[k:], self._days)
 
 
 def intersect_calendars(cals: Iterable[TradingCalendar]) -> TradingCalendar:
@@ -452,21 +447,15 @@ def make_weekday_calendar(start: dt.date, n: int) -> TradingCalendar:
     return TradingCalendar._unchecked(np.busday_offset(first, np.arange(n)))
 
 
-def _is_number(x) -> bool:
-    # a bool is never taken for a number
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
-def _number_pair(x) -> bool:
-    return isinstance(x, Sequence) and len(x) == 2 and all(map(_is_number, x))
-
-
 @record(frozen=True)
 class SynthParams:
     """Two-state world: a persistent Markov chain drives the drift and
     volatility of the benchmark legs and of the long/short spread, plus the
     mean level of the fear gauge. Annualized drifts and vols; daily draws
     use drift/252 and vol/sqrt(252).
+
+    The constructor checks values, not types: the CLI checks a config's
+    `synth` section against these field defaults before it gets here.
     """
 
     transition: tuple[tuple[float, float], tuple[float, float]] = (
@@ -488,20 +477,9 @@ class SynthParams:
     start_date: dt.date = dt.date(2004, 1, 5)
 
     def __post_init__(self):
-        for name in ("alpha", "sigma", "eq_drift", "eq_vol",
-                     "bd_drift", "bd_vol", "vix_mean"):
-            if not _number_pair(getattr(self, name)):
-                raise ValueError(f"{name} must be a (calm, stressed) pair of numbers")
-        for name in ("horizon", "seed", "start_state"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if not _is_number(self.vix_noise):
-            raise ValueError(f"vix_noise must be a number, got {self.vix_noise!r}")
-        T = self.transition
-        if not (isinstance(T, Sequence) and len(T) == 2 and all(map(_number_pair, T))
-                and np.all(np.asarray(T) >= 0)
-                and np.all(np.abs(np.sum(T, axis=1) - 1.0) <= 1e-12)):
+        T = np.asarray(self.transition, dtype=np.float64)
+        if not (T.shape == (2, 2) and np.all(T >= 0)
+                and np.all(np.abs(T.sum(axis=1) - 1.0) <= 1e-12)):
             raise ValueError("transition must be 2x2 row-stochastic")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")

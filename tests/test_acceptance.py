@@ -167,7 +167,7 @@ def test_criterion_04_te_cap_spectrum_shape():
         if seed == 0:
             spec = BootstrapSpec(block=63, iterations=1000, seed=0)
             sharpes = [sharpe(sims[c].portfolio) for c in DEFAULT_CAPS]
-            widths = [circular_block_bootstrap(sims[c].portfolio, spec, "sharpe").width
+            widths = [circular_block_bootstrap(sims[c].portfolio, spec).width
                       for c in DEFAULT_CAPS]
             assert max(sharpes) - min(sharpes) < min(widths)
 
@@ -243,7 +243,7 @@ def test_criterion_06_inference_calibration():
     covered = 0
     for _ in range(500):
         r = mu + sd * rng.standard_normal(2000)
-        boot = circular_block_bootstrap(r, spec, "sharpe")
+        boot = circular_block_bootstrap(r, spec)
         covered += boot.ci_lo <= true_sharpe <= boot.ci_hi
     assert 0.92 * 500 <= covered <= 0.98 * 500, f"coverage {covered}/500"
 

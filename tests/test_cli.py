@@ -188,7 +188,7 @@ def test_unknown_subcommand_is_usage_error():
     ({"svg": "no"}, "svg"),
     ({"thresholds": {"low": True, "high": 22}}, "thresholds.low"),
     ({"percentiles": {"low": 2.0}}, "percentiles"),
-    ({"synth": {"start_date": "x"}}, "synth"),
+    ({"synth": {"start_date": "x"}}, "synth.start_date"),
     ({"crises": {"gfc": ["x", "y"]}}, "crises.gfc"),
     ({"crises": {"gfc": ["2009-06-30", "2007-10-01"]}}, "crises.gfc"),
     ({"range": {"start": "x"}}, "range.start"),
@@ -196,13 +196,17 @@ def test_unknown_subcommand_is_usage_error():
     ({"data": {"tlt": {"path": __file__, "column": 5}}}, "data.tlt.column"),
     ({"data": {"sectors": {"path": __file__, "columns": "AB"}}}, "data.sectors.columns"),
     ({"bootstrap": {"seed": 1}}, "bootstrap.seed"),
-    ({"model": {"alpha": [0.1]}}, "model"),
+    ({"model": {"alpha": [0.1]}}, "model.alpha"),
     # dates Python 3.11's date.fromisoformat takes but YYYY-MM-DD does not
     ({"range": {"start": "20050103"}}, "range.start"),
     ({"range": {"end": "2005-W01-3"}}, "range.end"),
     ({"crises": {"gfc": ["20071001", "2009-06-30"]}}, "crises.gfc"),
-    ({"synth": {"start_date": "20040105"}}, "synth"),
-    ({"synth": {"start_date": "2004-W02-1"}}, "synth"),
+    ({"synth": {"start_date": "20040105"}}, "synth.start_date"),
+    ({"synth": {"start_date": "2004-W02-1"}}, "synth.start_date"),
+    ({"model": {"alpha": [True, 0.1]}}, "model.alpha[0]"),
+    ({"model": {"sigma": [0.1, "0.3"]}}, "model.sigma[1]"),
+    ({"synth": {"foo": 1}}, "synth.foo"),
+    ({"synth": {"seed": None}}, "synth.seed"),
 ])
 def test_config_type_errors_name_the_field(tmp_path, capsys, cfg, field):
     path = tmp_path / "cfg.json"
@@ -303,11 +307,11 @@ def test_short_samples_name_the_setting(tmp_path, capsys):
 @pytest.mark.parametrize("cfg,field", [
     ({"model": {"p": 2.0}}, "model"),
     ({"crises": {"gfc": ["x", "y"]}}, "crises.gfc"),
-    ({"synth": {"alpha": [0.1]}}, "synth"),
-    ({"synth": {"vix_mean": ["a", "b"]}}, "synth"),
-    ({"synth": {"seed": True}}, "synth"),
-    ({"synth": {"horizon": True}}, "synth"),
-    ({"synth": {"transition": [[True, False], [False, True]]}}, "synth"),
+    ({"synth": {"alpha": [0.1]}}, "synth.alpha"),
+    ({"synth": {"vix_mean": ["a", "b"]}}, "synth.vix_mean[0]"),
+    ({"synth": {"seed": True}}, "synth.seed"),
+    ({"synth": {"horizon": True}}, "synth.horizon"),
+    ({"synth": {"transition": [[True, False], [False, True]]}}, "synth.transition[0][0]"),
 ])
 def test_every_subcommand_rejects_a_bad_config(tmp_path, capsys, cfg, field):
     path = tmp_path / "cfg.json"
@@ -362,6 +366,22 @@ def test_output_names_ignore_out_and_svg(tmp_path):
     assert any(name.endswith(".svg") for name in runs["o1"])
     csvs = {k: v for k, v in runs["o1"].items() if k.endswith(".csv")}
     assert runs["o3"] == csvs
+
+
+@pytest.mark.parametrize("form,cfg,names", [
+    (("props",), {}, ["props_2310c384e5bf.csv"]),
+    (("synth",), {}, ["synth_panel_b7a776eacddc.csv", "synth_states_b7a776eacddc.csv"]),
+    (("props",), {"model": {"alpha": [0, 1], "sigma": [1, 2], "p": 1, "tau_bar": 1},
+                  "synth": {"horizon": 900}, "bootstrap": {"iterations": 200}},
+     ["props_da17964c909e.csv"]),
+], ids=["props-empty", "synth-empty", "props-int-model"])
+def test_output_names_are_pinned(tmp_path, form, cfg, names):
+    # how the defaults and a config's values serialise into the hash: a
+    # change there renames every output
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([*form, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == names
 
 
 def test_output_name_covers_input_bytes(tmp_path):
@@ -494,7 +514,7 @@ def test_converge_cis_equal_single_series_bootstraps(tmp_path):
     assert len(rows) == len(cfg.caps)
     for cap, row in zip(cfg.caps, rows):
         sim = eng.overlay(cfg.dynamic_policy.with_ceiling(cap))
-        boot = circular_block_bootstrap(sim.portfolio, cfg.bootstrap_spec, "sharpe")
+        boot = circular_block_bootstrap(sim.portfolio, cfg.bootstrap_spec)
         assert (float(row[7]), float(row[8])) == (boot.ci_lo, boot.ci_hi), row[0]
 
 

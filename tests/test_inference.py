@@ -97,7 +97,7 @@ def test_bootstrap_rotation_invariance():
     rng = np.random.default_rng(6)
     r = 0.01 * rng.standard_normal(100) + 0.0005
     spec = BootstrapSpec(block=100, iterations=300, seed=0)
-    out = circular_block_bootstrap(r, spec, "sharpe")
+    out = circular_block_bootstrap(r, spec)
     # every resample is a rotation of the sample, so the Sharpe is the
     # original up to summation order; the interval collapses
     assert out.width <= 1e-12
@@ -108,10 +108,10 @@ def test_bootstrap_deterministic_in_seed():
     rng = np.random.default_rng(7)
     r = 0.01 * rng.standard_normal(400)
     spec = BootstrapSpec(block=21, iterations=500, seed=11)
-    a = circular_block_bootstrap(r, spec, "sharpe")
-    b = circular_block_bootstrap(r, spec, "sharpe")
+    a = circular_block_bootstrap(r, spec)
+    b = circular_block_bootstrap(r, spec)
     assert (a.ci_lo, a.ci_hi) == (b.ci_lo, b.ci_hi)
-    c = circular_block_bootstrap(r, BootstrapSpec(21, 500, 12), "sharpe")
+    c = circular_block_bootstrap(r, BootstrapSpec(21, 500, 12))
     assert (a.ci_lo, a.ci_hi) != (c.ci_lo, c.ci_hi)
 
 
@@ -119,7 +119,7 @@ def test_bootstrap_point_estimates():
     rng = np.random.default_rng(8)
     r = 0.01 * rng.standard_normal(300) + 0.0004
     spec = BootstrapSpec(block=21, iterations=50, seed=0)
-    sharpe_pt = circular_block_bootstrap(r, spec, "sharpe").point
+    sharpe_pt = circular_block_bootstrap(r, spec).point
     want = np.mean(r) / np.std(r, ddof=1) * math.sqrt(252.0)
     assert_allclose(sharpe_pt, want, rtol=1e-12)
 
@@ -129,7 +129,7 @@ def test_bootstrap_interval_brackets_truth_generously():
     true_daily = 0.0006
     r = 0.01 * rng.standard_normal(2000) + true_daily
     spec = BootstrapSpec(block=63, iterations=800, seed=1)
-    out = circular_block_bootstrap(r, spec, "sharpe")
+    out = circular_block_bootstrap(r, spec)
     assert out.ci_lo < out.point < out.ci_hi
 
 
@@ -181,9 +181,9 @@ def assert_matches_oracle(r, spec):
         want = oracle_bootstrap(r, spec)
     except ValueError as exc:
         with pytest.raises(ValueError, match=str(exc)):
-            circular_block_bootstrap(r, spec, "sharpe")
+            circular_block_bootstrap(r, spec)
         return
-    got = circular_block_bootstrap(r, spec, "sharpe")
+    got = circular_block_bootstrap(r, spec)
     assert got.point == want.point
     # block sums add in another order; a resample whose mean is exactly
     # zero reads rounding dust of order 1e-16 in either method
@@ -259,15 +259,15 @@ def test_bootstrap_rows_equal_single_series(n, data, seed):
     bursts = data.draw(st.lists(st.booleans(), min_size=1, max_size=5), label="bursts")
     rows = series_rows(np.random.default_rng(seed), n, bursts)
     spec = BootstrapSpec(block=block, iterations=601, seed=seed % 1000)
-    singles = [_outcome(lambda: circular_block_bootstrap(r, spec, "sharpe")) for r in rows]
+    singles = [_outcome(lambda: circular_block_bootstrap(r, spec)) for r in rows]
     errors = [x for x in singles if isinstance(x, str)]
     if errors:
         # the points are checked before any draw, then each row's redraws
         undefined = "statistic undefined on the original sample"
         with pytest.raises(ValueError, match=undefined if undefined in errors else errors[0]):
-            circular_block_bootstrap(rows, spec, "sharpe")
+            circular_block_bootstrap(rows, spec)
         return
-    batch = circular_block_bootstrap(rows, spec, "sharpe")
+    batch = circular_block_bootstrap(rows, spec)
     assert [(b.point, b.ci_lo, b.ci_hi) for b in batch] == \
         [(s.point, s.ci_lo, s.ci_hi) for s in singles]
 
@@ -276,9 +276,9 @@ def test_bootstrap_rows_equal_single_series(n, data, seed):
 def test_bootstrap_chunked_draws_equal_one_shot(monkeypatch, k):
     rows = series_rows(np.random.default_rng(18), 250, [False] * k)
     spec = BootstrapSpec(block=50, iterations=1001, seed=4)  # 5 blocks a resample
-    one_shot = circular_block_bootstrap(rows, spec, "sharpe")
+    one_shot = circular_block_bootstrap(rows, spec)
     monkeypatch.setattr(inference, "_CHUNK_ROWS", 3)
-    chunked = circular_block_bootstrap(rows, spec, "sharpe")
+    chunked = circular_block_bootstrap(rows, spec)
     assert [(c.ci_lo, c.ci_hi) for c in chunked] == [(o.ci_lo, o.ci_hi) for o in one_shot]
     for r in rows:
         assert_matches_oracle(r, spec)
@@ -291,7 +291,7 @@ def test_bootstrap_memory_bounded_in_iterations(k):
     spec = BootstrapSpec(block=21, iterations=iterations, seed=0)
     tracemalloc.start()
     try:
-        circular_block_bootstrap(rows, spec, "sharpe")
+        circular_block_bootstrap(rows, spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -304,11 +304,11 @@ def test_bootstrap_memory_bounded_in_iterations(k):
 def test_bootstrap_input_shapes():
     rows = series_rows(np.random.default_rng(20), 100, [False, False])
     spec = BootstrapSpec(block=10, iterations=50)
-    one = circular_block_bootstrap(rows[0], spec, "sharpe")
+    one = circular_block_bootstrap(rows[0], spec)
     assert isinstance(one, BootstrapResult)
-    assert circular_block_bootstrap(rows[:1], spec, "sharpe") == [one]
+    assert circular_block_bootstrap(rows[:1], spec) == [one]
     with pytest.raises(ValueError, match="one-dimensional"):
-        circular_block_bootstrap(rows[None], spec, "sharpe")
+        circular_block_bootstrap(rows[None], spec)
 
 
 def test_bootstrap_spec_validation():
@@ -318,9 +318,6 @@ def test_bootstrap_spec_validation():
         BootstrapSpec(iterations=0)
     with pytest.raises(ValueError):
         BootstrapSpec(confidence=1.0)
-    for statistic in ("median", "cagr", np.mean):
-        with pytest.raises(ValueError, match="unknown statistic"):
-            circular_block_bootstrap(np.ones(10) * 0.01, BootstrapSpec(), statistic)
 
 
 # -------------------------------------------------------- sharpe equality

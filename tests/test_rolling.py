@@ -219,14 +219,14 @@ def test_moving_average_matches_brute_force(data, length):
     s = rser(vals, UNIT_LEVEL)
     out = moving_average(s, WindowSpec(L))
     assert_allclose(out.values, brute_mean(vals, L, L), atol=1e-12)
-    assert out.calendar.is_suffix_of(s.calendar)
+    assert np.array_equal(out.calendar.days, s.calendar.days[len(vals) - len(out):])
 
 
 def test_output_calendars_are_suffixes():
     s = rser(0.01 * np.random.default_rng(3).standard_normal(50))
     for w in (WindowSpec(5), WindowSpec(9, min_periods=4)):
-        assert moving_average(s, w).calendar.is_suffix_of(s.calendar)
-        assert rolling_vol(s, w).calendar.is_suffix_of(s.calendar)
+        for out in (moving_average(s, w), rolling_vol(s, w)):
+            assert np.array_equal(out.calendar.days, s.calendar.days[len(s) - len(out):])
 
 
 def test_chunked_full_windows_equal_one_shot(monkeypatch):

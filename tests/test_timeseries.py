@@ -85,8 +85,7 @@ def test_suffix_and_is_suffix_of():
     cal = make_weekday_calendar(MON, 8)
     tail = cal.suffix(3)
     assert len(tail) == 5
-    assert tail.is_suffix_of(cal)
-    assert not cal.is_suffix_of(tail)
+    assert np.array_equal(tail.days, cal.days[3:])
     with pytest.raises(ValueError):
         cal.suffix(8)
 
