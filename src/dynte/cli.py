@@ -5,9 +5,10 @@ props. Settings come from a versioned JSON config; flags override config
 fields. _merge_defaults alone decides which JSON value a setting takes,
 checking each against its default (the `synth` section against
 SynthParams' field defaults), and a bad value fails naming its key and
-index, e.g. `synth.transition[0][0]`. The library returns results; each
-command here lays out its own table's columns, and every table goes
-through one writer, _write_table.
+index, e.g. `synth.transition[0][0]`. Each command takes a Run, which
+builds the market, benchmark, regime path and overlays its tables share
+once. The library returns results; each command here lays out its own
+table's columns, and every table goes through one writer, _write_table.
 Outputs are CSV tables named {name}_{hash}.csv where the hash is
 derived from the command, the effective config less `out` and `svg`, and
 the bytes of the input files, never from the clock, so a re-run with the
@@ -484,13 +485,10 @@ class Market:
     sectors: AssetPanel | None = None
 
 
-def _load_role(cfg: RunConfig, name: str,
-               command: str) -> tuple[Series | AssetPanel, int]:
+def _load_role(cfg: RunConfig, name: str) -> tuple[Series | AssetPanel, int]:
     """One configured input: a panel of columns for `sectors`, else a
     single-column series (vix and rf are levels, the rest prices), with the
     number of incomplete rows the file dropped."""
-    if name not in cfg.roles:
-        raise ConfigError(f"data.{name}", f"required for {command}")
     path, cols = cfg.roles[name]
     unit = UNIT_LEVEL if name in ("vix", "rf") else UNIT_PRICE
     res = ingest_csv(path, columns=cols, unit=unit)
@@ -501,12 +499,11 @@ def _load_role(cfg: RunConfig, name: str,
     return res.panel, res.n_dropped
 
 
-def load_market(cfg: RunConfig, command: str,
-                need: Sequence[str] = ("eq", "bd", "vix")) -> Market:
+def load_market(cfg: RunConfig, need: Sequence[str]) -> Market:
     # optional roles load when configured; eq and bd only when needed, since
     # every loaded role narrows the shared calendar
     optional = [r for r in ("tlt", "spread", "sectors", "rf") if r in cfg.roles]
-    loaded = {name: _load_role(cfg, name, command)
+    loaded = {name: _load_role(cfg, name)
               for name in dict.fromkeys([*need, *optional])}
     roles = {name: v for name, (v, _) in loaded.items()}
 
@@ -575,6 +572,8 @@ def synthetic_market(cfg: RunConfig) -> Market:
     windowed to the configured range like a file calendar."""
     panel, _states = synth_regime_panel(cfg.synth_params)
     cal = _in_range(cfg, panel.calendar)
+    print(f"data: synthetic panel, seed {cfg.synth_params.seed}, {len(cal)} days "
+          f"from {cal.days[0]} to {cal.days[-1]}", file=sys.stderr)
     eq = panel["BENCH_EQ"].restrict(cal)
     vix = panel["VIX"].restrict(cal)
     return Market(
@@ -587,30 +586,42 @@ def synthetic_market(cfg: RunConfig) -> Market:
     )
 
 
-def _market_or_synth(cfg: RunConfig, command: str,
-                     need: Sequence[str] = ("eq", "bd", "vix")) -> Market:
-    missing = [r for r in need if r not in cfg.roles]
-    if not missing:
-        return load_market(cfg, command, need)
-    if len(missing) < len(need):
-        raise ConfigError(f"data.{missing[0]}", f"required for {command}")
-    return synthetic_market(cfg)
+class Run:
+    """One command's config and what its tables share: the market, the 70/30
+    benchmark, the regime path and the reference overlays, each built on first
+    use. `command` is the form the user typed, for error messages."""
 
+    def __init__(self, cfg: RunConfig, command: str):
+        self.cfg = cfg
+        self.command = command
+        self._markets: dict[tuple[str, ...], Market] = {}
 
-@record
-class Engine:
-    """The benchmark, regime path and smoothed gauge of one run. The static
-    and dynamic overlays are simulated on first use, so commands that never
-    read them do not pay for them."""
+    def market(self, need: tuple[str, ...] = ("eq", "bd", "vix")) -> Market:
+        """The market with the roles in `need`, built once per role set: the
+        synthetic panel when no data role is configured and `need` has no
+        sectors (it has none), else the files; a needed role left out is a config error."""
+        if need not in self._markets:
+            missing = [r for r in need if r not in self.cfg.roles]
+            if missing and (self.cfg.roles or "sectors" in need):
+                raise ConfigError(f"data.{missing[0]}", f"required for {self.command}")
+            self._markets[need] = (synthetic_market(self.cfg) if missing
+                                   else load_market(self.cfg, need))
+        return self._markets[need]
 
-    cfg: RunConfig
-    market: Market
-    bench: SimResult
-    path: RegimePath
-    smoothed_vix: Series
+    @cached_property
+    def bench(self) -> SimResult:
+        return benchmark_7030(self.market().eq, self.market().bd)
+
+    @cached_property
+    def path(self) -> RegimePath:
+        return classify(self.market().vix, self.cfg.windows["signal"], self.cfg.thresholds)
+
+    @cached_property
+    def smoothed_vix(self) -> Series:
+        return Series(self.path.calendar, self.path.signal, self.market().vix.unit)
 
     def overlay(self, policy: OverlayPolicy) -> SimResult:
-        return _blame("windows.vol", simulate_overlay, self.bench, self.market.spread,
+        return _blame("windows.vol", simulate_overlay, self.bench, self.market().spread,
                       self.path, policy, self.cfg.windows["vol"])
 
     @cached_property
@@ -621,35 +632,28 @@ class Engine:
     def dynamic(self) -> SimResult:
         return self.overlay(self.cfg.dynamic_policy)
 
-
-def build_engine(cfg: RunConfig, market: Market) -> Engine:
-    if market.eq is None or market.bd is None or market.spread is None:
-        raise ValueError("benchmark legs are missing")
-    path = classify(market.vix, cfg.windows["signal"], cfg.thresholds)
-    return Engine(
-        cfg=cfg,
-        market=market,
-        bench=benchmark_7030(market.eq, market.bd),
-        path=path,
-        smoothed_vix=Series(path.calendar, path.signal, market.vix.unit),
-    )
+    def drop(self) -> None:
+        """Forget all built so far, so that a last stage can reuse its memory."""
+        cfg, command = self.cfg, self.command
+        vars(self).clear()  # the cached properties too
+        self.__init__(cfg, command)
 
 
 # -------------------------------------------------------------- commands --
 
-def cmd_synth(cfg: RunConfig) -> list[Path]:
+def cmd_synth(run: Run) -> list[Path]:
     """Write the synthetic panel as index levels plus the true state path."""
-    panel, states = synth_regime_panel(cfg.synth_params)
+    panel, states = synth_regime_panel(run.cfg.synth_params)
     dates = panel.calendar.days
     legs = ("BENCH_EQ", "BENCH_BD", "SPREAD")
     levels = [prices_from_returns(panel[sym]).values for sym in legs]
-    return (_write_table(cfg, "synth_panel", "synth", ["date", *legs, "VIX"],
+    return (_write_table(run.cfg, "synth_panel", "synth", ["date", *legs, "VIX"],
                          [dates, *levels, panel["VIX"].values])
-            + _write_table(cfg, "synth_states", "synth", ["date", "state"], [dates, states]))
+            + _write_table(run.cfg, "synth_states", "synth", ["date", "state"], [dates, states]))
 
 
-def _exhibit1(cfg: RunConfig) -> list[Path]:
-    market = load_market(cfg, "exhibit 1", need=("sectors", "vix"))
+def _exhibit1(run: Run) -> list[Path]:
+    cfg, market = run.cfg, run.market(need=("sectors", "vix"))
     avg = _blame("windows.pairwise_corr", rolling_avg_pairwise_corr, market.sectors,
                  cfg.windows["pairwise_corr"])
     vix = market.vix_full.restrict(avg.calendar)
@@ -658,8 +662,8 @@ def _exhibit1(cfg: RunConfig) -> list[Path]:
                         {"avg pairwise corr": "avg_pairwise_corr"}, "correlation")
 
 
-def _exhibit2(cfg: RunConfig) -> list[Path]:
-    market = _market_or_synth(cfg, "exhibit 2")
+def _exhibit2(run: Run) -> list[Path]:
+    cfg, market = run.cfg, run.market()
     legs = {"eq_bd": market.bd, "eq_tlt": market.tlt}
     corr = {k: _blame("windows.stock_bond_corr", rolling_corr, market.eq, leg,
                       cfg.windows["stock_bond_corr"])
@@ -669,39 +673,37 @@ def _exhibit2(cfg: RunConfig) -> list[Path]:
                         {k: f"corr_{k}" for k in corr}, "correlation")
 
 
-def _exhibit3(cfg: RunConfig) -> list[Path]:
-    eng = build_engine(cfg, _market_or_synth(cfg, "exhibit 3"))
+def _exhibit3(run: Run) -> list[Path]:
     metrics = ("cagr", "vol", "sharpe", "max_drawdown", "cagr_over_maxdd",
                "te_level", "te_sigma", "te_cyclicality")
     rows = []
-    for name, sim in (("benchmark", eng.bench), ("static", eng.static),
-                      ("dynamic", eng.dynamic)):
-        rep = summarize(sim.portfolio, rf=eng.market.rf, te=sim.te,
-                        smoothed_vix=eng.smoothed_vix)
+    for name, sim in (("benchmark", run.bench), ("static", run.static),
+                      ("dynamic", run.dynamic)):
+        rep = summarize(sim.portfolio, rf=run.market().rf, te=sim.te,
+                        smoothed_vix=run.smoothed_vix)
         cells = {m: getattr(rep, m) for m in metrics}
         # display convention: drawdowns are losses, shown negative
         cells["max_drawdown"] = -rep.max_drawdown
         rows.append([name, *cells.values()])
-    return _write_table(cfg, "exhibit3", "exhibit3", ["portfolio", *metrics], zip(*rows))
+    return _write_table(run.cfg, "exhibit3", "exhibit3", ["portfolio", *metrics], zip(*rows))
 
 
-def _exhibit4(cfg: RunConfig) -> list[Path]:
-    eng = build_engine(cfg, _market_or_synth(cfg, "exhibit 4"))
-    te_s, te_d = eng.static.te, eng.dynamic.te
+def _exhibit4(run: Run) -> list[Path]:
+    te_s, te_d = run.static.te, run.dynamic.te
     if te_s is None or te_d is None:
         raise ValueError(f"windows.vol: a realized tracking error needs twice the "
-                         f"{cfg.windows['vol'].length}-day window, and the sample "
-                         f"has {len(eng.bench.calendar)} days")
-    sm = eng.smoothed_vix.restrict(te_s.calendar)
-    return _write_table(cfg, "exhibit4", "exhibit4",
+                         f"{run.cfg.windows['vol'].length}-day window, and the sample "
+                         f"has {len(run.bench.calendar)} days")
+    sm = run.smoothed_vix.restrict(te_s.calendar)
+    return _write_table(run.cfg, "exhibit4", "exhibit4",
                         ["date", "te_static", "te_dynamic", "smoothed_vix"],
                         [te_s.calendar.days, te_s.values, te_d.values, sm.values],
                         {"static": "te_static", "dynamic": "te_dynamic"},
                         "realized tracking error")
 
 
-def cmd_omega(cfg: RunConfig) -> list[Path]:
-    market = _market_or_synth(cfg, "omega", need=("eq", "vix"))
+def cmd_omega(run: Run) -> list[Path]:
+    cfg, market = run.cfg, run.market(need=("eq", "vix"))
     rep = _blame("omega_horizons", omega_table, market.vix_full, market.eq_prices,
                  cfg.omega_horizons)
     header = ["horizon_days", *(f"q{k}" for k in range(1, 6)), "spread_q5_q1", "nw_t",
@@ -711,15 +713,11 @@ def cmd_omega(cfg: RunConfig) -> list[Path]:
     return _write_table(cfg, "exhibit5", "omega", header, zip(*rows))
 
 
-def cmd_regret(cfg: RunConfig, market: Market | None = None,
-               bench: SimResult | None = None) -> list[Path]:
+def cmd_regret(run: Run) -> list[Path]:
     """Stay-vs-derisk table from the trough of each crisis window; windows
     with no trading day in the sample are skipped, and horizons that run past
     its end are left empty, both named on stderr."""
-    if market is None:
-        market = _market_or_synth(cfg, "regret")
-    if bench is None:
-        bench = benchmark_7030(market.eq, market.bd)
+    cfg, market, bench = run.cfg, run.market(), run.bench
     troughs, skipped = [], []
     for name, w in cfg.crises.items():
         i0, i1 = bench.calendar.span(*w)
@@ -743,25 +741,24 @@ def cmd_regret(cfg: RunConfig, market: Market | None = None,
     return _write_table(cfg, "exhibit6b", "regret", header, zip(*rows))
 
 
-def _exhibit6(cfg: RunConfig) -> list[Path]:
-    market = _market_or_synth(cfg, "exhibit 6")
-    bench = benchmark_7030(market.eq, market.bd)
+def _exhibit6(run: Run) -> list[Path]:
+    market, bench = run.market(), run.bench
     dd = drawdown_path(bench.portfolio)
-    return _write_table(cfg, "exhibit6a", "exhibit6", ["date", "drawdown", "vix"],
+    return _write_table(run.cfg, "exhibit6a", "exhibit6", ["date", "drawdown", "vix"],
                         [bench.calendar.days, dd, market.vix.values],
                         {"drawdown": "drawdown"}, "drawdown from peak"
-                        ) + cmd_regret(cfg, market, bench)
+                        ) + cmd_regret(run)
 
 
-def cmd_converge(cfg: RunConfig) -> list[Path]:
-    eng = build_engine(cfg, _market_or_synth(cfg, "converge"))
+def cmd_converge(run: Run) -> list[Path]:
+    cfg = run.cfg
     header = ["cap", "cagr", "vol", "sharpe", "max_drawdown", "te_level",
               "te_sigma", "sharpe_ci_lo", "sharpe_ci_hi", "ci_width"]
-    rows, portfolios = [], np.empty((len(cfg.caps), len(eng.bench.calendar)))
+    rows, portfolios = [], np.empty((len(cfg.caps), len(run.bench.calendar)))
     for cap, portfolio in zip(cfg.caps, portfolios):
-        sim = eng.overlay(cfg.dynamic_policy.with_ceiling(cap))
-        rep = summarize(sim.portfolio, rf=eng.market.rf, te=sim.te,
-                        smoothed_vix=eng.smoothed_vix)
+        sim = run.overlay(cfg.dynamic_policy.with_ceiling(cap))
+        rep = summarize(sim.portfolio, rf=run.market().rf, te=sim.te,
+                        smoothed_vix=run.smoothed_vix)
         portfolio[:] = sim.portfolio
         rows.append([
             "uncapped" if cap is None else cap,
@@ -769,15 +766,16 @@ def cmd_converge(cfg: RunConfig) -> list[Path]:
         ])
     # the caps share one draw of block starts; the panel and simulations are
     # freed first so that the bootstrap's tables reuse their memory
-    del eng, sim
+    run.drop()
+    del sim
     boots = circular_block_bootstrap(portfolios, cfg.bootstrap_spec)
     for row, boot in zip(rows, boots):
         row += [boot.ci_lo, boot.ci_hi, boot.width]
     return _write_table(cfg, "exhibit7", "converge", header, zip(*rows))
 
 
-def cmd_sweep(cfg: RunConfig) -> list[Path]:
-    market = _market_or_synth(cfg, "sweep")
+def cmd_sweep(run: Run) -> list[Path]:
+    cfg, market = run.cfg, run.market()
     # window_sweep fails alike on windows.vol and sweep_windows; the warm-up
     # is windows.vol's only failure
     vol_days = cfg.windows["vol"].length
@@ -802,11 +800,11 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
     return _write_table(cfg, "sweep", "sweep", header, zip(*rows))
 
 
-def cmd_props(cfg: RunConfig) -> list[Path]:
+def cmd_props(run: Run) -> list[Path]:
     rows = [[c.prop, c.status, c.boundary,
              ";".join(f"{k}={v!r}" for k, v in c.values.items()), c.note]
-            for c in proposition_suite(*cfg.model_params)]
-    return _write_table(cfg, "props", "props",
+            for c in proposition_suite(*run.cfg.model_params)]
+    return _write_table(run.cfg, "props", "props",
                         ["prop", "status", "boundary", "values", "note"], zip(*rows))
 
 
@@ -885,12 +883,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             "omega_horizons": horizons,
             "regret_horizons": horizons,
         })
-        run = COMMANDS[args.command][1]
-        if isinstance(run, dict):
-            if args.n not in run:
+        command, label = COMMANDS[args.command][1], args.command
+        if isinstance(command, dict):
+            if args.n not in command:
                 raise ConfigError("exhibit", f"exhibit number must be 1..7, got {args.n}")
-            run = run[args.n]
-        paths = run(cfg)
+            command, label = command[args.n], f"exhibit {args.n}"
+        paths = command(Run(cfg, label))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynte.cli import build_engine, load_config, load_market
+from dynte.cli import Run, load_config
 from dynte.events import omega_table, find_trough, regret_table, window_sweep
 from dynte.inference import (
     BootstrapSpec,
@@ -341,11 +341,11 @@ def _real_config(tmp_path):
 @needs_data
 def test_criterion_09_headline_metrics_table(tmp_path):
     cfg = _real_config(tmp_path)
-    eng = build_engine(cfg, load_market(cfg, "acceptance"))
-    sta = summarize(eng.static.portfolio, te=eng.static.te,
-                    smoothed_vix=eng.smoothed_vix)
-    dyn = summarize(eng.dynamic.portfolio, te=eng.dynamic.te,
-                    smoothed_vix=eng.smoothed_vix)
+    run = Run(cfg, "acceptance")
+    sta = summarize(run.static.portfolio, te=run.static.te,
+                    smoothed_vix=run.smoothed_vix)
+    dyn = summarize(run.dynamic.portfolio, te=run.dynamic.te,
+                    smoothed_vix=run.smoothed_vix)
     assert sta.cagr == pytest.approx(0.0980, abs=0.005)
     assert dyn.cagr == pytest.approx(0.1033, abs=0.005)
     assert sta.te_sigma == pytest.approx(0.0050, abs=0.0025)
@@ -357,7 +357,7 @@ def test_criterion_09_headline_metrics_table(tmp_path):
 @needs_data
 def test_criterion_10_quintile_spread_and_decay(tmp_path):
     cfg = _real_config(tmp_path)
-    market = load_market(cfg, "acceptance")
+    market = Run(cfg, "acceptance").market()
     rep = omega_table(market.vix_full, market.eq_prices,
                       horizons=(21, 63, 126, 252))
     assert rep.spreads[0] == pytest.approx(0.128, abs=0.03)
@@ -370,7 +370,7 @@ def test_criterion_11_crisis_regret(tmp_path):
     import datetime as dt
 
     cfg = _real_config(tmp_path)
-    market = load_market(cfg, "acceptance")
+    market = Run(cfg, "acceptance").market()
     bench = benchmark_7030(market.eq, market.bd)
     expected = {
         "gfc": (dt.date(2007, 10, 1), dt.date(2009, 6, 30), 0.254),
@@ -388,11 +388,11 @@ def test_criterion_11_crisis_regret(tmp_path):
 @needs_data
 def test_criterion_12_cap_spectrum_on_market_data(tmp_path):
     cfg = _real_config(tmp_path)
-    eng = build_engine(cfg, load_market(cfg, "acceptance"))
+    run = Run(cfg, "acceptance")
     sharpes, sigs = [], []
     for cap in DEFAULT_CAPS:
         pol = OverlayPolicy.dynamic().with_ceiling(cap)
-        sim = simulate_overlay(eng.bench, eng.market.spread, eng.path, pol)
+        sim = simulate_overlay(run.bench, run.market().spread, run.path, pol)
         sharpes.append(sharpe(sim.portfolio))
         sigs.append(np.std(sim.te.values, ddof=1))
     assert max(sharpes) - min(sharpes) <= 0.02
@@ -402,7 +402,7 @@ def test_criterion_12_cap_spectrum_on_market_data(tmp_path):
 @needs_data
 def test_criterion_13_signal_window_sweep(tmp_path):
     cfg = _real_config(tmp_path)
-    market = load_market(cfg, "acceptance")
+    market = Run(cfg, "acceptance").market()
     rep = window_sweep(market.vix, market.eq, market.bd, market.spread,
                        windows=(1, 5, 21, 63))
     for row in rep.rows:

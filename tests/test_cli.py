@@ -6,13 +6,14 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from dynte.cli import (CONFIG_VERSION, ConfigError, _cell, _column_text, _svg, build_engine,
-                       load_config, main, synthetic_market)
+from dynte.cli import (CONFIG_VERSION, ConfigError, Run, _cell, _column_text, _svg, load_config,
+                       main)
 from dynte.inference import circular_block_bootstrap
 from dynte.timeseries import SynthParams, TradingCalendar, synth_regime_panel
 
@@ -301,7 +302,8 @@ def test_short_samples_name_the_setting(tmp_path, capsys):
                               (["sweep"], 50, "windows.vol")):
         code, _ = run(tmp_path, *form, config_extra={"synth": {"horizon": days}})
         assert code == 1, form
-        assert capsys.readouterr().err.startswith(f"error: {field}: "), form
+        # after the synthetic panel's data line
+        assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {field}: "), form
 
 
 @pytest.mark.parametrize("cfg,field", [
@@ -424,6 +426,81 @@ def test_dropped_rows_reported_on_stderr(tmp_path, capsys):
     ]
 
 
+def test_synthetic_fallback_named_on_stderr(tmp_path, capsys):
+    # the 900-day seed-3 panel runs from 2004-01-05 to 2007-06-15
+    extra = {"seed": 3, "synth": {"horizon": 900},
+             "range": {"start": "2005-01-03", "end": "2006-06-30"}}
+    for form in (["exhibit", "6"], ["synth"], ["props"]):
+        code, _ = run(tmp_path, *form, config_extra=extra)
+        assert code == 0, form
+        data_lines = [line for line in capsys.readouterr().err.splitlines()
+                      if line.startswith("data: ")]
+        if form[0] == "exhibit":  # both of its tables read one market
+            assert data_lines == [
+                "data: synthetic panel, seed 3, 390 days from 2005-01-03 to 2006-06-30"]
+        else:  # synth writes the panel but builds no market
+            assert data_lines == [], form
+
+
+NEEDS_DATA = [f for f in FORMS if f not in (("synth",), ("exhibit", "1"), ("props",))]
+
+
+@pytest.mark.parametrize("form", NEEDS_DATA, ids=" ".join)
+def test_partial_data_names_the_first_missing_role(tmp_path, capsys, form):
+    # the synthetic panel stands in only when no data role is configured
+    tlt = {"tlt": {"path": __file__, "column": "TLT"}}
+    bd = {"bd": {"path": __file__, "column": "BD"}}
+    for data in (tlt, bd) if form in (("omega",), ("exhibit", "5")) else (tlt,):
+        code, files = run(tmp_path, *form, config_extra={"data": data})
+        assert (code, files) == (2, []), data
+        assert capsys.readouterr().err == (
+            f"config error: data.eq: required for {' '.join(form)}\n")
+
+
+def bench_style_data(tmp_path):
+    """One CSV file per role, as the benchmark writes them."""
+    _, files = run(tmp_path, "synth", config_extra={"synth": {"horizon": 900}})
+    text = next(f for f in files if f.name.startswith("synth_panel")).read_text()
+    data = {}
+    for role, cols in (("eq", "BENCH_EQ"), ("bd", "BENCH_BD"), ("vix", "VIX"),
+                       ("tlt", "BENCH_BD"), ("sectors", ["BENCH_EQ", "BENCH_BD", "SPREAD"])):
+        path = tmp_path / f"{role}.csv"
+        path.write_text(text)
+        data[role] = {"path": str(path), "columns" if role == "sectors" else "column": cols}
+    return data
+
+
+# what each form reads, when not every file
+READS = {("synth",): (), ("props",): (), ("exhibit", "1"): ("sectors", "vix", "tlt"),
+         ("exhibit", "5"): ("eq", "vix", "tlt", "sectors"),
+         ("omega",): ("eq", "vix", "tlt", "sectors")}
+BENCHMARKS = {("exhibit", "3"), ("exhibit", "4"), ("exhibit", "6"), ("exhibit", "7"),
+              ("converge",), ("regret",)}
+# static and dynamic; one per default cap
+OVERLAYS = {("exhibit", "3"): 2, ("exhibit", "4"): 2, ("exhibit", "7"): 11, ("converge",): 11}
+
+
+@pytest.mark.parametrize("form", FORMS, ids=" ".join)
+def test_a_run_builds_what_its_tables_share_once(tmp_path, monkeypatch, form):
+    import dynte.cli
+
+    data = bench_style_data(tmp_path)
+    calls = []
+    for name in ("ingest_csv", "benchmark_7030", "simulate_overlay"):
+        def counted(*args, _name=name, _fn=getattr(dynte.cli, name), **kwargs):
+            calls.append(_name if _name != "ingest_csv" else args[0])
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(dynte.cli, name, counted)
+    code, _ = run(tmp_path, *form, config_extra={
+        "data": data, "bootstrap": {"iterations": 200}, "svg": True})
+    assert code == 0
+    reads = READS.get(form, ("eq", "bd", "vix", "tlt", "sectors"))
+    assert sorted(calls) == sorted([
+        *(data[role]["path"] for role in reads),
+        *["benchmark_7030"] * (form in BENCHMARKS),
+        *["simulate_overlay"] * OVERLAYS.get(form, 0)])
+
+
 # ---------------------------------------------------------------- exhibits
 
 
@@ -509,13 +586,23 @@ def test_converge_cis_equal_single_series_bootstraps(tmp_path):
     code, files = run(tmp_path, "converge", config_extra=extra)
     assert code == 0
     cfg = load_config(write_config(tmp_path, **extra), {})
-    eng = build_engine(cfg, synthetic_market(cfg))
+    shared = Run(cfg, "converge")
     rows = read_rows(files[0])[1:]
     assert len(rows) == len(cfg.caps)
     for cap, row in zip(cfg.caps, rows):
-        sim = eng.overlay(cfg.dynamic_policy.with_ceiling(cap))
+        sim = shared.overlay(cfg.dynamic_policy.with_ceiling(cap))
         boot = circular_block_bootstrap(sim.portfolio, cfg.bootstrap_spec)
         assert (float(row[7]), float(row[8])) == (boot.ci_lo, boot.ci_hi), row[0]
+
+
+def test_drop_frees_what_a_run_built(tmp_path):
+    # converge drops its inputs so that the bootstrap can reuse their memory
+    shared = Run(load_config(write_config(tmp_path), {}), "converge")
+    built = [weakref.ref(x) for x in (shared.market(), shared.bench, shared.path,
+                                      shared.smoothed_vix, shared.static, shared.dynamic)]
+    shared.drop()
+    assert [ref() for ref in built] == [None] * 6
+    assert shared.bench is not None  # built again on the next read
 
 
 INT_COLUMNS = {"horizon_days", "window", "prop", *(f"n_q{k}" for k in range(1, 6))}
