@@ -7,7 +7,8 @@ checking each against its default (the `synth` section against
 SynthParams' field defaults), and a bad value fails naming its key and
 index, e.g. `synth.transition[0][0]`. Each command takes a Run, which
 builds the market, benchmark, regime path and overlays its tables share
-once. The library returns results; each command here lays out its own
+once; Run.overlay simulates every overlay a table shows, the sweep's
+included. The library returns results; each command here lays out its own
 table's columns, and every table goes through one writer, _write_table.
 Outputs are CSV tables named {name}_{hash}.csv where the hash is
 derived from the command, the effective config less `out` and `svg`, and
@@ -24,6 +25,7 @@ import csv
 import datetime as dt
 import hashlib
 import json
+import math
 import sys
 from functools import cached_property
 from pathlib import Path
@@ -39,13 +41,12 @@ from .events import (
     find_trough,
     omega_table,
     regret_table,
-    window_sweep,
 )
 from .inference import BootstrapSpec, circular_block_bootstrap
-from .metrics import drawdown_path, summarize
+from .metrics import MetricsReport, drawdown_path, summarize
 from .model import GovernanceParams, RegimeParams, proposition_suite
-from .regime import RegimePath, RegimeThresholds, classify
-from .rolling import WindowSpec, rolling_avg_pairwise_corr, rolling_corr
+from .regime import RegimePath, RegimeThresholds, classify, percentile_thresholds
+from .rolling import WindowSpec, moving_average, rolling_avg_pairwise_corr, rolling_corr
 from .simulate import (
     DEFAULT_CAPS,
     OverlayPolicy,
@@ -614,15 +615,20 @@ class Run:
 
     @cached_property
     def path(self) -> RegimePath:
-        return classify(self.market().vix, self.cfg.windows["signal"], self.cfg.thresholds)
+        return _blame("windows.signal", classify, self.market().vix,
+                      self.cfg.windows["signal"], self.cfg.thresholds)
 
     @cached_property
     def smoothed_vix(self) -> Series:
         return Series(self.path.calendar, self.path.signal, self.market().vix.unit)
 
-    def overlay(self, policy: OverlayPolicy) -> SimResult:
+    def overlay(self, policy: OverlayPolicy, path: RegimePath | None = None) -> SimResult:
+        """`policy` overlaid on the benchmark, sized on `path` or else the
+        run's regime path; a static policy reads neither."""
+        if path is None and not policy.is_static:
+            path = self.path
         return _blame("windows.vol", simulate_overlay, self.bench, self.market().spread,
-                      self.path, policy, self.cfg.windows["vol"])
+                      path, policy, self.cfg.windows["vol"])
 
     @cached_property
     def static(self) -> SimResult:
@@ -691,7 +697,7 @@ def _exhibit3(run: Run) -> list[Path]:
 def _exhibit4(run: Run) -> list[Path]:
     te_s, te_d = run.static.te, run.dynamic.te
     if te_s is None or te_d is None:
-        raise ValueError(f"windows.vol: a realized tracking error needs twice the "
+        raise ValueError(f"windows.vol: a realized tracking error needs more than twice the "
                          f"{run.cfg.windows['vol'].length}-day window, and the sample "
                          f"has {len(run.bench.calendar)} days")
     sm = run.smoothed_vix.restrict(te_s.calendar)
@@ -775,28 +781,29 @@ def cmd_converge(run: Run) -> list[Path]:
 
 
 def cmd_sweep(run: Run) -> list[Path]:
-    cfg, market = run.cfg, run.market()
-    # window_sweep fails alike on windows.vol and sweep_windows; the warm-up
-    # is windows.vol's only failure
-    vol_days = cfg.windows["vol"].length
-    if len(market.spread) <= vol_days:
-        raise ValueError(f"windows.vol: need more than {vol_days} days for the volatility warm-up")
-    rep = window_sweep(
-        market.vix, market.eq, market.bd, market.spread,
-        windows=cfg.sweep_windows,
-        percentiles=cfg.percentiles,
-        dynamic=cfg.dynamic_policy,
-        static=cfg.static_policy,
-        vol_window=cfg.windows["vol"],
-        rf=market.rf,
-    )
+    """The dynamic overlay re-run with the gauge smoothed over each sweep
+    window, thresholds re-fit at the same percentiles of each smoothed
+    distribution, each scored against the run's static overlay."""
+    cfg, rf = run.cfg, run.market().rf
+
+    def scored(sim: SimResult) -> tuple[MetricsReport, float]:
+        rep = summarize(sim.portfolio, rf)
+        # a run that never draws down has an infinite CAGR/drawdown ratio
+        return rep, math.inf if rep.cagr_over_maxdd is None else rep.cagr_over_maxdd
+
+    st, st_calmar = scored(run.static)
+    rows = []
+    for i, w in enumerate(cfg.sweep_windows):
+        sm = _blame(f"sweep_windows[{i}]", moving_average, run.market().vix, WindowSpec(w))
+        th = percentile_thresholds(sm, *cfg.percentiles)
+        rep, calmar = scored(run.overlay(cfg.dynamic_policy,
+                                         RegimePath(sm.calendar, sm.values, th)))
+        passes = (rep.sharpe >= st.sharpe, calmar >= st_calmar)
+        rows.append([w, th.low, th.high, rep.cagr, rep.sharpe, calmar, rep.cagr - st.cagr,
+                     st.cagr, st.sharpe, st_calmar, *passes, all(passes)])
     header = ["window", "threshold_low", "threshold_high", "cagr", "sharpe",
               "cagr_over_maxdd", "excess_cagr", "static_cagr", "static_sharpe",
               "static_cagr_over_maxdd", "passes_sharpe", "passes_calmar", "passes_both"]
-    rows = [[r.window, r.thresholds.low, r.thresholds.high, r.cagr, r.sharpe,
-             r.cagr_over_maxdd, r.excess_cagr, rep.static_cagr, rep.static_sharpe,
-             rep.static_cagr_over_maxdd, r.passes_sharpe, r.passes_calmar, r.passes_both]
-            for r in rep.rows]
     return _write_table(cfg, "sweep", "sweep", header, zip(*rows))
 
 

@@ -1,32 +1,25 @@
-"""Conditioning studies: forward returns by fear-gauge quintile,
-crisis-trough regret accounting, and the signal-window sweep.
+"""Conditioning studies: forward returns by fear-gauge quintile and
+crisis-trough regret accounting, with the default horizons of each and the
+default windows of the signal-window sweep, which the command line runs on
+its shared overlays.
 
 Forward returns are overlapping, so every t-statistic here uses a
 Newey-West long-run variance with bandwidth equal to the forward horizon.
-The sweep scores each run with metrics.summarize. Every study returns its
-results as values; the command line lays out and writes the tables.
+Every study returns its results as values; the command line lays out and
+writes the tables.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import math
 from typing import Sequence
 
 import numpy as np
 
 from ._record import record
 from .inference import newey_west_mean_test
-from .metrics import MetricsReport, drawdown_path, summarize
-from .regime import RegimePath, RegimeThresholds, percentile_thresholds
-from .rolling import WindowSpec, moving_average
-from .simulate import (
-    OverlayPolicy,
-    SimResult,
-    benchmark_7030,
-    fixed_mix,
-    simulate_overlay,
-)
+from .metrics import drawdown_path
+from .simulate import SimResult, fixed_mix
 from .timeseries import (
     TRADING_DAYS_PER_YEAR,
     UNIT_LEVEL,
@@ -213,79 +206,3 @@ def regret_table(
             derisk=tuple(derisk),
         ))
     return tuple(out)
-
-
-@record(frozen=True)
-class SweepRow:
-    window: int
-    thresholds: RegimeThresholds
-    cagr: float
-    sharpe: float
-    max_drawdown: float
-    cagr_over_maxdd: float
-    excess_cagr: float        # dynamic minus static CAGR
-    passes_sharpe: bool
-    passes_calmar: bool
-
-    @property
-    def passes_both(self) -> bool:
-        return self.passes_sharpe and self.passes_calmar
-
-
-@record(frozen=True)
-class SweepReport:
-    static_cagr: float
-    static_sharpe: float
-    static_cagr_over_maxdd: float
-    rows: tuple[SweepRow, ...]
-
-
-def window_sweep(
-    vix: Series,
-    eq: Series,
-    bd: Series,
-    spread: Series,
-    windows: Sequence[int] = DEFAULT_SWEEP_WINDOWS,
-    percentiles: tuple[float, float] = (0.16, 0.76),
-    dynamic: OverlayPolicy | None = None,
-    static: OverlayPolicy | None = None,
-    vol_window: WindowSpec = WindowSpec(63),
-    rf=0.0,
-) -> SweepReport:
-    """Re-run the dynamic overlay with the signal smoothed over each window,
-    thresholds re-fit at the same percentiles of each smoothed distribution,
-    against one shared static run."""
-    if len(windows) == 0:
-        raise ValueError("need at least one window")
-    dynamic = dynamic or OverlayPolicy.dynamic()
-    static = static or OverlayPolicy.static()
-    bench = benchmark_7030(eq, bd)
-
-    def run(policy: OverlayPolicy, path: RegimePath | None) -> tuple[MetricsReport, float]:
-        rep = summarize(simulate_overlay(bench, spread, path, policy, vol_window).portfolio, rf)
-        # a run that never draws down has an infinite CAGR/drawdown ratio
-        return rep, math.inf if rep.cagr_over_maxdd is None else rep.cagr_over_maxdd
-
-    st, st_calmar = run(static, None)
-    rows = []
-    for w in windows:
-        sm = moving_average(vix, WindowSpec(int(w)))
-        th = percentile_thresholds(sm, percentiles[0], percentiles[1])
-        rep, calmar = run(dynamic, RegimePath(sm.calendar, sm.values, th))
-        rows.append(SweepRow(
-            window=int(w),
-            thresholds=th,
-            cagr=rep.cagr,
-            sharpe=rep.sharpe,
-            max_drawdown=rep.max_drawdown,
-            cagr_over_maxdd=calmar,
-            excess_cagr=rep.cagr - st.cagr,
-            passes_sharpe=rep.sharpe >= st.sharpe,
-            passes_calmar=calmar >= st_calmar,
-        ))
-    return SweepReport(
-        static_cagr=st.cagr,
-        static_sharpe=st.sharpe,
-        static_cagr_over_maxdd=st_calmar,
-        rows=tuple(rows),
-    )

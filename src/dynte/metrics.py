@@ -140,17 +140,14 @@ class MetricsReport:
 
 def summarize(returns, rf=0.0, te: Series | None = None,
               smoothed_vix: Series | None = None) -> MetricsReport:
-    """One-row report; TE columns filled when a realized-TE path is given."""
+    """One-row report; the TE columns are te_policy_stats of a realized-TE
+    path against the smoothed gauge, filled when the path is given."""
     c = cagr(returns)
     dd = max_drawdown(returns)
     te_level = te_sigma = te_cyc = None
     if te is not None:
-        if smoothed_vix is not None:
-            ts = te_policy_stats(te, smoothed_vix)
-            te_level, te_sigma, te_cyc = ts.level, ts.sigma_te, ts.cyclicality
-        else:
-            te_level = float(np.mean(te.values))
-            te_sigma = float(np.std(te.values, ddof=1)) if len(te) > 1 else None
+        ts = te_policy_stats(te, smoothed_vix)
+        te_level, te_sigma, te_cyc = ts.level, ts.sigma_te, ts.cyclicality
     return MetricsReport(
         cagr=c,
         vol=annualized_vol(returns),

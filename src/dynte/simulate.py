@@ -74,7 +74,8 @@ class OverlayPolicy:
 class SimResult:
     """Daily simulation output. portfolio - benchmark == theta * spread by
     construction; te is the realized tracking-error path over the active
-    period (None for a benchmark-only result)."""
+    period (None for a benchmark-only result, or where the active period
+    gives it fewer than two values)."""
 
     calendar: TradingCalendar
     portfolio: np.ndarray
@@ -186,7 +187,7 @@ def simulate_overlay(
 
     portfolio = benchmark.portfolio + theta * spread.values
     active = Series(cal.suffix(L), theta[L:] * spread.values[L:], UNIT_RETURN)
-    te = rolling_vol(active, vol_window) if len(active) >= max(vol_window.min_periods, 2) else None
+    te = rolling_vol(active, vol_window) if len(active) > max(vol_window.min_periods, 2) else None
     return SimResult(
         calendar=cal,
         portfolio=portfolio,

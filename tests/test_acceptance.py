@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynte.cli import Run, load_config
-from dynte.events import omega_table, find_trough, regret_table, window_sweep
+from dynte.cli import Run, cmd_sweep, load_config
+from dynte.events import omega_table, find_trough, regret_table
 from dynte.inference import (
     BootstrapSpec,
     circular_block_bootstrap,
@@ -326,6 +326,7 @@ def _real_config(tmp_path):
     d = Path(_DATA_DIR)
     cfg = {
         "version": 1,
+        "out": str(tmp_path / "out"),
         "svg": False,
         "data": {
             "eq": {"path": str(d / "eq.csv"), "column": "close"},
@@ -402,10 +403,11 @@ def test_criterion_12_cap_spectrum_on_market_data(tmp_path):
 @needs_data
 def test_criterion_13_signal_window_sweep(tmp_path):
     cfg = _real_config(tmp_path)
-    market = Run(cfg, "acceptance").market()
-    rep = window_sweep(market.vix, market.eq, market.bd, market.spread,
-                       windows=(1, 5, 21, 63))
-    for row in rep.rows:
-        assert row.excess_cagr > 0.0, f"window {row.window}"
-    row21 = next(r for r in rep.rows if r.window == 21)
-    assert row21.passes_both
+    assert cfg.sweep_windows == (1, 5, 21, 63)
+    (table,) = cmd_sweep(Run(cfg, "acceptance"))
+    header, *rows = (line.split(",") for line in table.read_text().splitlines())
+    rows = [dict(zip(header, r)) for r in rows]
+    for row in rows:
+        assert float(row["excess_cagr"]) > 0.0, f"window {row['window']}"
+    row21 = next(r for r in rows if r["window"] == "21")
+    assert row21["passes_both"] == "true"

@@ -160,9 +160,10 @@ def test_bad_windows_flag(tmp_path, capsys):
 
 
 def test_config_error_field_attribute():
-    with pytest.raises(ConfigError) as exc:
-        load_config(None, {"caps": []})
-    assert exc.value.field == "caps"
+    for field in ("caps", "sweep_windows"):
+        with pytest.raises(ConfigError) as exc:
+            load_config(None, {field: []})
+        assert exc.value.field == field
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -294,16 +295,39 @@ def test_exhibit1_on_sector_files(tmp_path):
 
 def test_short_samples_name_the_setting(tmp_path, capsys):
     # 100 days: shorter than the 126-day stock-bond window, than twice the
-    # 63-day vol window, and than twice the 63-day omega horizon; 50 days:
-    # no longer than the 63-day vol window
+    # 63-day vol window, and than twice the 63-day omega horizon; 50 and 15
+    # days: no longer than the 63-day vol window, and 15 days shorter than
+    # the 21-day signal window; 700 days: shorter than an 800-day sweep window
     for form, days, field in ((["exhibit", "2"], 100, "windows.stock_bond_corr"),
                               (["exhibit", "4"], 100, "windows.vol"),
                               (["omega"], 100, "omega_horizons"),
-                              (["sweep"], 50, "windows.vol")):
+                              (["sweep"], 50, "windows.vol"),
+                              (["exhibit", "3"], 15, "windows.vol"),
+                              (["converge"], 15, "windows.signal"),
+                              (["sweep"], 15, "windows.vol"),
+                              (["sweep", "--windows", "21,800"], 700, "sweep_windows[1]")):
         code, _ = run(tmp_path, *form, config_extra={"synth": {"horizon": days}})
         assert code == 1, form
         # after the synthetic panel's data line
         assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {field}: "), form
+
+
+def test_tracking_error_needs_more_than_twice_the_vol_window(tmp_path, capsys):
+    # at 126 days the 63-day TE window has one value: no path, as at 125 days
+    extra = {"synth": {"horizon": 126}, "bootstrap": {"iterations": 200}}
+    for form, stem, te_columns in ((["exhibit", "3"], "exhibit3", slice(6, 9)),
+                                   (["converge"], "exhibit7", slice(5, 7))):
+        code, files = run(tmp_path, *form, config_extra=extra)
+        assert code == 0, capsys.readouterr().err
+        (table,) = [f for f in files if f.name.startswith(stem)]
+        header, *rows = read_rows(table)
+        assert header[te_columns][0] == "te_level"
+        assert {c for r in rows for c in r[te_columns]} == {""}, form
+    code, _ = run(tmp_path, "exhibit", "4", config_extra=extra)
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: windows.vol: a realized tracking error needs more than twice the "
+        "63-day window, and the sample has 126 days")
 
 
 @pytest.mark.parametrize("cfg,field", [
@@ -475,9 +499,10 @@ READS = {("synth",): (), ("props",): (), ("exhibit", "1"): ("sectors", "vix", "t
          ("exhibit", "5"): ("eq", "vix", "tlt", "sectors"),
          ("omega",): ("eq", "vix", "tlt", "sectors")}
 BENCHMARKS = {("exhibit", "3"), ("exhibit", "4"), ("exhibit", "6"), ("exhibit", "7"),
-              ("converge",), ("regret",)}
-# static and dynamic; one per default cap
-OVERLAYS = {("exhibit", "3"): 2, ("exhibit", "4"): 2, ("exhibit", "7"): 11, ("converge",): 11}
+              ("converge",), ("regret",), ("sweep",)}
+# static and dynamic; one per default cap; static and one per default sweep window
+OVERLAYS = {("exhibit", "3"): 2, ("exhibit", "4"): 2, ("exhibit", "7"): 11, ("converge",): 11,
+            ("sweep",): 5}
 
 
 @pytest.mark.parametrize("form", FORMS, ids=" ".join)
@@ -563,6 +588,37 @@ def test_sweep_synthetic(tmp_path):
     assert [r[0] for r in rows[1:]] == ["1", "21"]
     for r in rows[1:]:
         assert r[-1] in ("true", "false")
+
+
+def test_sweep_window_21_row_equals_exhibit3(tmp_path):
+    # the sweep's window-21 overlay is exhibit 3's dynamic overlay on the
+    # thresholds that row fitted, and its static cells are exhibit 3's static row
+    code, files = run(tmp_path, "sweep", "--windows", "5,21")
+    assert code == 0
+    header, _, row = read_rows(files[0])
+    sweep = dict(zip(header, row))
+    thresholds = {"low": float(sweep["threshold_low"]), "high": float(sweep["threshold_high"])}
+    code, files = run(tmp_path, "exhibit", "3", config_extra={"thresholds": thresholds})
+    assert code == 0
+    header, _, static, dynamic = read_rows(next(f for f in files if f.name.startswith("exhibit3")))
+    static, dynamic = dict(zip(header, static)), dict(zip(header, dynamic))
+    for m in ("cagr", "sharpe", "cagr_over_maxdd"):
+        assert sweep[m] == dynamic[m], m
+        assert sweep[f"static_{m}"] == static[m], m
+    assert float(sweep["excess_cagr"]) == float(sweep["cagr"]) - float(sweep["static_cagr"])
+    passes = (float(sweep["sharpe"]) >= float(sweep["static_sharpe"]),
+              float(sweep["cagr_over_maxdd"]) >= float(sweep["static_cagr_over_maxdd"]))
+    assert [sweep[f"passes_{k}"] for k in ("sharpe", "calmar", "both")] == [
+        "true" if p else "false" for p in (*passes, all(passes))]
+
+
+def test_sweep_refits_thresholds_per_window(tmp_path):
+    code, files = run(tmp_path, "sweep")
+    assert code == 0
+    rows = read_rows(files[0])[1:]
+    assert [r[0] for r in rows] == ["1", "5", "21", "63"]
+    # each window smooths the gauge differently, so fits its own thresholds
+    assert len({r[1] for r in rows}) == len({r[2] for r in rows}) == 4
 
 
 def test_converge_caps_flag_and_uncapped(tmp_path):

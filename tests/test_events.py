@@ -14,23 +14,17 @@ from dynte.events import (
     omega_table,
     regret_table,
     vix_quintiles,
-    window_sweep,
 )
 from dynte.inference import newey_west_mean_test
-from dynte.metrics import cagr, max_drawdown, sharpe
-from dynte.regime import classify, percentile_thresholds
-from dynte.rolling import WindowSpec, moving_average
-from dynte.simulate import OverlayPolicy, benchmark_7030, simulate_overlay
+from dynte.simulate import benchmark_7030
 from dynte.timeseries import (
     UNIT_LEVEL,
     UNIT_PRICE,
     UNIT_RETURN,
     Series,
-    SynthParams,
     TradingCalendar,
     make_weekday_calendar,
     prices_from_returns,
-    synth_regime_panel,
 )
 
 MON = dt.date(2015, 1, 5)
@@ -307,60 +301,6 @@ def test_regret_insufficient_forward_data():
     (entry,) = regret_table(eq, bd, [("x", trough)], horizons=(19, 20))
     assert entry.stay[0] == entry.derisk[0] == entry.regret[0] == 0.0
     assert entry.stay[1] is entry.derisk[1] is entry.regret[1] is None
-
-
-
-# --------------------------------------------------------------------- sweep
-
-
-def sweep_inputs(seed=0, horizon=900):
-    panel, _ = synth_regime_panel(SynthParams(seed=seed, horizon=horizon))
-    return panel["VIX"], panel["BENCH_EQ"], panel["BENCH_BD"], panel["SPREAD"]
-
-
-def test_sweep_single_window_reproduces_main_run():
-    vix, eq, bd, spread = sweep_inputs()
-    rep = window_sweep(vix, eq, bd, spread, windows=(21,))
-    assert len(rep.rows) == 1
-    row = rep.rows[0]
-
-    sm = moving_average(vix, WindowSpec(21))
-    th = percentile_thresholds(sm, 0.16, 0.76)
-    path = classify(vix, WindowSpec(21), th)
-    bench = benchmark_7030(eq, bd)
-    res = simulate_overlay(bench, spread, path, OverlayPolicy.dynamic())
-    assert row.cagr == cagr(res.portfolio)
-    assert row.sharpe == sharpe(res.portfolio)
-    assert row.max_drawdown == max_drawdown(res.portfolio)
-    assert row.thresholds == th
-
-
-def test_sweep_thresholds_refit_per_window():
-    vix, eq, bd, spread = sweep_inputs(seed=1)
-    rep = window_sweep(vix, eq, bd, spread, windows=DEFAULT_SWEEP_WINDOWS)
-    lows = {r.thresholds.low for r in rep.rows}
-    assert len(rep.rows) == 4
-    assert len(lows) == 4  # each window smooths differently
-
-
-def test_sweep_static_baseline_shared():
-    vix, eq, bd, spread = sweep_inputs(seed=2)
-    rep = window_sweep(vix, eq, bd, spread, windows=(5, 21))
-    bench = benchmark_7030(eq, bd)
-    sres = simulate_overlay(bench, spread, None, OverlayPolicy.static())
-    assert rep.static_cagr == cagr(sres.portfolio)
-    assert rep.static_sharpe == sharpe(sres.portfolio)
-    for row in rep.rows:
-        assert row.excess_cagr == pytest.approx(row.cagr - rep.static_cagr, abs=1e-18)
-        assert row.passes_sharpe == (row.sharpe >= rep.static_sharpe)
-        assert row.passes_both == (row.passes_sharpe and row.passes_calmar)
-
-
-def test_sweep_empty_windows():
-    vix, eq, bd, spread = sweep_inputs(horizon=300)
-    with pytest.raises(ValueError, match="window"):
-        window_sweep(vix, eq, bd, spread, windows=())
-
 
 
 def test_default_constants():

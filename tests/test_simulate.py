@@ -280,13 +280,15 @@ def test_overlay_validation():
 
 
 def test_overlay_te_none_when_history_too_short():
-    n = 65
-    bench = benchmark_7030(rser(np.zeros(n)), rser(np.zeros(n)))
+    # a TE path needs two full 63-day windows of active days: one value at
+    # 2 x 63 days gives no dispersion
     rng = np.random.default_rng(7)
-    spread = rser(0.01 * rng.standard_normal(n))
-    out = simulate_overlay(bench, spread, None, OverlayPolicy.static(0.02))
-    assert out.te is None
-    assert out.first_active == 63
+    for n, te_len in ((65, None), (126, None), (127, 2)):
+        bench = benchmark_7030(rser(np.zeros(n)), rser(np.zeros(n)))
+        spread = rser(0.01 * rng.standard_normal(n))
+        out = simulate_overlay(bench, spread, None, OverlayPolicy.static(0.02))
+        assert (None if out.te is None else len(out.te)) == te_len, n
+        assert out.first_active == 63
 
 
 # ------------------------------------------------------------ cap spectrum
