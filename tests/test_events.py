@@ -15,8 +15,12 @@ from dynte.events import (
     regret_table,
     vix_quintiles,
 )
+from dynte.cli import ConfigError, Run, _cell, cmd_sweep, load_config
 from dynte.inference import newey_west_mean_test
-from dynte.simulate import benchmark_7030
+from dynte.metrics import cagr, sharpe, summarize
+from dynte.regime import classify, percentile_thresholds
+from dynte.rolling import WindowSpec, moving_average
+from dynte.simulate import OverlayPolicy, benchmark_7030, simulate_overlay
 from dynte.timeseries import (
     UNIT_LEVEL,
     UNIT_PRICE,
@@ -301,6 +305,60 @@ def test_regret_insufficient_forward_data():
     (entry,) = regret_table(eq, bd, [("x", trough)], horizons=(19, 20))
     assert entry.stay[0] == entry.derisk[0] == entry.regret[0] == 0.0
     assert entry.stay[1] is entry.derisk[1] is entry.regret[1] is None
+
+
+# --------------------------------------------------------------------- sweep
+# The sweep runs on the command line's Run (cli.cmd_sweep); these tests hold
+# its table against the library calls it stands for.
+
+
+def sweep_table(tmp_path, windows, seed=0, horizon=900):
+    cfg = load_config(None, {"seed": seed, "synth": {"horizon": horizon}, "svg": False,
+                             "out": str(tmp_path), "sweep_windows": list(windows)})
+    run = Run(cfg, "sweep")
+    (path,) = cmd_sweep(run)
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    return run.market(), [dict(zip(header, r)) for r in rows]
+
+
+def test_sweep_single_window_reproduces_main_run(tmp_path):
+    m, rows = sweep_table(tmp_path, (21,))
+    assert len(rows) == 1
+    row = rows[0]
+
+    sm = moving_average(m.vix, WindowSpec(21))
+    th = percentile_thresholds(sm, 0.16, 0.76)
+    path = classify(m.vix, WindowSpec(21), th)
+    bench = benchmark_7030(m.eq, m.bd)
+    res = simulate_overlay(bench, m.spread, path, OverlayPolicy.dynamic())
+    assert row["window"] == "21"
+    assert row["cagr"] == _cell(cagr(res.portfolio))
+    assert row["sharpe"] == _cell(sharpe(res.portfolio))
+    assert row["cagr_over_maxdd"] == _cell(summarize(res.portfolio).cagr_over_maxdd)
+    assert (row["threshold_low"], row["threshold_high"]) == (_cell(th.low), _cell(th.high))
+
+
+def test_sweep_static_baseline_shared(tmp_path):
+    m, rows = sweep_table(tmp_path, (5, 21), seed=2)
+    bench = benchmark_7030(m.eq, m.bd)
+    sres = simulate_overlay(bench, m.spread, None, OverlayPolicy.static())
+    assert len(rows) == 2
+    for row in rows:
+        assert row["static_cagr"] == _cell(cagr(sres.portfolio))
+        assert row["static_sharpe"] == _cell(sharpe(sres.portfolio))
+        assert float(row["excess_cagr"]) == pytest.approx(
+            float(row["cagr"]) - float(row["static_cagr"]), abs=1e-18)
+        passes_sharpe = float(row["sharpe"]) >= float(row["static_sharpe"])
+        passes_calmar = float(row["cagr_over_maxdd"]) >= float(row["static_cagr_over_maxdd"])
+        assert row["passes_sharpe"] == _cell(passes_sharpe)
+        assert row["passes_calmar"] == _cell(passes_calmar)
+        assert row["passes_both"] == _cell(passes_sharpe and passes_calmar)
+
+
+def test_sweep_empty_windows():
+    with pytest.raises(ConfigError, match="window") as exc:
+        load_config(None, {"synth": {"horizon": 300}, "sweep_windows": []})
+    assert exc.value.field == "sweep_windows"
 
 
 def test_default_constants():
