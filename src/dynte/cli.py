@@ -34,26 +34,13 @@ from typing import Any, Sequence
 import numpy as np
 
 from ._record import record
-from .events import (
-    DEFAULT_OMEGA_HORIZONS,
-    DEFAULT_REGRET_HORIZONS,
-    DEFAULT_SWEEP_WINDOWS,
-    find_trough,
-    omega_table,
-    regret_table,
-)
+from .events import find_trough, omega_table, regret_table
 from .inference import BootstrapSpec, circular_block_bootstrap
 from .metrics import MetricsReport, drawdown_path, summarize
 from .model import GovernanceParams, RegimeParams, proposition_suite
 from .regime import RegimePath, RegimeThresholds, classify, percentile_thresholds
 from .rolling import WindowSpec, moving_average, rolling_avg_pairwise_corr, rolling_corr
-from .simulate import (
-    DEFAULT_CAPS,
-    OverlayPolicy,
-    SimResult,
-    benchmark_7030,
-    simulate_overlay,
-)
+from .simulate import OverlayPolicy, SimResult, benchmark_7030, simulate_overlay
 from .timeseries import (
     UNIT_LEVEL,
     UNIT_PRICE,
@@ -107,10 +94,10 @@ _DEFAULTS: dict[str, Any] = {
         "static": 0.02,
         "theta_cap": 0.25,
     },
-    "caps": [float(c) for c in DEFAULT_CAPS],
-    "omega_horizons": list(DEFAULT_OMEGA_HORIZONS),
-    "regret_horizons": list(DEFAULT_REGRET_HORIZONS),
-    "sweep_windows": list(DEFAULT_SWEEP_WINDOWS),
+    "caps": np.linspace(0.005, 0.05, 11).tolist(),
+    "omega_horizons": [21, 42, 63, 126, 252],
+    "regret_horizons": [63, 126, 252],
+    "sweep_windows": [1, 5, 21, 63],
     "crises": {
         "gfc": ["2007-10-01", "2009-06-30"],
         "covid": ["2020-01-01", "2020-06-30"],
@@ -312,11 +299,10 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
         thresholds=_checked("thresholds", RegimeThresholds,
                             low=float(t["low"]), high=float(t["high"])),
         percentiles=(lo, hi),
-        dynamic_policy=_checked("policy", OverlayPolicy.dynamic,
-                                low=float(p["low"]), neutral=float(p["neutral"]),
-                                high=float(p["high"]), theta_cap=float(p["theta_cap"])),
-        static_policy=_checked("policy", OverlayPolicy.static, target=float(p["static"]),
-                               theta_cap=float(p["theta_cap"])),
+        dynamic_policy=_checked("policy", OverlayPolicy, float(p["low"]), float(p["neutral"]),
+                                float(p["high"]), float(p["theta_cap"])),
+        static_policy=_checked("policy", OverlayPolicy, *[float(p["static"])] * 3,
+                               float(p["theta_cap"])),
         caps=[None if c is None else float(c) for c in raw["caps"]],
         omega_horizons=tuple(raw["omega_horizons"]),
         regret_horizons=tuple(raw["regret_horizons"]),
@@ -587,6 +573,16 @@ def synthetic_market(cfg: RunConfig) -> Market:
     )
 
 
+def _check_signal(cfg: RunConfig, fieldname: str, days: int) -> None:
+    """A gauge smoothed over `days` can size the overlay only if that window
+    is no longer than windows.vol: the first decision reads the label of day
+    windows.vol, and a longer window gives its first label later."""
+    vol = cfg.windows["vol"].length
+    if days > vol:
+        raise ValueError(f"{fieldname}: the {days}-day window may not exceed windows.vol "
+                         f"({vol}); the overlay's first decision reads the label of day {vol}")
+
+
 class Run:
     """One command's config and what its tables share: the market, the 70/30
     benchmark, the regime path and the reference overlays, each built on first
@@ -615,12 +611,10 @@ class Run:
 
     @cached_property
     def path(self) -> RegimePath:
-        return _blame("windows.signal", classify, self.market().vix,
-                      self.cfg.windows["signal"], self.cfg.thresholds)
-
-    @cached_property
-    def smoothed_vix(self) -> Series:
-        return Series(self.path.calendar, self.path.signal, self.market().vix.unit)
+        w = self.cfg.windows["signal"]
+        path = _blame("windows.signal", classify, self.market().vix, w, self.cfg.thresholds)
+        _check_signal(self.cfg, "windows.signal", w.length)
+        return path
 
     def overlay(self, policy: OverlayPolicy, path: RegimePath | None = None) -> SimResult:
         """`policy` overlaid on the benchmark, sized on `path` or else the
@@ -686,7 +680,7 @@ def _exhibit3(run: Run) -> list[Path]:
     for name, sim in (("benchmark", run.bench), ("static", run.static),
                       ("dynamic", run.dynamic)):
         rep = summarize(sim.portfolio, rf=run.market().rf, te=sim.te,
-                        smoothed_vix=run.smoothed_vix)
+                        smoothed_vix=run.path.signal)
         cells = {m: getattr(rep, m) for m in metrics}
         # display convention: drawdowns are losses, shown negative
         cells["max_drawdown"] = -rep.max_drawdown
@@ -700,7 +694,7 @@ def _exhibit4(run: Run) -> list[Path]:
         raise ValueError(f"windows.vol: a realized tracking error needs more than twice the "
                          f"{run.cfg.windows['vol'].length}-day window, and the sample "
                          f"has {len(run.bench.calendar)} days")
-    sm = run.smoothed_vix.restrict(te_s.calendar)
+    sm = run.path.signal.restrict(te_s.calendar)
     return _write_table(run.cfg, "exhibit4", "exhibit4",
                         ["date", "te_static", "te_dynamic", "smoothed_vix"],
                         [te_s.calendar.days, te_s.values, te_d.values, sm.values],
@@ -764,7 +758,7 @@ def cmd_converge(run: Run) -> list[Path]:
     for cap, portfolio in zip(cfg.caps, portfolios):
         sim = run.overlay(cfg.dynamic_policy.with_ceiling(cap))
         rep = summarize(sim.portfolio, rf=run.market().rf, te=sim.te,
-                        smoothed_vix=run.smoothed_vix)
+                        smoothed_vix=run.path.signal)
         portfolio[:] = sim.portfolio
         rows.append([
             "uncapped" if cap is None else cap,
@@ -794,10 +788,11 @@ def cmd_sweep(run: Run) -> list[Path]:
     st, st_calmar = scored(run.static)
     rows = []
     for i, w in enumerate(cfg.sweep_windows):
-        sm = _blame(f"sweep_windows[{i}]", moving_average, run.market().vix, WindowSpec(w))
-        th = percentile_thresholds(sm, *cfg.percentiles)
-        rep, calmar = scored(run.overlay(cfg.dynamic_policy,
-                                         RegimePath(sm.calendar, sm.values, th)))
+        setting = f"sweep_windows[{i}]"
+        sm = _blame(setting, moving_average, run.market().vix, WindowSpec(w))
+        _check_signal(cfg, setting, w)
+        th = _blame(setting, percentile_thresholds, sm, *cfg.percentiles)
+        rep, calmar = scored(run.overlay(cfg.dynamic_policy, RegimePath(sm, th)))
         passes = (rep.sharpe >= st.sharpe, calmar >= st_calmar)
         rows.append([w, th.low, th.high, rep.cagr, rep.sharpe, calmar, rep.cagr - st.cagr,
                      st.cagr, st.sharpe, st_calmar, *passes, all(passes)])

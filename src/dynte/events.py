@@ -1,7 +1,5 @@
 """Conditioning studies: forward returns by fear-gauge quintile and
-crisis-trough regret accounting, with the default horizons of each and the
-default windows of the signal-window sweep, which the command line runs on
-its shared overlays.
+crisis-trough regret accounting.
 
 Forward returns are overlapping, so every t-statistic here uses a
 Newey-West long-run variance with bandwidth equal to the forward horizon.
@@ -19,7 +17,7 @@ import numpy as np
 from ._record import record
 from .inference import newey_west_mean_test
 from .metrics import drawdown_path
-from .simulate import SimResult, fixed_mix
+from .simulate import _W_EQ, SimResult, fixed_mix
 from .timeseries import (
     TRADING_DAYS_PER_YEAR,
     UNIT_LEVEL,
@@ -27,10 +25,6 @@ from .timeseries import (
     Series,
     TradingCalendar,
 )
-
-DEFAULT_OMEGA_HORIZONS = (21, 42, 63, 126, 252)
-DEFAULT_REGRET_HORIZONS = (63, 126, 252)
-DEFAULT_SWEEP_WINDOWS = (1, 5, 21, 63)
 
 
 def vix_quintiles(vix: Series) -> tuple[np.ndarray, np.ndarray]:
@@ -44,11 +38,11 @@ def vix_quintiles(vix: Series) -> tuple[np.ndarray, np.ndarray]:
     return bounds, np.searchsorted(bounds, v, side="left") + 1
 
 
-def forward_return(prices: Series, horizon: int, annualize: bool = True) -> Series:
+def forward_return(prices: Series, horizon: int) -> Series:
     """Return over the next `horizon` trading days, dated at the anchor day.
 
     Overlapping by construction; the last `horizon` dates emit no value.
-    Annualized as (1 + cum)^(252/horizon) - 1 unless annualize is False.
+    Annualized as (1 + cum)^(252/horizon) - 1.
     """
     if prices.unit != UNIT_PRICE:
         raise ValueError(f"need a price series, got unit {prices.unit!r}")
@@ -57,7 +51,7 @@ def forward_return(prices: Series, horizon: int, annualize: bool = True) -> Seri
         raise ValueError(f"horizon must be in [1, {n - 1}]")
     p = prices.values
     cum = p[horizon:] / p[:-horizon] - 1.0
-    out = (1.0 + cum) ** (TRADING_DAYS_PER_YEAR / horizon) - 1.0 if annualize else cum
+    out = (1.0 + cum) ** (TRADING_DAYS_PER_YEAR / horizon) - 1.0
     return Series(TradingCalendar(prices.calendar.days[: n - horizon]), out, UNIT_LEVEL)
 
 
@@ -71,9 +65,7 @@ class QuintileReport:
     counts: np.ndarray       # horizons x 5 observation counts
 
 
-def omega_table(
-    vix: Series, prices: Series, horizons: Sequence[int] = DEFAULT_OMEGA_HORIZONS
-) -> QuintileReport:
+def omega_table(vix: Series, prices: Series, horizons: Sequence[int]) -> QuintileReport:
     """Mean annualized forward return per fear-gauge quintile and horizon.
 
     The top-vs-bottom spread is tested with a Newey-West mean test on the
@@ -179,12 +171,12 @@ def regret_table(
     eq: Series,
     bd: Series,
     troughs: Sequence[tuple[str, Trough]],
-    horizons: Sequence[int] = DEFAULT_REGRET_HORIZONS,
-    w_eq: float = 0.70,
+    horizons: Sequence[int],
 ) -> tuple[RegretEntry, ...]:
     """Stay-vs-derisk outcomes from each trough. Both paths restart at
     their target weights on the day after the trough and rebalance monthly
-    thereafter; the de-risked path mirrors the weights. A horizon that runs
+    thereafter: staying holds the benchmark's 70/30 weights, and the
+    de-risked path mirrors them. A horizon that runs
     past the end of the sample has no outcome (None)."""
     if eq.calendar != bd.calendar:
         raise ValueError("legs are not on the same calendar")
@@ -196,8 +188,8 @@ def regret_table(
         derisk: list[float | None] = []
         for h in horizons:
             fits = i + h <= n - 1
-            stay.append(_cum_mix(eq, bd, i + 1, h, w_eq) if fits else None)
-            derisk.append(_cum_mix(eq, bd, i + 1, h, 1.0 - w_eq) if fits else None)
+            stay.append(_cum_mix(eq, bd, i + 1, h, _W_EQ) if fits else None)
+            derisk.append(_cum_mix(eq, bd, i + 1, h, 1.0 - _W_EQ) if fits else None)
         out.append(RegretEntry(
             name=name,
             trough=trough,

@@ -24,12 +24,10 @@ from typing import Callable
 import numpy as np
 
 from ._record import record
-from .timeseries import TRADING_DAYS_PER_YEAR, Series
+from .timeseries import TRADING_DAYS_PER_YEAR
 
 
 def _values(x) -> np.ndarray:
-    if isinstance(x, Series):
-        return np.asarray(x.values, dtype=np.float64)
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("expected a one-dimensional sample")
@@ -75,10 +73,10 @@ def newey_west_mean_test(x, bandwidth: int) -> MeanTest:
 
 @record(frozen=True)
 class BootstrapSpec:
-    block: int = 63
-    iterations: int = 10_000
-    seed: int = 0
-    confidence: float = 0.95
+    block: int
+    iterations: int
+    seed: int
+    confidence: float
 
     def __post_init__(self):
         if self.block < 1:
@@ -181,13 +179,10 @@ def _block_sum_sharpe(v: np.ndarray, block: int) -> Callable[[np.ndarray], np.nd
     return stat
 
 
-def circular_block_bootstrap(
-    returns, spec: BootstrapSpec
-) -> BootstrapResult | list[BootstrapResult]:
-    """Percentile CI for the annualized Sharpe ratio of a daily return
-    series, the only statistic it computes. `returns` is one series, or a
-    2-D array whose k rows are aligned series, which gives a list of k
-    results.
+def circular_block_bootstrap(returns: np.ndarray, spec: BootstrapSpec) -> list[BootstrapResult]:
+    """Percentile CIs for the annualized Sharpe ratios of k aligned daily
+    return series, the only statistic it computes: `returns` is a k x n
+    array, and the result a list of k results, one per row.
 
     Resamples are ceil(n/block) wraparound blocks truncated to n. All rows
     read their resamples off one shared draw of block starts. Resamples with
@@ -202,8 +197,9 @@ def circular_block_bootstrap(
     size, so memory does not grow with spec.iterations beyond the k x
     iterations statistics.
     """
-    batch = not isinstance(returns, Series) and np.ndim(returns) == 2
-    rows = np.asarray(returns, dtype=np.float64) if batch else _values(returns)[None, :]
+    rows = np.asarray(returns, dtype=np.float64)
+    if rows.ndim != 2:
+        raise ValueError("expected a k x n array of return series")
     n = rows.shape[1]
     if n < 2:
         raise ValueError("need at least two observations")
@@ -241,7 +237,7 @@ def circular_block_bootstrap(
         ci_lo, ci_hi = np.quantile(row, [lo, 1.0 - lo], overwrite_input=True)
         results.append(BootstrapResult(point=point, ci_lo=float(ci_lo), ci_hi=float(ci_hi),
                                        spec=spec))
-    return results if batch else results[0]
+    return results
 
 
 @record(frozen=True)

@@ -17,18 +17,13 @@ import math
 import numpy as np
 
 from ._record import record
-from .timeseries import TRADING_DAYS_PER_YEAR, UNIT_RETURN, Series
+from .timeseries import TRADING_DAYS_PER_YEAR, Series
 
 
 def _returns(x) -> np.ndarray:
-    if isinstance(x, Series):
-        if x.unit != UNIT_RETURN:
-            raise ValueError(f"need a return series, got unit {x.unit!r}")
-        v = np.asarray(x.values, dtype=np.float64)
-    else:
-        v = np.asarray(x, dtype=np.float64)
-        if v.ndim != 1:
-            raise ValueError("returns must be one-dimensional")
+    v = np.asarray(x, dtype=np.float64)
+    if v.ndim != 1:
+        raise ValueError("returns must be one-dimensional")
     if len(v) == 0:
         raise ValueError("empty return series")
     if np.any(v <= -1.0) or not np.all(np.isfinite(v)):
@@ -58,21 +53,17 @@ def annualized_vol(returns) -> float:
     return float(np.std(v, ddof=1)) * math.sqrt(TRADING_DAYS_PER_YEAR)
 
 
-def _daily_rf(rf, n: int) -> np.ndarray:
+def _daily_rf(rf: Series | float, n: int) -> np.ndarray:
+    """A per-day rate series as given, or a scalar annual rate spread evenly
+    across days."""
     if isinstance(rf, Series):
         if len(rf) != n:
             raise ValueError("risk-free series length mismatch")
-        return np.asarray(rf.values, dtype=np.float64)
-    rf_arr = np.asarray(rf, dtype=np.float64)
-    if rf_arr.ndim == 0:
-        # scalar: annual rate spread evenly across days
-        return np.full(n, float(rf_arr) / TRADING_DAYS_PER_YEAR)
-    if len(rf_arr) != n:
-        raise ValueError("risk-free series length mismatch")
-    return rf_arr
+        return rf.values
+    return np.full(n, float(rf) / TRADING_DAYS_PER_YEAR)
 
 
-def sharpe(returns, rf=0.0) -> float:
+def sharpe(returns, rf: Series | float = 0.0) -> float:
     v = _returns(returns)
     if len(v) < 2:
         raise ValueError("need at least two returns")

@@ -14,8 +14,6 @@ PropositionCheck per claim.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ._record import record
 
 
@@ -50,11 +48,6 @@ class GovernanceParams:
     def __post_init__(self):
         if self.tau_bar <= 0.0:
             raise ValueError("tau_bar must be positive")
-
-
-def compound_active_return(theta: float, alpha: float, sigma: float) -> float:
-    """Long-run compound active growth for a fixed active weight."""
-    return theta * alpha - 0.5 * theta * theta * sigma * sigma
 
 
 def optimal_theta(alpha: float, sigma: float) -> float:
@@ -97,27 +90,6 @@ def jensen_advantage(params: RegimeParams) -> float:
     ir_l, ir_h = params.ir
     d = ir_h - ir_l
     return 0.5 * params.p * (1.0 - params.p) * d * d
-
-
-def make_theta_grid(alpha: float, sigma: float, step: float = 1e-4) -> np.ndarray:
-    """Uniform grid over [0, 2*alpha/sigma^2] with spacing <= step."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    hi = 2.0 * optimal_theta(alpha, sigma)
-    if hi <= 0.0:
-        raise ValueError("grid needs alpha > 0")
-    npts = int(np.ceil(hi / step)) + 1
-    return np.linspace(0.0, hi, npts)
-
-
-def brute_force_optimum(alpha: float, sigma: float, grid: np.ndarray) -> float:
-    """Grid argmax of the compound active return. The oracle counterpart of
-    optimal_theta: no calculus, just evaluation."""
-    g = np.asarray(grid, dtype=np.float64)
-    if g.ndim != 1 or len(g) == 0:
-        raise ValueError("grid must be a non-empty 1-d array")
-    obj = g * alpha - 0.5 * g * g * sigma * sigma
-    return float(g[int(np.argmax(obj))])
 
 
 @record(frozen=True)

@@ -68,40 +68,36 @@ class RegimeThresholds:
             )
 
 
-def percentile_thresholds(
-    smoothed: Series, p_low: float = 0.16, p_high: float = 0.76
-) -> RegimeThresholds:
+def percentile_thresholds(smoothed: Series, p_low: float, p_high: float) -> RegimeThresholds:
     """Thresholds at two linear-interpolation percentiles of the smoothed
     signal's sample distribution."""
     if not 0.0 < p_low < p_high < 1.0:
         raise ValueError("need 0 < p_low < p_high < 1")
     lo, hi = np.quantile(smoothed.values, [p_low, p_high])
+    if lo == hi:
+        raise ValueError(f"the thresholds fitted at percentiles {p_low} and {p_high} "
+                         f"coincide, at {float(lo)}")
     return RegimeThresholds(low=float(lo), high=float(hi))
 
 
 @record(frozen=True)
 class RegimePath:
-    """The smoothed signal, and the per-date label it gives under the thresholds."""
+    """The smoothed signal, and the per-date label it gives under the
+    thresholds, on the signal's calendar."""
 
-    calendar: TradingCalendar
-    signal: np.ndarray
+    signal: Series
     thresholds: RegimeThresholds
     labels: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        # a copy, so freezing it leaves the caller's array writable
-        signal = np.array(self.signal, dtype=np.float64)
-        if len(signal) != len(self.calendar):
-            raise ValueError("signal length must match the calendar")
+        v = self.signal.values
         labels = np.where(
-            signal < self.thresholds.low,
+            v < self.thresholds.low,
             int(Regime.LOW),
-            np.where(signal > self.thresholds.high, int(Regime.HIGH), int(Regime.NEUTRAL)),
+            np.where(v > self.thresholds.high, int(Regime.HIGH), int(Regime.NEUTRAL)),
         ).astype(np.int8)
         labels.setflags(write=False)
-        signal.setflags(write=False)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "signal", signal)
 
     def fractions(self) -> dict[Regime, float]:
         return {r: float(np.mean(self.labels == int(r))) for r in Regime}
@@ -111,8 +107,7 @@ def classify(
     vix: Series, w: WindowSpec, thresholds: RegimeThresholds
 ) -> RegimePath:
     """Label each date from the trailing moving average of the gauge."""
-    sig = moving_average(vix, w)
-    return RegimePath(sig.calendar, sig.values, thresholds)
+    return RegimePath(moving_average(vix, w), thresholds)
 
 
 def weekly_returns(daily: Series) -> Series:
@@ -423,8 +418,8 @@ def signal_agreement(path: RegimePath, ms_prob: Series) -> AgreementReport:
     sig = []
     hi = []
     for d in ms_prob.calendar.dates:
-        i = path.calendar.index(d)
-        sig.append(path.signal[i])
+        i = path.signal.calendar.index(d)
+        sig.append(path.signal.values[i])
         hi.append(path.labels[i] == int(Regime.HIGH))
     rho = spearman(np.asarray(sig), ms_prob.values)
     agree = np.asarray(hi) == (ms_prob.values > 0.5)

@@ -19,7 +19,8 @@ from .regime import RegimePath
 from .rolling import WindowSpec, rolling_vol
 from .timeseries import UNIT_RETURN, Series, TradingCalendar
 
-DEFAULT_CAPS: tuple[float, ...] = tuple(np.linspace(0.005, 0.05, 11))
+# the benchmark's equity weight; the regret study's de-risked mix mirrors it
+_W_EQ = 0.70
 
 
 @record(frozen=True)
@@ -34,7 +35,7 @@ class OverlayPolicy:
     target_low: float
     target_neutral: float
     target_high: float
-    theta_cap: float = 0.25
+    theta_cap: float
     te_ceiling: float | None = None
 
     def __post_init__(self):
@@ -45,15 +46,6 @@ class OverlayPolicy:
             raise ValueError("theta_cap must be positive")
         if self.te_ceiling is not None and self.te_ceiling <= 0.0:
             raise ValueError("te_ceiling must be positive when set")
-
-    @classmethod
-    def static(cls, target: float = 0.02, theta_cap: float = 0.25) -> "OverlayPolicy":
-        return cls(target, target, target, theta_cap)
-
-    @classmethod
-    def dynamic(cls, low: float = 0.005, neutral: float = 0.02,
-                high: float = 0.05, theta_cap: float = 0.25) -> "OverlayPolicy":
-        return cls(low, neutral, high, theta_cap)
 
     @property
     def is_static(self) -> bool:
@@ -95,7 +87,7 @@ class SimResult:
             object.__setattr__(self, name, arr)
 
 
-def fixed_mix(eq: Series, bd: Series, w_eq: float = 0.70) -> SimResult:
+def fixed_mix(eq: Series, bd: Series, w_eq: float) -> SimResult:
     """Two-asset portfolio reset to (w_eq, 1 - w_eq) on the first trading
     day of each month; weights drift with relative performance in between."""
     if eq.calendar != bd.calendar:
@@ -127,16 +119,17 @@ def fixed_mix(eq: Series, bd: Series, w_eq: float = 0.70) -> SimResult:
 
 
 def benchmark_7030(eq: Series, bd: Series) -> SimResult:
-    return fixed_mix(eq, bd, 0.70)
+    return fixed_mix(eq, bd, _W_EQ)
 
 
 def _decision_labels(regimes: RegimePath, cal: TradingCalendar,
                      start: int, stop: int) -> np.ndarray:
     """Labels at cal[start:stop], verified to line up date-for-date."""
     need = cal.days[start:stop]
-    k0 = regimes.calendar.index(need[0])
+    pcal = regimes.signal.calendar
+    k0 = pcal.index(need[0])
     k1 = k0 + len(need)
-    if not np.array_equal(regimes.calendar.days[k0:k1], need):
+    if not np.array_equal(pcal.days[k0:k1], need):
         raise ValueError("regime path is not aligned with the simulation calendar")
     return regimes.labels[k0:k1]
 
@@ -146,7 +139,7 @@ def simulate_overlay(
     spread: Series,
     regimes: RegimePath | None,
     policy: OverlayPolicy,
-    vol_window: WindowSpec = WindowSpec(63),
+    vol_window: WindowSpec,
 ) -> SimResult:
     """Overlay the spread on a benchmark path under a sizing policy.
 

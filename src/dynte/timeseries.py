@@ -120,17 +120,10 @@ class TradingCalendar:
     def __getitem__(self, i: int) -> dt.date:
         return self._days[i].item()
 
-    def _find(self, d) -> tuple[np.datetime64, int, bool]:
+    def index(self, d) -> int:
         day = _as_day(d)
         i = int(np.searchsorted(self._days, day))
-        return day, i, i < len(self._days) and self._days[i] == day
-
-    def __contains__(self, d) -> bool:
-        return self._find(d)[2]
-
-    def index(self, d) -> int:
-        day, i, found = self._find(d)
-        if not found:
+        if i == len(self._days) or self._days[i] != day:
             raise ValueError(f"date {day.item()} not on calendar")
         return i
 
@@ -216,9 +209,6 @@ class Series:
         if not found.all():
             raise ValueError(f"date {want[np.argmin(found)].item()} not on calendar")
         return Series(calendar, self.values[idx], self.unit)
-
-    def suffix(self, start: int) -> "Series":
-        return Series(self.calendar.suffix(start), self.values[start:], self.unit)
 
 
 @record(frozen=True)
@@ -428,14 +418,12 @@ def returns_from_prices(prices: Series) -> Series:
     return Series(prices.calendar.suffix(1), vals, UNIT_RETURN)
 
 
-def prices_from_returns(returns: Series, initial: float = 100.0) -> Series:
+def prices_from_returns(returns: Series) -> Series:
     """Compound an index level path from simple returns; level dated at each
-    return's date, starting from `initial` one step before the calendar."""
+    return's date, starting from 100 one step before the calendar."""
     if returns.unit != UNIT_RETURN:
         raise ValueError(f"need a return series, got unit {returns.unit!r}")
-    if initial <= 0:
-        raise ValueError("initial level must be positive")
-    vals = initial * np.cumprod(1.0 + returns.values)
+    vals = 100.0 * np.cumprod(1.0 + returns.values)
     return Series(returns.calendar, vals, UNIT_PRICE)
 
 

@@ -24,18 +24,9 @@ from dynte.inference import (
     sharpe_equality_test,
 )
 from dynte.metrics import cagr, sharpe, summarize
-from dynte.model import (
-    GovernanceParams,
-    RegimeParams,
-    brute_force_optimum,
-    compound_active_return,
-    jensen_advantage,
-    make_theta_grid,
-    optimal_theta,
-)
+from dynte.model import GovernanceParams, RegimeParams, jensen_advantage, optimal_theta
 from dynte.regime import (
     Regime,
-    RegimeThresholds,
     classify,
     fit_markov_switching,
     smoothed_high_prob,
@@ -47,12 +38,7 @@ from dynte.rolling import (
     rolling_corr,
     rolling_vol,
 )
-from dynte.simulate import (
-    DEFAULT_CAPS,
-    OverlayPolicy,
-    benchmark_7030,
-    simulate_overlay,
-)
+from dynte.simulate import benchmark_7030, simulate_overlay
 from dynte.timeseries import (
     UNIT_LEVEL,
     UNIT_RETURN,
@@ -63,9 +49,14 @@ from dynte.timeseries import (
     make_weekday_calendar,
     synth_regime_panel,
 )
+from oracles import brute_force_optimum, compound_active_return, make_theta_grid
 
-THRESHOLDS = RegimeThresholds(low=13.0, high=22.0)
-SIGNAL_W = WindowSpec(21)
+DEFAULTS = load_config(None, {})
+THRESHOLDS = DEFAULTS.thresholds
+SIGNAL_W = DEFAULTS.windows["signal"]
+VOL_W = DEFAULTS.windows["vol"]
+SPEC_1000 = BootstrapSpec(block=63, iterations=1000, seed=0,
+                          confidence=DEFAULTS.bootstrap_spec.confidence)
 
 _DATA_DIR = os.environ.get("DYNTE_DATA_DIR")
 _DATA_FILES = ("eq.csv", "bd.csv", "vix.csv")
@@ -139,8 +130,8 @@ def test_criterion_03_dynamic_beats_static_on_planted_regimes():
     cagr_gap = []
     for seed in range(20):
         bench, spread, path = _fifty_year_run(seed)
-        dyn = simulate_overlay(bench, spread, path, OverlayPolicy.dynamic())
-        sta = simulate_overlay(bench, spread, None, OverlayPolicy.static())
+        dyn = simulate_overlay(bench, spread, path, DEFAULTS.dynamic_policy, VOL_W)
+        sta = simulate_overlay(bench, spread, None, DEFAULTS.static_policy, VOL_W)
         cagr_gap.append(cagr(dyn.portfolio) - cagr(sta.portfolio))
         assert dyn.te is not None and sta.te is not None
         ratio = np.std(dyn.te.values, ddof=1) / np.std(sta.te.values, ddof=1)
@@ -155,20 +146,19 @@ def test_criterion_04_te_cap_spectrum_shape():
     for seed in range(3):
         bench, spread, path = _fifty_year_run(seed)
         sims = {}
-        for cap in (*DEFAULT_CAPS, 0.08, 0.5, None):
-            pol = OverlayPolicy.dynamic().with_ceiling(cap)
-            sims[cap] = simulate_overlay(bench, spread, path, pol)
-        sig = [np.std(sims[c].te.values, ddof=1) for c in DEFAULT_CAPS]
+        for cap in (*DEFAULTS.caps, 0.08, 0.5, None):
+            pol = DEFAULTS.dynamic_policy.with_ceiling(cap)
+            sims[cap] = simulate_overlay(bench, spread, path, pol, VOL_W)
+        sig = [np.std(sims[c].te.values, ddof=1) for c in DEFAULTS.caps]
         assert np.all(np.diff(sig) >= 0.0)
         free = sims[None].portfolio.tobytes()
         for cap in (0.05, 0.08, 0.5):
             assert sims[cap].portfolio.tobytes() == free
             assert sims[cap].theta.tobytes() == sims[None].theta.tobytes()
         if seed == 0:
-            spec = BootstrapSpec(block=63, iterations=1000, seed=0)
-            sharpes = [sharpe(sims[c].portfolio) for c in DEFAULT_CAPS]
-            widths = [circular_block_bootstrap(sims[c].portfolio, spec).width
-                      for c in DEFAULT_CAPS]
+            sharpes = [sharpe(sims[c].portfolio) for c in DEFAULTS.caps]
+            widths = [b.width for b in circular_block_bootstrap(
+                np.array([sims[c].portfolio for c in DEFAULTS.caps]), SPEC_1000)]
             assert max(sharpes) - min(sharpes) < min(widths)
 
 
@@ -239,11 +229,10 @@ def test_criterion_06_inference_calibration():
 
     mu, sd = 0.0003, 0.01
     true_sharpe = mu * 252.0 / (sd * math.sqrt(252.0))
-    spec = BootstrapSpec(block=63, iterations=1000, seed=0)
     covered = 0
     for _ in range(500):
         r = mu + sd * rng.standard_normal(2000)
-        boot = circular_block_bootstrap(r, spec)
+        (boot,) = circular_block_bootstrap(r[None, :], SPEC_1000)
         covered += boot.ci_lo <= true_sharpe <= boot.ci_hi
     assert 0.92 * 500 <= covered <= 0.98 * 500, f"coverage {covered}/500"
 
@@ -296,12 +285,10 @@ def test_criterion_07_markov_switching_em():
 def test_criterion_08_truncation_leaves_history_unchanged():
     params = SynthParams(horizon=1260, seed=11)
     panel, _ = synth_regime_panel(params)
-    policy = OverlayPolicy.dynamic()
-
     def run(eq, bd, spread, vix):
         bench = benchmark_7030(eq, bd)
         path = classify(vix, SIGNAL_W, THRESHOLDS)
-        return simulate_overlay(bench, spread, path, policy)
+        return simulate_overlay(bench, spread, path, DEFAULTS.dynamic_policy, VOL_W)
 
     eq, bd = panel["BENCH_EQ"], panel["BENCH_BD"]
     spread, vix = panel["SPREAD"], panel["VIX"]
@@ -344,9 +331,9 @@ def test_criterion_09_headline_metrics_table(tmp_path):
     cfg = _real_config(tmp_path)
     run = Run(cfg, "acceptance")
     sta = summarize(run.static.portfolio, te=run.static.te,
-                    smoothed_vix=run.smoothed_vix)
+                    smoothed_vix=run.path.signal)
     dyn = summarize(run.dynamic.portfolio, te=run.dynamic.te,
-                    smoothed_vix=run.smoothed_vix)
+                    smoothed_vix=run.path.signal)
     assert sta.cagr == pytest.approx(0.0980, abs=0.005)
     assert dyn.cagr == pytest.approx(0.1033, abs=0.005)
     assert sta.te_sigma == pytest.approx(0.0050, abs=0.0025)
@@ -391,9 +378,9 @@ def test_criterion_12_cap_spectrum_on_market_data(tmp_path):
     cfg = _real_config(tmp_path)
     run = Run(cfg, "acceptance")
     sharpes, sigs = [], []
-    for cap in DEFAULT_CAPS:
-        pol = OverlayPolicy.dynamic().with_ceiling(cap)
-        sim = simulate_overlay(run.bench, run.market().spread, run.path, pol)
+    for cap in cfg.caps:
+        pol = cfg.dynamic_policy.with_ceiling(cap)
+        sim = simulate_overlay(run.bench, run.market().spread, run.path, pol, cfg.windows["vol"])
         sharpes.append(sharpe(sim.portfolio))
         sigs.append(np.std(sim.te.values, ddof=1))
     assert max(sharpes) - min(sharpes) <= 0.02

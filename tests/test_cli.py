@@ -15,7 +15,11 @@ import pytest
 from dynte.cli import (CONFIG_VERSION, ConfigError, Run, _cell, _column_text, _svg, load_config,
                        main)
 from dynte.inference import circular_block_bootstrap
-from dynte.timeseries import SynthParams, TradingCalendar, synth_regime_panel
+from dynte.metrics import sharpe, summarize
+from dynte.regime import classify
+from dynte.simulate import benchmark_7030, simulate_overlay
+from dynte.timeseries import (UNIT_LEVEL, UNIT_RETURN, Series, SynthParams, TradingCalendar,
+                              synth_regime_panel)
 
 
 def write_config(tmp_path, **overrides):
@@ -312,6 +316,34 @@ def test_short_samples_name_the_setting(tmp_path, capsys):
         assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {field}: "), form
 
 
+OUTRUNS_VOL = ("the 80-day window may not exceed windows.vol (63); the overlay's first "
+               "decision reads the label of day 63")
+
+
+@pytest.mark.parametrize("form,extra,message", [
+    (["exhibit", "3"], {"windows": {"signal": 80}}, f"windows.signal: {OUTRUNS_VOL}"),
+    (["converge"], {"windows": {"signal": 80}}, f"windows.signal: {OUTRUNS_VOL}"),
+    (["sweep"], {"synth": {"horizon": 300}, "sweep_windows": [80]},
+     f"sweep_windows[0]: {OUTRUNS_VOL}"),
+    # a flat gauge: every smoothed value is 12, so both fitted thresholds are
+    (["sweep"], {"synth": {"horizon": 300, "vix_noise": 0,
+                           "transition": [[1.0, 0.0], [0.0, 1.0]]}},
+     "sweep_windows[0]: the thresholds fitted at percentiles 0.16 and 0.76 coincide, at 12.0"),
+], ids=["exhibit 3", "converge", "sweep window", "sweep flat gauge"])
+def test_a_signal_that_cannot_size_the_overlay_names_its_setting(tmp_path, capsys, form,
+                                                                extra, message):
+    code, _ = run(tmp_path, *form, config_extra=extra)
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+
+
+def test_a_long_signal_window_fails_only_where_it_sizes_an_overlay(tmp_path, capsys):
+    for form in (["omega"], ["exhibit", "2"], ["exhibit", "6"], ["props"]):
+        code, _ = run(tmp_path, *form, config_extra={"synth": {"horizon": 700},
+                                                     "windows": {"signal": 80}})
+        assert code == 0, capsys.readouterr().err
+
+
 def test_tracking_error_needs_more_than_twice_the_vol_window(tmp_path, capsys):
     # at 126 days the 63-day TE window has one value: no path, as at 125 days
     extra = {"synth": {"horizon": 126}, "bootstrap": {"iterations": 200}}
@@ -540,6 +572,58 @@ def test_exhibit3_metrics_table(tmp_path):
         assert float(r[dd_col]) <= 0.0  # drawdowns display as losses
 
 
+def exhibit3_rows(tmp_path, name, data):
+    """exhibit 3's rows by portfolio, run on `data` in a directory of its own."""
+    (tmp_path / name).mkdir()
+    code, (table,) = run(tmp_path / name, "exhibit", "3", config_extra={"data": data})
+    assert code == 0
+    header, *rows = read_rows(table)
+    return {r[0]: dict(zip(header, r)) for r in rows}
+
+
+def test_a_risk_free_file_changes_only_the_sharpe_cells(tmp_path):
+    data = {k: v for k, v in bench_style_data(tmp_path).items() if k in ("eq", "bd", "vix")}
+    dates = [r[0] for r in read_rows(tmp_path / "eq.csv")[1:]]
+    rate = 0.02  # a constant annual rate
+    (tmp_path / "rf.csv").write_text("date,RATE\n" + "".join(f"{d},{rate}\n" for d in dates))
+    base = exhibit3_rows(tmp_path, "base", data)
+    with_rf = exhibit3_rows(tmp_path, "rf", {**data, "rf": {"path": str(tmp_path / "rf.csv"),
+                                                            "column": "RATE"}})
+    shared = Run(load_config(write_config(tmp_path, data=data), {}), "exhibit 3")
+    for name, sim in (("benchmark", shared.bench), ("static", shared.static),
+                      ("dynamic", shared.dynamic)):
+        assert with_rf[name]["sharpe"] == _cell(sharpe(sim.portfolio, rate)) != \
+            base[name]["sharpe"], name
+        assert {k: v for k, v in with_rf[name].items() if k != "sharpe"} == \
+            {k: v for k, v in base[name].items() if k != "sharpe"}, name
+
+
+def test_a_spread_file_replaces_the_leg_difference(tmp_path):
+    data = {k: v for k, v in bench_style_data(tmp_path).items() if k in ("eq", "bd", "vix")}
+    base = exhibit3_rows(tmp_path, "base", data)
+    # the synthetic panel's own spread leg, as index levels in the eq file
+    rows = exhibit3_rows(tmp_path, "spread", {**data, "spread": {"path": data["eq"]["path"],
+                                                                 "column": "SPREAD"}})
+    assert rows["benchmark"] == base["benchmark"]
+    assert rows["dynamic"] != base["dynamic"]
+
+    # the same overlay built by hand from the file's columns
+    header, *lines = read_rows(tmp_path / "eq.csv")
+    col = dict(zip(header[1:], np.array([r[1:] for r in lines], dtype=float).T))
+    cal = TradingCalendar([r[0] for r in lines[1:]])  # returns start on the second date
+    legs = {h: Series(cal, col[h][1:] / col[h][:-1] - 1.0, UNIT_RETURN)
+            for h in ("BENCH_EQ", "BENCH_BD", "SPREAD")}
+    cfg = load_config(None, {})
+    path = classify(Series(cal, col["VIX"][1:], UNIT_LEVEL), cfg.windows["signal"],
+                    cfg.thresholds)
+    sim = simulate_overlay(benchmark_7030(legs["BENCH_EQ"], legs["BENCH_BD"]), legs["SPREAD"],
+                           path, cfg.dynamic_policy, cfg.windows["vol"])
+    rep = summarize(sim.portfolio, te=sim.te, smoothed_vix=path.signal)
+    want = {m: getattr(rep, m) for m in METRICS}
+    want["max_drawdown"] = -rep.max_drawdown
+    assert {m: rows["dynamic"][m] for m in METRICS} == {m: _cell(v) for m, v in want.items()}
+
+
 def test_omega_synthetic(tmp_path):
     code, files = run(tmp_path, "omega", "--horizons", "21,63")
     assert code == 0
@@ -647,7 +731,7 @@ def test_converge_cis_equal_single_series_bootstraps(tmp_path):
     assert len(rows) == len(cfg.caps)
     for cap, row in zip(cfg.caps, rows):
         sim = shared.overlay(cfg.dynamic_policy.with_ceiling(cap))
-        boot = circular_block_bootstrap(sim.portfolio, cfg.bootstrap_spec)
+        (boot,) = circular_block_bootstrap(sim.portfolio[None, :], cfg.bootstrap_spec)
         assert (float(row[7]), float(row[8])) == (boot.ci_lo, boot.ci_hi), row[0]
 
 
@@ -655,9 +739,9 @@ def test_drop_frees_what_a_run_built(tmp_path):
     # converge drops its inputs so that the bootstrap can reuse their memory
     shared = Run(load_config(write_config(tmp_path), {}), "converge")
     built = [weakref.ref(x) for x in (shared.market(), shared.bench, shared.path,
-                                      shared.smoothed_vix, shared.static, shared.dynamic)]
+                                      shared.static, shared.dynamic)]
     shared.drop()
-    assert [ref() for ref in built] == [None] * 6
+    assert [ref() for ref in built] == [None] * 5
     assert shared.bench is not None  # built again on the next read
 
 

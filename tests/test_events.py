@@ -5,9 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dynte.events import (
-    DEFAULT_OMEGA_HORIZONS,
-    DEFAULT_REGRET_HORIZONS,
-    DEFAULT_SWEEP_WINDOWS,
     Trough,
     find_trough,
     forward_return,
@@ -20,7 +17,7 @@ from dynte.inference import newey_west_mean_test
 from dynte.metrics import cagr, sharpe, summarize
 from dynte.regime import classify, percentile_thresholds
 from dynte.rolling import WindowSpec, moving_average
-from dynte.simulate import OverlayPolicy, benchmark_7030, simulate_overlay
+from dynte.simulate import benchmark_7030, simulate_overlay
 from dynte.timeseries import (
     UNIT_LEVEL,
     UNIT_PRICE,
@@ -32,6 +29,7 @@ from dynte.timeseries import (
 )
 
 MON = dt.date(2015, 1, 5)
+DEFAULTS = load_config(None, {})
 
 
 def lser(values, start=MON, unit=UNIT_LEVEL):
@@ -111,11 +109,11 @@ def test_forward_return_quarterly_annualization():
 def test_forward_return_matches_daily_composition():
     rng = np.random.default_rng(1)
     rets = 0.01 * rng.standard_normal(400)
-    prices = prices_from_returns(rser(rets), initial=100.0)
+    prices = prices_from_returns(rser(rets))
     h = 42
-    f = forward_return(prices, h, annualize=False)
+    f = forward_return(prices, h)
     for t in (0, 57, 200, len(f) - 1):
-        want = float(np.prod(1.0 + rets[t + 1 : t + h + 1]) - 1.0)
+        want = float(np.prod(1.0 + rets[t + 1 : t + h + 1])) ** (252 / h) - 1.0
         # prices lag returns by one slot: price[t] compounds rets[1..t]
         assert_allclose(f.values[t], want, rtol=1e-12)
 
@@ -137,7 +135,7 @@ def synth_vix_and_prices(seed, n=800):
     rng = np.random.default_rng(seed)
     vix = 16.0 + 5.0 * np.abs(rng.standard_normal(n))
     rets = 0.01 * rng.standard_normal(n)  # independent of the gauge
-    prices = prices_from_returns(rser(rets), initial=100.0)
+    prices = prices_from_returns(rser(rets))
     return lser(vix).restrict(prices.calendar), prices
 
 
@@ -194,7 +192,7 @@ def test_omega_alignment_error():
     short = Series(TradingCalendar(prices.calendar.dates[:-1]),
                    prices.values[:-1], UNIT_PRICE)
     with pytest.raises(ValueError, match="calendar"):
-        omega_table(vix, short)
+        omega_table(vix, short, (21,))
 
 
 
@@ -277,10 +275,11 @@ def test_regret_antisymmetric_in_allocations():
     bd = rser(0.004 * rng.standard_normal(400) + 0.0001)
     trough = Trough(date=eq.calendar.dates[30], drawdown=0.2, vix=None)
     (a,) = regret_table(eq, bd, [("x", trough)], horizons=(63, 126))
-    (b,) = regret_table(eq, bd, [("x", trough)], horizons=(63, 126), w_eq=0.30)
-    assert a.stay == b.derisk
-    assert a.derisk == b.stay
-    assert all(ra == -rb for ra, rb in zip(a.regret, b.regret))
+    # swapping the legs swaps the mixes: 70/30 of (bd, eq) is 30/70 of (eq, bd)
+    (b,) = regret_table(bd, eq, [("x", trough)], horizons=(63, 126))
+    assert a.stay == pytest.approx(b.derisk, rel=1e-12)
+    assert a.derisk == pytest.approx(b.stay, rel=1e-12)
+    assert a.regret == pytest.approx([-r for r in b.regret], rel=1e-9)
 
 
 def test_regret_starts_day_after_trough():
@@ -327,10 +326,11 @@ def test_sweep_single_window_reproduces_main_run(tmp_path):
     row = rows[0]
 
     sm = moving_average(m.vix, WindowSpec(21))
-    th = percentile_thresholds(sm, 0.16, 0.76)
+    th = percentile_thresholds(sm, *DEFAULTS.percentiles)
     path = classify(m.vix, WindowSpec(21), th)
     bench = benchmark_7030(m.eq, m.bd)
-    res = simulate_overlay(bench, m.spread, path, OverlayPolicy.dynamic())
+    res = simulate_overlay(bench, m.spread, path, DEFAULTS.dynamic_policy,
+                           DEFAULTS.windows["vol"])
     assert row["window"] == "21"
     assert row["cagr"] == _cell(cagr(res.portfolio))
     assert row["sharpe"] == _cell(sharpe(res.portfolio))
@@ -341,7 +341,8 @@ def test_sweep_single_window_reproduces_main_run(tmp_path):
 def test_sweep_static_baseline_shared(tmp_path):
     m, rows = sweep_table(tmp_path, (5, 21), seed=2)
     bench = benchmark_7030(m.eq, m.bd)
-    sres = simulate_overlay(bench, m.spread, None, OverlayPolicy.static())
+    sres = simulate_overlay(bench, m.spread, None, DEFAULTS.static_policy,
+                            DEFAULTS.windows["vol"])
     assert len(rows) == 2
     for row in rows:
         assert row["static_cagr"] == _cell(cagr(sres.portfolio))
@@ -362,6 +363,6 @@ def test_sweep_empty_windows():
 
 
 def test_default_constants():
-    assert DEFAULT_OMEGA_HORIZONS == (21, 42, 63, 126, 252)
-    assert DEFAULT_REGRET_HORIZONS == (63, 126, 252)
-    assert DEFAULT_SWEEP_WINDOWS == (1, 5, 21, 63)
+    assert DEFAULTS.omega_horizons == (21, 42, 63, 126, 252)
+    assert DEFAULTS.regret_horizons == (63, 126, 252)
+    assert DEFAULTS.sweep_windows == (1, 5, 21, 63)

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from dynte import inference
+from dynte.cli import load_config
 from dynte.inference import (
     BootstrapResult,
     BootstrapSpec,
@@ -17,6 +18,18 @@ from dynte.inference import (
     sharpe_equality_test,
     spearman,
 )
+
+CONFIDENCE = load_config(None, {}).bootstrap_spec.confidence
+
+
+def spec_of(block, iterations, seed=0, confidence=CONFIDENCE):
+    return BootstrapSpec(block, iterations, seed, confidence)
+
+
+def bootstrap_one(r, spec):
+    """The bootstrap of one series, as the one row of a 1 x n array."""
+    (out,) = circular_block_bootstrap(np.asarray(r)[None, :], spec)
+    return out
 
 
 # ------------------------------------------------------------- newey-west
@@ -96,8 +109,7 @@ def test_nw_iid_size_control():
 def test_bootstrap_rotation_invariance():
     rng = np.random.default_rng(6)
     r = 0.01 * rng.standard_normal(100) + 0.0005
-    spec = BootstrapSpec(block=100, iterations=300, seed=0)
-    out = circular_block_bootstrap(r, spec)
+    out = bootstrap_one(r, spec_of(block=100, iterations=300, seed=0))
     # every resample is a rotation of the sample, so the Sharpe is the
     # original up to summation order; the interval collapses
     assert out.width <= 1e-12
@@ -107,19 +119,18 @@ def test_bootstrap_rotation_invariance():
 def test_bootstrap_deterministic_in_seed():
     rng = np.random.default_rng(7)
     r = 0.01 * rng.standard_normal(400)
-    spec = BootstrapSpec(block=21, iterations=500, seed=11)
-    a = circular_block_bootstrap(r, spec)
-    b = circular_block_bootstrap(r, spec)
+    spec = spec_of(block=21, iterations=500, seed=11)
+    a = bootstrap_one(r, spec)
+    b = bootstrap_one(r, spec)
     assert (a.ci_lo, a.ci_hi) == (b.ci_lo, b.ci_hi)
-    c = circular_block_bootstrap(r, BootstrapSpec(21, 500, 12))
+    c = bootstrap_one(r, spec_of(21, 500, 12))
     assert (a.ci_lo, a.ci_hi) != (c.ci_lo, c.ci_hi)
 
 
 def test_bootstrap_point_estimates():
     rng = np.random.default_rng(8)
     r = 0.01 * rng.standard_normal(300) + 0.0004
-    spec = BootstrapSpec(block=21, iterations=50, seed=0)
-    sharpe_pt = circular_block_bootstrap(r, spec).point
+    sharpe_pt = bootstrap_one(r, spec_of(block=21, iterations=50, seed=0)).point
     want = np.mean(r) / np.std(r, ddof=1) * math.sqrt(252.0)
     assert_allclose(sharpe_pt, want, rtol=1e-12)
 
@@ -128,8 +139,7 @@ def test_bootstrap_interval_brackets_truth_generously():
     rng = np.random.default_rng(10)
     true_daily = 0.0006
     r = 0.01 * rng.standard_normal(2000) + true_daily
-    spec = BootstrapSpec(block=63, iterations=800, seed=1)
-    out = circular_block_bootstrap(r, spec)
+    out = bootstrap_one(r, spec_of(block=63, iterations=800, seed=1))
     assert out.ci_lo < out.point < out.ci_hi
 
 
@@ -181,9 +191,9 @@ def assert_matches_oracle(r, spec):
         want = oracle_bootstrap(r, spec)
     except ValueError as exc:
         with pytest.raises(ValueError, match=str(exc)):
-            circular_block_bootstrap(r, spec)
+            bootstrap_one(r, spec)
         return
-    got = circular_block_bootstrap(r, spec)
+    got = bootstrap_one(r, spec)
     assert got.point == want.point
     # block sums add in another order; a resample whose mean is exactly
     # zero reads rounding dust of order 1e-16 in either method
@@ -208,7 +218,7 @@ def test_bootstrap_matches_gather_oracle(n, data, seed, ticks):
     else:
         r = 0.0003 + 0.01 * rng.standard_normal(n)
     # more than two chunks of draws
-    spec = BootstrapSpec(block=block, iterations=601, seed=seed % 1000)
+    spec = spec_of(block=block, iterations=601, seed=seed % 1000)
     assert_matches_oracle(r, spec)
 
 
@@ -222,7 +232,7 @@ def test_bootstrap_redraws_match_gather_oracle(seed, base):
     # redraw decided otherwise than by the gathered sd moves the quartiles.
     r = np.full(10, base)
     r[3] = base + 0.01
-    spec = BootstrapSpec(block=1, iterations=2000, seed=seed, confidence=0.5)
+    spec = spec_of(block=1, iterations=2000, seed=seed, confidence=0.5)
     assert_matches_oracle(r, spec)
 
 
@@ -258,8 +268,8 @@ def test_bootstrap_rows_equal_single_series(n, data, seed):
     block = data.draw(st.integers(1, 2 * n), label="block")
     bursts = data.draw(st.lists(st.booleans(), min_size=1, max_size=5), label="bursts")
     rows = series_rows(np.random.default_rng(seed), n, bursts)
-    spec = BootstrapSpec(block=block, iterations=601, seed=seed % 1000)
-    singles = [_outcome(lambda: circular_block_bootstrap(r, spec)) for r in rows]
+    spec = spec_of(block=block, iterations=601, seed=seed % 1000)
+    singles = [_outcome(lambda: bootstrap_one(r, spec)) for r in rows]
     errors = [x for x in singles if isinstance(x, str)]
     if errors:
         # the points are checked before any draw, then each row's redraws
@@ -275,7 +285,7 @@ def test_bootstrap_rows_equal_single_series(n, data, seed):
 @pytest.mark.parametrize("k", [1, 3])
 def test_bootstrap_chunked_draws_equal_one_shot(monkeypatch, k):
     rows = series_rows(np.random.default_rng(18), 250, [False] * k)
-    spec = BootstrapSpec(block=50, iterations=1001, seed=4)  # 5 blocks a resample
+    spec = spec_of(block=50, iterations=1001, seed=4)  # 5 blocks a resample
     one_shot = circular_block_bootstrap(rows, spec)
     monkeypatch.setattr(inference, "_CHUNK_ROWS", 3)
     chunked = circular_block_bootstrap(rows, spec)
@@ -288,7 +298,7 @@ def test_bootstrap_chunked_draws_equal_one_shot(monkeypatch, k):
 def test_bootstrap_memory_bounded_in_iterations(k):
     rows = series_rows(np.random.default_rng(19), 252, [False] * k)
     iterations = 200_000
-    spec = BootstrapSpec(block=21, iterations=iterations, seed=0)
+    spec = spec_of(block=21, iterations=iterations, seed=0)
     tracemalloc.start()
     try:
         circular_block_bootstrap(rows, spec)
@@ -303,21 +313,22 @@ def test_bootstrap_memory_bounded_in_iterations(k):
 
 def test_bootstrap_input_shapes():
     rows = series_rows(np.random.default_rng(20), 100, [False, False])
-    spec = BootstrapSpec(block=10, iterations=50)
-    one = circular_block_bootstrap(rows[0], spec)
-    assert isinstance(one, BootstrapResult)
-    assert circular_block_bootstrap(rows[:1], spec) == [one]
-    with pytest.raises(ValueError, match="one-dimensional"):
-        circular_block_bootstrap(rows[None], spec)
+    spec = spec_of(block=10, iterations=50)
+    batch = circular_block_bootstrap(rows, spec)
+    assert all(isinstance(b, BootstrapResult) for b in batch) and len(batch) == 2
+    assert circular_block_bootstrap(rows[:1], spec) == batch[:1]
+    for bad in (rows[0], rows[None]):
+        with pytest.raises(ValueError, match="k x n array"):
+            circular_block_bootstrap(bad, spec)
 
 
 def test_bootstrap_spec_validation():
     with pytest.raises(ValueError):
-        BootstrapSpec(block=0)
+        spec_of(block=0, iterations=10)
     with pytest.raises(ValueError):
-        BootstrapSpec(iterations=0)
+        spec_of(block=10, iterations=0)
     with pytest.raises(ValueError):
-        BootstrapSpec(confidence=1.0)
+        spec_of(block=10, iterations=10, confidence=1.0)
 
 
 # -------------------------------------------------------- sharpe equality

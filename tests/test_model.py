@@ -9,16 +9,14 @@ from numpy.testing import assert_allclose
 from dynte.model import (
     GovernanceParams,
     RegimeParams,
-    brute_force_optimum,
-    compound_active_return,
     constrained_te,
     jensen_advantage,
-    make_theta_grid,
     omega,
     optimal_te,
     optimal_theta,
     proposition_suite,
 )
+from oracles import brute_force_optimum, compound_active_return, make_theta_grid
 
 PAPERISH = RegimeParams(alpha=(0.02, 0.10), sigma=(0.10, 0.25), p=0.3)
 GOV = GovernanceParams(tau_bar=0.05)

@@ -66,9 +66,10 @@ def level(cal, values):
 @pytest.mark.parametrize("real, cases", [
     (WindowSpec, [((5,), {}), ((5, 3), {}), ((), {"length": 5, "min_periods": 3}),
                   ((5,), {"min_periods": None}), ((7,), {})]),
-    (OverlayPolicy, [((0.005, 0.02, 0.05), {}), ((0.02, 0.02, 0.02), {}),
+    (OverlayPolicy, [((0.005, 0.02, 0.05, 0.25), {}), ((0.02, 0.02, 0.02, 0.25), {}),
                      ((0.005, 0.02, 0.05, 0.25, 0.03), {}),
-                     ((0.005, 0.02), {"target_high": 0.05, "te_ceiling": 0.03})]),
+                     ((0.005, 0.02), {"target_high": 0.05, "theta_cap": 0.25,
+                                      "te_ceiling": 0.03})]),
 ])
 def test_repr_eq_and_hash_match_the_stdlib(real, cases):
     std = twin(real, frozen=True)
@@ -94,8 +95,9 @@ def test_bad_arguments_raise_the_stdlib_type_errors():
         (WindowSpec, (), {"min_periods": 2}),               # keywords only, one missing
         (WindowSpec, (5, 3, 1), {"length": 5}),             # keywords are checked first
         (WindowSpec, (5,), {"width": 1, "length": 5}),      # first bad keyword wins
-        (OverlayPolicy, (), {}),                            # missing three: 'a', 'b', and 'c'
-        (OverlayPolicy, (0.01,), {}),                       # missing two: 'a' and 'b'
+        (OverlayPolicy, (), {}),                            # missing four: 'a', 'b', 'c', and 'd'
+        (OverlayPolicy, (0.01,), {}),                       # missing three: 'a', 'b', and 'c'
+        (OverlayPolicy, (0.01, 0.02), {}),                  # missing two: 'a' and 'b'
         (OverlayPolicy, (0.01, 0.02, 0.05, 0.25, None, 1), {}),
         (GovernanceParams, (0.05, 0.1), {}),                # too many, no defaults
         (GovernanceParams, (), {"tau": 0.05}),
@@ -108,7 +110,7 @@ def test_bad_arguments_raise_the_stdlib_type_errors():
 
 def test_post_init_errors_reach_the_caller():
     for real, args in ((WindowSpec, (0,)), (WindowSpec, (5, 6)),
-                       (OverlayPolicy, (-0.01, 0.02, 0.05)), (GovernanceParams, (0.0,))):
+                       (OverlayPolicy, (-0.01, 0.02, 0.05, 0.25)), (GovernanceParams, (0.0,))):
         got, want = both_raise(ValueError, real, twin(real, frozen=True), *args)
         assert got == want
     # __post_init__ may still set fields of a frozen record
@@ -145,14 +147,13 @@ def test_frozen_and_plain_records():
 
 def test_init_false_field():
     std = twin(RegimePath, frozen=True, no_init=("labels",))
-    cal = calendar()
-    signal = [10.0, 15.0, 20.0, 25.0, 30.0, 35.0]
+    signal = level(calendar(), [10.0, 15.0, 20.0, 25.0, 30.0, 35.0])
     th = RegimeThresholds(14.0, 26.0)
-    r, s = RegimePath(cal, signal, th), std(cal, signal, th)
+    r, s = RegimePath(signal, th), std(signal, th)
     assert r.labels.tolist() == s.labels.tolist() == [-1, 0, 0, 0, 1, 1]
     assert repr(r) == repr(s) and "labels=array(" in repr(r)
     assert not hasattr(RegimePath, "labels") and not hasattr(std, "labels")
-    got, want = both_raise(TypeError, RegimePath, std, cal, signal, th, labels=r.labels)
+    got, want = both_raise(TypeError, RegimePath, std, signal, th, labels=r.labels)
     assert got == want == "got an unexpected keyword argument 'labels'"
     with pytest.raises(AttributeError):
         r.labels = s.labels

@@ -76,7 +76,7 @@ def test_percentile_median_of_odd_sample():
 
 def test_percentile_constant_series_collapses():
     s = lser(np.full(40, 18.0))
-    with pytest.raises(ValueError, match="low < high"):
+    with pytest.raises(ValueError, match="coincide, at 18.0"):
         percentile_thresholds(s, 0.16, 0.76)
 
 
@@ -119,7 +119,7 @@ def test_classify_constant_high():
     path = classify(s, WindowSpec(21), T13_22)
     assert len(path.labels) == 40
     assert np.all(path.labels == int(Regime.HIGH))
-    assert_allclose(path.signal, 30.0)
+    assert_allclose(path.signal.values, 30.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -139,7 +139,7 @@ def test_signal_on_a_threshold_is_neutral(low, gap, window, runs):
         level = {"low": lo, "high": hi, "other": other / 8.0}[kind]
         vals += [level] * (window + extra)
     path = classify(lser(vals), WindowSpec(window), RegimeThresholds(lo, hi))
-    sig = path.signal
+    sig = path.signal.values
     on = (sig == lo) | (sig == hi)
     assert on[0] and on[window]
     assert np.all(path.labels[on] == int(Regime.NEUTRAL))
@@ -153,7 +153,7 @@ def test_classify_no_lookahead():
     full = classify(s, WindowSpec(21), T13_22)
     half = classify(s.restrict(TradingCalendar(s.calendar.dates[:150])), WindowSpec(21), T13_22)
     n = len(half.labels)
-    assert np.array_equal(full.calendar.days[:n], half.calendar.days)
+    assert np.array_equal(full.signal.calendar.days[:n], half.signal.calendar.days)
     assert np.array_equal(full.labels[:n], half.labels)
 
 
@@ -179,21 +179,18 @@ def test_label_at_and_fractions():
 
 
 def test_regime_path_labels_follow_signal_and_are_read_only():
-    cal = make_weekday_calendar(MON, 5)
-    sig = np.array([12.0, 13.0, 17.0, 22.0, 25.0])
-    path = RegimePath(cal, sig, T13_22)
+    sig = lser([12.0, 13.0, 17.0, 22.0, 25.0])
+    path = RegimePath(sig, T13_22)
     assert list(path.labels) == [-1, 0, 0, 0, 1]
     assert path.labels.dtype == np.int8
-    wider = RegimePath(cal, sig, RegimeThresholds(20.0, 24.0))
+    wider = RegimePath(sig, RegimeThresholds(20.0, 24.0))
     assert list(wider.labels) == [-1, -1, -1, 0, 1]
-    for arr in (path.labels, path.signal):
+    assert path.signal is sig  # taken as it is, calendar and all
+    for arr in (path.labels, path.signal.values):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
-    assert sig.flags.writeable  # the path holds a copy
     with pytest.raises(TypeError):
-        RegimePath(cal, sig, T13_22, np.zeros(5, dtype=np.int8))
-    with pytest.raises(ValueError, match="length"):
-        RegimePath(cal, sig[:2], T13_22)
+        RegimePath(sig, T13_22, np.zeros(5, dtype=np.int8))
 
 
 # --------------------------------------------------------- weekly returns
@@ -719,7 +716,7 @@ def test_traced_fit_records_em_trial_spans(monkeypatch):
 def make_path_and_prob(prob_of_signal):
     vals = np.array([10.0, 12.0, 25.0, 30.0, 17.0])
     path = classify(lser(vals), WindowSpec(1), T13_22)
-    weekly_cal = path.calendar
+    weekly_cal = path.signal.calendar
     prob = Series(weekly_cal, prob_of_signal(vals), UNIT_LEVEL)
     return path, prob
 
@@ -740,7 +737,7 @@ def test_agreement_anti_monotone_prob():
 
 def test_agreement_partial_concordance():
     path, _ = make_path_and_prob(lambda v: v)
-    prob = Series(path.calendar, np.array([0.6, 0.2, 0.9, 0.4, 0.1]), UNIT_LEVEL)
+    prob = Series(path.signal.calendar, np.array([0.6, 0.2, 0.9, 0.4, 0.1]), UNIT_LEVEL)
     got = signal_agreement(path, prob)
     assert got.concordance == 0.6
 

@@ -6,15 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dynte.regime import Regime, RegimeThresholds, classify
+from dynte.cli import load_config
+from dynte.regime import Regime, classify
 from dynte.rolling import WindowSpec, rolling_vol
-from dynte.simulate import (
-    DEFAULT_CAPS,
-    OverlayPolicy,
-    benchmark_7030,
-    fixed_mix,
-    simulate_overlay,
-)
+from dynte.simulate import OverlayPolicy, benchmark_7030, fixed_mix, simulate_overlay
 from dynte.timeseries import (
     UNIT_LEVEL,
     UNIT_RETURN,
@@ -26,7 +21,10 @@ from dynte.timeseries import (
 )
 
 MON = dt.date(2015, 1, 5)
-T13_22 = RegimeThresholds(low=13.0, high=22.0)
+DEFAULTS = load_config(None, {})
+T13_22 = DEFAULTS.thresholds
+DYN, STA = DEFAULTS.dynamic_policy, DEFAULTS.static_policy
+VOL = DEFAULTS.windows["vol"]
 
 
 def rser(values, start=MON):
@@ -37,7 +35,7 @@ def rser(values, start=MON):
 def synth_market(seed=0, horizon=900):
     panel, _states = synth_regime_panel(SynthParams(seed=seed, horizon=horizon))
     bench = benchmark_7030(panel["BENCH_EQ"], panel["BENCH_BD"])
-    path = classify(panel["VIX"], WindowSpec(21), T13_22)
+    path = classify(panel["VIX"], DEFAULTS.windows["signal"], T13_22)
     return bench, panel["SPREAD"], path
 
 
@@ -74,9 +72,9 @@ def test_fixed_mix_resets_on_month_boundary():
 def test_fixed_mix_validation():
     eq = rser(np.zeros(10))
     with pytest.raises(ValueError, match="same calendar"):
-        fixed_mix(eq, rser(np.zeros(10), start=dt.date(2016, 1, 4)))
+        fixed_mix(eq, rser(np.zeros(10), start=dt.date(2016, 1, 4)), 0.5)
     with pytest.raises(ValueError, match="return series"):
-        fixed_mix(eq, Series(eq.calendar, np.ones(10), UNIT_LEVEL))
+        fixed_mix(eq, Series(eq.calendar, np.ones(10), UNIT_LEVEL), 0.5)
     with pytest.raises(ValueError, match="w_eq"):
         fixed_mix(eq, rser(np.zeros(10)), w_eq=1.2)
 
@@ -135,17 +133,16 @@ def test_overlay_theta_is_capped_target_over_lagged_vol(
 
 def test_policy_validation_and_effective_targets():
     with pytest.raises(ValueError, match="positive"):
-        OverlayPolicy(0.0, 0.02, 0.05)
+        OverlayPolicy(0.0, 0.02, 0.05, 0.25)
     with pytest.raises(ValueError, match="theta_cap"):
         OverlayPolicy(0.005, 0.02, 0.05, theta_cap=0.0)
     with pytest.raises(ValueError, match="te_ceiling"):
-        OverlayPolicy(0.005, 0.02, 0.05, te_ceiling=-0.01)
-    p = OverlayPolicy.dynamic()
-    assert p.effective_targets() == (0.005, 0.02, 0.05)
-    assert p.with_ceiling(0.01).effective_targets() == (0.005, 0.01, 0.01)
-    assert p.with_ceiling(0.05).effective_targets() == (0.005, 0.02, 0.05)
-    assert OverlayPolicy.static(0.02).is_static
-    assert not p.is_static
+        OverlayPolicy(0.005, 0.02, 0.05, 0.25, te_ceiling=-0.01)
+    assert DYN.effective_targets() == (0.005, 0.02, 0.05)
+    assert DYN.with_ceiling(0.01).effective_targets() == (0.005, 0.01, 0.01)
+    assert DYN.with_ceiling(0.05).effective_targets() == (0.005, 0.02, 0.05)
+    assert STA.is_static
+    assert not DYN.is_static
 
 
 # ------------------------------------------------------------ the overlay
@@ -153,7 +150,7 @@ def test_policy_validation_and_effective_targets():
 
 def test_overlay_warmup_is_passive():
     bench, spread, path = synth_market()
-    out = simulate_overlay(bench, spread, path, OverlayPolicy.dynamic())
+    out = simulate_overlay(bench, spread, path, DYN, VOL)
     L = out.first_active
     assert np.all(out.theta[:L] == 0.0)
     assert np.array_equal(out.portfolio[:L], out.benchmark[:L])
@@ -162,13 +159,13 @@ def test_overlay_warmup_is_passive():
 def test_overlay_zero_spread_tracks_benchmark_exactly():
     bench, spread, path = synth_market()
     zero = Series(spread.calendar, np.zeros(len(spread)), UNIT_RETURN)
-    out = simulate_overlay(bench, zero, path, OverlayPolicy.static(0.02))
+    out = simulate_overlay(bench, zero, path, STA, VOL)
     assert np.array_equal(out.portfolio, out.benchmark)
 
 
 def test_overlay_identity_portfolio_minus_benchmark():
     bench, spread, path = synth_market(seed=1)
-    out = simulate_overlay(bench, spread, path, OverlayPolicy.dynamic())
+    out = simulate_overlay(bench, spread, path, DYN, VOL)
     lhs = out.portfolio - out.benchmark
     assert_allclose(lhs, out.theta * spread.values, atol=1e-14)
 
@@ -176,19 +173,18 @@ def test_overlay_identity_portfolio_minus_benchmark():
 def test_overlay_theta_bounded_by_cap():
     for seed in range(3):
         bench, spread, path = synth_market(seed=seed, horizon=500)
-        out = simulate_overlay(bench, spread, path, OverlayPolicy.dynamic())
-        assert np.max(np.abs(out.theta)) <= 0.25
+        out = simulate_overlay(bench, spread, path, DYN, VOL)
+        assert np.max(np.abs(out.theta)) <= DYN.theta_cap
 
 
 def test_overlay_theta_reconstruction():
     # theta must equal min(target/vol, cap) with vol lagged one day
     bench, spread, path = synth_market(seed=2, horizon=400)
-    policy = OverlayPolicy.static(0.02)
-    out = simulate_overlay(bench, spread, path, policy)
+    out = simulate_overlay(bench, spread, path, STA, VOL)
     L = out.first_active
-    vol = rolling_vol(spread, WindowSpec(63)).values
+    vol = rolling_vol(spread, VOL).values
     m = len(spread) - L
-    want = np.minimum(0.02 / vol[:m], 0.25)
+    want = np.minimum(STA.target_neutral / vol[:m], STA.theta_cap)
     assert_allclose(out.theta[L:], want, rtol=1e-14)
 
 
@@ -197,8 +193,8 @@ def test_overlay_low_vol_pins_at_cap():
     n = 200
     bench = benchmark_7030(rser(np.zeros(n)), rser(np.zeros(n)))
     spread = rser(0.004 * (-1.0) ** np.arange(n))
-    out = simulate_overlay(bench, spread, None, OverlayPolicy.static(0.02))
-    assert np.all(out.theta[out.first_active:] == 0.25)
+    out = simulate_overlay(bench, spread, None, STA, VOL)
+    assert np.all(out.theta[out.first_active:] == STA.theta_cap)
 
 
 def test_overlay_zero_vol_estimate_pins_at_cap():
@@ -206,14 +202,14 @@ def test_overlay_zero_vol_estimate_pins_at_cap():
     bench = benchmark_7030(rser(np.zeros(n)), rser(np.zeros(n)))
     vals = np.full(n, 0.00390625)  # dyadic constant: sample std exactly 0
     vals[70:] = 0.05
-    out = simulate_overlay(bench, rser(vals), None, OverlayPolicy.static(0.02))
-    assert np.all(out.theta[63:70] == 0.25)
+    out = simulate_overlay(bench, rser(vals), None, STA, VOL)
+    assert np.all(out.theta[VOL.length:70] == STA.theta_cap)
 
 
 def test_overlay_static_never_reads_regimes():
     bench, spread, path = synth_market(seed=3, horizon=400)
-    a = simulate_overlay(bench, spread, path, OverlayPolicy.static(0.02))
-    b = simulate_overlay(bench, spread, None, OverlayPolicy.static(0.02))
+    a = simulate_overlay(bench, spread, path, STA, VOL)
+    b = simulate_overlay(bench, spread, None, STA, VOL)
     assert a.portfolio.tobytes() == b.portfolio.tobytes()
 
 
@@ -221,8 +217,8 @@ def test_overlay_constant_neutral_equals_static():
     bench, spread, _ = synth_market(seed=4, horizon=400)
     flat_vix = Series(bench.calendar, np.full(len(bench.calendar), 17.0), UNIT_LEVEL)
     neutral = classify(flat_vix, WindowSpec(1), T13_22)
-    dyn = simulate_overlay(bench, spread, neutral, OverlayPolicy.dynamic())
-    sta = simulate_overlay(bench, spread, None, OverlayPolicy.static(0.02))
+    dyn = simulate_overlay(bench, spread, neutral, DYN, VOL)
+    sta = simulate_overlay(bench, spread, None, STA, VOL)
     assert dyn.portfolio.tobytes() == sta.portfolio.tobytes()
 
 
@@ -235,24 +231,24 @@ def test_overlay_decision_uses_previous_day_label():
     vix_vals = np.full(n, 10.0)
     vix_vals[k:] = 30.0
     path = classify(Series(bench.calendar, vix_vals, UNIT_LEVEL), WindowSpec(1), T13_22)
-    out = simulate_overlay(bench, spread, path, OverlayPolicy.dynamic(0.005, 0.02, 0.05))
-    vol = rolling_vol(spread, WindowSpec(63)).values
+    out = simulate_overlay(bench, spread, path, DYN, VOL)
+    vol = rolling_vol(spread, VOL).values
     L = out.first_active
     # day k still sizes off the Low label at k-1; day k+1 sees High
-    assert out.theta[k] == pytest.approx(min(0.005 / vol[k - L], 0.25), rel=1e-14)
-    assert out.theta[k + 1] == pytest.approx(min(0.05 / vol[k + 1 - L], 0.25), rel=1e-14)
+    cap = DYN.theta_cap
+    assert out.theta[k] == pytest.approx(min(DYN.target_low / vol[k - L], cap), rel=1e-14)
+    assert out.theta[k + 1] == pytest.approx(min(DYN.target_high / vol[k + 1 - L], cap),
+                                             rel=1e-14)
 
 
 def test_overlay_truncation_equivalence():
     # rebuilding everything on a prefix must reproduce the full run's
     # prefix: no decision sees data from after its own date
     panel, _ = synth_regime_panel(SynthParams(seed=6, horizon=600))
-    policy = OverlayPolicy.dynamic()
-
     def run(eq, bd, spread, vix):
         bench = benchmark_7030(eq, bd)
-        path = classify(vix, WindowSpec(21), T13_22)
-        return simulate_overlay(bench, spread, path, policy)
+        path = classify(vix, DEFAULTS.windows["signal"], T13_22)
+        return simulate_overlay(bench, spread, path, DYN, VOL)
 
     full = run(panel["BENCH_EQ"], panel["BENCH_BD"], panel["SPREAD"], panel["VIX"])
     for cut in (200, 401):
@@ -270,13 +266,12 @@ def test_overlay_truncation_equivalence():
 def test_overlay_validation():
     bench, spread, path = synth_market(horizon=200)
     with pytest.raises(ValueError, match="warm-up"):
-        simulate_overlay(bench, spread, path, OverlayPolicy.static(),
-                         vol_window=WindowSpec(200))
+        simulate_overlay(bench, spread, path, STA, vol_window=WindowSpec(200))
     with pytest.raises(ValueError, match="regime path"):
-        simulate_overlay(bench, spread, None, OverlayPolicy.dynamic())
+        simulate_overlay(bench, spread, None, DYN, VOL)
     off = rser(np.zeros(200), start=dt.date(2030, 1, 7))
     with pytest.raises(ValueError, match="calendar"):
-        simulate_overlay(bench, off, path, OverlayPolicy.static())
+        simulate_overlay(bench, off, path, STA, VOL)
 
 
 def test_overlay_te_none_when_history_too_short():
@@ -286,7 +281,7 @@ def test_overlay_te_none_when_history_too_short():
     for n, te_len in ((65, None), (126, None), (127, 2)):
         bench = benchmark_7030(rser(np.zeros(n)), rser(np.zeros(n)))
         spread = rser(0.01 * rng.standard_normal(n))
-        out = simulate_overlay(bench, spread, None, OverlayPolicy.static(0.02))
+        out = simulate_overlay(bench, spread, None, STA, VOL)
         assert (None if out.te is None else len(out.te)) == te_len, n
         assert out.first_active == 63
 
@@ -295,28 +290,27 @@ def test_overlay_te_none_when_history_too_short():
 
 
 def test_spectrum_default_caps():
-    assert len(DEFAULT_CAPS) == 11
-    assert DEFAULT_CAPS[0] == 0.005
-    assert DEFAULT_CAPS[-1] == 0.05
-    steps = np.diff(DEFAULT_CAPS)
+    caps = DEFAULTS.caps
+    assert len(caps) == 11
+    assert caps[0] == 0.005
+    assert caps[-1] == 0.05
+    steps = np.diff(caps)
     assert_allclose(steps, steps[0], rtol=1e-12)
 
 
 def test_spectrum_cap_at_top_matches_uncapped():
     bench, spread, path = synth_market(seed=8, horizon=700)
-    policy = OverlayPolicy.dynamic()
-    uncapped = simulate_overlay(bench, spread, path, policy)
+    uncapped = simulate_overlay(bench, spread, path, DYN, VOL)
     for cap in (0.05, 0.08, 1.0):
-        capped = simulate_overlay(bench, spread, path, policy.with_ceiling(cap))
+        capped = simulate_overlay(bench, spread, path, DYN.with_ceiling(cap), VOL)
         assert capped.portfolio.tobytes() == uncapped.portfolio.tobytes()
         assert capped.theta.tobytes() == uncapped.theta.tobytes()
 
 
 def test_spectrum_sigma_te_monotone():
     bench, spread, path = synth_market(seed=9, horizon=900)
-    policy = OverlayPolicy.dynamic()
-    runs = [simulate_overlay(bench, spread, path, policy.with_ceiling(float(c)))
-            for c in DEFAULT_CAPS]
+    runs = [simulate_overlay(bench, spread, path, DYN.with_ceiling(c), VOL)
+            for c in DEFAULTS.caps]
     sig = [float(np.std(r.te.values, ddof=1)) for r in runs]
     assert all(b >= a - 1e-15 for a, b in zip(sig, sig[1:]))
     # the tightest ceiling clips every target to one number
@@ -324,10 +318,9 @@ def test_spectrum_sigma_te_monotone():
 
 
 def test_spectrum_targets_clipped_ex_ante():
-    policy = OverlayPolicy.dynamic()
-    for cap in DEFAULT_CAPS:
-        eff = policy.with_ceiling(float(cap)).effective_targets()
+    for cap in DEFAULTS.caps:
+        eff = DYN.with_ceiling(cap).effective_targets()
         assert all(e <= cap + 1e-15 for e in eff)
-        base = policy.effective_targets()
+        base = DYN.effective_targets()
         assert all(e <= b for e, b in zip(eff, base))
 
