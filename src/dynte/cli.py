@@ -8,12 +8,13 @@ SynthParams' field defaults), and a bad value fails naming its key and
 index, e.g. `synth.transition[0][0]`. Each command takes a Run, which
 builds the market, benchmark, regime path and overlays its tables share
 once; Run.overlay simulates every overlay a table shows, the sweep's
-included. The library returns results; each command here lays out its own
-table's columns, and every table goes through one writer, _write_table.
-Outputs are CSV tables named {name}_{hash}.csv where the hash is
-derived from the command, the effective config less `out` and `svg`, and
-the bytes of the input files, never from the clock, so a re-run with the
-same config and inputs writes byte-identical CSVs under the same names.
+included, each sized on the one trailing spread vol, Run.vol. The library
+returns results; each command here lays out its own table's columns, and
+every table goes through one writer, _write_table. Outputs are CSV tables
+named {name}_{hash}.csv where the hash is derived from the command, the
+effective config less `out` and `svg`, and the bytes of the input files,
+never from the clock, so a re-run with the same config and inputs writes
+byte-identical CSVs under the same names.
 Optional SVG charts accompany time-series tables. Exit codes: 0 success,
 2 bad flags or config, 1 runtime failure.
 """
@@ -40,7 +41,7 @@ from .metrics import MetricsReport, drawdown_path, summarize
 from .model import GovernanceParams, RegimeParams, proposition_suite
 from .regime import RegimePath, RegimeThresholds, classify, percentile_thresholds
 from .rolling import WindowSpec, moving_average, rolling_avg_pairwise_corr, rolling_corr
-from .simulate import OverlayPolicy, SimResult, benchmark_7030, simulate_overlay
+from .simulate import OverlayPolicy, SimResult, benchmark_7030, simulate_overlay, sizing_vol
 from .timeseries import (
     UNIT_LEVEL,
     UNIT_PRICE,
@@ -585,8 +586,9 @@ def _check_signal(cfg: RunConfig, fieldname: str, days: int) -> None:
 
 class Run:
     """One command's config and what its tables share: the market, the 70/30
-    benchmark, the regime path and the reference overlays, each built on first
-    use. `command` is the form the user typed, for error messages."""
+    benchmark, the spread's sizing vol, the regime path and the reference
+    overlays, each built on first use. `command` is the form the user typed,
+    for error messages."""
 
     def __init__(self, cfg: RunConfig, command: str):
         self.cfg = cfg
@@ -610,6 +612,11 @@ class Run:
         return benchmark_7030(self.market().eq, self.market().bd)
 
     @cached_property
+    def vol(self) -> Series:
+        """The spread's trailing vol every overlay of the run is sized on."""
+        return _blame("windows.vol", sizing_vol, self.market().spread, self.cfg.windows["vol"])
+
+    @cached_property
     def path(self) -> RegimePath:
         w = self.cfg.windows["signal"]
         path = _blame("windows.signal", classify, self.market().vix, w, self.cfg.thresholds)
@@ -622,7 +629,7 @@ class Run:
         if path is None and not policy.is_static:
             path = self.path
         return _blame("windows.vol", simulate_overlay, self.bench, self.market().spread,
-                      path, policy, self.cfg.windows["vol"])
+                      self.vol, path, policy, self.cfg.windows["vol"])
 
     @cached_property
     def static(self) -> SimResult:

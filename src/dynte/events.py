@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ._record import record
-from .inference import newey_west_mean_test
+from .inference import linear_quantiles, newey_west_mean_test
 from .metrics import drawdown_path
 from .simulate import _W_EQ, SimResult, fixed_mix
 from .timeseries import (
@@ -34,7 +34,7 @@ def vix_quintiles(vix: Series) -> tuple[np.ndarray, np.ndarray]:
     v = vix.values
     if len(v) < 5:
         raise ValueError("need at least five observations")
-    bounds = np.quantile(v, [0.2, 0.4, 0.6, 0.8])
+    bounds = linear_quantiles(v.copy(), [0.2, 0.4, 0.6, 0.8])
     return bounds, np.searchsorted(bounds, v, side="left") + 1
 
 
@@ -115,14 +115,10 @@ def omega_table(vix: Series, prices: Series, horizons: Sequence[int]) -> Quintil
 class Trough:
     date: dt.date
     drawdown: float          # magnitude at the trough vs the running peak
-    vix: float | None
+    vix: float
 
 
-def find_trough(
-    benchmark: SimResult,
-    window: tuple[dt.date, dt.date],
-    vix: Series | None = None,
-) -> Trough:
+def find_trough(benchmark: SimResult, window: tuple[dt.date, dt.date], vix: Series) -> Trough:
     """Deepest point of the wealth path inside [start, end], measured
     against the running peak since the start of the whole result. Ties take
     the earliest date; a window of rising wealth yields drawdown 0 at the
@@ -135,11 +131,7 @@ def find_trough(
         raise ValueError(f"no trading days in [{start}, {end}]")
     t = i0 + int(np.argmax(dd[i0:i1]))
     date = cal[t]
-    return Trough(
-        date=date,
-        drawdown=float(dd[t]),
-        vix=float(vix.at(date)) if vix is not None else None,
-    )
+    return Trough(date=date, drawdown=float(dd[t]), vix=float(vix.at(date)))
 
 
 @record(frozen=True)

@@ -11,6 +11,9 @@ gathers its values. k aligned series are bootstrapped on one shared draw of
 block starts, and each one's interval is exactly its single-series result.
 Draws are processed in chunks sized by a value budget, so memory does not
 grow with the number of iterations beyond k x iterations statistics.
+Percentiles, here and in the regime and event studies, are numpy's default
+linear ones, computed bit for bit by linear_quantiles from one partition,
+without np.quantile's import of numpy.ma.
 Sharpe equality uses the Jobson-Korkie statistic with Memmel's variance
 correction.
 """
@@ -32,6 +35,38 @@ def _values(x) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError("expected a one-dimensional sample")
     return arr
+
+
+def linear_quantiles(a: np.ndarray, qs) -> np.ndarray:
+    """np.quantile(a, qs) of a 1-D float array, bit for bit, partitioning
+    `a` in place as overwrite_input=True does; qs lie in [0, 1].
+
+    numpy's linear method, step for step: the virtual index (n-1)*q, its
+    floor and the next index, both set to the last where the virtual index
+    is at or above n-1; gamma is the virtual index less that adjusted floor.
+    One partition places those order statistics, the first and the last.
+    The lerp is a + d*gamma, or b - d*(1-gamma) where gamma >= 0.5. A NaN
+    sorts last, and then every quantile is that NaN.
+    """
+    q = np.asarray(qs, dtype=np.float64)
+    n = len(a)
+    virtual = (n - 1) * q
+    prev = np.floor(virtual)
+    nxt = prev + 1
+    above, below = virtual >= n - 1, virtual < 0
+    prev[above] = nxt[above] = -1
+    prev[below] = nxt[below] = 0
+    gamma = virtual - prev
+    prev, nxt = prev.astype(np.intp), nxt.astype(np.intp)
+    a.partition(sorted({0, -1, *prev.tolist(), *nxt.tolist()}))
+    if np.isnan(a[-1]):
+        return np.full(len(q), a[-1])
+    lo, hi = a[prev], a[nxt]
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = hi - lo
+        out = lo + d * gamma
+        np.subtract(hi, d * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
 
 
 @record(frozen=True)
@@ -234,7 +269,7 @@ def circular_block_bootstrap(returns: np.ndarray, spec: BootstrapSpec) -> list[B
             row[bad] = draw(own, [resample], int(bad.sum()))[0]
         else:
             raise ValueError("bootstrap retry limit exceeded; statistic undefined too often")
-        ci_lo, ci_hi = np.quantile(row, [lo, 1.0 - lo], overwrite_input=True)
+        ci_lo, ci_hi = linear_quantiles(row, [lo, 1.0 - lo])
         results.append(BootstrapResult(point=point, ci_lo=float(ci_lo), ci_hi=float(ci_hi),
                                        spec=spec))
     return results

@@ -63,7 +63,7 @@ def _daily_rf(rf: Series | float, n: int) -> np.ndarray:
     return np.full(n, float(rf) / TRADING_DAYS_PER_YEAR)
 
 
-def sharpe(returns, rf: Series | float = 0.0) -> float:
+def sharpe(returns, rf: Series | float) -> float:
     v = _returns(returns)
     if len(v) < 2:
         raise ValueError("need at least two returns")
@@ -129,7 +129,7 @@ class MetricsReport:
     te_cyclicality: float | None = None
 
 
-def summarize(returns, rf=0.0, te: Series | None = None,
+def summarize(returns, rf: Series | float, te: Series | None = None,
               smoothed_vix: Series | None = None) -> MetricsReport:
     """One-row report; the TE columns are te_policy_stats of a realized-TE
     path against the smoothed gauge, filled when the path is given."""

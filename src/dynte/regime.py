@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from ._record import field, record
-from .inference import spearman
+from .inference import linear_quantiles, spearman
 from .rolling import WindowSpec, moving_average
 from .timeseries import UNIT_LEVEL, UNIT_RETURN, Series, TradingCalendar
 
@@ -73,7 +73,7 @@ def percentile_thresholds(smoothed: Series, p_low: float, p_high: float) -> Regi
     signal's sample distribution."""
     if not 0.0 < p_low < p_high < 1.0:
         raise ValueError("need 0 < p_low < p_high < 1")
-    lo, hi = np.quantile(smoothed.values, [p_low, p_high])
+    lo, hi = linear_quantiles(smoothed.values.copy(), [p_low, p_high])
     if lo == hi:
         raise ValueError(f"the thresholds fitted at percentiles {p_low} and {p_high} "
                          f"coincide, at {float(lo)}")
@@ -329,10 +329,10 @@ def _em_trial(y, mu, var, P, pi, tol, max_iter):
 
 def fit_markov_switching(
     weekly: Series,
-    restarts: int = 20,
+    restarts: int,
+    seed: int,
     tol: float = 1e-8,
     max_iter: int = 1000,
-    seed: int = 0,
 ) -> MSModel:
     """Best-of-restarts EM fit. Trials that collapse to a degenerate
     variance are discarded and redrawn; the best surviving trial by final

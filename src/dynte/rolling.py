@@ -43,9 +43,11 @@ class WindowSpec:
         object.__setattr__(self, "min_periods", mp)
 
 
-# floats of full windows, over all columns, evaluated at a time: a statistic's
-# memory stays a few arrays of this size whatever the length or symbol count
-_CHUNK_FLOATS = 2**18
+# floats of one column's full windows evaluated at a time: a statistic's
+# buffers are a few arrays of this size per column, whatever the length, and
+# each stays under 120 KB, below glibc's default 128 KiB mmap threshold, so it
+# is reused from the heap rather than mapped and page-faulted anew each chunk
+_CHUNK_FLOATS = 15_000
 
 
 def _trailing(cal: TradingCalendar, cols: list[np.ndarray], w: WindowSpec,
@@ -54,7 +56,7 @@ def _trailing(cal: TradingCalendar, cols: list[np.ndarray], w: WindowSpec,
     first date with max(min_periods, floor) observations. stat reduces the
     last axis: it gets each growing head window, shorter than w.length, as a
     1-D prefix, and the full windows as sliding_window_view rows, as many at
-    a time as fit in _CHUNK_FLOATS."""
+    a time as fit in _CHUNK_FLOATS per column."""
     mp = max(w.min_periods, floor)
     if w.length < floor:
         # e.g. a sample std over a one-point window: nothing can be emitted
@@ -70,7 +72,7 @@ def _trailing(cal: TradingCalendar, cols: list[np.ndarray], w: WindowSpec,
         out[j - (mp - 1)] = stat(*(c[: j + 1] for c in cols))
     if n >= L:
         views = [sliding_window_view(c, L) for c in cols]
-        rows = max(1, _CHUNK_FLOATS // (len(cols) * L))
+        rows = max(1, _CHUNK_FLOATS // L)
         for a in range(0, n - L + 1, rows):
             out[L - mp + a : L - mp + a + rows] = stat(*(v[a : a + rows] for v in views))
     return Series(cal.suffix(mp - 1), out, unit)

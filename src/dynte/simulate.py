@@ -8,6 +8,8 @@ the trailing spread volatility over a window ending the day before, and
 the target is chosen by the previous day's regime label, optionally capped
 by a hard tracking-error ceiling. No decision uses same-day or future
 information; the first vol_window.length days are a warm-up with theta 0.
+The trailing vol, sizing_vol, is computed once and passed to every overlay
+sized on it.
 """
 
 from __future__ import annotations
@@ -134,19 +136,33 @@ def _decision_labels(regimes: RegimePath, cal: TradingCalendar,
     return regimes.labels[k0:k1]
 
 
+def sizing_vol(spread: Series, vol_window: WindowSpec) -> Series:
+    """The overlay's sizing volatility: the spread's trailing vol over full
+    windows of vol_window.length days, the value dated cal[L-1+k] covering
+    returns k..k+L-1. It depends on no policy, so a run computes it once for
+    all its overlays."""
+    if spread.unit != UNIT_RETURN:
+        raise ValueError("spread must be a return series")
+    L = vol_window.length
+    if len(spread) <= L:
+        raise ValueError(f"need more than {L} days for the volatility warm-up")
+    return rolling_vol(spread, WindowSpec(L))
+
+
 def simulate_overlay(
     benchmark: SimResult,
     spread: Series,
+    vol: Series,
     regimes: RegimePath | None,
     policy: OverlayPolicy,
     vol_window: WindowSpec,
 ) -> SimResult:
     """Overlay the spread on a benchmark path under a sizing policy.
 
-    Sizing volatility is the full-window trailing spread vol ending one day
-    before each decision; a zero estimate sends theta to the cap. A static
-    policy ignores `regimes` (None is accepted); a dynamic policy requires
-    labels covering every decision date.
+    `vol` is sizing_vol(spread, vol_window); the decision on each day reads
+    its value ending one day before, and a zero estimate sends theta to the
+    cap. A static policy ignores `regimes` (None is accepted); a dynamic
+    policy requires labels covering every decision date.
     """
     cal = benchmark.calendar
     if spread.calendar != cal:
@@ -157,9 +173,8 @@ def simulate_overlay(
     L = vol_window.length
     if n <= L:
         raise ValueError(f"need more than {L} days for the volatility warm-up")
-
-    # full windows only: the value dated cal[L-1+k] covers returns k..k+L-1
-    vol = rolling_vol(spread, WindowSpec(L)).values
+    if vol.calendar != cal.suffix(L - 1):
+        raise ValueError(f"vol is not the spread's {L}-day trailing vol on its calendar")
     m = n - L  # number of active days
 
     targets = np.array(policy.effective_targets())
@@ -171,7 +186,7 @@ def simulate_overlay(
         # labels -1, 0, 1 (Low, Neutral, High) index the targets
         target = targets[_decision_labels(regimes, cal, L - 1, n - 1) + 1]
 
-    lagged_vol = vol[:m]
+    lagged_vol = vol.values[:m]
     theta = np.zeros(n)
     with np.errstate(divide="ignore"):
         raw = target / lagged_vol

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 import re
 from functools import cached_property
 from types import MappingProxyType
@@ -314,24 +315,24 @@ def _parse_row(path, lineno: int, line: str, symbols: Sequence[str],
             cells.append(None)
             continue
         try:
-            cells.append(float(cell))
+            x = float(cell)
         except ValueError:
             raise ValueError(
                 f"{path}:{lineno}: non-numeric cell {cell!r} in column {sym}"
             ) from None
+        if not math.isfinite(x):
+            raise ValueError(f"{path}:{lineno}: non-finite cell {cell!r} in column {sym}")
+        cells.append(x)
     return d, cells
 
 
-def ingest_csv(
-    path,
-    columns: Sequence[str] | None = None,
-    unit: str = UNIT_PRICE,
-) -> IngestResult:
+def ingest_csv(path, columns: Sequence[str] | None, unit: str) -> IngestResult:
     """Load a wide CSV (first column `date`, ISO dates; remaining columns
-    symbols).
+    symbols): the `columns` asked for, or every column for None.
 
     Rows may come in any order. Rows where any requested symbol is missing
-    are dropped and reported. Raises on malformed dates, non-numeric cells,
+    are dropped and reported. Raises on malformed dates, non-numeric or
+    non-finite cells (inf, a signed NaN, a number that overflows),
     duplicate dates, empty result, or a gap of more than MAX_WEEKDAY_GAP
     weekdays between consecutive surviving rows. A quoted cell must not
     span lines.
@@ -373,6 +374,11 @@ def ingest_csv(
             # a cell that is no number: the row-by-row reader names the first
             plain[:] = False
             plain_days = plain_days[:0]
+        # a cell that overflows, e.g. 1e999: the row-by-row reader names it too
+        finite = np.isfinite(plain_vals).all(axis=1)
+        if not finite.all():
+            plain[np.flatnonzero(plain)[~finite]] = False
+            plain_days, plain_vals = plain_days[finite], plain_vals[finite]
     rows = [r for i in np.flatnonzero(~plain).tolist()
             if (r := _parse_row(path, i + 2, lines[i], symbols, positions)) is not None]
 

@@ -38,7 +38,7 @@ from dynte.rolling import (
     rolling_corr,
     rolling_vol,
 )
-from dynte.simulate import benchmark_7030, simulate_overlay
+from dynte.simulate import benchmark_7030, simulate_overlay, sizing_vol
 from dynte.timeseries import (
     UNIT_LEVEL,
     UNIT_RETURN,
@@ -130,8 +130,9 @@ def test_criterion_03_dynamic_beats_static_on_planted_regimes():
     cagr_gap = []
     for seed in range(20):
         bench, spread, path = _fifty_year_run(seed)
-        dyn = simulate_overlay(bench, spread, path, DEFAULTS.dynamic_policy, VOL_W)
-        sta = simulate_overlay(bench, spread, None, DEFAULTS.static_policy, VOL_W)
+        vol = sizing_vol(spread, VOL_W)
+        dyn = simulate_overlay(bench, spread, vol, path, DEFAULTS.dynamic_policy, VOL_W)
+        sta = simulate_overlay(bench, spread, vol, None, DEFAULTS.static_policy, VOL_W)
         cagr_gap.append(cagr(dyn.portfolio) - cagr(sta.portfolio))
         assert dyn.te is not None and sta.te is not None
         ratio = np.std(dyn.te.values, ddof=1) / np.std(sta.te.values, ddof=1)
@@ -145,10 +146,11 @@ def test_criterion_03_dynamic_beats_static_on_planted_regimes():
 def test_criterion_04_te_cap_spectrum_shape():
     for seed in range(3):
         bench, spread, path = _fifty_year_run(seed)
+        vol = sizing_vol(spread, VOL_W)
         sims = {}
         for cap in (*DEFAULTS.caps, 0.08, 0.5, None):
             pol = DEFAULTS.dynamic_policy.with_ceiling(cap)
-            sims[cap] = simulate_overlay(bench, spread, path, pol, VOL_W)
+            sims[cap] = simulate_overlay(bench, spread, vol, path, pol, VOL_W)
         sig = [np.std(sims[c].te.values, ddof=1) for c in DEFAULTS.caps]
         assert np.all(np.diff(sig) >= 0.0)
         free = sims[None].portfolio.tobytes()
@@ -156,7 +158,7 @@ def test_criterion_04_te_cap_spectrum_shape():
             assert sims[cap].portfolio.tobytes() == free
             assert sims[cap].theta.tobytes() == sims[None].theta.tobytes()
         if seed == 0:
-            sharpes = [sharpe(sims[c].portfolio) for c in DEFAULTS.caps]
+            sharpes = [sharpe(sims[c].portfolio, 0.0) for c in DEFAULTS.caps]
             widths = [b.width for b in circular_block_bootstrap(
                 np.array([sims[c].portfolio for c in DEFAULTS.caps]), SPEC_1000)]
             assert max(sharpes) - min(sharpes) < min(widths)
@@ -288,7 +290,8 @@ def test_criterion_08_truncation_leaves_history_unchanged():
     def run(eq, bd, spread, vix):
         bench = benchmark_7030(eq, bd)
         path = classify(vix, SIGNAL_W, THRESHOLDS)
-        return simulate_overlay(bench, spread, path, DEFAULTS.dynamic_policy, VOL_W)
+        return simulate_overlay(bench, spread, sizing_vol(spread, VOL_W), path,
+                                DEFAULTS.dynamic_policy, VOL_W)
 
     eq, bd = panel["BENCH_EQ"], panel["BENCH_BD"]
     spread, vix = panel["SPREAD"], panel["VIX"]
@@ -330,10 +333,9 @@ def _real_config(tmp_path):
 def test_criterion_09_headline_metrics_table(tmp_path):
     cfg = _real_config(tmp_path)
     run = Run(cfg, "acceptance")
-    sta = summarize(run.static.portfolio, te=run.static.te,
-                    smoothed_vix=run.path.signal)
-    dyn = summarize(run.dynamic.portfolio, te=run.dynamic.te,
-                    smoothed_vix=run.path.signal)
+    rf = run.market().rf
+    sta = summarize(run.static.portfolio, rf, te=run.static.te, smoothed_vix=run.path.signal)
+    dyn = summarize(run.dynamic.portfolio, rf, te=run.dynamic.te, smoothed_vix=run.path.signal)
     assert sta.cagr == pytest.approx(0.0980, abs=0.005)
     assert dyn.cagr == pytest.approx(0.1033, abs=0.005)
     assert sta.te_sigma == pytest.approx(0.0050, abs=0.0025)
@@ -379,9 +381,8 @@ def test_criterion_12_cap_spectrum_on_market_data(tmp_path):
     run = Run(cfg, "acceptance")
     sharpes, sigs = [], []
     for cap in cfg.caps:
-        pol = cfg.dynamic_policy.with_ceiling(cap)
-        sim = simulate_overlay(run.bench, run.market().spread, run.path, pol, cfg.windows["vol"])
-        sharpes.append(sharpe(sim.portfolio))
+        sim = run.overlay(cfg.dynamic_policy.with_ceiling(cap))
+        sharpes.append(sharpe(sim.portfolio, 0.0))
         sigs.append(np.std(sim.te.values, ddof=1))
     assert max(sharpes) - min(sharpes) <= 0.02
     assert max(sigs) / min(sigs) >= 8.0

@@ -2,12 +2,14 @@ import csv
 import datetime as dt
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
 import warnings
 import weakref
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +19,12 @@ from dynte.cli import (CONFIG_VERSION, ConfigError, Run, _cell, _column_text, _s
 from dynte.inference import circular_block_bootstrap
 from dynte.metrics import sharpe, summarize
 from dynte.regime import classify
-from dynte.simulate import benchmark_7030, simulate_overlay
+from dynte.simulate import benchmark_7030, simulate_overlay, sizing_vol
 from dynte.timeseries import (UNIT_LEVEL, UNIT_RETURN, Series, SynthParams, TradingCalendar,
                               synth_regime_panel)
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def write_config(tmp_path, **overrides):
@@ -482,6 +487,27 @@ def test_dropped_rows_reported_on_stderr(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("role,column", [("vix", "VIX"), ("eq", "BENCH_EQ")])
+@pytest.mark.parametrize("cell", ["+nan", "-nan", "inf", "-Infinity", "1e999"])
+def test_a_non_finite_cell_names_its_file_line_and_column(tmp_path, capsys, role, column,
+                                                          cell):
+    _, files = run(tmp_path, "synth")
+    panel = next(f for f in files if f.name.startswith("synth_panel"))
+    lines = panel.read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[40].split(",")
+    row[header.index(column)] = cell                   # line 41 of the file
+    bad = tmp_path / f"{role}.csv"
+    bad.write_text("\n".join(lines[:40] + [",".join(row)] + lines[41:]) + "\n")
+    data = {r: {"path": str(bad if r == role else panel), "column": c}
+            for r, c in (("eq", "BENCH_EQ"), ("bd", "BENCH_BD"), ("vix", "VIX"))}
+    capsys.readouterr()
+    code, _ = run(tmp_path, "exhibit", "3", config_extra={"data": data})
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}:41: non-finite cell {cell!r} in column {column}\n")
+
+
 def test_synthetic_fallback_named_on_stderr(tmp_path, capsys):
     # the 900-day seed-3 panel runs from 2004-01-05 to 2007-06-15
     extra = {"seed": 3, "synth": {"horizon": 900},
@@ -543,7 +569,7 @@ def test_a_run_builds_what_its_tables_share_once(tmp_path, monkeypatch, form):
 
     data = bench_style_data(tmp_path)
     calls = []
-    for name in ("ingest_csv", "benchmark_7030", "simulate_overlay"):
+    for name in ("ingest_csv", "benchmark_7030", "sizing_vol", "simulate_overlay"):
         def counted(*args, _name=name, _fn=getattr(dynte.cli, name), **kwargs):
             calls.append(_name if _name != "ingest_csv" else args[0])
             return _fn(*args, **kwargs)
@@ -555,7 +581,40 @@ def test_a_run_builds_what_its_tables_share_once(tmp_path, monkeypatch, form):
     assert sorted(calls) == sorted([
         *(data[role]["path"] for role in reads),
         *["benchmark_7030"] * (form in BENCHMARKS),
+        *["sizing_vol"] * (form in OVERLAYS),
         *["simulate_overlay"] * OVERLAYS.get(form, 0)])
+
+
+def test_converge_sizes_every_cap_on_one_trailing_vol(tmp_path, monkeypatch):
+    import dynte.simulate
+
+    lengths = []
+
+    def counted(r, w, _fn=dynte.simulate.rolling_vol):
+        lengths.append(len(r))
+        return _fn(r, w)
+
+    monkeypatch.setattr(dynte.simulate, "rolling_vol", counted)
+    code, _ = run(tmp_path, "converge", config_extra={"bootstrap": {"iterations": 200}})
+    assert code == 0
+    # one pass over the whole spread sizes the 11 caps; each cap's realized
+    # tracking error is a trailing vol of its own, shorter, active returns
+    n = max(lengths)
+    assert sorted(lengths) == [n - 63] * 11 + [n]
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # np.quantile imports numpy.ma on its first call; the percentile helper
+    # reproduces it without that import
+    (tmp_path / "cfg.json").write_text("{}")
+    code = ("import sys; from dynte.cli import main\n"
+            "for form in (['converge'], ['omega'], ['sweep']):\n"
+            "    assert main([*form, '--config', 'cfg.json', '--out', 'o']) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 # ---------------------------------------------------------------- exhibits
@@ -616,9 +675,10 @@ def test_a_spread_file_replaces_the_leg_difference(tmp_path):
     cfg = load_config(None, {})
     path = classify(Series(cal, col["VIX"][1:], UNIT_LEVEL), cfg.windows["signal"],
                     cfg.thresholds)
+    vol_w = cfg.windows["vol"]
     sim = simulate_overlay(benchmark_7030(legs["BENCH_EQ"], legs["BENCH_BD"]), legs["SPREAD"],
-                           path, cfg.dynamic_policy, cfg.windows["vol"])
-    rep = summarize(sim.portfolio, te=sim.te, smoothed_vix=path.signal)
+                           sizing_vol(legs["SPREAD"], vol_w), path, cfg.dynamic_policy, vol_w)
+    rep = summarize(sim.portfolio, rf=0.0, te=sim.te, smoothed_vix=path.signal)
     want = {m: getattr(rep, m) for m in METRICS}
     want["max_drawdown"] = -rep.max_drawdown
     assert {m: rows["dynamic"][m] for m in METRICS} == {m: _cell(v) for m, v in want.items()}
@@ -738,10 +798,10 @@ def test_converge_cis_equal_single_series_bootstraps(tmp_path):
 def test_drop_frees_what_a_run_built(tmp_path):
     # converge drops its inputs so that the bootstrap can reuse their memory
     shared = Run(load_config(write_config(tmp_path), {}), "converge")
-    built = [weakref.ref(x) for x in (shared.market(), shared.bench, shared.path,
+    built = [weakref.ref(x) for x in (shared.market(), shared.bench, shared.vol, shared.path,
                                       shared.static, shared.dynamic)]
     shared.drop()
-    assert [ref() for ref in built] == [None] * 5
+    assert [ref() for ref in built] == [None] * 6
     assert shared.bench is not None  # built again on the next read
 
 

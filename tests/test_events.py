@@ -17,7 +17,7 @@ from dynte.inference import newey_west_mean_test
 from dynte.metrics import cagr, sharpe, summarize
 from dynte.regime import classify, percentile_thresholds
 from dynte.rolling import WindowSpec, moving_average
-from dynte.simulate import benchmark_7030, simulate_overlay
+from dynte.simulate import benchmark_7030, simulate_overlay, sizing_vol
 from dynte.timeseries import (
     UNIT_LEVEL,
     UNIT_PRICE,
@@ -206,19 +206,22 @@ def bench_from_wealth(wealth, start=MON):
     return benchmark_7030(leg, rser(rets.copy(), start))
 
 
+def flat_gauge(bench):
+    return Series(bench.calendar, np.full(len(bench.calendar), 20.0), UNIT_LEVEL)
+
+
 def test_trough_textbook_wealth_path():
     bench = bench_from_wealth([1.0, 0.8, 0.9, 0.7, 1.0])
     cal = bench.calendar
-    t = find_trough(bench, (cal.dates[0], cal.dates[-1]))
+    t = find_trough(bench, (cal.dates[0], cal.dates[-1]), flat_gauge(bench))
     assert t.date == cal.dates[2]
     assert t.drawdown == pytest.approx(0.30, rel=1e-12)
-    assert t.vix is None
 
 
 def test_trough_rising_wealth():
     bench = bench_from_wealth([1.0, 1.01, 1.02, 1.05, 1.08])
     cal = bench.calendar
-    t = find_trough(bench, (cal.dates[1], cal.dates[-1]))
+    t = find_trough(bench, (cal.dates[1], cal.dates[-1]), flat_gauge(bench))
     assert t.date == cal.dates[1]
     assert t.drawdown == pytest.approx(0.0, abs=1e-15)
 
@@ -226,7 +229,7 @@ def test_trough_rising_wealth():
 def test_trough_tie_takes_earliest():
     bench = bench_from_wealth([1.0, 0.9, 0.9, 0.95])
     cal = bench.calendar
-    t = find_trough(bench, (cal.dates[0], cal.dates[-1]))
+    t = find_trough(bench, (cal.dates[0], cal.dates[-1]), flat_gauge(bench))
     assert t.date == cal.dates[0]
 
 
@@ -235,7 +238,7 @@ def test_trough_uses_full_history_peak():
     # window are still measured against it
     bench = bench_from_wealth([1.0, 2.0, 1.9, 1.5, 1.8])
     cal = bench.calendar
-    t = find_trough(bench, (cal.dates[2], cal.dates[-1]))
+    t = find_trough(bench, (cal.dates[2], cal.dates[-1]), flat_gauge(bench))
     assert t.date == cal.dates[2]
     assert t.drawdown == pytest.approx(0.25, rel=1e-12)
 
@@ -252,7 +255,7 @@ def test_trough_reports_gauge_level():
 def test_trough_empty_window():
     bench = bench_from_wealth([1.0, 0.9, 1.0])
     with pytest.raises(ValueError, match="no trading days"):
-        find_trough(bench, (dt.date(2030, 1, 1), dt.date(2030, 2, 1)))
+        find_trough(bench, (dt.date(2030, 1, 1), dt.date(2030, 2, 1)), flat_gauge(bench))
 
 
 # -------------------------------------------------------------------- regret
@@ -329,24 +332,26 @@ def test_sweep_single_window_reproduces_main_run(tmp_path):
     th = percentile_thresholds(sm, *DEFAULTS.percentiles)
     path = classify(m.vix, WindowSpec(21), th)
     bench = benchmark_7030(m.eq, m.bd)
-    res = simulate_overlay(bench, m.spread, path, DEFAULTS.dynamic_policy,
-                           DEFAULTS.windows["vol"])
+    vol_w = DEFAULTS.windows["vol"]
+    res = simulate_overlay(bench, m.spread, sizing_vol(m.spread, vol_w), path,
+                           DEFAULTS.dynamic_policy, vol_w)
     assert row["window"] == "21"
     assert row["cagr"] == _cell(cagr(res.portfolio))
-    assert row["sharpe"] == _cell(sharpe(res.portfolio))
-    assert row["cagr_over_maxdd"] == _cell(summarize(res.portfolio).cagr_over_maxdd)
+    assert row["sharpe"] == _cell(sharpe(res.portfolio, m.rf))
+    assert row["cagr_over_maxdd"] == _cell(summarize(res.portfolio, m.rf).cagr_over_maxdd)
     assert (row["threshold_low"], row["threshold_high"]) == (_cell(th.low), _cell(th.high))
 
 
 def test_sweep_static_baseline_shared(tmp_path):
     m, rows = sweep_table(tmp_path, (5, 21), seed=2)
     bench = benchmark_7030(m.eq, m.bd)
-    sres = simulate_overlay(bench, m.spread, None, DEFAULTS.static_policy,
-                            DEFAULTS.windows["vol"])
+    vol_w = DEFAULTS.windows["vol"]
+    sres = simulate_overlay(bench, m.spread, sizing_vol(m.spread, vol_w), None,
+                            DEFAULTS.static_policy, vol_w)
     assert len(rows) == 2
     for row in rows:
         assert row["static_cagr"] == _cell(cagr(sres.portfolio))
-        assert row["static_sharpe"] == _cell(sharpe(sres.portfolio))
+        assert row["static_sharpe"] == _cell(sharpe(sres.portfolio, m.rf))
         assert float(row["excess_cagr"]) == pytest.approx(
             float(row["cagr"]) - float(row["static_cagr"]), abs=1e-18)
         passes_sharpe = float(row["sharpe"]) >= float(row["static_sharpe"])

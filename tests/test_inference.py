@@ -14,6 +14,7 @@ from dynte.inference import (
     BootstrapResult,
     BootstrapSpec,
     circular_block_bootstrap,
+    linear_quantiles,
     newey_west_mean_test,
     sharpe_equality_test,
     spearman,
@@ -30,6 +31,35 @@ def bootstrap_one(r, spec):
     """The bootstrap of one series, as the one row of a 1 x n array."""
     (out,) = circular_block_bootstrap(np.asarray(r)[None, :], spec)
     return out
+
+
+# ------------------------------------------------------------ percentiles
+
+# the percentiles the commands take: bootstrap CI ends, the regime
+# percentiles and the gauge's quintile breakpoints, then the ends
+COMMAND_QS = [0, 1, 0.025, 0.975, 0.16, 0.76, 0.2, 0.4, 0.6, 0.8]
+_SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, 5e-324, 1e308,
+                            -1e308, np.nan, -np.nan])
+
+
+@settings(max_examples=600, deadline=None)
+@given(values=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                                 _SPECIAL, st.integers(-3, 3).map(float)),
+                       min_size=1, max_size=60),
+       extra=st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_linear_quantiles_equal_np_quantile_bit_for_bit(values, extra):
+    a = np.array(values)
+    qs = COMMAND_QS + extra
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.quantile(a.copy(), qs)
+    got = linear_quantiles(a.copy(), qs)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (values, qs)
+
+
+def test_linear_quantiles_partition_in_place():
+    a = np.array([5.0, 1.0, 4.0, 2.0, 3.0])
+    assert linear_quantiles(a, [0.5]).tolist() == [3.0]
+    assert a[0] == 1.0 and a[-1] == 5.0 and a[2] == 3.0
 
 
 # ------------------------------------------------------------- newey-west

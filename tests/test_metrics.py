@@ -76,7 +76,7 @@ def test_vol_constant_is_zero_and_sharpe_errors():
     r = np.full(50, 0.00390625)  # dyadic, so demeaning is exact
     assert annualized_vol(r) == 0.0
     with pytest.raises(ValueError, match="zero volatility"):
-        sharpe(r)
+        sharpe(r, 0.0)
 
 
 def test_sharpe_direct_arithmetic():
@@ -85,15 +85,15 @@ def test_sharpe_direct_arithmetic():
     r = np.array([0.0004 + d, 0.0004 - d])
     assert_allclose(np.std(r, ddof=1), 0.01, rtol=1e-12)
     want = 0.0004 * 252.0 / (0.01 * math.sqrt(252.0))
-    assert_allclose(sharpe(r), want, rtol=1e-12)
-    assert_allclose(sharpe(r), 0.6350, atol=5e-5)
+    assert_allclose(sharpe(r, 0.0), want, rtol=1e-12)
+    assert_allclose(sharpe(r, 0.0), 0.6350, atol=5e-5)
 
 
 def test_sharpe_scalar_rf_is_annual():
     rng = np.random.default_rng(1)
     r = 0.01 * rng.standard_normal(300) + 0.0005
     # a scalar rf is an annual rate applied as rf/252 per day
-    assert_allclose(sharpe(r, rf=0.0252), sharpe(r - 0.0001), rtol=1e-10)
+    assert_allclose(sharpe(r, rf=0.0252), sharpe(r - 0.0001, 0.0), rtol=1e-10)
 
 
 def test_sharpe_series_rf_used_as_is():
@@ -101,7 +101,7 @@ def test_sharpe_series_rf_used_as_is():
     r = 0.01 * rng.standard_normal(200) + 0.0005
     rf_daily = np.full(200, 0.0001)
     got = sharpe(r, rf=rser(rf_daily))
-    assert_allclose(got, sharpe(r - 0.0001), rtol=1e-12)
+    assert_allclose(got, sharpe(r - 0.0001, 0.0), rtol=1e-12)
 
 
 def test_sharpe_excess_of_itself_errors():
@@ -196,7 +196,7 @@ def test_te_stats_gauge_restricted_to_te_calendar():
 def test_summarize_plain():
     rng = np.random.default_rng(9)
     r = 0.01 * rng.standard_normal(400) + 0.0004
-    rep = summarize(r)
+    rep = summarize(r, 0.0)
     assert rep.cagr == pytest.approx(cagr(r))
     assert rep.vol == pytest.approx(annualized_vol(r))
     assert rep.max_drawdown >= 0.0
@@ -205,7 +205,7 @@ def test_summarize_plain():
 
 
 def test_summarize_no_drawdown_leaves_ratio_unset():
-    rep = summarize(np.tile([0.001, 0.002], 20))
+    rep = summarize(np.tile([0.001, 0.002], 20), 0.0)
     assert rep.max_drawdown == 0.0
     assert rep.cagr_over_maxdd is None
 
@@ -216,7 +216,7 @@ def test_summarize_with_te_and_gauge():
     active = 0.001 * rng.standard_normal(250)
     te = rolling_vol(rser(active), WindowSpec(63))
     gauge = vix_like(15.0 + rng.random(250))
-    rep = summarize(r + active, te=te, smoothed_vix=gauge)
+    rep = summarize(r + active, 0.0, te=te, smoothed_vix=gauge)
     assert rep.te_level is not None
     assert rep.te_sigma is not None
     assert rep.te_cyclicality is not None

@@ -353,9 +353,10 @@ def test_em_single_gaussian_is_nested():
 
 def test_em_input_validation():
     with pytest.raises(ValueError, match="constant"):
-        fit_markov_switching(Series(friday_calendar(120), np.full(120, 0.01), UNIT_RETURN))
+        fit_markov_switching(Series(friday_calendar(120), np.full(120, 0.01), UNIT_RETURN),
+                             restarts=4, seed=0)
     with pytest.raises(ValueError, match="return series"):
-        fit_markov_switching(lser(np.arange(120.0) + 10.0))
+        fit_markov_switching(lser(np.arange(120.0) + 10.0), restarts=4, seed=0)
 
 
 def test_em_unconverged_flag():
@@ -649,9 +650,9 @@ def test_batched_fit_matches_sequential_oracle(n, seed, restarts, max_iter):
 
 def test_batched_fit_redraws_collapsed_attempts_like_the_oracle():
     weekly = outlier_weekly(0)
-    want, collapsed = sequential_fit(weekly, 4)
+    want, collapsed = sequential_fit(weekly, 4, seed=0)
     assert collapsed > 0
-    assert_same_fit(fit_markov_switching(weekly, restarts=4), want)
+    assert_same_fit(fit_markov_switching(weekly, restarts=4, seed=0), want)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 4, 5])
@@ -661,15 +662,15 @@ def test_every_attempt_collapses_on_a_lone_outlier(seed):
     weekly = outlier_weekly(seed)
     for fit in (sequential_fit, fit_markov_switching):
         with pytest.raises(ValueError, match="all EM restarts collapsed"):
-            fit(weekly, 4)
+            fit(weekly, 4, seed=0)
 
 
 @pytest.mark.parametrize("budget", [1, 10**9])  # one start a batch; every start in one
 def test_fit_does_not_depend_on_the_batch_size(monkeypatch, budget):
     weekly = outlier_weekly(0)
-    want = fit_markov_switching(weekly, restarts=4)
+    want = fit_markov_switching(weekly, restarts=4, seed=0)
     monkeypatch.setattr(regime, "_BATCH_VALUES", budget)
-    got = fit_markov_switching(weekly, restarts=4)
+    got = fit_markov_switching(weekly, restarts=4, seed=0)
     # each start's arithmetic is elementwise or per row, so the fit is exact
     assert (got.mu, got.var, got.initial, got.trace, got.converged) == \
         (want.mu, want.var, want.initial, want.trace, want.converged)

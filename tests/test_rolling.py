@@ -244,10 +244,31 @@ def test_chunked_full_windows_equal_one_shot(monkeypatch):
 
     for w in (WindowSpec(21), WindowSpec(21, min_periods=5)):
         one_shot = run(w)
-        # one full window a chunk, then a few, with a short last chunk
-        for floats in (1, 7 * 3 * 21):
+        # one full window a chunk, then 13 of the 280, with a short last chunk
+        for floats in (1, 13 * 21):
             monkeypatch.setattr(rolling, "_CHUNK_FLOATS", floats)
             for a, b in zip(run(w), one_shot):
                 assert a.calendar == b.calendar
                 assert a.values.tobytes() == b.values.tobytes()
             monkeypatch.undo()
+
+
+def test_each_columns_chunk_stays_under_the_mmap_threshold():
+    # a chunk's window buffer per column stays under 120 KB, below glibc's
+    # default 128 KiB mmap threshold, whatever the column count, so a
+    # statistic's buffers are reused from the heap
+    rng = np.random.default_rng(12)
+    n, L = 6552, 63
+    cal = make_weekday_calendar(dt.date(2000, 1, 3), n)
+    chunks = []
+
+    def stat(*cols):
+        chunks.extend(c.nbytes for c in cols if c.ndim == 2)
+        return cols[0].sum(axis=-1)
+
+    for k in (1, 3):
+        chunks.clear()
+        cols = list(rng.standard_normal((k, n)))
+        rolling._trailing(cal, cols, WindowSpec(L), 1, stat, UNIT_LEVEL)
+        assert len(chunks) == k * -(-(n - L + 1) // (15_000 // L))
+        assert 100_000 < max(chunks) <= 120_000

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from dynte.cli import load_config
 from dynte.regime import Regime, classify
 from dynte.rolling import WindowSpec, rolling_vol
-from dynte.simulate import OverlayPolicy, benchmark_7030, fixed_mix, simulate_overlay
+from dynte.simulate import OverlayPolicy, benchmark_7030, fixed_mix, simulate_overlay, sizing_vol
 from dynte.timeseries import (
     UNIT_LEVEL,
     UNIT_RETURN,
@@ -116,7 +116,8 @@ def test_overlay_theta_is_capped_target_over_lagged_vol(
                     WindowSpec(1), T13_22)
     assert len(path.labels) == n
     policy = OverlayPolicy(*targets, theta_cap=theta_cap, te_ceiling=ceiling)
-    out = simulate_overlay(bench, spread, path, policy, WindowSpec(L))
+    w = WindowSpec(L)
+    out = simulate_overlay(bench, spread, sizing_vol(spread, w), path, policy, w)
 
     by_label = dict(zip((int(Regime.LOW), int(Regime.NEUTRAL), int(Regime.HIGH)),
                         policy.effective_targets()))
@@ -150,7 +151,7 @@ def test_policy_validation_and_effective_targets():
 
 def test_overlay_warmup_is_passive():
     bench, spread, path = synth_market()
-    out = simulate_overlay(bench, spread, path, DYN, VOL)
+    out = simulate_overlay(bench, spread, sizing_vol(spread, VOL), path, DYN, VOL)
     L = out.first_active
     assert np.all(out.theta[:L] == 0.0)
     assert np.array_equal(out.portfolio[:L], out.benchmark[:L])
@@ -159,13 +160,13 @@ def test_overlay_warmup_is_passive():
 def test_overlay_zero_spread_tracks_benchmark_exactly():
     bench, spread, path = synth_market()
     zero = Series(spread.calendar, np.zeros(len(spread)), UNIT_RETURN)
-    out = simulate_overlay(bench, zero, path, STA, VOL)
+    out = simulate_overlay(bench, zero, sizing_vol(zero, VOL), path, STA, VOL)
     assert np.array_equal(out.portfolio, out.benchmark)
 
 
 def test_overlay_identity_portfolio_minus_benchmark():
     bench, spread, path = synth_market(seed=1)
-    out = simulate_overlay(bench, spread, path, DYN, VOL)
+    out = simulate_overlay(bench, spread, sizing_vol(spread, VOL), path, DYN, VOL)
     lhs = out.portfolio - out.benchmark
     assert_allclose(lhs, out.theta * spread.values, atol=1e-14)
 
@@ -173,14 +174,14 @@ def test_overlay_identity_portfolio_minus_benchmark():
 def test_overlay_theta_bounded_by_cap():
     for seed in range(3):
         bench, spread, path = synth_market(seed=seed, horizon=500)
-        out = simulate_overlay(bench, spread, path, DYN, VOL)
+        out = simulate_overlay(bench, spread, sizing_vol(spread, VOL), path, DYN, VOL)
         assert np.max(np.abs(out.theta)) <= DYN.theta_cap
 
 
 def test_overlay_theta_reconstruction():
     # theta must equal min(target/vol, cap) with vol lagged one day
     bench, spread, path = synth_market(seed=2, horizon=400)
-    out = simulate_overlay(bench, spread, path, STA, VOL)
+    out = simulate_overlay(bench, spread, sizing_vol(spread, VOL), path, STA, VOL)
     L = out.first_active
     vol = rolling_vol(spread, VOL).values
     m = len(spread) - L
@@ -193,7 +194,7 @@ def test_overlay_low_vol_pins_at_cap():
     n = 200
     bench = benchmark_7030(rser(np.zeros(n)), rser(np.zeros(n)))
     spread = rser(0.004 * (-1.0) ** np.arange(n))
-    out = simulate_overlay(bench, spread, None, STA, VOL)
+    out = simulate_overlay(bench, spread, sizing_vol(spread, VOL), None, STA, VOL)
     assert np.all(out.theta[out.first_active:] == STA.theta_cap)
 
 
@@ -202,14 +203,16 @@ def test_overlay_zero_vol_estimate_pins_at_cap():
     bench = benchmark_7030(rser(np.zeros(n)), rser(np.zeros(n)))
     vals = np.full(n, 0.00390625)  # dyadic constant: sample std exactly 0
     vals[70:] = 0.05
-    out = simulate_overlay(bench, rser(vals), None, STA, VOL)
+    spread = rser(vals)
+    out = simulate_overlay(bench, spread, sizing_vol(spread, VOL), None, STA, VOL)
     assert np.all(out.theta[VOL.length:70] == STA.theta_cap)
 
 
 def test_overlay_static_never_reads_regimes():
     bench, spread, path = synth_market(seed=3, horizon=400)
-    a = simulate_overlay(bench, spread, path, STA, VOL)
-    b = simulate_overlay(bench, spread, None, STA, VOL)
+    vol = sizing_vol(spread, VOL)
+    a = simulate_overlay(bench, spread, vol, path, STA, VOL)
+    b = simulate_overlay(bench, spread, vol, None, STA, VOL)
     assert a.portfolio.tobytes() == b.portfolio.tobytes()
 
 
@@ -217,8 +220,9 @@ def test_overlay_constant_neutral_equals_static():
     bench, spread, _ = synth_market(seed=4, horizon=400)
     flat_vix = Series(bench.calendar, np.full(len(bench.calendar), 17.0), UNIT_LEVEL)
     neutral = classify(flat_vix, WindowSpec(1), T13_22)
-    dyn = simulate_overlay(bench, spread, neutral, DYN, VOL)
-    sta = simulate_overlay(bench, spread, None, STA, VOL)
+    vol = sizing_vol(spread, VOL)
+    dyn = simulate_overlay(bench, spread, vol, neutral, DYN, VOL)
+    sta = simulate_overlay(bench, spread, vol, None, STA, VOL)
     assert dyn.portfolio.tobytes() == sta.portfolio.tobytes()
 
 
@@ -231,7 +235,7 @@ def test_overlay_decision_uses_previous_day_label():
     vix_vals = np.full(n, 10.0)
     vix_vals[k:] = 30.0
     path = classify(Series(bench.calendar, vix_vals, UNIT_LEVEL), WindowSpec(1), T13_22)
-    out = simulate_overlay(bench, spread, path, DYN, VOL)
+    out = simulate_overlay(bench, spread, sizing_vol(spread, VOL), path, DYN, VOL)
     vol = rolling_vol(spread, VOL).values
     L = out.first_active
     # day k still sizes off the Low label at k-1; day k+1 sees High
@@ -248,7 +252,7 @@ def test_overlay_truncation_equivalence():
     def run(eq, bd, spread, vix):
         bench = benchmark_7030(eq, bd)
         path = classify(vix, DEFAULTS.windows["signal"], T13_22)
-        return simulate_overlay(bench, spread, path, DYN, VOL)
+        return simulate_overlay(bench, spread, sizing_vol(spread, VOL), path, DYN, VOL)
 
     full = run(panel["BENCH_EQ"], panel["BENCH_BD"], panel["SPREAD"], panel["VIX"])
     for cut in (200, 401):
@@ -265,13 +269,22 @@ def test_overlay_truncation_equivalence():
 
 def test_overlay_validation():
     bench, spread, path = synth_market(horizon=200)
+    vol = sizing_vol(spread, VOL)
     with pytest.raises(ValueError, match="warm-up"):
-        simulate_overlay(bench, spread, path, STA, vol_window=WindowSpec(200))
+        sizing_vol(spread, WindowSpec(200))
+    with pytest.raises(ValueError, match="warm-up"):
+        simulate_overlay(bench, spread, vol, path, STA, WindowSpec(200))
+    with pytest.raises(ValueError, match="return series"):
+        sizing_vol(Series(spread.calendar, spread.values, UNIT_LEVEL), VOL)
     with pytest.raises(ValueError, match="regime path"):
-        simulate_overlay(bench, spread, None, DYN, VOL)
+        simulate_overlay(bench, spread, vol, None, DYN, VOL)
     off = rser(np.zeros(200), start=dt.date(2030, 1, 7))
     with pytest.raises(ValueError, match="calendar"):
-        simulate_overlay(bench, off, path, STA, VOL)
+        simulate_overlay(bench, off, sizing_vol(off, VOL), path, STA, VOL)
+    # a vol over another window, or on another calendar, sizes nothing
+    for other in (sizing_vol(spread, WindowSpec(21)), sizing_vol(off, VOL)):
+        with pytest.raises(ValueError, match="63-day trailing vol"):
+            simulate_overlay(bench, spread, other, path, STA, VOL)
 
 
 def test_overlay_te_none_when_history_too_short():
@@ -281,7 +294,7 @@ def test_overlay_te_none_when_history_too_short():
     for n, te_len in ((65, None), (126, None), (127, 2)):
         bench = benchmark_7030(rser(np.zeros(n)), rser(np.zeros(n)))
         spread = rser(0.01 * rng.standard_normal(n))
-        out = simulate_overlay(bench, spread, None, STA, VOL)
+        out = simulate_overlay(bench, spread, sizing_vol(spread, VOL), None, STA, VOL)
         assert (None if out.te is None else len(out.te)) == te_len, n
         assert out.first_active == 63
 
@@ -300,16 +313,18 @@ def test_spectrum_default_caps():
 
 def test_spectrum_cap_at_top_matches_uncapped():
     bench, spread, path = synth_market(seed=8, horizon=700)
-    uncapped = simulate_overlay(bench, spread, path, DYN, VOL)
+    vol = sizing_vol(spread, VOL)
+    uncapped = simulate_overlay(bench, spread, vol, path, DYN, VOL)
     for cap in (0.05, 0.08, 1.0):
-        capped = simulate_overlay(bench, spread, path, DYN.with_ceiling(cap), VOL)
+        capped = simulate_overlay(bench, spread, vol, path, DYN.with_ceiling(cap), VOL)
         assert capped.portfolio.tobytes() == uncapped.portfolio.tobytes()
         assert capped.theta.tobytes() == uncapped.theta.tobytes()
 
 
 def test_spectrum_sigma_te_monotone():
     bench, spread, path = synth_market(seed=9, horizon=900)
-    runs = [simulate_overlay(bench, spread, path, DYN.with_ceiling(c), VOL)
+    vol = sizing_vol(spread, VOL)
+    runs = [simulate_overlay(bench, spread, vol, path, DYN.with_ceiling(c), VOL)
             for c in DEFAULTS.caps]
     sig = [float(np.std(r.te.values, ddof=1)) for r in runs]
     assert all(b >= a - 1e-15 for a, b in zip(sig, sig[1:]))

@@ -5,7 +5,10 @@ somewhere other than its own definition: the package itself, `demos/`,
 `bench/` or the console-script entry in `pyproject.toml`. A name that only
 tests reach is kept only while a ROADMAP item or acceptance criterion
 needs it, and is listed below with the reason. Every name a `dynte`
-module imports is used in that module.
+module imports is used in that module. Every default of a public
+module-level function is left unset by some call in the package, `demos/`
+or `bench/`: a default that every such call overrides is a second home for
+a value that belongs to its callers.
 """
 
 import ast
@@ -21,6 +24,10 @@ KEPT_FOR = {
     "signal_agreement": "ROADMAP item 9 wires the regime EM into a command",
     "optimal_theta": "acceptance criterion 1 checks it against a grid search",
 }
+
+
+# defaults every call outside the tests overrides, and what keeps each
+DEFAULTS_KEPT_FOR = {}
 
 
 def modules():
@@ -80,3 +87,56 @@ def test_every_import_of_a_module_is_used():
                 continue
             unused = [name for name in bound if name not in read]
             assert not unused, f"{path.name}:{node.lineno} imports {unused} and never uses them"
+
+
+def unset_defaults(fn: ast.FunctionDef, call: ast.Call) -> set[str]:
+    """The defaulted parameters of `fn` that `call` leaves unset; a starred
+    argument may set any of them."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return set()
+    positional = fn.args.posonlyargs + fn.args.args
+    given = {a.arg for a in positional[:len(call.args)]} | {k.arg for k in call.keywords}
+    with_default = [a.arg for a in positional[len(positional) - len(fn.args.defaults):]]
+    with_default += [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                     if d is not None]
+    return set(with_default) - given
+
+
+def function_named(node: ast.AST, modules: set[str]) -> str | None:
+    """The name `node` refers to a module-level function by: `f`, or `mod.f`
+    for a `dynte` module `mod`."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules):
+        return node.attr
+    return None
+
+
+def test_every_default_is_left_unset_by_some_call():
+    package = modules()
+    names = {path.stem for path in package}
+    functions = {node.name: node for tree in package.values() for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    callers = list(package.values()) + [
+        ast.parse(p.read_text(), str(p))
+        for d in ("demos", "bench") for p in sorted((ROOT / d).glob("*.py"))]
+    unset = {name: set() for name in functions}
+    for tree in callers:
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        callees = {id(call.func) for call in calls}
+        for call in calls:
+            name = function_named(call.func, names)
+            if name in functions:
+                unset[name] |= unset_defaults(functions[name], call)
+        for node in ast.walk(tree):
+            # a function passed on, e.g. to cli._blame, is called with its defaults
+            name = function_named(node, names)
+            if (name in functions and id(node) not in callees
+                    and not isinstance(node.ctx, ast.Store)):
+                unset[name] |= unset_defaults(functions[name], ast.Call(node, [], []))
+    always_set = sorted(f"{name}.{arg}" for name, fn in functions.items()
+                        for arg in unset_defaults(fn, ast.Call(fn, [], []))
+                        if arg not in unset[name])
+    assert always_set == sorted(DEFAULTS_KEPT_FOR), always_set

@@ -1,5 +1,6 @@
 import csv
 import datetime as dt
+import math
 import re
 from typing import Sequence
 
@@ -233,7 +234,7 @@ def test_ingest_round_trip(tmp_path):
         tmp_path / "a.csv",
         "date,AAA,BBB\n2015-01-05,100,50\n2015-01-06,101,51\n2015-01-07,99,52\n",
     )
-    res = ingest_csv(p)
+    res = ingest_csv(p, None, UNIT_PRICE)
     assert res.n_dropped == 0
     assert res.panel.symbols == ("AAA", "BBB")
     assert len(res.panel.calendar) == 3
@@ -245,7 +246,7 @@ def test_ingest_drops_incomplete_rows(tmp_path):
         tmp_path / "b.csv",
         "date,AAA,BBB\n2015-01-05,100,50\n2015-01-06,101,\n2015-01-07,99,52\n",
     )
-    res = ingest_csv(p)
+    res = ingest_csv(p, None, UNIT_PRICE)
     assert res.n_dropped == 1
     assert res.dropped_dates == (dt.date(2015, 1, 6),)
     assert len(res.panel.calendar) == 2
@@ -256,7 +257,7 @@ def test_ingest_column_subset_ignores_other_gaps(tmp_path):
         tmp_path / "c.csv",
         "date,AAA,BBB\n2015-01-05,100,50\n2015-01-06,101,\n2015-01-07,99,52\n",
     )
-    res = ingest_csv(p, columns=["AAA"])
+    res = ingest_csv(p, ["AAA"], UNIT_PRICE)
     assert res.n_dropped == 0
     assert res.panel.symbols == ("AAA",)
 
@@ -268,8 +269,8 @@ def test_ingest_column_order_insensitive(tmp_path):
     p2 = write_csv(
         tmp_path / "d2.csv", "date,BBB,AAA\n2015-01-05,50,100\n2015-01-06,51,101\n"
     )
-    r1 = ingest_csv(p1, columns=["AAA", "BBB"])
-    r2 = ingest_csv(p2, columns=["AAA", "BBB"])
+    r1 = ingest_csv(p1, ["AAA", "BBB"], UNIT_PRICE)
+    r2 = ingest_csv(p2, ["AAA", "BBB"], UNIT_PRICE)
     for sym in ("AAA", "BBB"):
         assert_array_equal(r1.panel[sym].values, r2.panel[sym].values)
 
@@ -279,10 +280,10 @@ def test_ingest_error_messages_name_the_row(tmp_path):
         tmp_path / "e.csv", "date,AAA\n2015-01-05,100\nnot-a-date,101\n"
     )
     with pytest.raises(ValueError, match=r"e\.csv:3.*malformed date"):
-        ingest_csv(p)
+        ingest_csv(p, None, UNIT_PRICE)
     p = write_csv(tmp_path / "f.csv", "date,AAA\n2015-01-05,100\n2015-01-06,abc\n")
     with pytest.raises(ValueError, match=r"f\.csv:3.*non-numeric.*AAA"):
-        ingest_csv(p)
+        ingest_csv(p, None, UNIT_PRICE)
 
 
 @pytest.mark.parametrize("date", ["20150106", "2015-W02-2", "2015-01-06T00:00",
@@ -292,7 +293,7 @@ def test_ingest_reads_only_yyyy_mm_dd_dates(tmp_path, date):
     for row in (date + ",101", date + ',"101"'):  # the array path and the row path
         p = write_csv(tmp_path / "d.csv", f"date,AAA\n2015-01-05,100\n{row}\n")
         with pytest.raises(ValueError, match=r"d\.csv:3: malformed date"):
-            ingest_csv(p)
+            ingest_csv(p, None, UNIT_PRICE)
 
 
 def test_parse_date_is_strict():
@@ -308,14 +309,14 @@ def test_ingest_duplicate_date(tmp_path):
         tmp_path / "g.csv", "date,AAA\n2015-01-05,100\n2015-01-05,101\n"
     )
     with pytest.raises(ValueError, match="duplicate date"):
-        ingest_csv(p)
+        ingest_csv(p, None, UNIT_PRICE)
 
 
 def test_ingest_unsorted_rows_accepted(tmp_path):
     p = write_csv(
         tmp_path / "h.csv", "date,AAA\n2015-01-06,101\n2015-01-05,100\n"
     )
-    res = ingest_csv(p)
+    res = ingest_csv(p, None, UNIT_PRICE)
     assert_array_equal(res.panel["AAA"].values, [100.0, 101.0])
 
 
@@ -325,19 +326,19 @@ def test_ingest_gap_guard(tmp_path):
         tmp_path / "i.csv", "date,AAA\n2015-01-05,100\n2015-02-05,101\n"
     )
     with pytest.raises(ValueError, match="gap of"):
-        ingest_csv(p)
+        ingest_csv(p, None, UNIT_PRICE)
 
 
 def test_ingest_all_rows_incomplete(tmp_path):
     p = write_csv(tmp_path / "j.csv", "date,AAA\n2015-01-05,\n2015-01-06,\n")
     with pytest.raises(ValueError, match="no complete rows"):
-        ingest_csv(p)
+        ingest_csv(p, None, UNIT_PRICE)
 
 
 def test_ingest_missing_column(tmp_path):
     p = write_csv(tmp_path / "k.csv", "date,AAA\n2015-01-05,100\n")
     with pytest.raises(ValueError, match="columns not found"):
-        ingest_csv(p, columns=["ZZZ"])
+        ingest_csv(p, ["ZZZ"], UNIT_PRICE)
 
 
 # The row-by-row reader ingest_csv replaced, kept as the oracle it must match.
@@ -392,11 +393,16 @@ def oracle_ingest_csv(
                     cells.append(None)
                     continue
                 try:
-                    cells.append(float(cell))
+                    x = float(cell)
                 except ValueError:
                     raise ValueError(
                         f"{path}:{lineno}: non-numeric cell {cell!r} in column {sym}"
                     ) from None
+                if not math.isfinite(x):
+                    raise ValueError(
+                        f"{path}:{lineno}: non-finite cell {cell!r} in column {sym}"
+                    )
+                cells.append(x)
             rows.append((d, cells))
 
     rows.sort(key=lambda r: r[0])
