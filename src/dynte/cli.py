@@ -126,7 +126,8 @@ _ACCEPTS = {
 def _value(fieldname: str, v, default):
     """v checked against its setting's default: a tuple default takes a list
     of exactly as many values, each checked against its own default, and
-    gives a tuple; a date default parses a YYYY-MM-DD string."""
+    gives a tuple; a date default parses a YYYY-MM-DD string; a number is
+    finite (JSON's NaN and Infinity are refused)."""
     if isinstance(default, tuple):
         if not isinstance(v, list) or len(v) != len(default):
             raise ConfigError(fieldname, f"expected a list of {len(default)} values, got {v!r}")
@@ -137,6 +138,8 @@ def _value(fieldname: str, v, default):
     kinds, what = _ACCEPTS[type(default)]
     if not isinstance(v, kinds) or (isinstance(v, bool) and bool not in kinds):
         raise ConfigError(fieldname, f"expected {what}, got {v!r}")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ConfigError(fieldname, f"expected a finite number, got {v!r}")
     return v
 
 
@@ -275,6 +278,8 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
         for i, x in enumerate(v):
             if x is None and name == "caps":
                 continue
+            if name == "caps" and isinstance(x, float) and not math.isfinite(x):
+                raise ConfigError(f"caps[{i}]", f"expected a finite number, got {x!r}")
             if isinstance(x, bool) or not isinstance(x, kind) or not x > 0:
                 raise ConfigError(f"{name}[{i}]", f"expected a positive {what}, got {x!r}")
     roles, digests = _roles(raw["data"])
@@ -549,7 +554,7 @@ def load_market(cfg: RunConfig, need: Sequence[str]) -> Market:
 
 def _in_range(cfg: RunConfig, cal: TradingCalendar) -> TradingCalendar:
     """The dates of cal inside the configured range; at least three."""
-    cal = cal.window(*cfg.date_range)
+    cal = _blame("range", cal.window, *cfg.date_range)
     if len(cal) < 3:
         raise ValueError("range: fewer than three shared dates")
     return cal
@@ -638,12 +643,6 @@ class Run:
     @cached_property
     def dynamic(self) -> SimResult:
         return self.overlay(self.cfg.dynamic_policy)
-
-    def drop(self) -> None:
-        """Forget all built so far, so that a last stage can reuse its memory."""
-        cfg, command = self.cfg, self.command
-        vars(self).clear()  # the cached properties too
-        self.__init__(cfg, command)
 
 
 # -------------------------------------------------------------- commands --
@@ -761,23 +760,17 @@ def cmd_converge(run: Run) -> list[Path]:
     cfg = run.cfg
     header = ["cap", "cagr", "vol", "sharpe", "max_drawdown", "te_level",
               "te_sigma", "sharpe_ci_lo", "sharpe_ci_hi", "ci_width"]
-    rows, portfolios = [], np.empty((len(cfg.caps), len(run.bench.calendar)))
-    for cap, portfolio in zip(cfg.caps, portfolios):
+    rows = []
+    for cap in cfg.caps:
         sim = run.overlay(cfg.dynamic_policy.with_ceiling(cap))
         rep = summarize(sim.portfolio, rf=run.market().rf, te=sim.te,
                         smoothed_vix=run.path.signal)
-        portfolio[:] = sim.portfolio
+        boot = circular_block_bootstrap(sim.portfolio, cfg.bootstrap_spec)
         rows.append([
             "uncapped" if cap is None else cap,
             rep.cagr, rep.vol, rep.sharpe, rep.max_drawdown, rep.te_level, rep.te_sigma,
+            boot.ci_lo, boot.ci_hi, boot.width,
         ])
-    # the caps share one draw of block starts; the panel and simulations are
-    # freed first so that the bootstrap's tables reuse their memory
-    run.drop()
-    del sim
-    boots = circular_block_bootstrap(portfolios, cfg.bootstrap_spec)
-    for row, boot in zip(rows, boots):
-        row += [boot.ci_lo, boot.ci_hi, boot.width]
     return _write_table(cfg, "exhibit7", "converge", header, zip(*rows))
 
 

@@ -7,10 +7,10 @@ fixed-length blocks with wraparound, percentile intervals, for the Sharpe
 ratio. A resample is reduced from its blocks' sums of x and x**2, read off
 per-start tables built once from prefix sums of the demeaned series, so it
 costs O(n/block) rather than O(n); only a resample with near-zero variance
-gathers its values. k aligned series are bootstrapped on one shared draw of
-block starts, and each one's interval is exactly its single-series result.
-Draws are processed in chunks sized by a value budget, so memory does not
-grow with the number of iterations beyond k x iterations statistics.
+gathers its values. One series is bootstrapped per call; two series
+bootstrapped with one spec read the same block starts, draw by draw. Draws
+are processed in chunks sized by a value budget, so memory does not grow
+with the number of iterations beyond the iterations statistics.
 Percentiles, here and in the regime and event studies, are numpy's default
 linear ones, computed bit for bit by linear_quantiles from one partition,
 without np.quantile's import of numpy.ma.
@@ -20,7 +20,6 @@ correction.
 
 from __future__ import annotations
 
-import copy
 import math
 from typing import Callable
 
@@ -181,8 +180,7 @@ def _block_sum_sharpe(v: np.ndarray, block: int) -> Callable[[np.ndarray], np.nd
     nblocks = -(-n // block)
     centre = float(np.mean(v))
     full, last = min(block, n), n - (nblocks - 1) * block
-    # d and then d**2 share one buffer, and their prefix sums another: in a
-    # batch these build while the earlier series' tables are held
+    # d and then d**2 share one buffer, and their prefix sums another
     d = np.tile(v - centre, 2)
     p = np.zeros(2 * n + 1)
     tables = []
@@ -214,65 +212,54 @@ def _block_sum_sharpe(v: np.ndarray, block: int) -> Callable[[np.ndarray], np.nd
     return stat
 
 
-def circular_block_bootstrap(returns: np.ndarray, spec: BootstrapSpec) -> list[BootstrapResult]:
-    """Percentile CIs for the annualized Sharpe ratios of k aligned daily
-    return series, the only statistic it computes: `returns` is a k x n
-    array, and the result a list of k results, one per row.
+def circular_block_bootstrap(returns: np.ndarray, spec: BootstrapSpec) -> BootstrapResult:
+    """Percentile CI for the annualized Sharpe ratio of one daily return
+    series, the only statistic it computes.
 
-    Resamples are ceil(n/block) wraparound blocks truncated to n. All rows
-    read their resamples off one shared draw of block starts. Resamples with
-    zero volatility are redrawn, with a hard retry limit; a row redraws from
-    its own copy of the generator as it stands after the shared draw, so
-    each row's result is exactly that of a call on the row alone.
-    Deterministic in spec.seed and independent of any parallelism in the
-    caller.
+    Resamples are ceil(n/block) wraparound blocks truncated to n, their
+    starts drawn from a generator seeded with spec.seed, so two series
+    bootstrapped with one spec read the same starts, draw by draw, and a
+    paired comparison of series needs no shared draw. Resamples with zero
+    volatility are redrawn from the same generator, with a hard retry
+    limit. Deterministic in spec.seed and independent of any parallelism in
+    the caller.
 
     Each resample is computed from per-block sums of x and x**2, so it costs
     O(ceil(n/block)), and the draws are worked through in chunks of bounded
-    size, so memory does not grow with spec.iterations beyond the k x
-    iterations statistics.
+    size, so memory does not grow with spec.iterations beyond the
+    iterations statistics and the series' tables of n block sums.
     """
-    rows = np.asarray(returns, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ValueError("expected a k x n array of return series")
-    n = rows.shape[1]
+    v = _values(returns)
+    n = len(v)
     if n < 2:
         raise ValueError("need at least two observations")
-    points = [float(_stat_sharpe(v[None, :])[0]) for v in rows]
-    if not np.isfinite(points).all():
+    point = float(_stat_sharpe(v[None, :])[0])
+    if not math.isfinite(point):
         raise ValueError("statistic undefined on the original sample")
 
-    b = spec.block
-    nblocks = -(-n // b)  # ceil
-    resamples = [_block_sum_sharpe(v, b) for v in rows]
+    nblocks = -(-n // spec.block)  # ceil
+    resample = _block_sum_sharpe(v, spec.block)
     chunk = max(1, min(_CHUNK_ROWS, _CHUNK_VALUES // nblocks))
+    rng = np.random.default_rng(spec.seed)
 
-    def draw(rng: np.random.Generator, fns: list, k: int) -> np.ndarray:
-        out = np.empty((len(fns), k))
+    def draw(k: int) -> np.ndarray:
+        out = np.empty(k)
         for i in range(0, k, chunk):
             m = min(chunk, k - i)
-            starts = rng.integers(0, n, size=(m, nblocks))
-            for row, resample in zip(out, fns):
-                row[i:i + m] = resample(starts)
+            out[i:i + m] = resample(rng.integers(0, n, size=(m, nblocks)))
         return out
 
-    rng = np.random.default_rng(spec.seed)
-    stats = draw(rng, resamples, spec.iterations)
+    stats = draw(spec.iterations)
+    for _ in range(_MAX_REDRAW_ROUNDS):
+        bad = ~np.isfinite(stats)
+        if not bad.any():
+            break
+        stats[bad] = draw(int(bad.sum()))
+    else:
+        raise ValueError("bootstrap retry limit exceeded; statistic undefined too often")
     lo = (1.0 - spec.confidence) / 2.0
-    results = []
-    for point, resample, row in zip(points, resamples, stats):
-        own = copy.deepcopy(rng)
-        for _ in range(_MAX_REDRAW_ROUNDS):
-            bad = ~np.isfinite(row)
-            if not bad.any():
-                break
-            row[bad] = draw(own, [resample], int(bad.sum()))[0]
-        else:
-            raise ValueError("bootstrap retry limit exceeded; statistic undefined too often")
-        ci_lo, ci_hi = linear_quantiles(row, [lo, 1.0 - lo])
-        results.append(BootstrapResult(point=point, ci_lo=float(ci_lo), ci_hi=float(ci_hi),
-                                       spec=spec))
-    return results
+    ci_lo, ci_hi = linear_quantiles(stats, [lo, 1.0 - lo])
+    return BootstrapResult(point=point, ci_lo=float(ci_lo), ci_hi=float(ci_hi), spec=spec)
 
 
 @record(frozen=True)

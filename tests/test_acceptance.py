@@ -159,8 +159,8 @@ def test_criterion_04_te_cap_spectrum_shape():
             assert sims[cap].theta.tobytes() == sims[None].theta.tobytes()
         if seed == 0:
             sharpes = [sharpe(sims[c].portfolio, 0.0) for c in DEFAULTS.caps]
-            widths = [b.width for b in circular_block_bootstrap(
-                np.array([sims[c].portfolio for c in DEFAULTS.caps]), SPEC_1000)]
+            widths = [circular_block_bootstrap(sims[c].portfolio, SPEC_1000).width
+                      for c in DEFAULTS.caps]
             assert max(sharpes) - min(sharpes) < min(widths)
 
 
@@ -234,7 +234,7 @@ def test_criterion_06_inference_calibration():
     covered = 0
     for _ in range(500):
         r = mu + sd * rng.standard_normal(2000)
-        (boot,) = circular_block_bootstrap(r[None, :], SPEC_1000)
+        boot = circular_block_bootstrap(r, SPEC_1000)
         covered += boot.ci_lo <= true_sharpe <= boot.ci_hi
     assert 0.92 * 500 <= covered <= 0.98 * 500, f"coverage {covered}/500"
 

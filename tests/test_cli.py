@@ -6,16 +6,16 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
-import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dynte.cli import (CONFIG_VERSION, ConfigError, Run, _cell, _column_text, _svg, load_config,
-                       main)
+from dynte.cli import (CONFIG_VERSION, ConfigError, Run, _cell, _column_text, _svg, cmd_converge,
+                       load_config, main)
 from dynte.inference import circular_block_bootstrap
 from dynte.metrics import sharpe, summarize
 from dynte.regime import classify
@@ -226,6 +226,28 @@ def test_config_type_errors_name_the_field(tmp_path, capsys, cfg, field):
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
 
+# json.load takes NaN, Infinity and -Infinity; float() takes them in a flag
+@pytest.mark.parametrize("form,text,field,value", [
+    (["converge"], '{"caps": [Infinity]}', "caps[0]", "inf"),
+    (["converge", "--caps", "0.01,Infinity"], "{}", "caps[1]", "inf"),
+    (["converge", "--caps", "nan"], "{}", "caps[0]", "nan"),
+    (["exhibit", "3"], '{"synth": {"alpha": [Infinity, 0.1]}}', "synth.alpha[0]", "inf"),
+    (["converge"], '{"synth": {"sigma": [NaN, 0.1]}}', "synth.sigma[0]", "nan"),
+    (["omega"], '{"synth": {"vix_noise": NaN}}', "synth.vix_noise", "nan"),
+    (["props"], '{"model": {"alpha": [NaN, 0.1]}}', "model.alpha[0]", "nan"),
+    (["exhibit", "3"], '{"policy": {"theta_cap": Infinity}}', "policy.theta_cap", "inf"),
+    (["exhibit", "3"], '{"thresholds": {"high": -Infinity}}', "thresholds.high", "-inf"),
+], ids=["caps", "caps flag", "caps flag nan", "synth.alpha", "synth.sigma", "synth.vix_noise",
+        "model.alpha", "policy.theta_cap", "thresholds.high"])
+def test_a_non_finite_number_names_its_setting(tmp_path, capsys, form, text, field, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main([*form, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {field}: expected a finite number, got {value}\n")
+    assert not (tmp_path / "o").exists()
+
+
 FORMS = [("synth",)] + [("exhibit", str(n)) for n in range(1, 8)] + [
     ("converge",), ("omega",), ("regret",), ("sweep",), ("props",)]
 
@@ -410,6 +432,26 @@ def test_range_windows_the_synthetic_panel(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "error: range: " in err and "fewer than three" in err
+
+
+@pytest.mark.parametrize("source", ["synthetic", "files"])
+@pytest.mark.parametrize("start,end,message", [
+    ("2030-01-01", None, "no calendar dates in [2030-01-01, 2005-12-02]"),
+    ("2005-01-03", "2005-01-04", "fewer than three shared dates"),
+], ids=["no dates", "two dates"])
+def test_a_range_that_leaves_too_few_dates_names_range(tmp_path, capsys, source, start, end,
+                                                       message):
+    # the 500-day panel runs from 2004-01-05 to 2005-12-02; file data is
+    # that panel written out by synth
+    extra = {"range": {"start": start, "end": end}}
+    if source == "files":
+        _, files = run(tmp_path, "synth")
+        panel = str(next(f for f in files if f.name.startswith("synth_panel")))
+        extra["data"] = {r: {"path": panel, "column": c}
+                         for r, c in (("eq", "BENCH_EQ"), ("bd", "BENCH_BD"), ("vix", "VIX"))}
+    code, files = run(tmp_path, "converge", config_extra=extra)
+    assert code == 1 and not [f for f in files if f.name.startswith("exhibit7_")]
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: range: {message}"
 
 
 def outputs(out):
@@ -780,8 +822,7 @@ def test_converge_caps_flag_and_uncapped(tmp_path):
 
 
 def test_converge_cis_equal_single_series_bootstraps(tmp_path):
-    # the caps share one draw of block starts; each row's CI must still be
-    # the bootstrap of that cap's overlay alone
+    # each row's CI is the bootstrap of that cap's overlay alone
     extra = {"synth": {"horizon": 700}, "bootstrap": {"iterations": 200, "block": 30}}
     code, files = run(tmp_path, "converge", config_extra=extra)
     assert code == 0
@@ -791,18 +832,26 @@ def test_converge_cis_equal_single_series_bootstraps(tmp_path):
     assert len(rows) == len(cfg.caps)
     for cap, row in zip(cfg.caps, rows):
         sim = shared.overlay(cfg.dynamic_policy.with_ceiling(cap))
-        (boot,) = circular_block_bootstrap(sim.portfolio[None, :], cfg.bootstrap_spec)
+        boot = circular_block_bootstrap(sim.portfolio, cfg.bootstrap_spec)
         assert (float(row[7]), float(row[8])) == (boot.ci_lo, boot.ci_hi), row[0]
 
 
-def test_drop_frees_what_a_run_built(tmp_path):
-    # converge drops its inputs so that the bootstrap can reuse their memory
-    shared = Run(load_config(write_config(tmp_path), {}), "converge")
-    built = [weakref.ref(x) for x in (shared.market(), shared.bench, shared.vol, shared.path,
-                                      shared.static, shared.dynamic)]
-    shared.drop()
-    assert [ref() for ref in built] == [None] * 6
-    assert shared.bench is not None  # built again on the next read
+def test_converge_memory_does_not_grow_with_the_caps(tmp_path):
+    # each cap is bootstrapped as it is simulated, so a cap more holds
+    # neither its portfolio nor its tables and statistics past its own row
+    n, iterations = 2000, 2000
+    extra = {"synth": {"horizon": n}, "bootstrap": {"iterations": iterations}}
+    every, peaks = load_config(None, {}).caps, []
+    for caps in (every[:1], every):
+        shared = Run(load_config(write_config(tmp_path, caps=caps, **extra), {}), "converge")
+        shared.market()
+        tracemalloc.start()
+        try:
+            cmd_converge(shared)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 10 * (2 * n + iterations) * 8 / 4, peaks
 
 
 INT_COLUMNS = {"horizon_days", "window", "prop", *(f"n_q{k}" for k in range(1, 6))}

@@ -27,12 +27,6 @@ def spec_of(block, iterations, seed=0, confidence=CONFIDENCE):
     return BootstrapSpec(block, iterations, seed, confidence)
 
 
-def bootstrap_one(r, spec):
-    """The bootstrap of one series, as the one row of a 1 x n array."""
-    (out,) = circular_block_bootstrap(np.asarray(r)[None, :], spec)
-    return out
-
-
 # ------------------------------------------------------------ percentiles
 
 # the percentiles the commands take: bootstrap CI ends, the regime
@@ -139,7 +133,7 @@ def test_nw_iid_size_control():
 def test_bootstrap_rotation_invariance():
     rng = np.random.default_rng(6)
     r = 0.01 * rng.standard_normal(100) + 0.0005
-    out = bootstrap_one(r, spec_of(block=100, iterations=300, seed=0))
+    out = circular_block_bootstrap(r, spec_of(block=100, iterations=300, seed=0))
     # every resample is a rotation of the sample, so the Sharpe is the
     # original up to summation order; the interval collapses
     assert out.width <= 1e-12
@@ -150,17 +144,17 @@ def test_bootstrap_deterministic_in_seed():
     rng = np.random.default_rng(7)
     r = 0.01 * rng.standard_normal(400)
     spec = spec_of(block=21, iterations=500, seed=11)
-    a = bootstrap_one(r, spec)
-    b = bootstrap_one(r, spec)
+    a = circular_block_bootstrap(r, spec)
+    b = circular_block_bootstrap(r, spec)
     assert (a.ci_lo, a.ci_hi) == (b.ci_lo, b.ci_hi)
-    c = bootstrap_one(r, spec_of(21, 500, 12))
+    c = circular_block_bootstrap(r, spec_of(21, 500, 12))
     assert (a.ci_lo, a.ci_hi) != (c.ci_lo, c.ci_hi)
 
 
 def test_bootstrap_point_estimates():
     rng = np.random.default_rng(8)
     r = 0.01 * rng.standard_normal(300) + 0.0004
-    sharpe_pt = bootstrap_one(r, spec_of(block=21, iterations=50, seed=0)).point
+    sharpe_pt = circular_block_bootstrap(r, spec_of(block=21, iterations=50, seed=0)).point
     want = np.mean(r) / np.std(r, ddof=1) * math.sqrt(252.0)
     assert_allclose(sharpe_pt, want, rtol=1e-12)
 
@@ -169,7 +163,7 @@ def test_bootstrap_interval_brackets_truth_generously():
     rng = np.random.default_rng(10)
     true_daily = 0.0006
     r = 0.01 * rng.standard_normal(2000) + true_daily
-    out = bootstrap_one(r, spec_of(block=63, iterations=800, seed=1))
+    out = circular_block_bootstrap(r, spec_of(block=63, iterations=800, seed=1))
     assert out.ci_lo < out.point < out.ci_hi
 
 
@@ -221,9 +215,9 @@ def assert_matches_oracle(r, spec):
         want = oracle_bootstrap(r, spec)
     except ValueError as exc:
         with pytest.raises(ValueError, match=str(exc)):
-            bootstrap_one(r, spec)
+            circular_block_bootstrap(r, spec)
         return
-    got = bootstrap_one(r, spec)
+    got = circular_block_bootstrap(r, spec)
     assert got.point == want.point
     # block sums add in another order; a resample whose mean is exactly
     # zero reads rounding dust of order 1e-16 in either method
@@ -266,89 +260,68 @@ def test_bootstrap_redraws_match_gather_oracle(seed, base):
     assert_matches_oracle(r, spec)
 
 
-def series_rows(rng, n, bursts):
-    """One row per entry of `bursts`: where it is true, zeros but for a
-    burst of n // 8 + 1 Gaussian values at a random place, so every
-    resample that misses the burst is constant and redrawn, and the others
-    spread; else a Gaussian series."""
-    rows = 0.0003 + 0.01 * rng.standard_normal((len(bursts), n))
-    for row, burst in zip(rows, bursts):
-        if burst:
-            row[n // 8 + 1:] = 0.0
-            row[:] = np.roll(row, rng.integers(n))
-    return rows
+def gaussian(seed, n):
+    return 0.0003 + 0.01 * np.random.default_rng(seed).standard_normal(n)
 
 
-def _outcome(call):
-    try:
-        return call()
-    except ValueError as exc:
-        return str(exc)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    n=st.integers(2, 200),
-    data=st.data(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_bootstrap_rows_equal_single_series(n, data, seed):
-    # block >= n and n % block != 0 are both in range; burst rows redraw
-    # often, Gaussian rows seldom, so each row redraws on its own
-    block = data.draw(st.integers(1, 2 * n), label="block")
-    bursts = data.draw(st.lists(st.booleans(), min_size=1, max_size=5), label="bursts")
-    rows = series_rows(np.random.default_rng(seed), n, bursts)
-    spec = spec_of(block=block, iterations=601, seed=seed % 1000)
-    singles = [_outcome(lambda: bootstrap_one(r, spec)) for r in rows]
-    errors = [x for x in singles if isinstance(x, str)]
-    if errors:
-        # the points are checked before any draw, then each row's redraws
-        undefined = "statistic undefined on the original sample"
-        with pytest.raises(ValueError, match=undefined if undefined in errors else errors[0]):
-            circular_block_bootstrap(rows, spec)
-        return
-    batch = circular_block_bootstrap(rows, spec)
-    assert [(b.point, b.ci_lo, b.ci_hi) for b in batch] == \
-        [(s.point, s.ci_lo, s.ci_hi) for s in singles]
-
-
-@pytest.mark.parametrize("k", [1, 3])
-def test_bootstrap_chunked_draws_equal_one_shot(monkeypatch, k):
-    rows = series_rows(np.random.default_rng(18), 250, [False] * k)
+@pytest.mark.parametrize("rows", [1, 3])
+def test_bootstrap_chunked_draws_equal_one_shot(monkeypatch, rows):
+    r = gaussian(18, 250)
     spec = spec_of(block=50, iterations=1001, seed=4)  # 5 blocks a resample
-    one_shot = circular_block_bootstrap(rows, spec)
-    monkeypatch.setattr(inference, "_CHUNK_ROWS", 3)
-    chunked = circular_block_bootstrap(rows, spec)
-    assert [(c.ci_lo, c.ci_hi) for c in chunked] == [(o.ci_lo, o.ci_hi) for o in one_shot]
-    for r in rows:
-        assert_matches_oracle(r, spec)
+    one_shot = circular_block_bootstrap(r, spec)
+    monkeypatch.setattr(inference, "_CHUNK_ROWS", rows)
+    chunked = circular_block_bootstrap(r, spec)
+    assert (chunked.ci_lo, chunked.ci_hi) == (one_shot.ci_lo, one_shot.ci_hi)
+    assert_matches_oracle(r, spec)
+
+
+def test_two_series_read_the_same_starts(monkeypatch):
+    # what a paired comparison of two series needs: one spec, the same
+    # block starts at the same draw index
+    seen = []
+    build = inference._block_sum_sharpe
+
+    def recording(v, block):
+        stat, starts = build(v, block), []
+        seen.append(starts)
+
+        def recorded(s):
+            starts.append(s.copy())
+            return stat(s)
+        return recorded
+
+    monkeypatch.setattr(inference, "_block_sum_sharpe", recording)
+    spec = spec_of(block=21, iterations=600, seed=5)  # 3 chunks of 15 blocks
+    for seed in (21, 22):
+        circular_block_bootstrap(gaussian(seed, 300), spec)
+    a, b = (np.concatenate(starts) for starts in seen)
+    assert a.shape == (600, 15) and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_bootstrap_memory_bounded_in_iterations(k):
-    rows = series_rows(np.random.default_rng(19), 252, [False] * k)
     iterations = 200_000
     spec = spec_of(block=21, iterations=iterations, seed=0)
     tracemalloc.start()
     try:
-        circular_block_bootstrap(rows, spec)
+        for seed in range(k):
+            circular_block_bootstrap(gaussian(seed, 252), spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # all-at-once resampling would hold k x iterations x 252 values (400 MB
-    # a series); beyond the k x iterations statistics only chunk-sized
-    # buffers may remain
-    assert peak - 8 * k * iterations < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    # all-at-once resampling would hold iterations x 252 values (400 MB);
+    # beyond one series' iterations statistics only chunk-sized buffers may
+    # remain, however many series are bootstrapped in turn
+    assert peak - 8 * iterations < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_bootstrap_input_shapes():
-    rows = series_rows(np.random.default_rng(20), 100, [False, False])
+    r = gaussian(20, 100)
     spec = spec_of(block=10, iterations=50)
-    batch = circular_block_bootstrap(rows, spec)
-    assert all(isinstance(b, BootstrapResult) for b in batch) and len(batch) == 2
-    assert circular_block_bootstrap(rows[:1], spec) == batch[:1]
-    for bad in (rows[0], rows[None]):
-        with pytest.raises(ValueError, match="k x n array"):
+    assert isinstance(circular_block_bootstrap(r, spec), BootstrapResult)
+    assert circular_block_bootstrap(list(r), spec) == circular_block_bootstrap(r, spec)
+    for bad in (r[None], np.stack([r, r]), r[0]):
+        with pytest.raises(ValueError, match="one-dimensional"):
             circular_block_bootstrap(bad, spec)
 
 
