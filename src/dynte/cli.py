@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: synth, exhibit N (1..7), converge, omega, regret, sweep,
-props. Settings come from a versioned JSON config; flags override config
-fields. _merge_defaults alone decides which JSON value a setting takes,
+props. Settings come from the versioned JSON config --config names, and
+--out names the output directory; there are no other flags.
+_merge_defaults alone decides which JSON value a setting takes,
 checking each against its default (the `synth` section against
 SynthParams' field defaults), and a bad value fails naming its key and
 index, e.g. `synth.transition[0][0]`. Each command takes a Run, which
@@ -37,12 +38,13 @@ import numpy as np
 from ._record import record
 from .events import find_trough, omega_table, regret_table
 from .inference import BootstrapSpec, circular_block_bootstrap
-from .metrics import MetricsReport, drawdown_path, summarize
+from .metrics import MetricsReport, drawdown_path, excess_returns, summarize
 from .model import GovernanceParams, RegimeParams, proposition_suite
 from .regime import RegimePath, RegimeThresholds, classify, percentile_thresholds
 from .rolling import WindowSpec, moving_average, rolling_avg_pairwise_corr, rolling_corr
 from .simulate import OverlayPolicy, SimResult, benchmark_7030, simulate_overlay, sizing_vol
 from .timeseries import (
+    TRADING_DAYS_PER_YEAR,
     UNIT_LEVEL,
     UNIT_PRICE,
     AssetPanel,
@@ -61,7 +63,7 @@ CONFIG_VERSION = 1
 
 
 class ConfigError(Exception):
-    """Invalid config or flags; reported with the offending field."""
+    """Invalid config; reported with the offending field."""
 
     def __init__(self, fieldname: str, msg: str):
         super().__init__(f"{fieldname}: {msg}")
@@ -238,9 +240,12 @@ def _roles(data: dict) -> tuple[dict, dict[str, str]]:
             cols = [spec["column"]]
         else:
             cols = spec.get("columns")
-            if cols is not None and not (isinstance(cols, list)
-                                         and all(isinstance(c, str) for c in cols)):
-                raise ConfigError("data.sectors.columns", "expected a list of column names")
+            if cols is not None:
+                if not (isinstance(cols, list) and all(isinstance(c, str) for c in cols)):
+                    raise ConfigError("data.sectors.columns", "expected a list of column names")
+                if not cols or len(set(cols)) < len(cols):
+                    raise ConfigError("data.sectors.columns",
+                                      f"expected one or more names, none twice, got {cols}")
         try:
             digests[name] = hashlib.sha256(Path(spec["path"]).read_bytes()).hexdigest()
         except FileNotFoundError:
@@ -528,7 +533,7 @@ def load_market(cfg: RunConfig, need: Sequence[str]) -> Market:
     rf: Series | float = 0.0
     if "rf" in roles:
         annual = roles["rf"].restrict(rcal)
-        rf = Series(rcal, annual.values / 252.0, UNIT_LEVEL)
+        rf = Series(rcal, annual.values / TRADING_DAYS_PER_YEAR, UNIT_LEVEL)
 
     sectors = None
     if "sectors" in roles:
@@ -757,15 +762,15 @@ def _exhibit6(run: Run) -> list[Path]:
 
 
 def cmd_converge(run: Run) -> list[Path]:
-    cfg = run.cfg
+    cfg, rf = run.cfg, run.market().rf
     header = ["cap", "cagr", "vol", "sharpe", "max_drawdown", "te_level",
               "te_sigma", "sharpe_ci_lo", "sharpe_ci_hi", "ci_width"]
     rows = []
     for cap in cfg.caps:
         sim = run.overlay(cfg.dynamic_policy.with_ceiling(cap))
-        rep = summarize(sim.portfolio, rf=run.market().rf, te=sim.te,
-                        smoothed_vix=run.path.signal)
-        boot = circular_block_bootstrap(sim.portfolio, cfg.bootstrap_spec)
+        rep = summarize(sim.portfolio, rf=rf, te=sim.te, smoothed_vix=run.path.signal)
+        # the CI is of the Sharpe the row reports, of returns in excess of rf
+        boot = circular_block_bootstrap(excess_returns(sim.portfolio, rf), cfg.bootstrap_spec)
         rows.append([
             "uncapped" if cap is None else cap,
             rep.cagr, rep.vol, rep.sharpe, rep.max_drawdown, rep.te_level, rep.te_sigma,
@@ -826,38 +831,10 @@ COMMANDS: dict[str, tuple[str, Any]] = {
 }
 
 
-def _parse_caps(text: str) -> list[float | None]:
-    out: list[float | None] = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if tok.lower() in ("uncapped", "none", "inf"):
-            out.append(None)
-        else:
-            try:
-                out.append(float(tok))
-            except ValueError:
-                raise ConfigError("--caps", f"bad cap {tok!r}") from None
-    return out
-
-
-def _parse_ints(text: str, flag: str) -> list[int]:
-    try:
-        return [int(t.strip()) for t in text.split(",")]
-    except ValueError:
-        raise ConfigError(flag, f"expected comma-separated integers, got {text!r}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file")
     common.add_argument("--out", metavar="DIR", help="output directory")
-    common.add_argument("--seed", metavar="N", type=int, help="master seed")
-    common.add_argument("--caps", metavar="LIST",
-                        help="comma-separated TE ceilings; 'uncapped' allowed")
-    common.add_argument("--windows", metavar="LIST",
-                        help="comma-separated signal windows for sweep")
-    common.add_argument("--horizons", metavar="LIST",
-                        help="comma-separated forward horizons in trading days")
 
     p = argparse.ArgumentParser(
         prog="dynte",
@@ -874,17 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        horizons = (None if args.horizons is None
-                    else _parse_ints(args.horizons, "--horizons"))
-        cfg = load_config(args.config, {
-            "out": args.out,
-            "seed": args.seed,
-            "caps": None if args.caps is None else _parse_caps(args.caps),
-            "sweep_windows": (None if args.windows is None
-                              else _parse_ints(args.windows, "--windows")),
-            "omega_horizons": horizons,
-            "regret_horizons": horizons,
-        })
+        cfg = load_config(args.config, {"out": args.out})
         command, label = COMMANDS[args.command][1], args.command
         if isinstance(command, dict):
             if args.n not in command:

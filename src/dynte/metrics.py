@@ -53,21 +53,21 @@ def annualized_vol(returns) -> float:
     return float(np.std(v, ddof=1)) * math.sqrt(TRADING_DAYS_PER_YEAR)
 
 
-def _daily_rf(rf: Series | float, n: int) -> np.ndarray:
-    """A per-day rate series as given, or a scalar annual rate spread evenly
-    across days."""
+def excess_returns(returns, rf: Series | float) -> np.ndarray:
+    """Daily returns less the risk-free rate: a per-day rate series as
+    given, or a scalar annual rate spread evenly across days."""
+    v = _returns(returns)
     if isinstance(rf, Series):
-        if len(rf) != n:
+        if len(rf) != len(v):
             raise ValueError("risk-free series length mismatch")
-        return rf.values
-    return np.full(n, float(rf) / TRADING_DAYS_PER_YEAR)
+        return v - rf.values
+    return v - float(rf) / TRADING_DAYS_PER_YEAR
 
 
 def sharpe(returns, rf: Series | float) -> float:
-    v = _returns(returns)
-    if len(v) < 2:
+    ex = excess_returns(returns, rf)
+    if len(ex) < 2:
         raise ValueError("need at least two returns")
-    ex = v - _daily_rf(rf, len(v))
     sd = float(np.std(ex, ddof=1))
     if sd == 0.0:
         raise ValueError("zero volatility of excess returns")

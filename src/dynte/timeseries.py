@@ -222,9 +222,6 @@ class AssetPanel:
     def __post_init__(self):
         if not self.series:
             raise ValueError("panel needs at least one symbol")
-        syms = list(self.series)
-        if len(set(syms)) != len(syms):
-            raise ValueError("duplicate symbols in panel")
         for sym, s in self.series.items():
             if s.calendar != self.calendar:
                 raise ValueError(f"symbol {sym} not on the shared calendar")
@@ -331,11 +328,11 @@ def ingest_csv(path, columns: Sequence[str] | None, unit: str) -> IngestResult:
     symbols): the `columns` asked for, or every column for None.
 
     Rows may come in any order. Rows where any requested symbol is missing
-    are dropped and reported. Raises on malformed dates, non-numeric or
-    non-finite cells (inf, a signed NaN, a number that overflows),
-    duplicate dates, empty result, or a gap of more than MAX_WEEKDAY_GAP
-    weekdays between consecutive surviving rows. A quoted cell must not
-    span lines.
+    are dropped and reported. Raises on a column name the header repeats,
+    malformed dates, non-numeric or non-finite cells (inf, a signed NaN, a
+    number that overflows), duplicate dates, empty result, or a gap of more
+    than MAX_WEEKDAY_GAP weekdays between consecutive surviving rows. A
+    quoted cell must not span lines.
 
     Plain lines (see _plain_lines) are parsed as arrays; the rest, typically
     the few rows with a missing cell, one by one.
@@ -353,6 +350,9 @@ def ingest_csv(path, columns: Sequence[str] | None, unit: str) -> IngestResult:
         raise ValueError(f"{path}: need a date column plus at least one symbol")
     if header[0] != "date":
         raise ValueError(f"{path}: first column is {header[0]!r}, expected 'date'")
+    dup = next((h for i, h in enumerate(header) if h in header[:i]), None)
+    if dup is not None:
+        raise ValueError(f"{path}: duplicate column {dup!r} in header")
     symbols = header[1:]
     if columns is not None:
         missing = [c for c in columns if c not in symbols]

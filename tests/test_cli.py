@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynte.cli import (CONFIG_VERSION, ConfigError, Run, _cell, _column_text, _svg, cmd_converge,
-                       load_config, main)
+from dynte.cli import (COMMANDS, CONFIG_VERSION, ConfigError, Run, _cell, _column_text, _svg,
+                       cmd_converge, load_config, main)
 from dynte.inference import circular_block_bootstrap
-from dynte.metrics import sharpe, summarize
+from dynte.metrics import excess_returns, sharpe, summarize
 from dynte.regime import classify
 from dynte.simulate import benchmark_7030, simulate_overlay, sizing_vol
 from dynte.timeseries import (UNIT_LEVEL, UNIT_RETURN, Series, SynthParams, TradingCalendar,
@@ -75,9 +75,9 @@ def test_synth_deterministic_rerun(tmp_path):
     assert re.fullmatch(r"synth_states_[0-9a-f]{12}\.csv", names[1])
 
 
-def test_seed_flag_changes_hash_and_content(tmp_path):
+def test_seed_changes_hash_and_content(tmp_path):
     _, base = run(tmp_path, "synth")
-    _, seeded = run(tmp_path, "synth", "--seed", "7")
+    _, seeded = run(tmp_path, "synth", config_extra={"seed": 7})
     base_names = {f.name for f in base}
     new = [f for f in seeded if f.name not in base_names]
     assert len(new) == 2  # different config hash, fresh filenames
@@ -148,27 +148,49 @@ def test_exhibit1_needs_sector_data(tmp_path, capsys):
     assert "data.sectors" in err and "exhibit 1" in err
 
 
+@pytest.mark.parametrize("columns", [[], ["XLB", "XLB"]], ids=["empty", "repeated"])
+def test_a_bad_sector_column_list_names_the_setting(tmp_path, capsys, monkeypatch, columns):
+    import dynte.cli
+
+    monkeypatch.setattr(dynte.cli, "ingest_csv", None)  # no file is read
+    data = {"sectors": {"path": __file__, "columns": columns},
+            "vix": {"path": __file__, "column": "VIX"}}
+    code, files = run(tmp_path, "exhibit", "1", config_extra={"data": data})
+    assert (code, files) == (2, [])
+    assert capsys.readouterr().err == ("config error: data.sectors.columns: expected one or "
+                                       f"more names, none twice, got {columns}\n")
+
+
 def test_exhibit_number_out_of_range(tmp_path, capsys):
     code, _ = run(tmp_path, "exhibit", "9")
     assert code == 2
     assert "1..7" in capsys.readouterr().err
 
 
-def test_bad_caps_flag(tmp_path, capsys):
-    for caps in ("0.01,wat", ""):  # an empty list is an error, not the default
-        code, _ = run(tmp_path, "converge", "--caps", caps)
-        assert code == 2, caps
-        assert "--caps" in capsys.readouterr().err
+@pytest.mark.parametrize("flag,value", [("--seed", "5"), ("--caps", "0.01,uncapped"),
+                                        ("--windows", "1,21"), ("--horizons", "21,63")])
+def test_settings_have_no_flags(tmp_path, capsys, flag, value):
+    # each is a config key: seed, caps, sweep_windows, omega_/regret_horizons
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "converge", flag, value)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
-def test_bad_windows_flag(tmp_path, capsys):
-    for flag, value in (("--windows", "5,x"), ("--windows", ""), ("--horizons", "")):
-        code, _ = run(tmp_path, "sweep", flag, value)
-        assert code == 2, (flag, value)
-        assert flag in capsys.readouterr().err
+def test_readme_flags_are_the_parsers_options(capsys):
+    # the README's `Flags:` sentence names exactly what each subcommand takes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"^Flags:(.*?)\.\s", readme, re.M | re.S).group(1)
+    listed = set(re.findall(r"`(--[\w-]+)", sentence))
+    for name in COMMANDS:
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        options = set(re.findall(r"(?<![\w-])(--[\w-]+)", capsys.readouterr().out))
+        assert options - {"--help"} == listed, name
 
 
 def test_config_error_field_attribute():
+    # an empty list is an error, not the default
     for field in ("caps", "sweep_windows"):
         with pytest.raises(ConfigError) as exc:
             load_config(None, {field: []})
@@ -226,18 +248,16 @@ def test_config_type_errors_name_the_field(tmp_path, capsys, cfg, field):
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
 
-# json.load takes NaN, Infinity and -Infinity; float() takes them in a flag
+# json.load takes NaN, Infinity and -Infinity
 @pytest.mark.parametrize("form,text,field,value", [
     (["converge"], '{"caps": [Infinity]}', "caps[0]", "inf"),
-    (["converge", "--caps", "0.01,Infinity"], "{}", "caps[1]", "inf"),
-    (["converge", "--caps", "nan"], "{}", "caps[0]", "nan"),
     (["exhibit", "3"], '{"synth": {"alpha": [Infinity, 0.1]}}', "synth.alpha[0]", "inf"),
     (["converge"], '{"synth": {"sigma": [NaN, 0.1]}}', "synth.sigma[0]", "nan"),
     (["omega"], '{"synth": {"vix_noise": NaN}}', "synth.vix_noise", "nan"),
     (["props"], '{"model": {"alpha": [NaN, 0.1]}}', "model.alpha[0]", "nan"),
     (["exhibit", "3"], '{"policy": {"theta_cap": Infinity}}', "policy.theta_cap", "inf"),
     (["exhibit", "3"], '{"thresholds": {"high": -Infinity}}', "thresholds.high", "-inf"),
-], ids=["caps", "caps flag", "caps flag nan", "synth.alpha", "synth.sigma", "synth.vix_noise",
+], ids=["caps", "synth.alpha", "synth.sigma", "synth.vix_noise",
         "model.alpha", "policy.theta_cap", "thresholds.high"])
 def test_a_non_finite_number_names_its_setting(tmp_path, capsys, form, text, field, value):
     path = tmp_path / "cfg.json"
@@ -329,15 +349,16 @@ def test_short_samples_name_the_setting(tmp_path, capsys):
     # 63-day vol window, and than twice the 63-day omega horizon; 50 and 15
     # days: no longer than the 63-day vol window, and 15 days shorter than
     # the 21-day signal window; 700 days: shorter than an 800-day sweep window
-    for form, days, field in ((["exhibit", "2"], 100, "windows.stock_bond_corr"),
-                              (["exhibit", "4"], 100, "windows.vol"),
-                              (["omega"], 100, "omega_horizons"),
-                              (["sweep"], 50, "windows.vol"),
-                              (["exhibit", "3"], 15, "windows.vol"),
-                              (["converge"], 15, "windows.signal"),
-                              (["sweep"], 15, "windows.vol"),
-                              (["sweep", "--windows", "21,800"], 700, "sweep_windows[1]")):
-        code, _ = run(tmp_path, *form, config_extra={"synth": {"horizon": days}})
+    for form, days, field, extra in (
+            (["exhibit", "2"], 100, "windows.stock_bond_corr", {}),
+            (["exhibit", "4"], 100, "windows.vol", {}),
+            (["omega"], 100, "omega_horizons", {}),
+            (["sweep"], 50, "windows.vol", {}),
+            (["exhibit", "3"], 15, "windows.vol", {}),
+            (["converge"], 15, "windows.signal", {}),
+            (["sweep"], 15, "windows.vol", {}),
+            (["sweep"], 700, "sweep_windows[1]", {"sweep_windows": [21, 800]})):
+        code, _ = run(tmp_path, *form, config_extra={"synth": {"horizon": days}, **extra})
         assert code == 1, form
         # after the synthetic panel's data line
         assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {field}: "), form
@@ -407,16 +428,6 @@ def test_every_subcommand_rejects_a_bad_config(tmp_path, capsys, cfg, field):
     assert not (tmp_path / "o").exists()
 
 
-def test_seed_flag_equals_config_seed(tmp_path):
-    extra = {"bootstrap": {"iterations": 200}}
-    cfg = write_config(tmp_path, seed=5, **extra)
-    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
-    cfg = write_config(tmp_path, **extra)
-    assert main(["converge", "--config", cfg, "--seed", "5", "--out", str(tmp_path / "b")]) == 0
-    a, b = outputs(tmp_path / "a"), outputs(tmp_path / "b")
-    assert len(a) == 1 and a == b
-
-
 def test_range_windows_the_synthetic_panel(tmp_path, capsys):
     # the 900-day panel runs from 2004-01-05 to 2007-06
     extra = {"synth": {"horizon": 900}, "range": {"start": "2005-01-03", "end": "2006-06-30"}}
@@ -479,7 +490,12 @@ def test_output_names_ignore_out_and_svg(tmp_path):
     (("props",), {"model": {"alpha": [0, 1], "sigma": [1, 2], "p": 1, "tau_bar": 1},
                   "synth": {"horizon": 900}, "bootstrap": {"iterations": 200}},
      ["props_da17964c909e.csv"]),
-], ids=["props-empty", "synth-empty", "props-int-model"])
+    # the names the --caps/--seed and --horizons flags' runs had on an empty config
+    (("converge",), {"caps": [0.01, None], "seed": 5}, ["exhibit7_ad86a7041973.csv"]),
+    (("omega",), {"omega_horizons": [21, 63], "regret_horizons": [21, 63]},
+     ["exhibit5_4d64fcab2c7e.csv"]),
+], ids=["props-empty", "synth-empty", "props-int-model", "converge-caps-seed",
+        "omega-horizons"])
 def test_output_names_are_pinned(tmp_path, form, cfg, names):
     # how the defaults and a config's values serialise into the hash: a
     # change there renames every output
@@ -494,13 +510,14 @@ def test_output_name_covers_input_bytes(tmp_path):
     panel = next(f for f in files if f.name.startswith("synth_panel"))
     data = {role: {"path": str(panel), "column": col}
             for role, col in (("eq", "BENCH_EQ"), ("bd", "BENCH_BD"), ("vix", "VIX"))}
-    code, first = run(tmp_path, "omega", "--horizons", "21,63", config_extra={"data": data})
+    extra = {"data": data, "omega_horizons": [21, 63]}
+    code, first = run(tmp_path, "omega", config_extra=extra)
     assert code == 0
     omega = [f.name for f in first if f.name.startswith("exhibit5_")]
     lines = panel.read_text().splitlines()
     lines[-1] = ",".join(lines[-1].split(",")[:-1] + ["20.5"])  # one VIX cell
     panel.write_text("\n".join(lines) + "\n")
-    code, second = run(tmp_path, "omega", "--horizons", "21,63", config_extra={"data": data})
+    code, second = run(tmp_path, "omega", config_extra=extra)
     assert code == 0
     new = [f.name for f in second if f.name.startswith("exhibit5_")]
     assert len(omega) == 1 and len(new) == 2 and omega[0] in new
@@ -527,6 +544,20 @@ def test_dropped_rows_reported_on_stderr(tmp_path, capsys):
         f"data: {eq_file} dropped 1 incomplete rows; {panel} dropped 0 incomplete rows; "
         f"{panel} dropped 0 incomplete rows; intersection dropped 1 dates"
     ]
+
+
+def test_a_repeated_header_column_names_its_file(tmp_path, capsys):
+    _, files = run(tmp_path, "synth")
+    panel = next(f for f in files if f.name.startswith("synth_panel"))
+    head, body = panel.read_text().split("\n", 1)
+    bad = tmp_path / "vix.csv"
+    bad.write_text(f"{head},VIX\n" + body.replace("\n", ",1.0\n"))  # two VIX columns
+    data = {r: {"path": str(bad if r == "vix" else panel), "column": c}
+            for r, c in (("eq", "BENCH_EQ"), ("bd", "BENCH_BD"), ("vix", "VIX"))}
+    capsys.readouterr()
+    code, _ = run(tmp_path, "exhibit", "3", config_extra={"data": data})
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {bad}: duplicate column 'VIX' in header\n"
 
 
 @pytest.mark.parametrize("role,column", [("vix", "VIX"), ("eq", "BENCH_EQ")])
@@ -727,7 +758,7 @@ def test_a_spread_file_replaces_the_leg_difference(tmp_path):
 
 
 def test_omega_synthetic(tmp_path):
-    code, files = run(tmp_path, "omega", "--horizons", "21,63")
+    code, files = run(tmp_path, "omega", config_extra={"omega_horizons": [21, 63]})
     assert code == 0
     rows = read_rows(files[0])
     assert files[0].name.startswith("exhibit5_")
@@ -739,10 +770,8 @@ def test_regret_synthetic_crisis(tmp_path):
     panel, _ = synth_regime_panel(SynthParams(horizon=900))
     dates = panel.calendar.dates
     crises = {"synth_dip": [dates[100].isoformat(), dates[400].isoformat()]}
-    code, files = run(
-        tmp_path, "regret", "--horizons", "21,63",
-        config_extra={"synth": {"horizon": 900}, "crises": crises},
-    )
+    code, files = run(tmp_path, "regret", config_extra={
+        "synth": {"horizon": 900}, "crises": crises, "regret_horizons": [21, 63]})
     assert code == 0
     rows = read_rows(files[0])
     assert rows[0][0] == "crisis"
@@ -766,8 +795,8 @@ def test_regret_leaves_horizons_past_the_sample_empty(tmp_path, capsys):
 
 
 def test_sweep_synthetic(tmp_path):
-    code, files = run(tmp_path, "sweep", "--windows", "1,21",
-                      config_extra={"synth": {"horizon": 700}})
+    code, files = run(tmp_path, "sweep",
+                      config_extra={"synth": {"horizon": 700}, "sweep_windows": [1, 21]})
     assert code == 0
     rows = read_rows(files[0])
     assert rows[0][0] == "window"
@@ -779,7 +808,7 @@ def test_sweep_synthetic(tmp_path):
 def test_sweep_window_21_row_equals_exhibit3(tmp_path):
     # the sweep's window-21 overlay is exhibit 3's dynamic overlay on the
     # thresholds that row fitted, and its static cells are exhibit 3's static row
-    code, files = run(tmp_path, "sweep", "--windows", "5,21")
+    code, files = run(tmp_path, "sweep", config_extra={"sweep_windows": [5, 21]})
     assert code == 0
     header, _, row = read_rows(files[0])
     sweep = dict(zip(header, row))
@@ -807,11 +836,9 @@ def test_sweep_refits_thresholds_per_window(tmp_path):
     assert len({r[1] for r in rows}) == len({r[2] for r in rows}) == 4
 
 
-def test_converge_caps_flag_and_uncapped(tmp_path):
-    code, files = run(
-        tmp_path, "converge", "--caps", "0.01,uncapped",
-        config_extra={"bootstrap": {"iterations": 200}},
-    )
+def test_converge_caps_and_uncapped(tmp_path):
+    code, files = run(tmp_path, "converge",
+                      config_extra={"caps": [0.01, None], "bootstrap": {"iterations": 200}})
     assert code == 0
     rows = read_rows(files[0])
     assert files[0].name.startswith("exhibit7_")
@@ -834,6 +861,31 @@ def test_converge_cis_equal_single_series_bootstraps(tmp_path):
         sim = shared.overlay(cfg.dynamic_policy.with_ceiling(cap))
         boot = circular_block_bootstrap(sim.portfolio, cfg.bootstrap_spec)
         assert (float(row[7]), float(row[8])) == (boot.ci_lo, boot.ci_hi), row[0]
+
+
+def test_converge_cis_are_of_the_excess_return_sharpe(tmp_path):
+    # with a risk-free file, each row's CI is the bootstrap of its overlay's
+    # returns less rf, so it brackets the excess-return Sharpe the row reports
+    data = {k: v for k, v in bench_style_data(tmp_path).items() if k in ("eq", "bd", "vix")}
+    dates = [r[0] for r in read_rows(tmp_path / "eq.csv")[1:]]
+    rate = 0.03  # a constant annual rate
+    (tmp_path / "rf.csv").write_text("date,RATE\n" + "".join(f"{d},{rate}\n" for d in dates))
+    data["rf"] = {"path": str(tmp_path / "rf.csv"), "column": "RATE"}
+    extra = {"data": data, "caps": [0.005, 0.05, None], "bootstrap": {"iterations": 500}}
+    code, files = run(tmp_path, "converge", config_extra=extra)
+    assert code == 0
+    cfg = load_config(write_config(tmp_path, **extra), {})
+    shared = Run(cfg, "converge")
+    header, *rows = read_rows(next(f for f in files if f.name.startswith("exhibit7_")))
+    assert len(rows) == len(cfg.caps)
+    for cap, row in zip(cfg.caps, rows):
+        row = dict(zip(header, row))
+        sim = shared.overlay(cfg.dynamic_policy.with_ceiling(cap))
+        boot = circular_block_bootstrap(excess_returns(sim.portfolio, rate), cfg.bootstrap_spec)
+        assert (row["sharpe_ci_lo"], row["sharpe_ci_hi"]) == (_cell(boot.ci_lo),
+                                                              _cell(boot.ci_hi)), cap
+        assert row["sharpe"] == _cell(sharpe(sim.portfolio, rate)), cap
+        assert boot.ci_lo <= float(row["sharpe"]) <= boot.ci_hi, cap
 
 
 def test_converge_memory_does_not_grow_with_the_caps(tmp_path):
@@ -866,9 +918,9 @@ def test_cells_print_in_one_format(tmp_path):
     panel, _ = synth_regime_panel(SynthParams(horizon=900))
     dates = panel.calendar.dates
     extra = {"synth": {"horizon": 900}, "bootstrap": {"iterations": 200},
-             "crises": {"dip": [dates[500].isoformat(), dates[700].isoformat()]}}
-    for form in (["exhibit", "3"], ["converge"], ["omega"], ["sweep"], ["props"],
-                 ["regret", "--horizons", "21,400"]):  # 400 days run past the end
+             "crises": {"dip": [dates[500].isoformat(), dates[700].isoformat()]},
+             "regret_horizons": [21, 400]}  # 400 days run past the end
+    for form in (["exhibit", "3"], ["converge"], ["omega"], ["sweep"], ["props"], ["regret"]):
         assert run(tmp_path, *form, config_extra=extra)[0] == 0
     empty = set()
     for path in sorted((tmp_path / "out").glob("*.csv")):

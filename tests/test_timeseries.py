@@ -312,6 +312,14 @@ def test_ingest_duplicate_date(tmp_path):
         ingest_csv(p, None, UNIT_PRICE)
 
 
+def test_ingest_duplicate_column(tmp_path):
+    # the second XLB column would otherwise be lost without a word
+    p = write_csv(tmp_path / "g.csv", "date,XLB,XLK,XLB\n2015-01-05,1,2,3\n")
+    for columns in (None, ["XLK"]):
+        with pytest.raises(ValueError, match=r"g\.csv: duplicate column 'XLB' in header$"):
+            ingest_csv(p, columns, UNIT_PRICE)
+
+
 def test_ingest_unsorted_rows_accepted(tmp_path):
     p = write_csv(
         tmp_path / "h.csv", "date,AAA\n2015-01-06,101\n2015-01-05,100\n"
@@ -364,6 +372,9 @@ def oracle_ingest_csv(
             raise ValueError(
                 f"{path}: first column is {header[0]!r}, expected {date_column!r}"
             )
+        for i, h in enumerate(header):
+            if h in header[:i]:
+                raise ValueError(f"{path}: duplicate column {h!r} in header")
         symbols = header[1:]
         if columns is not None:
             missing = [c for c in columns if c not in symbols]
