@@ -41,7 +41,7 @@ from .inference import BootstrapSpec, circular_block_bootstrap
 from .metrics import MetricsReport, drawdown_path, excess_returns, summarize
 from .model import GovernanceParams, RegimeParams, proposition_suite
 from .regime import RegimePath, RegimeThresholds, classify, percentile_thresholds
-from .rolling import WindowSpec, moving_average, rolling_avg_pairwise_corr, rolling_corr
+from .rolling import moving_average, rolling_avg_pairwise_corr, rolling_corr
 from .simulate import OverlayPolicy, SimResult, benchmark_7030, simulate_overlay, sizing_vol
 from .timeseries import (
     TRADING_DAYS_PER_YEAR,
@@ -204,7 +204,7 @@ class RunConfig:
     raw: dict
     out_dir: Path
     svg: bool
-    windows: dict[str, WindowSpec]
+    windows: dict[str, int]
     thresholds: RegimeThresholds
     percentiles: tuple[float, float]
     dynamic_policy: OverlayPolicy
@@ -225,8 +225,9 @@ class RunConfig:
 
 
 def _roles(data: dict) -> tuple[dict, dict[str, str]]:
-    """Each configured input role as (path, columns), and its file's digest."""
-    roles, digests = {}, {}
+    """Each configured input role as (path, columns), and its file's digest;
+    every role is checked before any file is read."""
+    roles = {}
     for name, spec in data.items():
         if name not in _ROLE_KEYS:
             raise ConfigError(f"data.{name}", f"unknown role; expected one of {_ROLE_KEYS}")
@@ -234,6 +235,10 @@ def _roles(data: dict) -> tuple[dict, dict[str, str]]:
             continue
         if not isinstance(spec, dict) or not isinstance(spec.get("path"), str):
             raise ConfigError(f"data.{name}", "expected {path, column|columns}")
+        known = ("path", "columns" if name == "sectors" else "column")
+        unknown = next((k for k in spec if k not in known), None)
+        if unknown is not None:
+            raise ConfigError(f"data.{name}.{unknown}", "unknown config key")
         if name != "sectors":
             if not isinstance(spec.get("column"), str):
                 raise ConfigError(f"data.{name}.column", "expected a column name")
@@ -246,11 +251,13 @@ def _roles(data: dict) -> tuple[dict, dict[str, str]]:
                 if not cols or len(set(cols)) < len(cols):
                     raise ConfigError("data.sectors.columns",
                                       f"expected one or more names, none twice, got {cols}")
-        try:
-            digests[name] = hashlib.sha256(Path(spec["path"]).read_bytes()).hexdigest()
-        except FileNotFoundError:
-            raise ConfigError(f"data.{name}.path", f"file not found: {spec['path']}") from None
         roles[name] = (spec["path"], cols)
+    digests = {}
+    for name, (path, _) in roles.items():
+        try:
+            digests[name] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        except FileNotFoundError:
+            raise ConfigError(f"data.{name}.path", f"file not found: {path}") from None
     return roles, digests
 
 
@@ -287,6 +294,9 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
                 raise ConfigError(f"caps[{i}]", f"expected a finite number, got {x!r}")
             if isinstance(x, bool) or not isinstance(x, kind) or not x > 0:
                 raise ConfigError(f"{name}[{i}]", f"expected a positive {what}, got {x!r}")
+    for name, n in raw["windows"].items():
+        if not n > 0:
+            raise ConfigError(f"windows.{name}", f"expected a positive integer, got {n!r}")
     roles, digests = _roles(raw["data"])
     r = raw["range"]
     date_range = _ordered("range", *(None if r[k] is None else _iso(f"range.{k}", r[k])
@@ -305,8 +315,7 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
         raw=raw,
         out_dir=Path(raw["out"]),
         svg=raw["svg"],
-        windows={name: _checked(f"windows.{name}", WindowSpec, n)
-                 for name, n in raw["windows"].items()},
+        windows=raw["windows"],
         thresholds=_checked("thresholds", RegimeThresholds,
                             low=float(t["low"]), high=float(t["high"])),
         percentiles=(lo, hi),
@@ -588,7 +597,7 @@ def _check_signal(cfg: RunConfig, fieldname: str, days: int) -> None:
     """A gauge smoothed over `days` can size the overlay only if that window
     is no longer than windows.vol: the first decision reads the label of day
     windows.vol, and a longer window gives its first label later."""
-    vol = cfg.windows["vol"].length
+    vol = cfg.windows["vol"]
     if days > vol:
         raise ValueError(f"{fieldname}: the {days}-day window may not exceed windows.vol "
                          f"({vol}); the overlay's first decision reads the label of day {vol}")
@@ -630,7 +639,7 @@ class Run:
     def path(self) -> RegimePath:
         w = self.cfg.windows["signal"]
         path = _blame("windows.signal", classify, self.market().vix, w, self.cfg.thresholds)
-        _check_signal(self.cfg, "windows.signal", w.length)
+        _check_signal(self.cfg, "windows.signal", w)
         return path
 
     def overlay(self, policy: OverlayPolicy, path: RegimePath | None = None) -> SimResult:
@@ -703,7 +712,7 @@ def _exhibit4(run: Run) -> list[Path]:
     te_s, te_d = run.static.te, run.dynamic.te
     if te_s is None or te_d is None:
         raise ValueError(f"windows.vol: a realized tracking error needs more than twice the "
-                         f"{run.cfg.windows['vol'].length}-day window, and the sample "
+                         f"{run.cfg.windows['vol']}-day window, and the sample "
                          f"has {len(run.bench.calendar)} days")
     sm = run.path.signal.restrict(te_s.calendar)
     return _write_table(run.cfg, "exhibit4", "exhibit4",
@@ -794,7 +803,7 @@ def cmd_sweep(run: Run) -> list[Path]:
     rows = []
     for i, w in enumerate(cfg.sweep_windows):
         setting = f"sweep_windows[{i}]"
-        sm = _blame(setting, moving_average, run.market().vix, WindowSpec(w))
+        sm = _blame(setting, moving_average, run.market().vix, w)
         _check_signal(cfg, setting, w)
         th = _blame(setting, percentile_thresholds, sm, *cfg.percentiles)
         rep, calmar = scored(run.overlay(cfg.dynamic_policy, RegimePath(sm, th)))

@@ -38,10 +38,14 @@ import numpy as np
 
 from ._record import field, record
 from .inference import linear_quantiles, spearman
-from .rolling import WindowSpec, moving_average
+from .rolling import moving_average
 from .timeseries import UNIT_LEVEL, UNIT_RETURN, Series, TradingCalendar
 
 _VAR_FLOOR = 1e-12
+# an EM trial stops when an iteration gains less log-likelihood than _TOL,
+# or after _MAX_ITER iterations
+_TOL = 1e-8
+_MAX_ITER = 1000
 # values in one (starts x weeks) block of a batch of EM starts: 128 KiB. The
 # filter's arrays are two to four blocks, above glibc's default 128 KiB mmap
 # threshold, and a full batch keeps about thirteen alive at once (near 1.6 MB),
@@ -104,7 +108,7 @@ class RegimePath:
 
 
 def classify(
-    vix: Series, w: WindowSpec, thresholds: RegimeThresholds
+    vix: Series, w: int, thresholds: RegimeThresholds
 ) -> RegimePath:
     """Label each date from the trailing moving average of the gauge."""
     return RegimePath(moving_average(vix, w), thresholds)
@@ -327,16 +331,10 @@ def _em_trial(y, mu, var, P, pi, tol, max_iter):
     return (*fitted, traces, converged)
 
 
-def fit_markov_switching(
-    weekly: Series,
-    restarts: int,
-    seed: int,
-    tol: float = 1e-8,
-    max_iter: int = 1000,
-) -> MSModel:
+def fit_markov_switching(weekly: Series, restarts: int, seed: int) -> MSModel:
     """Best-of-restarts EM fit. Trials that collapse to a degenerate
     variance are discarded and redrawn; the best surviving trial by final
-    log-likelihood wins. converged is False if that trial hit max_iter."""
+    log-likelihood wins. converged is False if that trial hit _MAX_ITER."""
     if weekly.unit != UNIT_RETURN:
         raise ValueError(f"need a return series, got unit {weekly.unit!r}")
     y = np.asarray(weekly.values, dtype=np.float64)
@@ -366,7 +364,8 @@ def fit_markov_switching(
                            rng.uniform(0.85, 0.99)) for _ in range(n)])
         stay0, stay1 = draws[:, 4], draws[:, 5]
         P = np.stack([stay0, 1.0 - stay0, 1.0 - stay1, stay1], axis=1).reshape(n, 2, 2)
-        out = _em_trial(y, draws[:, 0:2], draws[:, 2:4], P, np.full((n, 2), 0.5), tol, max_iter)
+        out = _em_trial(y, draws[:, 0:2], draws[:, 2:4], P, np.full((n, 2), 0.5),
+                         _TOL, _MAX_ITER)
         for i, trace in enumerate(out[4]):
             if trace is None:
                 continue

@@ -7,7 +7,7 @@ tracking-error target: theta_t = min(target / vol, theta_cap), where vol is
 the trailing spread volatility over a window ending the day before, and
 the target is chosen by the previous day's regime label, optionally capped
 by a hard tracking-error ceiling. No decision uses same-day or future
-information; the first vol_window.length days are a warm-up with theta 0.
+information; the first vol_window days are a warm-up with theta 0.
 The trailing vol, sizing_vol, is computed once and passed to every overlay
 sized on it.
 """
@@ -18,7 +18,7 @@ import numpy as np
 
 from ._record import record
 from .regime import RegimePath
-from .rolling import WindowSpec, rolling_vol
+from .rolling import rolling_vol
 from .timeseries import UNIT_RETURN, Series, TradingCalendar
 
 # the benchmark's equity weight; the regret study's de-risked mix mirrors it
@@ -136,17 +136,16 @@ def _decision_labels(regimes: RegimePath, cal: TradingCalendar,
     return regimes.labels[k0:k1]
 
 
-def sizing_vol(spread: Series, vol_window: WindowSpec) -> Series:
+def sizing_vol(spread: Series, vol_window: int) -> Series:
     """The overlay's sizing volatility: the spread's trailing vol over full
-    windows of vol_window.length days, the value dated cal[L-1+k] covering
-    returns k..k+L-1. It depends on no policy, so a run computes it once for
-    all its overlays."""
+    windows of vol_window days, the value dated cal[L-1+k] covering returns
+    k..k+L-1. It depends on no policy, so a run computes it once for all its
+    overlays."""
     if spread.unit != UNIT_RETURN:
         raise ValueError("spread must be a return series")
-    L = vol_window.length
-    if len(spread) <= L:
-        raise ValueError(f"need more than {L} days for the volatility warm-up")
-    return rolling_vol(spread, WindowSpec(L))
+    if len(spread) <= vol_window:
+        raise ValueError(f"need more than {vol_window} days for the volatility warm-up")
+    return rolling_vol(spread, vol_window)
 
 
 def simulate_overlay(
@@ -155,7 +154,7 @@ def simulate_overlay(
     vol: Series,
     regimes: RegimePath | None,
     policy: OverlayPolicy,
-    vol_window: WindowSpec,
+    vol_window: int,
 ) -> SimResult:
     """Overlay the spread on a benchmark path under a sizing policy.
 
@@ -170,7 +169,7 @@ def simulate_overlay(
     if spread.unit != UNIT_RETURN:
         raise ValueError("spread must be a return series")
     n = len(cal)
-    L = vol_window.length
+    L = vol_window
     if n <= L:
         raise ValueError(f"need more than {L} days for the volatility warm-up")
     if vol.calendar != cal.suffix(L - 1):
@@ -195,7 +194,7 @@ def simulate_overlay(
 
     portfolio = benchmark.portfolio + theta * spread.values
     active = Series(cal.suffix(L), theta[L:] * spread.values[L:], UNIT_RETURN)
-    te = rolling_vol(active, vol_window) if len(active) > max(vol_window.min_periods, 2) else None
+    te = rolling_vol(active, L) if len(active) > max(L, 2) else None
     return SimResult(
         calendar=cal,
         portfolio=portfolio,

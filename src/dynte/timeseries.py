@@ -331,8 +331,9 @@ def ingest_csv(path, columns: Sequence[str] | None, unit: str) -> IngestResult:
     are dropped and reported. Raises on a column name the header repeats,
     malformed dates, non-numeric or non-finite cells (inf, a signed NaN, a
     number that overflows), duplicate dates, empty result, or a gap of more
-    than MAX_WEEKDAY_GAP weekdays between consecutive surviving rows. A
-    quoted cell must not span lines.
+    than MAX_WEEKDAY_GAP weekdays between consecutive surviving rows; then,
+    naming the line, on a surviving row dated on a weekend or, for
+    UNIT_PRICE, holding a price <= 0. A quoted cell must not span lines.
 
     Plain lines (see _plain_lines) are parsed as arrays; the rest, typically
     the few rows with a missing cell, one by one.
@@ -379,18 +380,21 @@ def ingest_csv(path, columns: Sequence[str] | None, unit: str) -> IngestResult:
         if not finite.all():
             plain[np.flatnonzero(plain)[~finite]] = False
             plain_days, plain_vals = plain_days[finite], plain_vals[finite]
-    rows = [r for i in np.flatnonzero(~plain).tolist()
+    rows = [(i + 2, r) for i in np.flatnonzero(~plain).tolist()
             if (r := _parse_row(path, i + 2, lines[i], symbols, positions)) is not None]
 
-    days = np.concatenate([plain_days, np.array([d for d, _ in rows], dtype="datetime64[D]")])
+    days = np.concatenate([plain_days,
+                           np.array([d for _, (d, _) in rows], dtype="datetime64[D]")])
     vals = np.concatenate([plain_vals, np.array(
-        [[np.nan if v is None else v for v in cells] for _, cells in rows],
+        [[np.nan if v is None else v for v in cells] for _, (_, cells) in rows],
         dtype=np.float64).reshape(len(rows), len(symbols))])
     complete = np.concatenate([np.ones(len(plain_days), dtype=bool), np.array(
-        [None not in cells for _, cells in rows], dtype=bool)])
+        [None not in cells for _, (_, cells) in rows], dtype=bool)])
+    linenos = np.concatenate([np.flatnonzero(plain) + 2,
+                              np.array([n for n, _ in rows], dtype=np.int64)])
 
     order = np.argsort(days)
-    days, vals, complete = days[order], vals[order], complete[order]
+    days, vals, complete, linenos = days[order], vals[order], complete[order], linenos[order]
     dup = np.flatnonzero(days[1:] == days[:-1])
     if len(dup):
         raise ValueError(f"{path}: duplicate date {days[dup[0]].item()}")
@@ -406,8 +410,18 @@ def ingest_csv(path, columns: Sequence[str] | None, unit: str) -> IngestResult:
             f"{kept[i + 1].item()}"
         )
 
-    cal = TradingCalendar(kept)
-    mat = vals[complete]
+    at, mat = linenos[complete], vals[complete]
+    weekend = np.flatnonzero(~np.is_busday(kept))
+    if len(weekend):
+        i = weekend[0]
+        raise ValueError(f"{path}:{at[i]}: date {kept[i].item()} falls on a weekend")
+    if unit == UNIT_PRICE:
+        i, j = np.unravel_index(np.argmax(mat <= 0.0), mat.shape)
+        if mat[i, j] <= 0.0:
+            raise ValueError(f"{path}:{at[i]}: non-positive price {float(mat[i, j])!r} "
+                             f"in column {symbols[j]}")
+    # sorted, without duplicates and on weekdays
+    cal = TradingCalendar._unchecked(kept)
     series = {
         sym: Series(cal, mat[:, j], unit) for j, sym in enumerate(symbols)
     }

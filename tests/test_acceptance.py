@@ -32,7 +32,6 @@ from dynte.regime import (
     smoothed_high_prob,
 )
 from dynte.rolling import (
-    WindowSpec,
     moving_average,
     rolling_avg_pairwise_corr,
     rolling_corr,
@@ -167,11 +166,11 @@ def test_criterion_04_te_cap_spectrum_shape():
 # ------------------------------------------------------------ criterion 5
 
 
-def _brute_stat(op, vals, other, L, mp):
+def _brute_stat(op, vals, other, L):
     n = len(vals[0]) if op == "pairwise" else len(vals)
     out = []
-    for j in range(mp - 1, n):
-        lo = max(0, j - L + 1)
+    for j in range(L - 1, n):
+        lo = j - L + 1
         if op == "ma":
             out.append(np.mean(vals[lo : j + 1]))
         elif op == "vol":
@@ -192,29 +191,26 @@ def test_criterion_05_rolling_stats_match_brute_force():
     for op in ops:
         n = int(rng.integers(25, 260))
         L = int(rng.integers(2, min(n, 64)))
-        floor = 1 if op == "ma" else 2
-        mp = int(rng.integers(floor, L + 1)) if rng.random() < 0.4 else L
-        w = WindowSpec(L, min_periods=mp)
         cal = make_weekday_calendar(np.datetime64("2010-01-04").item(), n)
         x = rng.standard_normal(n)
         if op == "ma":
-            got = moving_average(Series(cal, x, UNIT_LEVEL), w)
-            want = _brute_stat("ma", x, None, L, mp)
+            got = moving_average(Series(cal, x, UNIT_LEVEL), L)
+            want = _brute_stat("ma", x, None, L)
         elif op == "vol":
-            got = rolling_vol(Series(cal, 0.01 * x, UNIT_RETURN), w)
-            want = _brute_stat("vol", 0.01 * x, None, L, mp)
+            got = rolling_vol(Series(cal, 0.01 * x, UNIT_RETURN), L)
+            want = _brute_stat("vol", 0.01 * x, None, L)
         elif op == "corr":
             y = rng.standard_normal(n)
             got = rolling_corr(Series(cal, x, UNIT_LEVEL),
-                               Series(cal, y, UNIT_LEVEL), w)
-            want = _brute_stat("corr", x, y, L, mp)
+                               Series(cal, y, UNIT_LEVEL), L)
+            want = _brute_stat("corr", x, y, L)
         else:
             cols = [0.01 * x, 0.01 * rng.standard_normal(n),
                     0.01 * rng.standard_normal(n)]
             panel = AssetPanel(cal, {f"S{i}": Series(cal, c, UNIT_RETURN)
                                      for i, c in enumerate(cols)})
-            got = rolling_avg_pairwise_corr(panel, w)
-            want = _brute_stat("pairwise", cols, None, L, mp)
+            got = rolling_avg_pairwise_corr(panel, L)
+            want = _brute_stat("pairwise", cols, None, L)
         np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=1e-12)
 
 

@@ -197,6 +197,13 @@ def test_config_error_field_attribute():
         assert exc.value.field == field
 
 
+@pytest.mark.parametrize("name,days", [("vol", 0), ("signal", -21)])
+def test_a_window_is_a_positive_day_count(name, days):
+    with pytest.raises(ConfigError) as exc:
+        load_config(None, {"windows": {name: days}})
+    assert str(exc.value) == f"windows.{name}: expected a positive integer, got {days}"
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
@@ -579,6 +586,69 @@ def test_a_non_finite_cell_names_its_file_line_and_column(tmp_path, capsys, role
     assert code == 1
     assert capsys.readouterr().err == (
         f"error: {bad}:41: non-finite cell {cell!r} in column {column}\n")
+
+
+def panel_with_bad_eq(tmp_path, edit):
+    """The synthetic panel as the eq file, its lines passed through `edit`,
+    with the panel itself as bd and vix; returns the eq file and the data."""
+    _, files = run(tmp_path, "synth")
+    panel = next(f for f in files if f.name.startswith("synth_panel"))
+    bad = tmp_path / "eq.csv"
+    bad.write_text("\n".join(edit(panel.read_text().splitlines())) + "\n")
+    data = {r: {"path": str(bad if r == "eq" else panel), "column": c}
+            for r, c in (("eq", "BENCH_EQ"), ("bd", "BENCH_BD"), ("vix", "VIX"))}
+    return bad, data
+
+
+@pytest.mark.parametrize("pad", ["", " "], ids=["plain row", "row-by-row"])
+def test_a_weekend_date_names_its_file_and_line(tmp_path, capsys, pad):
+    line = saturday = None
+
+    def add_saturday(lines):
+        # after the first Friday from line 41 on, the same values on its Saturday
+        nonlocal line, saturday
+        k = next(i for i in range(40, len(lines))
+                 if dt.date.fromisoformat(lines[i][:10]).weekday() == 4)
+        date, rest = lines[k].split(",", 1)
+        line, saturday = k + 2, dt.date.fromisoformat(date) + dt.timedelta(days=1)
+        return lines[:k + 1] + [f"{saturday},{pad}{rest}"] + lines[k + 1:]
+
+    bad, data = panel_with_bad_eq(tmp_path, add_saturday)
+    capsys.readouterr()
+    code, _ = run(tmp_path, "exhibit", "3", config_extra={"data": data})
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}:{line}: date {saturday} falls on a weekend\n")
+
+
+@pytest.mark.parametrize("cell,value", [("0", "0.0"), ("-1.5", "-1.5"), (" -0", "-0.0")],
+                         ids=["zero", "negative", "row-by-row"])
+def test_a_non_positive_price_names_its_file_line_and_column(tmp_path, capsys, cell, value):
+    def set_cell(lines):
+        header, row = lines[0].split(","), lines[40].split(",")
+        row[header.index("BENCH_EQ")] = cell           # line 41 of the file
+        return lines[:40] + [",".join(row)] + lines[41:]
+
+    bad, data = panel_with_bad_eq(tmp_path, set_cell)
+    capsys.readouterr()
+    code, _ = run(tmp_path, "exhibit", "3", config_extra={"data": data})
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}:41: non-positive price {value} in column BENCH_EQ\n")
+
+
+@pytest.mark.parametrize("role,spec,key", [
+    ("sectors", {"column": "XLB"}, "column"),
+    ("eq", {"column": "A", "colunm": "B"}, "colunm"),
+    ("vix", {"columns": ["VIX"]}, "columns"),
+])
+def test_an_unknown_key_of_a_data_role_is_a_config_error(tmp_path, capsys, role, spec, key):
+    # the path names no file: the key is refused before any file is read
+    data = {role: {"path": str(tmp_path / "missing.csv"), **spec}}
+    code, files = run(tmp_path, "exhibit", "1" if role == "sectors" else "3",
+                      config_extra={"data": data})
+    assert (code, files) == (2, [])
+    assert capsys.readouterr().err == f"config error: data.{role}.{key}: unknown config key\n"
 
 
 def test_synthetic_fallback_named_on_stderr(tmp_path, capsys):

@@ -16,7 +16,7 @@ from dynte.cli import ConfigError, Run, _cell, cmd_sweep, load_config
 from dynte.inference import newey_west_mean_test
 from dynte.metrics import cagr, sharpe, summarize
 from dynte.regime import classify, percentile_thresholds
-from dynte.rolling import WindowSpec, moving_average
+from dynte.rolling import moving_average
 from dynte.simulate import benchmark_7030, simulate_overlay, sizing_vol
 from dynte.timeseries import (
     UNIT_LEVEL,
@@ -328,9 +328,9 @@ def test_sweep_single_window_reproduces_main_run(tmp_path):
     assert len(rows) == 1
     row = rows[0]
 
-    sm = moving_average(m.vix, WindowSpec(21))
+    sm = moving_average(m.vix, 21)
     th = percentile_thresholds(sm, *DEFAULTS.percentiles)
-    path = classify(m.vix, WindowSpec(21), th)
+    path = classify(m.vix, 21, th)
     bench = benchmark_7030(m.eq, m.bd)
     vol_w = DEFAULTS.windows["vol"]
     res = simulate_overlay(bench, m.spread, sizing_vol(m.spread, vol_w), path,

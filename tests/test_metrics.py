@@ -15,7 +15,7 @@ from dynte.metrics import (
     te_policy_stats,
     wealth_path,
 )
-from dynte.rolling import WindowSpec, rolling_vol
+from dynte.rolling import rolling_vol
 from dynte.timeseries import (
     UNIT_LEVEL,
     UNIT_RETURN,
@@ -173,7 +173,7 @@ def test_te_stats_proportional_to_gauge():
 def test_te_stats_level_is_mean_of_realized_te():
     rng = np.random.default_rng(7)
     active = 0.002 * rng.standard_normal(200)
-    te = rolling_vol(rser(active), WindowSpec(63))
+    te = rolling_vol(rser(active), 63)
     gauge = vix_like(15.0 + rng.random(200)).restrict(te.calendar)
     out = te_policy_stats(te, gauge)
     assert out.level == pytest.approx(float(np.mean(te.values)), rel=1e-14)
@@ -214,7 +214,7 @@ def test_summarize_with_te_and_gauge():
     rng = np.random.default_rng(10)
     r = 0.01 * rng.standard_normal(250) + 0.0004
     active = 0.001 * rng.standard_normal(250)
-    te = rolling_vol(rser(active), WindowSpec(63))
+    te = rolling_vol(rser(active), 63)
     gauge = vix_like(15.0 + rng.random(250))
     rep = summarize(r + active, 0.0, te=te, smoothed_vix=gauge)
     assert rep.te_level is not None

@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 
 from dynte.cli import Market
+from dynte.metrics import MetricsReport
 from dynte.model import GovernanceParams
 from dynte.regime import RegimePath, RegimeThresholds
-from dynte.rolling import WindowSpec
 from dynte.simulate import OverlayPolicy
 from dynte.timeseries import UNIT_LEVEL, AssetPanel, Series, TradingCalendar
 
@@ -64,8 +64,11 @@ def level(cal, values):
 
 
 @pytest.mark.parametrize("real, cases", [
-    (WindowSpec, [((5,), {}), ((5, 3), {}), ((), {"length": 5, "min_periods": 3}),
-                  ((5,), {"min_periods": None}), ((7,), {})]),
+    (MetricsReport, [((0.05, 0.1, 0.5, 0.2, 0.25), {}), ((0.05, 0.1, 0.5, 0.2, 0.25, 0.02), {}),
+                     ((), {"cagr": 0.05, "vol": 0.1, "sharpe": 0.5, "max_drawdown": 0.2,
+                           "cagr_over_maxdd": 0.25, "te_sigma": 0.01}),
+                     ((0.05, 0.1, 0.5, 0.2, 0.25), {"te_level": None}),
+                     ((0.07, 0.1, 0.7, 0.2, 0.35), {})]),
     (OverlayPolicy, [((0.005, 0.02, 0.05, 0.25), {}), ((0.02, 0.02, 0.02, 0.25), {}),
                      ((0.005, 0.02, 0.05, 0.25, 0.03), {}),
                      ((0.005, 0.02), {"target_high": 0.05, "theta_cap": 0.25,
@@ -88,17 +91,19 @@ def test_repr_eq_and_hash_match_the_stdlib(real, cases):
 
 def test_bad_arguments_raise_the_stdlib_type_errors():
     calls = [
-        (WindowSpec, (), {}),                               # missing one
-        (WindowSpec, (5, 3, 1), {}),                        # too many, with defaults
-        (WindowSpec, (5,), {"length": 5}),                  # repeated
-        (WindowSpec, (5,), {"width": 1}),                   # unknown
-        (WindowSpec, (), {"min_periods": 2}),               # keywords only, one missing
-        (WindowSpec, (5, 3, 1), {"length": 5}),             # keywords are checked first
-        (WindowSpec, (5,), {"width": 1, "length": 5}),      # first bad keyword wins
+        (OverlayPolicy, (0.01, 0.02, 0.05), {}),            # missing one
+        (OverlayPolicy, (0.01, 0.02, 0.05, 0.25, None, 1), {}),   # too many, with defaults
+        (OverlayPolicy, (0.01,), {"target_low": 0.01}),            # repeated
+        (OverlayPolicy, (0.01, 0.02, 0.05, 0.25), {"width": 1}),   # unknown
+        # keywords only, one missing
+        (OverlayPolicy, (), {"target_low": 0.01, "target_neutral": 0.02,
+                             "target_high": 0.05, "te_ceiling": 0.03}),
+        # keywords are checked first
+        (OverlayPolicy, (0.01, 0.02, 0.05, 0.25, None, 1), {"target_low": 0.01}),
+        (OverlayPolicy, (0.01,), {"width": 1, "target_low": 0.01}),  # first bad keyword wins
         (OverlayPolicy, (), {}),                            # missing four: 'a', 'b', 'c', and 'd'
         (OverlayPolicy, (0.01,), {}),                       # missing three: 'a', 'b', and 'c'
         (OverlayPolicy, (0.01, 0.02), {}),                  # missing two: 'a' and 'b'
-        (OverlayPolicy, (0.01, 0.02, 0.05, 0.25, None, 1), {}),
         (GovernanceParams, (0.05, 0.1), {}),                # too many, no defaults
         (GovernanceParams, (), {"tau": 0.05}),
     ]
@@ -109,26 +114,31 @@ def test_bad_arguments_raise_the_stdlib_type_errors():
 
 
 def test_post_init_errors_reach_the_caller():
-    for real, args in ((WindowSpec, (0,)), (WindowSpec, (5, 6)),
+    for real, args in ((OverlayPolicy, (0.01, 0.02, 0.05, 0.25, -0.01)),
+                       (RegimeThresholds, (26.0, 14.0)),
                        (OverlayPolicy, (-0.01, 0.02, 0.05, 0.25)), (GovernanceParams, (0.0,))):
         got, want = both_raise(ValueError, real, twin(real, frozen=True), *args)
         assert got == want
     # __post_init__ may still set fields of a frozen record
-    assert WindowSpec(5).min_periods == 5
+    values = level(calendar(), [1, 2, 3, 4, 5, 6]).values
+    assert isinstance(values, np.ndarray) and not values.flags.writeable
 
 
 def test_frozen_and_plain_records():
-    std = twin(WindowSpec, frozen=True)
-    for w in (WindowSpec(5), std(5)):
-        for attempt in (lambda: setattr(w, "length", 6), lambda: setattr(w, "other", 1),
-                        lambda: delattr(w, "length")):
+    std = twin(OverlayPolicy, frozen=True)
+    targets = (0.005, 0.02, 0.05, 0.25)
+    for w in (OverlayPolicy(*targets), std(*targets)):
+        for attempt in (lambda: setattr(w, "theta_cap", 0.5), lambda: setattr(w, "other", 1),
+                        lambda: delattr(w, "theta_cap")):
             with pytest.raises(AttributeError):
                 attempt()
-        assert w.length == 5 and not hasattr(w, "other")
-    assert both_raise(AttributeError, WindowSpec(5).__setattr__, std(5).__setattr__,
-                      "length", 6) == ("cannot assign to field 'length'",) * 2
-    assert both_raise(AttributeError, WindowSpec(5).__delattr__, std(5).__delattr__,
-                      "length") == ("cannot delete field 'length'",) * 2
+        assert w.theta_cap == 0.25 and not hasattr(w, "other")
+    assert both_raise(AttributeError, OverlayPolicy(*targets).__setattr__,
+                      std(*targets).__setattr__, "theta_cap", 0.5
+                      ) == ("cannot assign to field 'theta_cap'",) * 2
+    assert both_raise(AttributeError, OverlayPolicy(*targets).__delattr__,
+                      std(*targets).__delattr__, "theta_cap"
+                      ) == ("cannot delete field 'theta_cap'",) * 2
 
     cal = calendar()
     vix = level(cal, np.arange(6.0))

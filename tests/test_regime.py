@@ -26,7 +26,6 @@ from dynte.regime import (
     smoothed_high_prob,
     weekly_returns,
 )
-from dynte.rolling import WindowSpec
 from dynte.timeseries import (
     UNIT_LEVEL,
     UNIT_RETURN,
@@ -92,7 +91,7 @@ def test_percentile_partition_fractions():
     n = 500
     s = lser(10.0 + 20.0 * rng.random(n))
     t = percentile_thresholds(s, 0.16, 0.76)
-    path = classify(s, WindowSpec(1), t)
+    path = classify(s, 1, t)
     frac = path.fractions()
     assert abs(frac[Regime.LOW] - 0.16) <= 1.0 / n
     assert abs(frac[Regime.NEUTRAL] - 0.60) <= 2.0 / n
@@ -104,7 +103,7 @@ def test_percentile_partition_fractions():
 
 def test_classify_threshold_bands():
     s = lser([12.0, 17.0, 25.0, 13.0, 22.0])
-    path = classify(s, WindowSpec(1), T13_22)
+    path = classify(s, 1, T13_22)
     assert list(path.labels) == [
         Regime.LOW,
         Regime.NEUTRAL,
@@ -116,7 +115,7 @@ def test_classify_threshold_bands():
 
 def test_classify_constant_high():
     s = lser(np.full(60, 30.0))
-    path = classify(s, WindowSpec(21), T13_22)
+    path = classify(s, 21, T13_22)
     assert len(path.labels) == 40
     assert np.all(path.labels == int(Regime.HIGH))
     assert_allclose(path.signal.values, 30.0)
@@ -138,7 +137,7 @@ def test_signal_on_a_threshold_is_neutral(low, gap, window, runs):
     for kind, extra, other in runs:
         level = {"low": lo, "high": hi, "other": other / 8.0}[kind]
         vals += [level] * (window + extra)
-    path = classify(lser(vals), WindowSpec(window), RegimeThresholds(lo, hi))
+    path = classify(lser(vals), window, RegimeThresholds(lo, hi))
     sig = path.signal.values
     on = (sig == lo) | (sig == hi)
     assert on[0] and on[window]
@@ -150,8 +149,8 @@ def test_signal_on_a_threshold_is_neutral(low, gap, window, runs):
 def test_classify_no_lookahead():
     rng = np.random.default_rng(1)
     s = lser(15.0 + 6.0 * rng.standard_normal(300))
-    full = classify(s, WindowSpec(21), T13_22)
-    half = classify(s.restrict(TradingCalendar(s.calendar.dates[:150])), WindowSpec(21), T13_22)
+    full = classify(s, 21, T13_22)
+    half = classify(s.restrict(TradingCalendar(s.calendar.dates[:150])), 21, T13_22)
     n = len(half.labels)
     assert np.array_equal(full.signal.calendar.days[:n], half.signal.calendar.days)
     assert np.array_equal(full.labels[:n], half.labels)
@@ -160,18 +159,18 @@ def test_classify_no_lookahead():
 def test_classify_is_pointwise_and_idempotent():
     rng = np.random.default_rng(2)
     vals = 10.0 + 15.0 * rng.random(80)
-    a = classify(lser(vals), WindowSpec(1), T13_22)
-    b = classify(lser(vals), WindowSpec(1), T13_22)
+    a = classify(lser(vals), 1, T13_22)
+    b = classify(lser(vals), 1, T13_22)
     assert np.array_equal(a.labels, b.labels)
     # label at t is a function of the smoothed value at t alone
     perm = rng.permutation(80)
-    c = classify(lser(vals[perm]), WindowSpec(1), T13_22)
+    c = classify(lser(vals[perm]), 1, T13_22)
     assert np.array_equal(c.labels, a.labels[perm])
 
 
 def test_label_at_and_fractions():
     s = lser([12.0, 25.0, 25.0, 17.0])
-    path = classify(s, WindowSpec(1), T13_22)
+    path = classify(s, 1, T13_22)
     assert list(path.labels) == [Regime.LOW, Regime.HIGH, Regime.HIGH, Regime.NEUTRAL]
     f = path.fractions()
     assert f[Regime.HIGH] == 0.5
@@ -359,9 +358,10 @@ def test_em_input_validation():
         fit_markov_switching(lser(np.arange(120.0) + 10.0), restarts=4, seed=0)
 
 
-def test_em_unconverged_flag():
+def test_em_unconverged_flag(monkeypatch):
     weekly, _ = planted_weekly(200, (0.02, -0.01), (0.008, 0.02), (0.9, 0.9), seed=8)
-    m = fit_markov_switching(weekly, restarts=2, max_iter=2, seed=0)
+    monkeypatch.setattr(regime, "_MAX_ITER", 2)
+    m = fit_markov_switching(weekly, restarts=2, seed=0)
     assert not m.converged
     assert m.n_iter <= 2
 
@@ -641,10 +641,11 @@ def outlier_weekly(seed):
     (600, 3, 4, 1000),
     (200, 8, 2, 2),
 ])
-def test_batched_fit_matches_sequential_oracle(n, seed, restarts, max_iter):
+def test_batched_fit_matches_sequential_oracle(monkeypatch, n, seed, restarts, max_iter):
     weekly, _ = planted_weekly(n, (0.02, -0.01), (0.008, 0.02), (0.9, 0.9), seed + 4)
     want, _collapsed = sequential_fit(weekly, restarts, max_iter=max_iter, seed=seed)
-    m = fit_markov_switching(weekly, restarts=restarts, max_iter=max_iter, seed=seed)
+    monkeypatch.setattr(regime, "_MAX_ITER", max_iter)
+    m = fit_markov_switching(weekly, restarts=restarts, seed=seed)
     assert_same_fit(m, want)
 
 
@@ -716,7 +717,7 @@ def test_traced_fit_records_em_trial_spans(monkeypatch):
 
 def make_path_and_prob(prob_of_signal):
     vals = np.array([10.0, 12.0, 25.0, 30.0, 17.0])
-    path = classify(lser(vals), WindowSpec(1), T13_22)
+    path = classify(lser(vals), 1, T13_22)
     weekly_cal = path.signal.calendar
     prob = Series(weekly_cal, prob_of_signal(vals), UNIT_LEVEL)
     return path, prob

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from dynte.cli import load_config
 from dynte.regime import Regime, classify
-from dynte.rolling import WindowSpec, rolling_vol
+from dynte.rolling import rolling_vol
 from dynte.simulate import OverlayPolicy, benchmark_7030, fixed_mix, simulate_overlay, sizing_vol
 from dynte.timeseries import (
     UNIT_LEVEL,
@@ -113,15 +113,14 @@ def test_overlay_theta_is_capped_target_over_lagged_vol(
     spread = rser(vals)
     bench = benchmark_7030(rser(np.zeros(n)), rser(np.zeros(n)))
     path = classify(Series(spread.calendar, rng.choice([10.0, 15.0, 30.0], n), UNIT_LEVEL),
-                    WindowSpec(1), T13_22)
+                    1, T13_22)
     assert len(path.labels) == n
     policy = OverlayPolicy(*targets, theta_cap=theta_cap, te_ceiling=ceiling)
-    w = WindowSpec(L)
-    out = simulate_overlay(bench, spread, sizing_vol(spread, w), path, policy, w)
+    out = simulate_overlay(bench, spread, sizing_vol(spread, L), path, policy, L)
 
     by_label = dict(zip((int(Regime.LOW), int(Regime.NEUTRAL), int(Regime.HIGH)),
                         policy.effective_targets()))
-    vol = rolling_vol(spread, WindowSpec(L)).values   # vol[k]: returns k..k+L-1
+    vol = rolling_vol(spread, L).values   # vol[k]: returns k..k+L-1
     assert np.all(out.theta[:L] == 0.0)
     for t in range(L, n):
         v = float(vol[t - L])                         # known the day before t
@@ -205,7 +204,7 @@ def test_overlay_zero_vol_estimate_pins_at_cap():
     vals[70:] = 0.05
     spread = rser(vals)
     out = simulate_overlay(bench, spread, sizing_vol(spread, VOL), None, STA, VOL)
-    assert np.all(out.theta[VOL.length:70] == STA.theta_cap)
+    assert np.all(out.theta[VOL:70] == STA.theta_cap)
 
 
 def test_overlay_static_never_reads_regimes():
@@ -219,7 +218,7 @@ def test_overlay_static_never_reads_regimes():
 def test_overlay_constant_neutral_equals_static():
     bench, spread, _ = synth_market(seed=4, horizon=400)
     flat_vix = Series(bench.calendar, np.full(len(bench.calendar), 17.0), UNIT_LEVEL)
-    neutral = classify(flat_vix, WindowSpec(1), T13_22)
+    neutral = classify(flat_vix, 1, T13_22)
     vol = sizing_vol(spread, VOL)
     dyn = simulate_overlay(bench, spread, vol, neutral, DYN, VOL)
     sta = simulate_overlay(bench, spread, vol, None, STA, VOL)
@@ -234,7 +233,7 @@ def test_overlay_decision_uses_previous_day_label():
     spread = rser(0.02 * rng.standard_normal(n))
     vix_vals = np.full(n, 10.0)
     vix_vals[k:] = 30.0
-    path = classify(Series(bench.calendar, vix_vals, UNIT_LEVEL), WindowSpec(1), T13_22)
+    path = classify(Series(bench.calendar, vix_vals, UNIT_LEVEL), 1, T13_22)
     out = simulate_overlay(bench, spread, sizing_vol(spread, VOL), path, DYN, VOL)
     vol = rolling_vol(spread, VOL).values
     L = out.first_active
@@ -271,9 +270,9 @@ def test_overlay_validation():
     bench, spread, path = synth_market(horizon=200)
     vol = sizing_vol(spread, VOL)
     with pytest.raises(ValueError, match="warm-up"):
-        sizing_vol(spread, WindowSpec(200))
+        sizing_vol(spread, 200)
     with pytest.raises(ValueError, match="warm-up"):
-        simulate_overlay(bench, spread, vol, path, STA, WindowSpec(200))
+        simulate_overlay(bench, spread, vol, path, STA, 200)
     with pytest.raises(ValueError, match="return series"):
         sizing_vol(Series(spread.calendar, spread.values, UNIT_LEVEL), VOL)
     with pytest.raises(ValueError, match="regime path"):
@@ -282,7 +281,7 @@ def test_overlay_validation():
     with pytest.raises(ValueError, match="calendar"):
         simulate_overlay(bench, off, sizing_vol(off, VOL), path, STA, VOL)
     # a vol over another window, or on another calendar, sizes nothing
-    for other in (sizing_vol(spread, WindowSpec(21)), sizing_vol(off, VOL)):
+    for other in (sizing_vol(spread, 21), sizing_vol(off, VOL)):
         with pytest.raises(ValueError, match="63-day trailing vol"):
             simulate_overlay(bench, spread, other, path, STA, VOL)
 

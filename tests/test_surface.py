@@ -8,7 +8,9 @@ needs it, and is listed below with the reason. Every name a `dynte`
 module imports is used in that module. Every default of a public
 module-level function is left unset by some call in the package, `demos/`
 or `bench/`: a default that every such call overrides is a second home for
-a value that belongs to its callers.
+a value that belongs to its callers. Conversely, every defaulted parameter
+of such a function, and every defaulted field of a record, is set by some
+call there: a setting that only tests turn is a constant.
 """
 
 import ast
@@ -28,6 +30,9 @@ KEPT_FOR = {
 
 # defaults every call outside the tests overrides, and what keeps each
 DEFAULTS_KEPT_FOR = {}
+
+# defaults no call outside the tests sets, and what keeps each
+NEVER_SET_KEPT_FOR = {}
 
 
 def modules():
@@ -89,54 +94,135 @@ def test_every_import_of_a_module_is_used():
             assert not unused, f"{path.name}:{node.lineno} imports {unused} and never uses them"
 
 
-def unset_defaults(fn: ast.FunctionDef, call: ast.Call) -> set[str]:
-    """The defaulted parameters of `fn` that `call` leaves unset; a starred
+def defaulted(sig: ast.arguments) -> list[str]:
+    """The parameters of `sig` that have a default."""
+    positional = sig.posonlyargs + sig.args
+    names = [a.arg for a in positional[len(positional) - len(sig.defaults):]]
+    return names + [a.arg for a, d in zip(sig.kwonlyargs, sig.kw_defaults) if d is not None]
+
+
+def given(sig: ast.arguments, call: ast.Call) -> set[str] | None:
+    """The parameters of `sig` that `call` sets; None where a starred
     argument may set any of them."""
     if any(isinstance(a, ast.Starred) for a in call.args) or any(
             k.arg is None for k in call.keywords):
-        return set()
-    positional = fn.args.posonlyargs + fn.args.args
-    given = {a.arg for a in positional[:len(call.args)]} | {k.arg for k in call.keywords}
-    with_default = [a.arg for a in positional[len(positional) - len(fn.args.defaults):]]
-    with_default += [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
-                     if d is not None]
-    return set(with_default) - given
+        return None
+    positional = sig.posonlyargs + sig.args
+    return {a.arg for a in positional[:len(call.args)]} | {k.arg for k in call.keywords}
 
 
-def function_named(node: ast.AST, modules: set[str]) -> str | None:
-    """The name `node` refers to a module-level function by: `f`, or `mod.f`
-    for a `dynte` module `mod`."""
+def called(node: ast.AST, name: str) -> bool:
+    """Whether `node` is a call of the bare name `name`."""
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+
+def record_signature(cls: ast.ClassDef) -> ast.arguments | None:
+    """The constructor `@record` gives `cls`: its annotated fields, less
+    `field(init=False)` ones, with their defaults; None if it is no record."""
+    if not any(getattr(d, "id", None) == "record" or called(d, "record")
+               for d in cls.decorator_list):
+        return None
+    fields = [f for f in cls.body
+              if isinstance(f, ast.AnnAssign) and not called(f.value, "field")]
+    return ast.arguments(posonlyargs=[], args=[ast.arg(f.target.id) for f in fields],
+                         vararg=None, kwonlyargs=[], kw_defaults=[], kwarg=None,
+                         defaults=[f.value for f in fields if f.value is not None])
+
+
+def signatures(package: dict, records: bool) -> dict[str, ast.arguments]:
+    """The parameters of each public module-level function and, with
+    `records`, of each record's constructor, by name."""
+    out = {}
+    for tree in package.values():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                out[node.name] = node.args
+            elif (records and isinstance(node, ast.ClassDef)
+                  and not node.name.startswith("_")):
+                sig = record_signature(node)
+                if sig is not None:
+                    out[node.name] = sig
+    return out
+
+
+def function_named(node: ast.AST, modules: set[str], aliases: dict[str, str]) -> str | None:
+    """The name `node` refers to a module-level definition by: `f`, `g` after
+    `from dynte.m import f as g`, or `m.f` or `dynte.m.f` for a `dynte`
+    module `m`."""
     if isinstance(node, ast.Name):
-        return node.id
-    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-            and node.value.id in modules):
+        return aliases.get(node.id, node.id)
+    if not isinstance(node, ast.Attribute):
+        return None
+    owner = node.value
+    if (isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name)
+            and owner.value.id == "dynte"):
+        owner = ast.Name(owner.attr)
+    if isinstance(owner, ast.Name) and owner.id in modules:
         return node.attr
     return None
 
 
-def test_every_default_is_left_unset_by_some_call():
-    package = modules()
-    names = {path.stem for path in package}
-    functions = {node.name: node for tree in package.values() for node in tree.body
-                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-    callers = list(package.values()) + [
+# the cli helpers that call the function they are given with the arguments
+# that follow it
+PASS_ON = {"_checked", "_blame"}
+
+
+def calls_outside_tests(modules: set[str]):
+    """(name, call) for each call in the package, `demos/` and `bench/` of
+    whatever `function_named` names. A function passed to a PASS_ON helper
+    counts as called with the arguments that follow it, a bare decorator as
+    called with what it decorates, and any other function passed on as
+    called with no arguments."""
+    trees = [ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))] + [
         ast.parse(p.read_text(), str(p))
         for d in ("demos", "bench") for p in sorted((ROOT / d).glob("*.py"))]
-    unset = {name: set() for name in functions}
-    for tree in callers:
-        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
-        callees = {id(call.func) for call in calls}
-        for call in calls:
-            name = function_named(call.func, names)
-            if name in functions:
-                unset[name] |= unset_defaults(functions[name], call)
+    for tree in trees:
+        aliases = {a.asname: a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) for a in node.names if a.asname}
+        done = set()
         for node in ast.walk(tree):
-            # a function passed on, e.g. to cli._blame, is called with its defaults
-            name = function_named(node, names)
-            if (name in functions and id(node) not in callees
-                    and not isinstance(node.ctx, ast.Store)):
-                unset[name] |= unset_defaults(functions[name], ast.Call(node, [], []))
-    always_set = sorted(f"{name}.{arg}" for name, fn in functions.items()
-                        for arg in unset_defaults(fn, ast.Call(fn, [], []))
-                        if arg not in unset[name])
+            if isinstance(node, ast.Call):
+                done.add(id(node.func))
+                yield function_named(node.func, modules, aliases), node
+                if any(called(node, h) for h in PASS_ON) and len(node.args) > 1:
+                    done.add(id(node.args[1]))
+                    yield (function_named(node.args[1], modules, aliases),
+                           ast.Call(node.args[1], node.args[2:], node.keywords))
+            elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                for d in node.decorator_list:
+                    if not isinstance(d, ast.Call):
+                        done.add(id(d))
+                        yield (function_named(d, modules, aliases),
+                               ast.Call(d, [ast.Name(node.name)], []))
+        for node in ast.walk(tree):
+            name = function_named(node, modules, aliases)
+            if (name is not None and id(node) not in done
+                    and not isinstance(getattr(node, "ctx", None), ast.Store)):
+                yield name, ast.Call(node, [], [])
+
+
+def test_every_default_is_left_unset_by_some_call():
+    package = modules()
+    functions = signatures(package, records=False)
+    unset = {name: set() for name in functions}
+    for name, call in calls_outside_tests({path.stem for path in package}):
+        if name in functions:
+            g = given(functions[name], call)
+            if g is not None:
+                unset[name] |= set(defaulted(functions[name])) - g
+    always_set = sorted(f"{name}.{arg}" for name, sig in functions.items()
+                        for arg in defaulted(sig) if arg not in unset[name])
     assert always_set == sorted(DEFAULTS_KEPT_FOR), always_set
+
+
+def test_every_default_is_set_by_some_call():
+    package = modules()
+    callables = signatures(package, records=True)
+    was_set = {name: set() for name in callables}
+    for name, call in calls_outside_tests({path.stem for path in package}):
+        if name in callables:
+            g = given(callables[name], call)
+            was_set[name] |= set(defaulted(callables[name])) if g is None else g
+    never_set = sorted(f"{name}.{arg}" for name, sig in callables.items()
+                       for arg in defaulted(sig) if arg not in was_set[name])
+    assert never_set == sorted(NEVER_SET_KEPT_FOR), never_set

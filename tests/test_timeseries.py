@@ -383,7 +383,7 @@ def oracle_ingest_csv(
             symbols = list(columns)
         col_pos = {sym: header.index(sym) for sym in symbols}
 
-        rows: list[tuple[dt.date, list[float | None]]] = []
+        rows: list[tuple[dt.date, int, list[float | None]]] = []
         for lineno, raw in enumerate(reader, start=2):
             if not raw or all(not c.strip() for c in raw):
                 continue
@@ -414,21 +414,23 @@ def oracle_ingest_csv(
                         f"{path}:{lineno}: non-finite cell {cell!r} in column {sym}"
                     )
                 cells.append(x)
-            rows.append((d, cells))
+            rows.append((d, lineno, cells))
 
     rows.sort(key=lambda r: r[0])
-    for (d1, _), (d2, _) in zip(rows, rows[1:]):
+    for (d1, _, _), (d2, _, _) in zip(rows, rows[1:]):
         if d1 == d2:
             raise ValueError(f"{path}: duplicate date {d1}")
 
     kept_dates: list[dt.date] = []
+    kept_lines: list[int] = []
     kept_vals: list[list[float]] = []
     dropped: list[dt.date] = []
-    for d, cells in rows:
+    for d, lineno, cells in rows:
         if any(v is None for v in cells):
             dropped.append(d)
         else:
             kept_dates.append(d)
+            kept_lines.append(lineno)
             kept_vals.append(cells)  # type: ignore[arg-type]
     if not kept_dates:
         raise ValueError(f"{path}: no complete rows (empty intersection)")
@@ -439,6 +441,13 @@ def oracle_ingest_csv(
             raise ValueError(
                 f"{path}: gap of {between} weekdays between {d1} and {d2}"
             )
+    for d, lineno in zip(kept_dates, kept_lines):
+        if d.weekday() >= 5:
+            raise ValueError(f"{path}:{lineno}: date {d} falls on a weekend")
+    for lineno, cells in zip(kept_lines, kept_vals):
+        for sym, x in zip(symbols, cells):
+            if unit == UNIT_PRICE and x <= 0.0:
+                raise ValueError(f"{path}:{lineno}: non-positive price {x!r} in column {sym}")
 
     cal = TradingCalendar(tuple(kept_dates))
     mat = np.asarray(kept_vals, dtype=np.float64)
