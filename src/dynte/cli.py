@@ -195,7 +195,7 @@ def _ordered(fieldname: str, start: dt.date | None,
     return start, end
 
 
-@record(frozen=True)
+@record
 class RunConfig:
     """Validated, fully-resolved settings, built once by load_config. `raw`
     is the canonical dict the output hash is computed from; commands read
@@ -252,13 +252,20 @@ def _roles(data: dict) -> tuple[dict, dict[str, str]]:
                     raise ConfigError("data.sectors.columns",
                                       f"expected one or more names, none twice, got {cols}")
         roles[name] = (spec["path"], cols)
-    digests = {}
-    for name, (path, _) in roles.items():
-        try:
-            digests[name] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        except FileNotFoundError:
-            raise ConfigError(f"data.{name}.path", f"file not found: {path}") from None
+    digests = {name: hashlib.sha256(_read_bytes(f"data.{name}.path", path)).hexdigest()
+               for name, (path, _) in roles.items()}
     return roles, digests
+
+
+def _read_bytes(fieldname: str, path: str) -> bytes:
+    """The bytes of the file at `path`; failing to read them is a config
+    error naming `fieldname`."""
+    try:
+        return Path(path).read_bytes()
+    except FileNotFoundError:
+        raise ConfigError(fieldname, f"file not found: {path}") from None
+    except OSError as e:
+        raise ConfigError(fieldname, f"cannot read {path}: {e.strerror or e}") from None
 
 
 def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
@@ -267,10 +274,9 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
     user: dict = {}
     if path is not None:
         try:
-            with open(path) as fh:
-                user = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError("config", f"file not found: {path}") from None
+            user = json.loads(_read_bytes("config", path).decode("utf-8-sig"))
+        except UnicodeDecodeError:
+            raise ConfigError("config", "not UTF-8 text") from None
         except json.JSONDecodeError as e:
             raise ConfigError("config", f"invalid JSON: {e}") from None
         if not isinstance(user, dict):
@@ -394,7 +400,7 @@ def _write_table(cfg: RunConfig, stem: str, token: str, header: Sequence[str],
     columns = list(columns)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / f"{stem}_{_cfg_hash(cfg, token)}.csv"
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(header)
         out.writerows(zip(*map(_column_text, columns)))
@@ -469,7 +475,7 @@ def _svg(cfg: RunConfig, stem: str, token: str, dates, named_series: dict,
     parts.append("</svg>\n")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / f"{stem}_{_cfg_hash(cfg, token)}.svg"
-    path.write_text("\n".join(parts))
+    path.write_text("\n".join(parts), encoding="utf-8")
     return path
 
 

@@ -55,7 +55,7 @@ def forward_return(prices: Series, horizon: int) -> Series:
     return Series(TradingCalendar(prices.calendar.days[: n - horizon]), out, UNIT_LEVEL)
 
 
-@record(frozen=True)
+@record
 class QuintileReport:
     boundaries: np.ndarray
     horizons: tuple[int, ...]
@@ -111,7 +111,7 @@ def omega_table(vix: Series, prices: Series, horizons: Sequence[int]) -> Quintil
     )
 
 
-@record(frozen=True)
+@record
 class Trough:
     date: dt.date
     drawdown: float          # magnitude at the trough vs the running peak
@@ -134,7 +134,7 @@ def find_trough(benchmark: SimResult, window: tuple[dt.date, dt.date], vix: Seri
     return Trough(date=date, drawdown=float(dd[t]), vix=float(vix.at(date)))
 
 
-@record(frozen=True)
+@record
 class RegretEntry:
     """Cumulative returns from the day after a trough: staying in the
     aggressive mix versus de-risking into the mirrored mix, per horizon.

@@ -68,7 +68,7 @@ def linear_quantiles(a: np.ndarray, qs) -> np.ndarray:
     return out
 
 
-@record(frozen=True)
+@record
 class MeanTest:
     mean: float
     se: float
@@ -105,7 +105,7 @@ def newey_west_mean_test(x, bandwidth: int) -> MeanTest:
     return MeanTest(mean=m, se=se, t=m / se, bandwidth=bandwidth, n=n)
 
 
-@record(frozen=True)
+@record
 class BootstrapSpec:
     block: int
     iterations: int
@@ -121,7 +121,7 @@ class BootstrapSpec:
             raise ValueError("confidence must be in (0, 1)")
 
 
-@record(frozen=True)
+@record
 class BootstrapResult:
     point: float
     ci_lo: float
@@ -262,7 +262,7 @@ def circular_block_bootstrap(returns: np.ndarray, spec: BootstrapSpec) -> Bootst
     return BootstrapResult(point=point, ci_lo=float(ci_lo), ci_hi=float(ci_hi), spec=spec)
 
 
-@record(frozen=True)
+@record
 class SharpeEquality:
     z: float
     p: float

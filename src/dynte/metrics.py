@@ -87,7 +87,7 @@ def max_drawdown(returns) -> float:
     return float(np.max(drawdown_path(returns)))
 
 
-@record(frozen=True)
+@record
 class TePolicyStats:
     level: float           # mean tracking error
     sigma_te: float        # dispersion of tracking error through time
@@ -117,7 +117,7 @@ def te_policy_stats(te: Series, smoothed_vix: Series) -> TePolicyStats:
     return TePolicyStats(level=level, sigma_te=sigma, cyclicality=cyc)
 
 
-@record(frozen=True)
+@record
 class MetricsReport:
     cagr: float
     vol: float

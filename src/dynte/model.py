@@ -17,7 +17,7 @@ from __future__ import annotations
 from ._record import record
 
 
-@record(frozen=True)
+@record
 class RegimeParams:
     """Two-state spread parameters: (calm, stressed) alpha and sigma, and
     the probability p of the stressed state."""
@@ -39,7 +39,7 @@ class RegimeParams:
         return (self.alpha[0] / self.sigma[0], self.alpha[1] / self.sigma[1])
 
 
-@record(frozen=True)
+@record
 class GovernanceParams:
     """Hard annualized tracking-error ceiling."""
 
@@ -92,7 +92,7 @@ def jensen_advantage(params: RegimeParams) -> float:
     return 0.5 * params.p * (1.0 - params.p) * d * d
 
 
-@record(frozen=True)
+@record
 class PropositionCheck:
     prop: int
     status: str          # "pass" | "fail" | "precondition"

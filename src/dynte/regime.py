@@ -33,10 +33,11 @@ from __future__ import annotations
 
 import enum
 import math
+from functools import cached_property
 
 import numpy as np
 
-from ._record import field, record
+from ._record import record
 from .inference import linear_quantiles, spearman
 from .rolling import moving_average
 from .timeseries import UNIT_LEVEL, UNIT_RETURN, Series, TradingCalendar
@@ -60,7 +61,7 @@ class Regime(enum.IntEnum):
     HIGH = 1
 
 
-@record(frozen=True)
+@record
 class RegimeThresholds:
     low: float
     high: float
@@ -84,16 +85,16 @@ def percentile_thresholds(smoothed: Series, p_low: float, p_high: float) -> Regi
     return RegimeThresholds(low=float(lo), high=float(hi))
 
 
-@record(frozen=True)
+@record
 class RegimePath:
     """The smoothed signal, and the per-date label it gives under the
     thresholds, on the signal's calendar."""
 
     signal: Series
     thresholds: RegimeThresholds
-    labels: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    @cached_property
+    def labels(self) -> np.ndarray:
         v = self.signal.values
         labels = np.where(
             v < self.thresholds.low,
@@ -101,7 +102,7 @@ class RegimePath:
             np.where(v > self.thresholds.high, int(Regime.HIGH), int(Regime.NEUTRAL)),
         ).astype(np.int8)
         labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
+        return labels
 
     def fractions(self) -> dict[Regime, float]:
         return {r: float(np.mean(self.labels == int(r))) for r in Regime}
@@ -130,7 +131,7 @@ def weekly_returns(daily: Series) -> Series:
     return Series(TradingCalendar._unchecked(days[ends]), growth - 1.0, UNIT_RETURN)
 
 
-@record(frozen=True)
+@record
 class MSModel:
     """Two-state Gaussian HMM; state 0 is low-variance, state 1 high."""
 
@@ -404,7 +405,7 @@ def smoothed_high_prob(model: MSModel, weekly: Series) -> Series:
     return Series(weekly.calendar, np.clip(smooth[:, 1], 0.0, 1.0), UNIT_LEVEL)
 
 
-@record(frozen=True)
+@record
 class AgreementReport:
     spearman: float
     concordance: float

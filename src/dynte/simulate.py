@@ -25,7 +25,7 @@ from .timeseries import UNIT_RETURN, Series, TradingCalendar
 _W_EQ = 0.70
 
 
-@record(frozen=True)
+@record
 class OverlayPolicy:
     """Tracking-error targets per regime label, in annualized fraction terms.
 
@@ -64,7 +64,7 @@ class OverlayPolicy:
         return tuple(min(x, self.te_ceiling) for x in t)  # type: ignore[return-value]
 
 
-@record(frozen=True)
+@record
 class SimResult:
     """Daily simulation output. portfolio - benchmark == theta * spread by
     construction; te is the realized tracking-error path over the active

@@ -163,7 +163,7 @@ def intersect_calendars(cals: Iterable[TradingCalendar]) -> TradingCalendar:
     return TradingCalendar._unchecked(common)
 
 
-@record(frozen=True)
+@record
 class Series:
     """One float per calendar date, tagged with a unit.
 
@@ -212,7 +212,7 @@ class Series:
         return Series(calendar, self.values[idx], self.unit)
 
 
-@record(frozen=True)
+@record
 class AssetPanel:
     """Several symbols' series on one shared calendar."""
 
@@ -238,7 +238,7 @@ class AssetPanel:
             raise ValueError(f"symbol {sym!r} not in panel") from None
 
 
-@record(frozen=True)
+@record
 class IngestResult:
     panel: AssetPanel
     dropped_dates: tuple[dt.date, ...]
@@ -325,10 +325,12 @@ def _parse_row(path, lineno: int, line: str, symbols: Sequence[str],
 
 def ingest_csv(path, columns: Sequence[str] | None, unit: str) -> IngestResult:
     """Load a wide CSV (first column `date`, ISO dates; remaining columns
-    symbols): the `columns` asked for, or every column for None.
+    symbols): the `columns` asked for, or every column for None. The file
+    is UTF-8 text, with or without a byte-order mark.
 
     Rows may come in any order. Rows where any requested symbol is missing
-    are dropped and reported. Raises on a column name the header repeats,
+    are dropped and reported. Raises, naming the line, on a byte that is not
+    UTF-8; then on a column name the header repeats,
     malformed dates, non-numeric or non-finite cells (inf, a signed NaN, a
     number that overflows), duplicate dates, empty result, or a gap of more
     than MAX_WEEKDAY_GAP weekdays between consecutive surviving rows; then,
@@ -338,8 +340,14 @@ def ingest_csv(path, columns: Sequence[str] | None, unit: str) -> IngestResult:
     Plain lines (see _plain_lines) are parsed as arrays; the rest, typically
     the few rows with a missing cell, one by one.
     """
-    with open(path, newline="") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as e:
+        head = data[:e.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise ValueError(f"{path}:{line}: not UTF-8 text") from None
     if not text:
         raise ValueError(f"{path}: empty file")
     if "\r" in text:
@@ -455,7 +463,7 @@ def make_weekday_calendar(start: dt.date, n: int) -> TradingCalendar:
     return TradingCalendar._unchecked(np.busday_offset(first, np.arange(n)))
 
 
-@record(frozen=True)
+@record
 class SynthParams:
     """Two-state world: a persistent Markov chain drives the drift and
     volatility of the benchmark legs and of the long/short spread, plus the

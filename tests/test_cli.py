@@ -129,6 +129,42 @@ def test_invalid_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_a_config_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    text = json.dumps({"version": CONFIG_VERSION, "svg": False})
+    outputs = []
+    for data in (text.encode(), b"\xef\xbb\xbf" + text.encode()):
+        cfg.write_bytes(data)
+        out = tmp_path / f"o{len(outputs)}"
+        assert main(["props", "--config", str(cfg), "--out", str(out)]) == 0
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert outputs[0] == outputs[1] and outputs[0]
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes('{"crises": {"gfc_\u00e9": ["2007-10-01", "2009-06-30"]}}'.encode("latin-1"))
+    assert main(["regret", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: config: not UTF-8 text\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("role", [None, "eq", "sectors"], ids=["config", "eq", "sectors"])
+def test_an_unreadable_path_is_a_config_error(tmp_path, capsys, role):
+    folder = tmp_path / "adir"
+    folder.mkdir()
+    if role is None:
+        argv, fieldname = ["props", "--config", str(folder)], "config"
+    else:
+        spec = {"path": str(folder)} if role == "sectors" else {"path": str(folder),
+                                                                "column": "A"}
+        cfg = write_config(tmp_path, data={role: spec})
+        argv, fieldname = ["props", "--config", cfg], f"data.{role}.path"
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {fieldname}: cannot read {folder}: Is a directory\n")
+
+
 def test_threshold_ordering_rejected(tmp_path, capsys):
     code, _ = run(tmp_path, "props", config_extra={"thresholds": {"low": 30, "high": 13}})
     assert code == 2
@@ -565,6 +601,32 @@ def test_a_repeated_header_column_names_its_file(tmp_path, capsys):
     code, _ = run(tmp_path, "exhibit", "3", config_extra={"data": data})
     assert code == 1
     assert capsys.readouterr().err == f"error: {bad}: duplicate column 'VIX' in header\n"
+
+
+def test_a_csv_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    bom, data = panel_with_bad_eq(tmp_path, lambda lines: lines)
+    bom.write_bytes(b"\xef\xbb\xbf" + bom.read_bytes())
+    tables = []
+    for eq in (bom, data["bd"]["path"]):
+        data["eq"]["path"] = str(eq)
+        here = tmp_path / str(len(tables))
+        here.mkdir()
+        code, files = run(here, "exhibit", "3", config_extra={"data": data})
+        assert code == 0, capsys.readouterr().err
+        tables.append(sorted(f.read_bytes() for f in files))
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_csv_byte_that_is_not_utf8_names_its_file_and_line(tmp_path, capsys, newline):
+    bad, data = panel_with_bad_eq(tmp_path, lambda lines: lines)
+    lines = bad.read_bytes().split(b"\n")
+    lines[40] += b",\xe9"                               # line 41 of the file
+    bad.write_bytes(newline.encode().join(lines))
+    capsys.readouterr()
+    code, _ = run(tmp_path, "exhibit", "3", config_extra={"data": data})
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {bad}:41: not UTF-8 text\n"
 
 
 @pytest.mark.parametrize("role,column", [("vix", "VIX"), ("eq", "BENCH_EQ")])

@@ -1,30 +1,30 @@
-"""dynte's record classes against the stdlib dataclasses they stand in for.
+"""dynte's record classes against the frozen stdlib dataclasses they stand in for.
 
-Each test builds a `dataclasses.dataclass` twin of a real dynte class, with
-the same name, fields, defaults and methods, and checks that both behave
-alike: construction and its TypeErrors, __post_init__, repr, ==, != and
-hash, frozen assignment and deletion, init=False fields and
-cached_property.
+Each comparison builds a `dataclasses.dataclass(frozen=True)` twin of a real
+dynte class, with the same name, fields, defaults and methods, and checks
+that both behave alike: construction, __post_init__, repr, ==, != and hash,
+assignment and deletion, and cached_property. Bad arguments raise a
+TypeError in both; dynte's names the record, its fields and every bad
+argument in one message. Every record in the package is frozen.
 """
 
 import ast
 import dataclasses
 import datetime as dt
+import importlib
 import os
 import subprocess
 import sys
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dynte.cli import Market
 from dynte.metrics import MetricsReport
 from dynte.model import GovernanceParams
 from dynte.regime import RegimePath, RegimeThresholds
 from dynte.simulate import OverlayPolicy
-from dynte.timeseries import UNIT_LEVEL, AssetPanel, Series, TradingCalendar
+from dynte.timeseries import UNIT_LEVEL, Series, TradingCalendar
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -33,13 +33,12 @@ GENERATED = {"__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__del
              "__dict__", "__weakref__"}
 
 
-def twin(real, frozen, no_init=()):
-    """A stdlib dataclass with `real`'s qualified name, fields, defaults and
-    methods; `no_init` names its field(init=False) fields."""
+def twin(real):
+    """A frozen stdlib dataclass with `real`'s qualified name, fields,
+    defaults and methods."""
     ns = {k: v for k, v in vars(real).items() if k not in GENERATED}
     ns["__qualname__"] = real.__qualname__
-    ns.update({name: dataclasses.field(init=False) for name in no_init})
-    return dataclasses.dataclass(frozen=frozen)(type(real.__name__, (), ns))
+    return dataclasses.dataclass(frozen=True)(type(real.__name__, (), ns))
 
 
 def both_raise(exc_type, real, std, *args, **kwargs):
@@ -75,7 +74,7 @@ def level(cal, values):
                                       "te_ceiling": 0.03})]),
 ])
 def test_repr_eq_and_hash_match_the_stdlib(real, cases):
-    std = twin(real, frozen=True)
+    std = twin(real)
     for a_args, a_kw in cases:
         r, s = real(*a_args, **a_kw), std(*a_args, **a_kw)
         assert repr(r) == repr(s)
@@ -89,43 +88,76 @@ def test_repr_eq_and_hash_match_the_stdlib(real, cases):
                 assert hash(r) == hash(r2)
 
 
-def test_bad_arguments_raise_the_stdlib_type_errors():
+def test_bad_arguments_raise_one_type_error_naming_them():
+    policy = ("OverlayPolicy(target_low, target_neutral, target_high, theta_cap, "
+              "te_ceiling) got")
     calls = [
-        (OverlayPolicy, (0.01, 0.02, 0.05), {}),            # missing one
-        (OverlayPolicy, (0.01, 0.02, 0.05, 0.25, None, 1), {}),   # too many, with defaults
-        (OverlayPolicy, (0.01,), {"target_low": 0.01}),            # repeated
-        (OverlayPolicy, (0.01, 0.02, 0.05, 0.25), {"width": 1}),   # unknown
-        # keywords only, one missing
+        (OverlayPolicy, (0.01, 0.02, 0.05), {},
+         f"{policy} 3 positional arguments, unknown or repeated keywords [], "
+         "missing fields ['theta_cap']"),
+        (OverlayPolicy, (0.01, 0.02, 0.05, 0.25, None, 1), {},
+         f"{policy} 6 positional arguments, unknown or repeated keywords [], missing fields []"),
+        (OverlayPolicy, (0.01,), {"target_low": 0.01, "width": 1},
+         f"{policy} 1 positional arguments, unknown or repeated keywords "
+         "['target_low', 'width'], missing fields ['target_neutral', 'target_high', "
+         "'theta_cap']"),
         (OverlayPolicy, (), {"target_low": 0.01, "target_neutral": 0.02,
-                             "target_high": 0.05, "te_ceiling": 0.03}),
-        # keywords are checked first
-        (OverlayPolicy, (0.01, 0.02, 0.05, 0.25, None, 1), {"target_low": 0.01}),
-        (OverlayPolicy, (0.01,), {"width": 1, "target_low": 0.01}),  # first bad keyword wins
-        (OverlayPolicy, (), {}),                            # missing four: 'a', 'b', 'c', and 'd'
-        (OverlayPolicy, (0.01,), {}),                       # missing three: 'a', 'b', and 'c'
-        (OverlayPolicy, (0.01, 0.02), {}),                  # missing two: 'a' and 'b'
-        (GovernanceParams, (0.05, 0.1), {}),                # too many, no defaults
-        (GovernanceParams, (), {"tau": 0.05}),
+                             "target_high": 0.05, "te_ceiling": 0.03},
+         f"{policy} 0 positional arguments, unknown or repeated keywords [], "
+         "missing fields ['theta_cap']"),
+        (GovernanceParams, (0.05, 0.1), {},
+         "GovernanceParams(tau_bar) got 2 positional arguments, unknown or repeated "
+         "keywords [], missing fields []"),
+        (GovernanceParams, (), {"tau": 0.05},
+         "GovernanceParams(tau_bar) got 0 positional arguments, unknown or repeated "
+         "keywords ['tau'], missing fields ['tau_bar']"),
     ]
-    for real, args, kwargs in calls:
-        std = twin(real, frozen=True)
-        got, want = both_raise(TypeError, real, std, *args, **kwargs)
-        assert got == want, (real.__name__, args, kwargs)
+    for real, args, kwargs, message in calls:
+        got, _ = both_raise(TypeError, real, twin(real), *args, **kwargs)
+        assert got == message, (real.__name__, args, kwargs)
 
 
 def test_post_init_errors_reach_the_caller():
     for real, args in ((OverlayPolicy, (0.01, 0.02, 0.05, 0.25, -0.01)),
                        (RegimeThresholds, (26.0, 14.0)),
                        (OverlayPolicy, (-0.01, 0.02, 0.05, 0.25)), (GovernanceParams, (0.0,))):
-        got, want = both_raise(ValueError, real, twin(real, frozen=True), *args)
+        got, want = both_raise(ValueError, real, twin(real), *args)
         assert got == want
     # __post_init__ may still set fields of a frozen record
     values = level(calendar(), [1, 2, 3, 4, 5, 6]).values
     assert isinstance(values, np.ndarray) and not values.flags.writeable
 
 
-def test_frozen_and_plain_records():
-    std = twin(OverlayPolicy, frozen=True)
+def package_records():
+    """Every record class the package defines, checked against the `@record`
+    decorators in its source."""
+    found, decorated = [], []
+    for path in sorted((SRC / "dynte").glob("*.py")):
+        module = importlib.import_module(
+            "dynte" if path.stem == "__init__" else f"dynte.{path.stem}")
+        found += [cls for cls in vars(module).values()
+                  if isinstance(cls, type) and cls.__module__ == module.__name__
+                  and getattr(cls.__init__, "__module__", None) == "dynte._record"]
+        decorated += [node.name for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.ClassDef)
+                      and any(getattr(d, "id", None) == "record" for d in node.decorator_list)]
+    assert sorted(cls.__name__ for cls in found) == sorted(decorated)
+    return found
+
+
+def test_every_record_is_frozen():
+    records = package_records()
+    assert "Market" in {cls.__name__ for cls in records}
+    for cls in records:
+        bare = object.__new__(cls)  # a record's methods refuse before reading a field
+        for name in (*cls.__annotations__, "other"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field {name!r}"):
+                setattr(bare, name, 1)
+            with pytest.raises(AttributeError, match=f"cannot delete field {name!r}"):
+                delattr(bare, name)
+        assert cls.__hash__ is not None, cls.__name__
+
+    std = twin(OverlayPolicy)
     targets = (0.005, 0.02, 0.05, 0.25)
     for w in (OverlayPolicy(*targets), std(*targets)):
         for attempt in (lambda: setattr(w, "theta_cap", 0.5), lambda: setattr(w, "other", 1),
@@ -140,55 +172,28 @@ def test_frozen_and_plain_records():
                       std(*targets).__delattr__, "theta_cap"
                       ) == ("cannot delete field 'theta_cap'",) * 2
 
-    cal = calendar()
-    vix = level(cal, np.arange(6.0))
-    std_market = twin(Market, frozen=False)
-    assert Market.__hash__ is None and std_market.__hash__ is None
-    for cls in (Market, std_market):
-        m = cls(vix, vix, tlt=vix)
-        with pytest.raises(TypeError):
-            hash(m)
-        m.rf = 0.01
-        assert m.rf == 0.01 and m == m
-        del m.tlt
-        assert m.tlt is None  # the class-level default shows again
-    assert repr(Market(vix, vix)) == repr(std_market(vix, vix))
-
-
-def test_init_false_field():
-    std = twin(RegimePath, frozen=True, no_init=("labels",))
-    signal = level(calendar(), [10.0, 15.0, 20.0, 25.0, 30.0, 35.0])
-    th = RegimeThresholds(14.0, 26.0)
-    r, s = RegimePath(signal, th), std(signal, th)
-    assert r.labels.tolist() == s.labels.tolist() == [-1, 0, 0, 0, 1, 1]
-    assert repr(r) == repr(s) and "labels=array(" in repr(r)
-    assert not hasattr(RegimePath, "labels") and not hasattr(std, "labels")
-    got, want = both_raise(TypeError, RegimePath, std, signal, th, labels=r.labels)
-    assert got == want == "got an unexpected keyword argument 'labels'"
-    with pytest.raises(AttributeError):
-        r.labels = s.labels
-
 
 def test_cached_property_on_a_frozen_record():
-    cal = calendar()
-    series = {"A": level(cal, np.ones(6)), "B": level(cal, np.arange(6.0))}
-    for base in (AssetPanel, twin(AssetPanel, frozen=True)):
-        calls = []
-
-        class Panel(base):
-            @cached_property
-            def total(self):
-                calls.append(1)
-                return sum(float(s.values.sum()) for s in self.series.values())
-
-        p = Panel(cal, series)
-        assert p.total == 21.0 and p.total == 21.0 and calls == [1]
-        assert p.__dict__["total"] == 21.0
-        # a subclass may set attributes that are not fields, never a field
-        p.note = "x"
-        with pytest.raises(AttributeError):
-            p.series = {}
-        assert p == Panel(cal, series)
+    signal = level(calendar(), [10.0, 15.0, 20.0, 25.0, 30.0, 35.0])
+    th = RegimeThresholds(14.0, 26.0)
+    std = twin(RegimePath)
+    assert tuple(RegimePath.__annotations__) == ("signal", "thresholds")
+    for path in (RegimePath(signal, th), std(signal, th)):
+        assert "labels" not in path.__dict__
+        labels = path.labels
+        assert labels is path.labels and path.__dict__["labels"] is labels  # computed once
+        assert labels.tolist() == [-1, 0, 0, 0, 1, 1]
+        assert np.array_equal(labels, np.where(signal.values < th.low, -1,
+                                               np.where(signal.values > th.high, 1, 0)))
+        for attempt in (lambda: setattr(path, "labels", labels),
+                        lambda: delattr(path, "labels")):
+            with pytest.raises(AttributeError):
+                attempt()
+        assert path.labels is labels
+    assert repr(RegimePath(signal, th)) == repr(std(signal, th))
+    assert "labels" not in repr(RegimePath(signal, th))
+    with pytest.raises(TypeError):
+        RegimePath(signal, th, labels)
 
 
 def test_import_builds_records_without_dataclasses():

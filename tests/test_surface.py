@@ -117,13 +117,11 @@ def called(node: ast.AST, name: str) -> bool:
 
 
 def record_signature(cls: ast.ClassDef) -> ast.arguments | None:
-    """The constructor `@record` gives `cls`: its annotated fields, less
-    `field(init=False)` ones, with their defaults; None if it is no record."""
-    if not any(getattr(d, "id", None) == "record" or called(d, "record")
-               for d in cls.decorator_list):
+    """The constructor `@record` gives `cls`: its annotated fields, with
+    their defaults; None if it is no record."""
+    if not any(getattr(d, "id", None) == "record" for d in cls.decorator_list):
         return None
-    fields = [f for f in cls.body
-              if isinstance(f, ast.AnnAssign) and not called(f.value, "field")]
+    fields = [f for f in cls.body if isinstance(f, ast.AnnAssign)]
     return ast.arguments(posonlyargs=[], args=[ast.arg(f.target.id) for f in fields],
                          vararg=None, kwonlyargs=[], kw_defaults=[], kwarg=None,
                          defaults=[f.value for f in fields if f.value is not None])
