@@ -11,7 +11,9 @@ builds the market, benchmark, regime path and overlays its tables share
 once; Run.overlay simulates every overlay a table shows, the sweep's
 included, each sized on the one trailing spread vol, Run.vol. The library
 returns results; each command here lays out its own table's columns, and
-every table goes through one writer, _write_table. Outputs are CSV tables
+every table goes through one writer, _write_table, which stages each file
+under a temporary name; main publishes a command's files once it has
+returned, and a command that fails publishes none. Outputs are CSV tables
 named {name}_{hash}.csv where the hash is derived from the command, the
 effective config less `out` and `svg`, and the bytes of the input files,
 never from the clock, so a re-run with the same config and inputs writes
@@ -28,6 +30,7 @@ import datetime as dt
 import hashlib
 import json
 import math
+import os
 import sys
 from functools import cached_property
 from pathlib import Path
@@ -309,6 +312,10 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
                                      for k in ("start", "end")))
     crises = {}
     for name, span in raw["crises"].items():
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError("crises", f"name {name!r} is not UTF-8 text") from None
         if not isinstance(span, list) or len(span) != 2:
             raise ConfigError(f"crises.{name}", "expected [start, end] ISO dates")
         crises[name] = _ordered(f"crises.{name}", *(_iso(f"crises.{name}", d) for d in span))
@@ -391,24 +398,27 @@ def _column_text(column) -> list[str]:
     return [_cell(x) for x in column]
 
 
-def _write_table(cfg: RunConfig, stem: str, token: str, header: Sequence[str],
+def _write_table(run: Run, stem: str, token: str, header: Sequence[str],
                  columns, chart: dict[str, str] | None = None, ylabel: str = "") -> list[Path]:
     """The one way a table is written: `header`, then a line per row of
     `columns`, one sequence per header field, formatted column by column.
     With `chart` (legend label -> column), an SVG of those columns against
-    the `date` column goes alongside."""
+    the `date` column goes alongside. Each file is staged on `run`; the
+    paths returned are the names Run.publish gives them."""
+    cfg = run.cfg
     columns = list(columns)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / f"{stem}_{_cfg_hash(cfg, token)}.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open(run.stage(path), "w", newline="", encoding="utf-8") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(header)
         out.writerows(zip(*map(_column_text, columns)))
     if not (chart and cfg.svg):
         return [path]
     cols = dict(zip(header, columns))
-    return [path, _svg(cfg, stem, token, cols["date"],
-                       {label: cols[c] for label, c in chart.items()}, ylabel)]
+    svg = path.with_suffix(".svg")
+    run.stage(svg).write_text(_svg(cols["date"], {label: cols[c] for label, c in chart.items()},
+                                   ylabel), encoding="utf-8")
+    return [path, svg]
 
 
 _SVG_W, _SVG_H = 900, 450
@@ -416,8 +426,7 @@ _SVG_LEFT, _SVG_RIGHT, _SVG_TOP, _SVG_BOTTOM = 80, 20, 20, 40
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd")
 
 
-def _svg(cfg: RunConfig, stem: str, token: str, dates, named_series: dict,
-         ylabel: str) -> Path:
+def _svg(dates, named_series: dict, ylabel: str) -> str:
     """Line chart of each named series against `dates` (a calendar's
     datetime64 `days`, or anything that converts to them), as plain SVG.
 
@@ -473,10 +482,7 @@ def _svg(cfg: RunConfig, stem: str, token: str, dates, named_series: dict,
                      f'y2="{ly}" stroke="{color}"/>')
         parts.append(f'<text x="{x1 - 125}" y="{ly + 4}">{esc(name)}</text>')
     parts.append("</svg>\n")
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.out_dir / f"{stem}_{_cfg_hash(cfg, token)}.svg"
-    path.write_text("\n".join(parts), encoding="utf-8")
-    return path
+    return "\n".join(parts)
 
 
 # ----------------------------------------------------------- data loading --
@@ -613,12 +619,34 @@ class Run:
     """One command's config and what its tables share: the market, the 70/30
     benchmark, the spread's sizing vol, the regime path and the reference
     overlays, each built on first use. `command` is the form the user typed,
-    for error messages."""
+    for error messages. The files the command writes are staged here until
+    published."""
 
     def __init__(self, cfg: RunConfig, command: str):
         self.cfg = cfg
         self.command = command
         self._markets: dict[tuple[str, ...], Market] = {}
+        self._staged: list[tuple[Path, Path]] = []
+
+    def stage(self, path: Path) -> Path:
+        """The temporary name, in `path`'s directory, that `path` is written
+        under until publish moves it into place."""
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        self._staged.append((tmp, path))
+        return tmp
+
+    def publish(self) -> None:
+        """Move every staged file into place under its final name."""
+        for tmp, path in self._staged:
+            os.replace(tmp, path)
+        self._staged.clear()
+
+    def discard(self) -> None:
+        """Remove every staged file not yet published."""
+        for tmp, _ in self._staged:
+            tmp.unlink(missing_ok=True)
+        self._staged.clear()
 
     def market(self, need: tuple[str, ...] = ("eq", "bd", "vix")) -> Market:
         """The market with the roles in `need`, built once per role set: the
@@ -633,7 +661,7 @@ class Run:
         return self._markets[need]
 
     @cached_property
-    def bench(self) -> SimResult:
+    def bench(self) -> Series:
         return benchmark_7030(self.market().eq, self.market().bd)
 
     @cached_property
@@ -654,7 +682,7 @@ class Run:
         if path is None and not policy.is_static:
             path = self.path
         return _blame("windows.vol", simulate_overlay, self.bench, self.market().spread,
-                      self.vol, path, policy, self.cfg.windows["vol"])
+                      self.vol, path, policy)
 
     @cached_property
     def static(self) -> SimResult:
@@ -673,9 +701,9 @@ def cmd_synth(run: Run) -> list[Path]:
     dates = panel.calendar.days
     legs = ("BENCH_EQ", "BENCH_BD", "SPREAD")
     levels = [prices_from_returns(panel[sym]).values for sym in legs]
-    return (_write_table(run.cfg, "synth_panel", "synth", ["date", *legs, "VIX"],
+    return (_write_table(run, "synth_panel", "synth", ["date", *legs, "VIX"],
                          [dates, *levels, panel["VIX"].values])
-            + _write_table(run.cfg, "synth_states", "synth", ["date", "state"], [dates, states]))
+            + _write_table(run, "synth_states", "synth", ["date", "state"], [dates, states]))
 
 
 def _exhibit1(run: Run) -> list[Path]:
@@ -683,7 +711,7 @@ def _exhibit1(run: Run) -> list[Path]:
     avg = _blame("windows.pairwise_corr", rolling_avg_pairwise_corr, market.sectors,
                  cfg.windows["pairwise_corr"])
     vix = market.vix_full.restrict(avg.calendar)
-    return _write_table(cfg, "exhibit1", "exhibit1", ["date", "avg_pairwise_corr", "vix"],
+    return _write_table(run, "exhibit1", "exhibit1", ["date", "avg_pairwise_corr", "vix"],
                         [avg.calendar.days, avg.values, vix.values],
                         {"avg pairwise corr": "avg_pairwise_corr"}, "correlation")
 
@@ -694,7 +722,7 @@ def _exhibit2(run: Run) -> list[Path]:
     corr = {k: _blame("windows.stock_bond_corr", rolling_corr, market.eq, leg,
                       cfg.windows["stock_bond_corr"])
             for k, leg in legs.items() if leg is not None}
-    return _write_table(cfg, "exhibit2", "exhibit2", ["date", *(f"corr_{k}" for k in corr)],
+    return _write_table(run, "exhibit2", "exhibit2", ["date", *(f"corr_{k}" for k in corr)],
                         [corr["eq_bd"].calendar.days, *(c.values for c in corr.values())],
                         {k: f"corr_{k}" for k in corr}, "correlation")
 
@@ -703,15 +731,15 @@ def _exhibit3(run: Run) -> list[Path]:
     metrics = ("cagr", "vol", "sharpe", "max_drawdown", "cagr_over_maxdd",
                "te_level", "te_sigma", "te_cyclicality")
     rows = []
-    for name, sim in (("benchmark", run.bench), ("static", run.static),
-                      ("dynamic", run.dynamic)):
-        rep = summarize(sim.portfolio, rf=run.market().rf, te=sim.te,
-                        smoothed_vix=run.path.signal)
+    for name, returns, te in (("benchmark", run.bench.values, None),
+                              ("static", run.static.portfolio, run.static.te),
+                              ("dynamic", run.dynamic.portfolio, run.dynamic.te)):
+        rep = summarize(returns, rf=run.market().rf, te=te, smoothed_vix=run.path.signal)
         cells = {m: getattr(rep, m) for m in metrics}
         # display convention: drawdowns are losses, shown negative
         cells["max_drawdown"] = -rep.max_drawdown
         rows.append([name, *cells.values()])
-    return _write_table(run.cfg, "exhibit3", "exhibit3", ["portfolio", *metrics], zip(*rows))
+    return _write_table(run, "exhibit3", "exhibit3", ["portfolio", *metrics], zip(*rows))
 
 
 def _exhibit4(run: Run) -> list[Path]:
@@ -721,7 +749,7 @@ def _exhibit4(run: Run) -> list[Path]:
                          f"{run.cfg.windows['vol']}-day window, and the sample "
                          f"has {len(run.bench.calendar)} days")
     sm = run.path.signal.restrict(te_s.calendar)
-    return _write_table(run.cfg, "exhibit4", "exhibit4",
+    return _write_table(run, "exhibit4", "exhibit4",
                         ["date", "te_static", "te_dynamic", "smoothed_vix"],
                         [te_s.calendar.days, te_s.values, te_d.values, sm.values],
                         {"static": "te_static", "dynamic": "te_dynamic"},
@@ -736,7 +764,7 @@ def cmd_omega(run: Run) -> list[Path]:
               *(f"n_q{k}" for k in range(1, 6)), *(f"boundary_{p}" for p in (20, 40, 60, 80))]
     rows = [[h, *rep.means[i], rep.spreads[i], rep.t_stats[i], *rep.counts[i], *rep.boundaries]
             for i, h in enumerate(rep.horizons)]
-    return _write_table(cfg, "exhibit5", "omega", header, zip(*rows))
+    return _write_table(run, "exhibit5", "omega", header, zip(*rows))
 
 
 def cmd_regret(run: Run) -> list[Path]:
@@ -764,13 +792,13 @@ def cmd_regret(run: Run) -> list[Path]:
               "horizon_days", "stay_70_30", "derisk_30_70", "regret"]
     rows = [[e.name, e.trough.date, e.trough.drawdown, e.trough.vix, h, s, d, r]
             for e in entries for h, s, d, r in zip(e.horizons, e.stay, e.derisk, e.regret)]
-    return _write_table(cfg, "exhibit6b", "regret", header, zip(*rows))
+    return _write_table(run, "exhibit6b", "regret", header, zip(*rows))
 
 
 def _exhibit6(run: Run) -> list[Path]:
     market, bench = run.market(), run.bench
-    dd = drawdown_path(bench.portfolio)
-    return _write_table(run.cfg, "exhibit6a", "exhibit6", ["date", "drawdown", "vix"],
+    dd = drawdown_path(bench.values)
+    return _write_table(run, "exhibit6a", "exhibit6", ["date", "drawdown", "vix"],
                         [bench.calendar.days, dd, market.vix.values],
                         {"drawdown": "drawdown"}, "drawdown from peak"
                         ) + cmd_regret(run)
@@ -791,7 +819,7 @@ def cmd_converge(run: Run) -> list[Path]:
             rep.cagr, rep.vol, rep.sharpe, rep.max_drawdown, rep.te_level, rep.te_sigma,
             boot.ci_lo, boot.ci_hi, boot.width,
         ])
-    return _write_table(cfg, "exhibit7", "converge", header, zip(*rows))
+    return _write_table(run, "exhibit7", "converge", header, zip(*rows))
 
 
 def cmd_sweep(run: Run) -> list[Path]:
@@ -819,14 +847,14 @@ def cmd_sweep(run: Run) -> list[Path]:
     header = ["window", "threshold_low", "threshold_high", "cagr", "sharpe",
               "cagr_over_maxdd", "excess_cagr", "static_cagr", "static_sharpe",
               "static_cagr_over_maxdd", "passes_sharpe", "passes_calmar", "passes_both"]
-    return _write_table(cfg, "sweep", "sweep", header, zip(*rows))
+    return _write_table(run, "sweep", "sweep", header, zip(*rows))
 
 
 def cmd_props(run: Run) -> list[Path]:
     rows = [[c.prop, c.status, c.boundary,
              ";".join(f"{k}={v!r}" for k, v in c.values.items()), c.note]
             for c in proposition_suite(*run.cfg.model_params)]
-    return _write_table(run.cfg, "props", "props",
+    return _write_table(run, "props", "props",
                         ["prop", "status", "boundary", "values", "note"], zip(*rows))
 
 
@@ -865,6 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    run = None
     try:
         cfg = load_config(args.config, {"out": args.out})
         command, label = COMMANDS[args.command][1], args.command
@@ -872,13 +901,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.n not in command:
                 raise ConfigError("exhibit", f"exhibit number must be 1..7, got {args.n}")
             command, label = command[args.n], f"exhibit {args.n}"
-        paths = command(Run(cfg, label))
+        run = Run(cfg, label)
+        paths = command(run)
+        run.publish()
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except Exception as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:
+        if run is not None:
+            run.discard()
     for path in paths:
         print(path)
     return 0

@@ -17,7 +17,7 @@ import numpy as np
 from ._record import record
 from .inference import linear_quantiles, newey_west_mean_test
 from .metrics import drawdown_path
-from .simulate import _W_EQ, SimResult, fixed_mix
+from .simulate import _W_EQ, fixed_mix
 from .timeseries import (
     TRADING_DAYS_PER_YEAR,
     UNIT_LEVEL,
@@ -118,14 +118,14 @@ class Trough:
     vix: float
 
 
-def find_trough(benchmark: SimResult, window: tuple[dt.date, dt.date], vix: Series) -> Trough:
+def find_trough(benchmark: Series, window: tuple[dt.date, dt.date], vix: Series) -> Trough:
     """Deepest point of the wealth path inside [start, end], measured
-    against the running peak since the start of the whole result. Ties take
+    against the running peak since the start of the whole series. Ties take
     the earliest date; a window of rising wealth yields drawdown 0 at the
     window's first day."""
     start, end = window
     cal = benchmark.calendar
-    dd = drawdown_path(benchmark.portfolio)    # dd[t] belongs to cal[t]
+    dd = drawdown_path(benchmark.values)    # dd[t] belongs to cal[t]
     i0, i1 = cal.span(start, end)
     if i1 <= i0:
         raise ValueError(f"no trading days in [{start}, {end}]")
@@ -155,7 +155,7 @@ def _cum_mix(eq: Series, bd: Series, i0: int, h: int, w_eq: float) -> float:
     cal = TradingCalendar(eq.calendar.days[i0 : i0 + h])
     sub_eq = Series(cal, eq.values[i0 : i0 + h], eq.unit)
     sub_bd = Series(cal, bd.values[i0 : i0 + h], bd.unit)
-    r = fixed_mix(sub_eq, sub_bd, w_eq).portfolio
+    r = fixed_mix(sub_eq, sub_bd, w_eq).values
     return float(np.prod(1.0 + r)) - 1.0
 
 

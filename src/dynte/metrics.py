@@ -7,7 +7,8 @@ the annualized volatility of excess returns. A scalar risk-free rate is an
 annual figure and is applied as rf/252 per day. Max drawdown is reported
 as a magnitude in [0, 1], measured against a running peak that includes
 the starting wealth of 1. `summarize` is the one performance summary of a
-run; it returns a MetricsReport, and callers lay out their own tables.
+run, tracking-error statistics included; it returns a MetricsReport, and
+callers lay out their own tables.
 """
 
 from __future__ import annotations
@@ -88,36 +89,6 @@ def max_drawdown(returns) -> float:
 
 
 @record
-class TePolicyStats:
-    level: float           # mean tracking error
-    sigma_te: float        # dispersion of tracking error through time
-    cyclicality: float | None  # correlation with the smoothed gauge; None if undefined
-
-
-def te_policy_stats(te: Series, smoothed_vix: Series) -> TePolicyStats:
-    """Level, dispersion, and gauge-correlation of a realized TE path.
-
-    Cyclicality is undefined (None) when either input has zero variance;
-    level and sigma are still returned.
-    """
-    if len(te) < 2:
-        raise ValueError("need at least two tracking-error observations")
-    g = smoothed_vix.restrict(te.calendar)
-    x = te.values
-    y = g.values
-    level = float(np.mean(x))
-    sigma = float(np.std(x, ddof=1))
-    xd = x - np.mean(x)
-    yd = y - np.mean(y)
-    vx = float(np.dot(xd, xd))
-    vy = float(np.dot(yd, yd))
-    if vx == 0.0 or vy == 0.0:
-        return TePolicyStats(level=level, sigma_te=sigma, cyclicality=None)
-    cyc = float(np.dot(xd, yd) / math.sqrt(vx * vy))
-    return TePolicyStats(level=level, sigma_te=sigma, cyclicality=cyc)
-
-
-@record
 class MetricsReport:
     cagr: float
     vol: float
@@ -131,14 +102,26 @@ class MetricsReport:
 
 def summarize(returns, rf: Series | float, te: Series | None = None,
               smoothed_vix: Series | None = None) -> MetricsReport:
-    """One-row report; the TE columns are te_policy_stats of a realized-TE
-    path against the smoothed gauge, filled when the path is given."""
+    """One-row report. Given a realized-TE path of at least two values, the
+    TE columns are its level (mean), its dispersion through time (sample
+    standard deviation) and its cyclicality: its correlation with the
+    smoothed gauge on the path's dates, None when either has zero variance."""
     c = cagr(returns)
     dd = max_drawdown(returns)
     te_level = te_sigma = te_cyc = None
     if te is not None:
-        ts = te_policy_stats(te, smoothed_vix)
-        te_level, te_sigma, te_cyc = ts.level, ts.sigma_te, ts.cyclicality
+        if len(te) < 2:
+            raise ValueError("need at least two tracking-error observations")
+        x = te.values
+        y = smoothed_vix.restrict(te.calendar).values
+        te_level = float(np.mean(x))
+        te_sigma = float(np.std(x, ddof=1))
+        xd = x - np.mean(x)
+        yd = y - np.mean(y)
+        vx = float(np.dot(xd, xd))
+        vy = float(np.dot(yd, yd))
+        if vx != 0.0 and vy != 0.0:
+            te_cyc = float(np.dot(xd, yd) / math.sqrt(vx * vy))
     return MetricsReport(
         cagr=c,
         vol=annualized_vol(returns),

@@ -282,7 +282,7 @@ def _filter_smoother(y, mu, var, P, pi):
     return ll, np.moveaxis(filt, 0, -1), np.moveaxis(smooth, 0, -1), pairs
 
 
-def _em_trial(y, mu, var, P, pi, tol, max_iter):
+def _em_trial(y, mu, var, P, pi):
     """EM from each start on the leading axis of mu, var, pi (R, 2) and
     P (R, 2, 2), all in lock step. A start leaves the batch when it
     converges or collapses (a variance under the floor, an empty state or a
@@ -297,14 +297,14 @@ def _em_trial(y, mu, var, P, pi, tol, max_iter):
     converged = np.zeros(len(mu), dtype=bool)
     live = np.arange(len(mu))
     prev = np.full(len(mu), -np.inf)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         ll, filt, smooth, pairs = _filter_smoother(y, mu, var, P, pi)
         ok = (var.min(axis=1) >= _VAR_FLOOR) & np.isfinite(ll)
         for dst, src in zip(fitted, (mu, var, P, pi)):
             dst[live] = src
         for i, v in zip(live[ok], ll[ok].tolist()):
             traces[i].append(v)
-        done = ok & (ll - prev < tol)
+        done = ok & (ll - prev < _TOL)
         converged[live[done]] = True
 
         # the M-step, in the filter's states-first layout, sums each start's
@@ -365,8 +365,7 @@ def fit_markov_switching(weekly: Series, restarts: int, seed: int) -> MSModel:
                            rng.uniform(0.85, 0.99)) for _ in range(n)])
         stay0, stay1 = draws[:, 4], draws[:, 5]
         P = np.stack([stay0, 1.0 - stay0, 1.0 - stay1, stay1], axis=1).reshape(n, 2, 2)
-        out = _em_trial(y, draws[:, 0:2], draws[:, 2:4], P, np.full((n, 2), 0.5),
-                         _TOL, _MAX_ITER)
+        out = _em_trial(y, draws[:, 0:2], draws[:, 2:4], P, np.full((n, 2), 0.5))
         for i, trace in enumerate(out[4]):
             if trace is None:
                 continue

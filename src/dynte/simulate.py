@@ -4,12 +4,13 @@ The benchmark is a two-asset mix rebalanced to fixed weights on the first
 trading day of each month and left to drift in between. The overlay scales
 a long/short spread by a daily active weight theta sized to hit a
 tracking-error target: theta_t = min(target / vol, theta_cap), where vol is
-the trailing spread volatility over a window ending the day before, and
+the trailing spread volatility over the L days ending the day before, and
 the target is chosen by the previous day's regime label, optionally capped
 by a hard tracking-error ceiling. No decision uses same-day or future
-information; the first vol_window days are a warm-up with theta 0.
-The trailing vol, sizing_vol, is computed once and passed to every overlay
-sized on it.
+information; the first L days are a warm-up with theta 0. The trailing
+vol, sizing_vol, is computed once and passed to every overlay sized on it,
+and its calendar fixes L. The benchmark is a return Series; an overlay's
+result, SimResult, holds only what the overlay decided.
 """
 
 from __future__ import annotations
@@ -66,21 +67,18 @@ class OverlayPolicy:
 
 @record
 class SimResult:
-    """Daily simulation output. portfolio - benchmark == theta * spread by
+    """An overlay's daily output. portfolio - benchmark == theta * spread by
     construction; te is the realized tracking-error path over the active
-    period (None for a benchmark-only result, or where the active period
-    gives it fewer than two values)."""
+    period (None where the active period gives it fewer than two values)."""
 
     calendar: TradingCalendar
     portfolio: np.ndarray
-    benchmark: np.ndarray
     theta: np.ndarray
     te: Series | None
-    first_active: int
 
     def __post_init__(self):
         n = len(self.calendar)
-        for name in ("portfolio", "benchmark", "theta"):
+        for name in ("portfolio", "theta"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if len(arr) != n:
                 raise ValueError(f"{name} length must match the calendar")
@@ -89,7 +87,7 @@ class SimResult:
             object.__setattr__(self, name, arr)
 
 
-def fixed_mix(eq: Series, bd: Series, w_eq: float) -> SimResult:
+def fixed_mix(eq: Series, bd: Series, w_eq: float) -> Series:
     """Two-asset portfolio reset to (w_eq, 1 - w_eq) on the first trading
     day of each month; weights drift with relative performance in between."""
     if eq.calendar != bd.calendar:
@@ -110,17 +108,10 @@ def fixed_mix(eq: Series, bd: Series, w_eq: float) -> SimResult:
         r = w * re[t] + (1.0 - w) * rb[t]
         out[t] = r
         w = w * (1.0 + re[t]) / (1.0 + r)
-    return SimResult(
-        calendar=eq.calendar,
-        portfolio=out,
-        benchmark=out,
-        theta=np.zeros(n),
-        te=None,
-        first_active=0,
-    )
+    return Series(eq.calendar, out, UNIT_RETURN)
 
 
-def benchmark_7030(eq: Series, bd: Series) -> SimResult:
+def benchmark_7030(eq: Series, bd: Series) -> Series:
     return fixed_mix(eq, bd, _W_EQ)
 
 
@@ -149,31 +140,29 @@ def sizing_vol(spread: Series, vol_window: int) -> Series:
 
 
 def simulate_overlay(
-    benchmark: SimResult,
+    benchmark: Series,
     spread: Series,
     vol: Series,
     regimes: RegimePath | None,
     policy: OverlayPolicy,
-    vol_window: int,
 ) -> SimResult:
-    """Overlay the spread on a benchmark path under a sizing policy.
+    """Overlay the spread on a benchmark return path under a sizing policy.
 
-    `vol` is sizing_vol(spread, vol_window); the decision on each day reads
-    its value ending one day before, and a zero estimate sends theta to the
-    cap. A static policy ignores `regimes` (None is accepted); a dynamic
-    policy requires labels covering every decision date.
+    `vol` is sizing_vol(spread, L), and its calendar fixes the window L;
+    the decision on each day reads its value ending one day before, and a
+    zero estimate sends theta to the cap. A static policy ignores `regimes`
+    (None is accepted); a dynamic policy requires labels covering every
+    decision date.
     """
     cal = benchmark.calendar
     if spread.calendar != cal:
         raise ValueError("spread is not on the benchmark calendar")
-    if spread.unit != UNIT_RETURN:
-        raise ValueError("spread must be a return series")
+    if benchmark.unit != UNIT_RETURN or spread.unit != UNIT_RETURN:
+        raise ValueError("benchmark and spread must be return series")
     n = len(cal)
-    L = vol_window
-    if n <= L:
-        raise ValueError(f"need more than {L} days for the volatility warm-up")
-    if vol.calendar != cal.suffix(L - 1):
-        raise ValueError(f"vol is not the spread's {L}-day trailing vol on its calendar")
+    L = n - len(vol) + 1
+    if not 2 <= len(vol) <= n or vol.calendar != cal.suffix(L - 1):
+        raise ValueError("vol is not the spread's sizing vol on its calendar")
     m = n - L  # number of active days
 
     targets = np.array(policy.effective_targets())
@@ -192,14 +181,7 @@ def simulate_overlay(
     theta[L:] = np.where(lagged_vol == 0.0, policy.theta_cap,
                          np.minimum(raw, policy.theta_cap))
 
-    portfolio = benchmark.portfolio + theta * spread.values
     active = Series(cal.suffix(L), theta[L:] * spread.values[L:], UNIT_RETURN)
     te = rolling_vol(active, L) if len(active) > max(L, 2) else None
-    return SimResult(
-        calendar=cal,
-        portfolio=portfolio,
-        benchmark=benchmark.portfolio,
-        theta=theta,
-        te=te,
-        first_active=L,
-    )
+    return SimResult(calendar=cal, portfolio=benchmark.values + theta * spread.values,
+                     theta=theta, te=te)

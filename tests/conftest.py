@@ -1,0 +1,8 @@
+import pytest
+
+
+@pytest.fixture(autouse=True)
+def _in_tmp_dir(tmp_path, monkeypatch):
+    """Each test runs in its own temporary directory, so a config that
+    leaves `out` at its default writes there and not into the checkout."""
+    monkeypatch.chdir(tmp_path)

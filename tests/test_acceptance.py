@@ -130,8 +130,8 @@ def test_criterion_03_dynamic_beats_static_on_planted_regimes():
     for seed in range(20):
         bench, spread, path = _fifty_year_run(seed)
         vol = sizing_vol(spread, VOL_W)
-        dyn = simulate_overlay(bench, spread, vol, path, DEFAULTS.dynamic_policy, VOL_W)
-        sta = simulate_overlay(bench, spread, vol, None, DEFAULTS.static_policy, VOL_W)
+        dyn = simulate_overlay(bench, spread, vol, path, DEFAULTS.dynamic_policy)
+        sta = simulate_overlay(bench, spread, vol, None, DEFAULTS.static_policy)
         cagr_gap.append(cagr(dyn.portfolio) - cagr(sta.portfolio))
         assert dyn.te is not None and sta.te is not None
         ratio = np.std(dyn.te.values, ddof=1) / np.std(sta.te.values, ddof=1)
@@ -149,7 +149,7 @@ def test_criterion_04_te_cap_spectrum_shape():
         sims = {}
         for cap in (*DEFAULTS.caps, 0.08, 0.5, None):
             pol = DEFAULTS.dynamic_policy.with_ceiling(cap)
-            sims[cap] = simulate_overlay(bench, spread, vol, path, pol, VOL_W)
+            sims[cap] = simulate_overlay(bench, spread, vol, path, pol)
         sig = [np.std(sims[c].te.values, ddof=1) for c in DEFAULTS.caps]
         assert np.all(np.diff(sig) >= 0.0)
         free = sims[None].portfolio.tobytes()
@@ -287,7 +287,7 @@ def test_criterion_08_truncation_leaves_history_unchanged():
         bench = benchmark_7030(eq, bd)
         path = classify(vix, SIGNAL_W, THRESHOLDS)
         return simulate_overlay(bench, spread, sizing_vol(spread, VOL_W), path,
-                                DEFAULTS.dynamic_policy, VOL_W)
+                                DEFAULTS.dynamic_policy)
 
     eq, bd = panel["BENCH_EQ"], panel["BENCH_BD"]
     spread, vix = panel["SPREAD"], panel["VIX"]
@@ -388,7 +388,9 @@ def test_criterion_12_cap_spectrum_on_market_data(tmp_path):
 def test_criterion_13_signal_window_sweep(tmp_path):
     cfg = _real_config(tmp_path)
     assert cfg.sweep_windows == (1, 5, 21, 63)
-    (table,) = cmd_sweep(Run(cfg, "acceptance"))
+    run = Run(cfg, "acceptance")
+    (table,) = cmd_sweep(run)
+    run.publish()
     header, *rows = (line.split(",") for line in table.read_text().splitlines())
     rows = [dict(zip(header, r)) for r in rows]
     for row in rows:

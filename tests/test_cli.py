@@ -149,6 +149,42 @@ def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_a_crisis_name_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    # JSON's \ud800 escape decodes to a lone surrogate, which no CSV can hold
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "earlier.csv").write_text("kept\n")
+    code, files = run(tmp_path, "exhibit", "6", config_extra={
+        "crises": {"gfc_\ud800": ["2007-10-01", "2009-06-30"]}})
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "config error: crises: name 'gfc_\\ud800' is not UTF-8 text\n"
+    assert os.listdir(out) == ["earlier.csv"] and files[0].read_text() == "kept\n"
+
+
+def test_a_failed_command_publishes_nothing(tmp_path, monkeypatch, capsys):
+    import dynte.cli
+
+    code, earlier = run(tmp_path, "exhibit", "6", config_extra={"svg": True})
+    assert code == 0 and len(earlier) == 3
+    for f in earlier:
+        f.write_text("an earlier run\n")
+
+    def fails(*args):
+        raise ValueError("no regret table")
+    monkeypatch.setattr(dynte.cli, "regret_table", fails)
+    # the second table fails after the first was written: neither is
+    # published, no staged file is left, and earlier files keep their bytes
+    fresh = tmp_path / "fresh"
+    code = main(["exhibit", "6", "--config", write_config(tmp_path, svg=True),
+                 "--out", str(fresh)])
+    assert code == 1 and capsys.readouterr().err.endswith("error: no regret table\n")
+    assert os.listdir(fresh) == []
+    assert run(tmp_path, "exhibit", "6", config_extra={"svg": True}) == (1, earlier)
+    assert sorted(os.listdir(tmp_path / "out")) == sorted(f.name for f in earlier)
+    assert all(f.read_text() == "an earlier run\n" for f in earlier)
+
+
 @pytest.mark.parametrize("role", [None, "eq", "sectors"], ids=["config", "eq", "sectors"])
 def test_an_unreadable_path_is_a_config_error(tmp_path, capsys, role):
     folder = tmp_path / "adir"
@@ -854,9 +890,9 @@ def test_a_risk_free_file_changes_only_the_sharpe_cells(tmp_path):
     with_rf = exhibit3_rows(tmp_path, "rf", {**data, "rf": {"path": str(tmp_path / "rf.csv"),
                                                             "column": "RATE"}})
     shared = Run(load_config(write_config(tmp_path, data=data), {}), "exhibit 3")
-    for name, sim in (("benchmark", shared.bench), ("static", shared.static),
-                      ("dynamic", shared.dynamic)):
-        assert with_rf[name]["sharpe"] == _cell(sharpe(sim.portfolio, rate)) != \
+    for name, returns in (("benchmark", shared.bench.values), ("static", shared.static.portfolio),
+                          ("dynamic", shared.dynamic.portfolio)):
+        assert with_rf[name]["sharpe"] == _cell(sharpe(returns, rate)) != \
             base[name]["sharpe"], name
         assert {k: v for k, v in with_rf[name].items() if k != "sharpe"} == \
             {k: v for k, v in base[name].items() if k != "sharpe"}, name
@@ -882,7 +918,7 @@ def test_a_spread_file_replaces_the_leg_difference(tmp_path):
                     cfg.thresholds)
     vol_w = cfg.windows["vol"]
     sim = simulate_overlay(benchmark_7030(legs["BENCH_EQ"], legs["BENCH_BD"]), legs["SPREAD"],
-                           sizing_vol(legs["SPREAD"], vol_w), path, cfg.dynamic_policy, vol_w)
+                           sizing_vol(legs["SPREAD"], vol_w), path, cfg.dynamic_policy)
     rep = summarize(sim.portfolio, rf=0.0, te=sim.te, smoothed_vix=path.signal)
     want = {m: getattr(rep, m) for m in METRICS}
     want["max_drawdown"] = -rep.max_drawdown
@@ -1024,7 +1060,8 @@ def test_converge_memory_does_not_grow_with_the_caps(tmp_path):
     # each cap is bootstrapped as it is simulated, so a cap more holds
     # neither its portfolio nor its tables and statistics past its own row
     n, iterations = 2000, 2000
-    extra = {"synth": {"horizon": n}, "bootstrap": {"iterations": iterations}}
+    extra = {"synth": {"horizon": n}, "bootstrap": {"iterations": iterations},
+             "out": str(tmp_path / "o")}
     every, peaks = load_config(None, {}).caps, []
     for caps in (every[:1], every):
         shared = Run(load_config(write_config(tmp_path, caps=caps, **extra), {}), "converge")
@@ -1122,15 +1159,12 @@ def test_date_columns_print_as_iso_dates(tmp_path):
     assert _column_text(cal.days) == [d.isoformat() for d in dates] == list(
         map(_cell, cal.dates))
     # a chart reads the calendar's days and its dates alike
-    cfg = load_config(None, {"out": str(tmp_path)})
     named = {"x": [1.0, 2.0, 3.0, 4.0]}
-    texts = [_svg(cfg, stem, stem, d, named, "y").read_text()
-             for stem, d in (("days", cal.days), ("dates", cal.dates))]
+    texts = [_svg(d, named, "y") for d in (cal.days, cal.dates)]
     assert texts[0] == texts[1] and ">0001-01-01<" in texts[0] and ">9999-12-31<" in texts[0]
 
 
 def test_svg_writer_gaps_constant_and_escaping(tmp_path):
-    cfg = load_config(None, {"out": str(tmp_path)})
     dates = [dt.date(2020, 1, 6) + dt.timedelta(days=i) for i in range(8)]
     nan, inf = float("nan"), float("inf")
     charts = {
@@ -1143,8 +1177,7 @@ def test_svg_writer_gaps_constant_and_escaping(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for stem, named in charts.items():
-            path = _svg(cfg, stem, stem, dates, named, 'y "&" <z>')
-            texts[stem] = path.read_text()
+            texts[stem] = _svg(dates, named, 'y "&" <z>')
     roots = {stem: ET.fromstring(t) for stem, t in texts.items()}
     for stem, text in texts.items():
         assert "nan" not in text.lower() and "inf" not in text.lower(), stem

@@ -319,6 +319,7 @@ def sweep_table(tmp_path, windows, seed=0, horizon=900):
                              "out": str(tmp_path), "sweep_windows": list(windows)})
     run = Run(cfg, "sweep")
     (path,) = cmd_sweep(run)
+    run.publish()
     header, *rows = [line.split(",") for line in path.read_text().splitlines()]
     return run.market(), [dict(zip(header, r)) for r in rows]
 
@@ -334,7 +335,7 @@ def test_sweep_single_window_reproduces_main_run(tmp_path):
     bench = benchmark_7030(m.eq, m.bd)
     vol_w = DEFAULTS.windows["vol"]
     res = simulate_overlay(bench, m.spread, sizing_vol(m.spread, vol_w), path,
-                           DEFAULTS.dynamic_policy, vol_w)
+                           DEFAULTS.dynamic_policy)
     assert row["window"] == "21"
     assert row["cagr"] == _cell(cagr(res.portfolio))
     assert row["sharpe"] == _cell(sharpe(res.portfolio, m.rf))
@@ -347,7 +348,7 @@ def test_sweep_static_baseline_shared(tmp_path):
     bench = benchmark_7030(m.eq, m.bd)
     vol_w = DEFAULTS.windows["vol"]
     sres = simulate_overlay(bench, m.spread, sizing_vol(m.spread, vol_w), None,
-                            DEFAULTS.static_policy, vol_w)
+                            DEFAULTS.static_policy)
     assert len(rows) == 2
     for row in rows:
         assert row["static_cagr"] == _cell(cagr(sres.portfolio))

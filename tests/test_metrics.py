@@ -12,7 +12,6 @@ from dynte.metrics import (
     max_drawdown,
     sharpe,
     summarize,
-    te_policy_stats,
     wealth_path,
 )
 from dynte.rolling import rolling_vol
@@ -146,7 +145,7 @@ def test_wealth_path_shape():
     assert_allclose(w, [1.0, 1.1, 0.55, 0.825], rtol=1e-15)
 
 
-# -------------------------------------------------------- te policy stats
+# ------------------------------------------------------ tracking-error stats
 
 
 def vix_like(values, start=MON):
@@ -154,20 +153,25 @@ def vix_like(values, start=MON):
     return Series(make_weekday_calendar(start, len(values)), values, UNIT_LEVEL)
 
 
+def te_stats(te, gauge):
+    """summarize's TE columns for a realized-TE path, on a fixed return path."""
+    return summarize(0.01 * np.random.default_rng(0).standard_normal(50), 0.0, te, gauge)
+
+
 def test_te_stats_constant_te_has_no_cyclicality():
     te = vix_like(np.full(40, 0.02))
     gauge = vix_like(15.0 + np.arange(40.0))
-    out = te_policy_stats(te, gauge)
-    assert out.level == pytest.approx(0.02)
-    assert out.sigma_te == 0.0
-    assert out.cyclicality is None
+    out = te_stats(te, gauge)
+    assert out.te_level == pytest.approx(0.02)
+    assert out.te_sigma == 0.0
+    assert out.te_cyclicality is None
 
 
 def test_te_stats_proportional_to_gauge():
     g = 15.0 + np.abs(np.sin(np.arange(50.0))) * 10.0
     te = vix_like(g * 0.001)
-    out = te_policy_stats(te, vix_like(g))
-    assert_allclose(out.cyclicality, 1.0, atol=1e-12)
+    out = te_stats(te, vix_like(g))
+    assert_allclose(out.te_cyclicality, 1.0, atol=1e-12)
 
 
 def test_te_stats_level_is_mean_of_realized_te():
@@ -175,8 +179,8 @@ def test_te_stats_level_is_mean_of_realized_te():
     active = 0.002 * rng.standard_normal(200)
     te = rolling_vol(rser(active), 63)
     gauge = vix_like(15.0 + rng.random(200)).restrict(te.calendar)
-    out = te_policy_stats(te, gauge)
-    assert out.level == pytest.approx(float(np.mean(te.values)), rel=1e-14)
+    out = te_stats(te, gauge)
+    assert out.te_level == pytest.approx(float(np.mean(te.values)), rel=1e-14)
 
 
 def test_te_stats_gauge_restricted_to_te_calendar():
@@ -184,10 +188,10 @@ def test_te_stats_gauge_restricted_to_te_calendar():
     te = vix_like(0.01 + 0.001 * rng.random(30), start=dt.date(2015, 2, 2))
     # the gauge covers a longer span; only overlapping dates are used
     gauge = vix_like(15.0 + rng.random(120), start=MON)
-    out = te_policy_stats(te, gauge)
-    assert out.cyclicality is not None
+    out = te_stats(te, gauge)
+    assert out.te_cyclicality is not None
     with pytest.raises(ValueError, match="at least two"):
-        te_policy_stats(vix_like([0.02]), gauge)
+        te_stats(vix_like([0.02]), gauge)
 
 
 # ---------------------------------------------------------------- summary

@@ -684,8 +684,7 @@ def test_collapsed_start_leaves_the_batch_alone():
     v = float(np.var(y))
     P = np.array([[[0.9, 0.1], [0.1, 0.9]]] * 2)
     # the second start begins under the variance floor
-    out = _em_trial(y, [[0.02, -0.01]] * 2, [[v, 2 * v], [v, 1e-13]], P, [[0.5, 0.5]] * 2,
-                    1e-8, 1000)
+    out = _em_trial(y, [[0.02, -0.01]] * 2, [[v, 2 * v], [v, 1e-13]], P, [[0.5, 0.5]] * 2)
     assert out[4][1] is None
     want = sequential_em_trial(y, (0.02, -0.01), (v, 2 * v), P[0], (0.5, 0.5), 1e-8, 1000)
     assert out[4][0] == pytest.approx(want[4], rel=1e-12) and out[5][0] == want[5]

@@ -45,16 +45,17 @@ def synth_market(seed=0, horizon=900):
 def test_fixed_mix_equal_legs_pins_weights():
     r = np.full(40, 0.01)
     out = benchmark_7030(rser(r), rser(r))
-    assert_allclose(out.portfolio, 0.01, rtol=1e-14)
+    assert out.unit == UNIT_RETURN and out.calendar == rser(r).calendar
+    assert_allclose(out.values, 0.01, rtol=1e-14)
 
 
 def test_fixed_mix_drift_day_two():
     eq = rser([0.01, 0.01])
     bd = rser([0.0, 0.0])
     out = benchmark_7030(eq, bd)
-    assert_allclose(out.portfolio[0], 0.007, rtol=1e-15)
+    assert_allclose(out.values[0], 0.007, rtol=1e-15)
     w2 = 0.707 / 1.007
-    assert_allclose(out.portfolio[1], w2 * 0.01, rtol=1e-13)
+    assert_allclose(out.values[1], w2 * 0.01, rtol=1e-13)
 
 
 def test_fixed_mix_resets_on_month_boundary():
@@ -65,8 +66,8 @@ def test_fixed_mix_resets_on_month_boundary():
     bd = Series(cal, np.zeros(6), UNIT_RETURN)
     out = benchmark_7030(eq, bd)
     # weights drifted up all January, then snap back on the February open
-    assert out.portfolio[4] > out.portfolio[0]
-    assert_allclose(out.portfolio[5], 0.007, rtol=1e-15)
+    assert out.values[4] > out.values[0]
+    assert_allclose(out.values[5], 0.007, rtol=1e-15)
 
 
 def test_fixed_mix_validation():
@@ -116,7 +117,7 @@ def test_overlay_theta_is_capped_target_over_lagged_vol(
                     1, T13_22)
     assert len(path.labels) == n
     policy = OverlayPolicy(*targets, theta_cap=theta_cap, te_ceiling=ceiling)
-    out = simulate_overlay(bench, spread, sizing_vol(spread, L), path, policy, L)
+    out = simulate_overlay(bench, spread, sizing_vol(spread, L), path, policy)
 
     by_label = dict(zip((int(Regime.LOW), int(Regime.NEUTRAL), int(Regime.HIGH)),
                         policy.effective_targets()))
@@ -149,43 +150,45 @@ def test_policy_validation_and_effective_targets():
 
 
 def test_overlay_warmup_is_passive():
+    # the window is read off vol's calendar: theta is 0 on exactly the first
+    # L days, and the TE path's first full window ends on day 2L - 1
     bench, spread, path = synth_market()
-    out = simulate_overlay(bench, spread, sizing_vol(spread, VOL), path, DYN, VOL)
-    L = out.first_active
-    assert np.all(out.theta[:L] == 0.0)
-    assert np.array_equal(out.portfolio[:L], out.benchmark[:L])
+    for L in (21, VOL):
+        out = simulate_overlay(bench, spread, sizing_vol(spread, L), path, DYN)
+        assert np.all(out.theta[:L] == 0.0) and np.all(out.theta[L:] > 0.0), L
+        assert np.array_equal(out.portfolio[:L], bench.values[:L]), L
+        assert out.te.calendar[0] == bench.calendar[2 * L - 1], L
 
 
 def test_overlay_zero_spread_tracks_benchmark_exactly():
     bench, spread, path = synth_market()
     zero = Series(spread.calendar, np.zeros(len(spread)), UNIT_RETURN)
-    out = simulate_overlay(bench, zero, sizing_vol(zero, VOL), path, STA, VOL)
-    assert np.array_equal(out.portfolio, out.benchmark)
+    out = simulate_overlay(bench, zero, sizing_vol(zero, VOL), path, STA)
+    assert np.array_equal(out.portfolio, bench.values)
 
 
 def test_overlay_identity_portfolio_minus_benchmark():
     bench, spread, path = synth_market(seed=1)
-    out = simulate_overlay(bench, spread, sizing_vol(spread, VOL), path, DYN, VOL)
-    lhs = out.portfolio - out.benchmark
+    out = simulate_overlay(bench, spread, sizing_vol(spread, VOL), path, DYN)
+    lhs = out.portfolio - bench.values
     assert_allclose(lhs, out.theta * spread.values, atol=1e-14)
 
 
 def test_overlay_theta_bounded_by_cap():
     for seed in range(3):
         bench, spread, path = synth_market(seed=seed, horizon=500)
-        out = simulate_overlay(bench, spread, sizing_vol(spread, VOL), path, DYN, VOL)
+        out = simulate_overlay(bench, spread, sizing_vol(spread, VOL), path, DYN)
         assert np.max(np.abs(out.theta)) <= DYN.theta_cap
 
 
 def test_overlay_theta_reconstruction():
     # theta must equal min(target/vol, cap) with vol lagged one day
     bench, spread, path = synth_market(seed=2, horizon=400)
-    out = simulate_overlay(bench, spread, sizing_vol(spread, VOL), path, STA, VOL)
-    L = out.first_active
+    out = simulate_overlay(bench, spread, sizing_vol(spread, VOL), path, STA)
     vol = rolling_vol(spread, VOL).values
-    m = len(spread) - L
+    m = len(spread) - VOL
     want = np.minimum(STA.target_neutral / vol[:m], STA.theta_cap)
-    assert_allclose(out.theta[L:], want, rtol=1e-14)
+    assert_allclose(out.theta[VOL:], want, rtol=1e-14)
 
 
 def test_overlay_low_vol_pins_at_cap():
@@ -193,8 +196,8 @@ def test_overlay_low_vol_pins_at_cap():
     n = 200
     bench = benchmark_7030(rser(np.zeros(n)), rser(np.zeros(n)))
     spread = rser(0.004 * (-1.0) ** np.arange(n))
-    out = simulate_overlay(bench, spread, sizing_vol(spread, VOL), None, STA, VOL)
-    assert np.all(out.theta[out.first_active:] == STA.theta_cap)
+    out = simulate_overlay(bench, spread, sizing_vol(spread, VOL), None, STA)
+    assert np.all(out.theta[VOL:] == STA.theta_cap)
 
 
 def test_overlay_zero_vol_estimate_pins_at_cap():
@@ -203,25 +206,25 @@ def test_overlay_zero_vol_estimate_pins_at_cap():
     vals = np.full(n, 0.00390625)  # dyadic constant: sample std exactly 0
     vals[70:] = 0.05
     spread = rser(vals)
-    out = simulate_overlay(bench, spread, sizing_vol(spread, VOL), None, STA, VOL)
+    out = simulate_overlay(bench, spread, sizing_vol(spread, VOL), None, STA)
     assert np.all(out.theta[VOL:70] == STA.theta_cap)
 
 
 def test_overlay_static_never_reads_regimes():
     bench, spread, path = synth_market(seed=3, horizon=400)
     vol = sizing_vol(spread, VOL)
-    a = simulate_overlay(bench, spread, vol, path, STA, VOL)
-    b = simulate_overlay(bench, spread, vol, None, STA, VOL)
+    a = simulate_overlay(bench, spread, vol, path, STA)
+    b = simulate_overlay(bench, spread, vol, None, STA)
     assert a.portfolio.tobytes() == b.portfolio.tobytes()
 
 
 def test_overlay_constant_neutral_equals_static():
     bench, spread, _ = synth_market(seed=4, horizon=400)
-    flat_vix = Series(bench.calendar, np.full(len(bench.calendar), 17.0), UNIT_LEVEL)
+    flat_vix = Series(bench.calendar, np.full(len(bench), 17.0), UNIT_LEVEL)
     neutral = classify(flat_vix, 1, T13_22)
     vol = sizing_vol(spread, VOL)
-    dyn = simulate_overlay(bench, spread, vol, neutral, DYN, VOL)
-    sta = simulate_overlay(bench, spread, vol, None, STA, VOL)
+    dyn = simulate_overlay(bench, spread, vol, neutral, DYN)
+    sta = simulate_overlay(bench, spread, vol, None, STA)
     assert dyn.portfolio.tobytes() == sta.portfolio.tobytes()
 
 
@@ -234,13 +237,12 @@ def test_overlay_decision_uses_previous_day_label():
     vix_vals = np.full(n, 10.0)
     vix_vals[k:] = 30.0
     path = classify(Series(bench.calendar, vix_vals, UNIT_LEVEL), 1, T13_22)
-    out = simulate_overlay(bench, spread, sizing_vol(spread, VOL), path, DYN, VOL)
+    out = simulate_overlay(bench, spread, sizing_vol(spread, VOL), path, DYN)
     vol = rolling_vol(spread, VOL).values
-    L = out.first_active
     # day k still sizes off the Low label at k-1; day k+1 sees High
     cap = DYN.theta_cap
-    assert out.theta[k] == pytest.approx(min(DYN.target_low / vol[k - L], cap), rel=1e-14)
-    assert out.theta[k + 1] == pytest.approx(min(DYN.target_high / vol[k + 1 - L], cap),
+    assert out.theta[k] == pytest.approx(min(DYN.target_low / vol[k - VOL], cap), rel=1e-14)
+    assert out.theta[k + 1] == pytest.approx(min(DYN.target_high / vol[k + 1 - VOL], cap),
                                              rel=1e-14)
 
 
@@ -251,7 +253,7 @@ def test_overlay_truncation_equivalence():
     def run(eq, bd, spread, vix):
         bench = benchmark_7030(eq, bd)
         path = classify(vix, DEFAULTS.windows["signal"], T13_22)
-        return simulate_overlay(bench, spread, sizing_vol(spread, VOL), path, DYN, VOL)
+        return simulate_overlay(bench, spread, sizing_vol(spread, VOL), path, DYN)
 
     full = run(panel["BENCH_EQ"], panel["BENCH_BD"], panel["SPREAD"], panel["VIX"])
     for cut in (200, 401):
@@ -271,19 +273,25 @@ def test_overlay_validation():
     vol = sizing_vol(spread, VOL)
     with pytest.raises(ValueError, match="warm-up"):
         sizing_vol(spread, 200)
-    with pytest.raises(ValueError, match="warm-up"):
-        simulate_overlay(bench, spread, vol, path, STA, 200)
     with pytest.raises(ValueError, match="return series"):
         sizing_vol(Series(spread.calendar, spread.values, UNIT_LEVEL), VOL)
+    with pytest.raises(ValueError, match="return series"):
+        simulate_overlay(Series(bench.calendar, bench.values, UNIT_LEVEL), spread, vol,
+                         path, STA)
     with pytest.raises(ValueError, match="regime path"):
-        simulate_overlay(bench, spread, vol, None, DYN, VOL)
+        simulate_overlay(bench, spread, vol, None, DYN)
     off = rser(np.zeros(200), start=dt.date(2030, 1, 7))
     with pytest.raises(ValueError, match="calendar"):
-        simulate_overlay(bench, off, sizing_vol(off, VOL), path, STA, VOL)
-    # a vol over another window, or on another calendar, sizes nothing
-    for other in (sizing_vol(spread, 21), sizing_vol(off, VOL)):
-        with pytest.raises(ValueError, match="63-day trailing vol"):
-            simulate_overlay(bench, spread, other, path, STA, VOL)
+        simulate_overlay(bench, off, sizing_vol(off, VOL), path, STA)
+    # a vol on another calendar, or leaving no day to size, or longer than
+    # the benchmark, sizes nothing
+    cal = bench.calendar
+    one_day = Series(cal.suffix(len(cal) - 1), [0.1], UNIT_LEVEL)
+    longer = Series(make_weekday_calendar(MON, len(cal) + 1), np.zeros(len(cal) + 1),
+                    UNIT_LEVEL)
+    for other in (sizing_vol(off, VOL), one_day, longer):
+        with pytest.raises(ValueError, match="sizing vol"):
+            simulate_overlay(bench, spread, other, path, STA)
 
 
 def test_overlay_te_none_when_history_too_short():
@@ -293,9 +301,9 @@ def test_overlay_te_none_when_history_too_short():
     for n, te_len in ((65, None), (126, None), (127, 2)):
         bench = benchmark_7030(rser(np.zeros(n)), rser(np.zeros(n)))
         spread = rser(0.01 * rng.standard_normal(n))
-        out = simulate_overlay(bench, spread, sizing_vol(spread, VOL), None, STA, VOL)
+        out = simulate_overlay(bench, spread, sizing_vol(spread, VOL), None, STA)
         assert (None if out.te is None else len(out.te)) == te_len, n
-        assert out.first_active == 63
+        assert np.all(out.theta[:VOL] == 0.0) and out.theta[VOL] > 0.0
 
 
 # ------------------------------------------------------------ cap spectrum
@@ -313,9 +321,9 @@ def test_spectrum_default_caps():
 def test_spectrum_cap_at_top_matches_uncapped():
     bench, spread, path = synth_market(seed=8, horizon=700)
     vol = sizing_vol(spread, VOL)
-    uncapped = simulate_overlay(bench, spread, vol, path, DYN, VOL)
+    uncapped = simulate_overlay(bench, spread, vol, path, DYN)
     for cap in (0.05, 0.08, 1.0):
-        capped = simulate_overlay(bench, spread, vol, path, DYN.with_ceiling(cap), VOL)
+        capped = simulate_overlay(bench, spread, vol, path, DYN.with_ceiling(cap))
         assert capped.portfolio.tobytes() == uncapped.portfolio.tobytes()
         assert capped.theta.tobytes() == uncapped.theta.tobytes()
 
@@ -323,7 +331,7 @@ def test_spectrum_cap_at_top_matches_uncapped():
 def test_spectrum_sigma_te_monotone():
     bench, spread, path = synth_market(seed=9, horizon=900)
     vol = sizing_vol(spread, VOL)
-    runs = [simulate_overlay(bench, spread, vol, path, DYN.with_ceiling(c), VOL)
+    runs = [simulate_overlay(bench, spread, vol, path, DYN.with_ceiling(c))
             for c in DEFAULTS.caps]
     sig = [float(np.std(r.te.values, ddof=1)) for r in runs]
     assert all(b >= a - 1e-15 for a, b in zip(sig, sig[1:]))
