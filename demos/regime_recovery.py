@@ -24,7 +24,7 @@ def main():
     # daily planted states -> weekly majority label, just for a rough check
     prob = smoothed_high_prob(m, weekly)
     daily_high = states == 1
-    idx = [panel.calendar.index(d) for d in weekly.calendar.dates]
+    idx = [panel.calendar.index(d) for d in weekly.calendar.days]
     weekly_true = np.array([daily_high[max(0, i - 4): i + 1].mean() > 0.5
                             for i in idx])
     concordance = np.mean((prob.values > 0.5) == weekly_true)

@@ -260,11 +260,21 @@ def _roles(data: dict) -> tuple[dict, dict[str, str]]:
     return roles, digests
 
 
+def _fs_path(fieldname: str, path: str) -> Path:
+    """`path` as a Path; a name the file system cannot encode is a config
+    error naming `fieldname`."""
+    try:
+        os.fsencode(path)
+    except UnicodeEncodeError:
+        raise ConfigError(fieldname, f"path {path!r} is not UTF-8 text") from None
+    return Path(path)
+
+
 def _read_bytes(fieldname: str, path: str) -> bytes:
     """The bytes of the file at `path`; failing to read them is a config
     error naming `fieldname`."""
     try:
-        return Path(path).read_bytes()
+        return _fs_path(fieldname, path).read_bytes()
     except FileNotFoundError:
         raise ConfigError(fieldname, f"file not found: {path}") from None
     except OSError as e:
@@ -306,6 +316,11 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
     for name, n in raw["windows"].items():
         if not n > 0:
             raise ConfigError(f"windows.{name}", f"expected a positive integer, got {n!r}")
+    if raw["seed"] < 0:
+        raise ConfigError("seed", f"expected a non-negative integer, got {raw['seed']!r}")
+    synth_params = _checked("synth", SynthParams, **_merge_defaults(
+        {"seed": raw["seed"], **raw["synth"]}, _SYNTH_DEFAULTS, "synth."))
+    out_dir = _fs_path("out", raw["out"])
     roles, digests = _roles(raw["data"])
     r = raw["range"]
     date_range = _ordered("range", *(None if r[k] is None else _iso(f"range.{k}", r[k])
@@ -326,7 +341,7 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
     t, p, b, m = raw["thresholds"], raw["policy"], raw["bootstrap"], raw["model"]
     return RunConfig(
         raw=raw,
-        out_dir=Path(raw["out"]),
+        out_dir=out_dir,
         svg=raw["svg"],
         windows=raw["windows"],
         thresholds=_checked("thresholds", RegimeThresholds,
@@ -344,8 +359,7 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
         bootstrap_spec=_checked("bootstrap", BootstrapSpec, block=b["block"],
                                 iterations=b["iterations"], seed=raw["seed"],
                                 confidence=float(b["confidence"])),
-        synth_params=_checked("synth", SynthParams, **_merge_defaults(
-            {"seed": raw["seed"], **raw["synth"]}, _SYNTH_DEFAULTS, "synth.")),
+        synth_params=synth_params,
         model_params=_checked("model", lambda: (
             RegimeParams(alpha=tuple(map(float, m["alpha"])),
                          sigma=tuple(map(float, m["sigma"])), p=float(m["p"])),
@@ -589,7 +603,7 @@ def _in_range(cfg: RunConfig, cal: TradingCalendar) -> TradingCalendar:
 def synthetic_market(cfg: RunConfig) -> Market:
     """In-memory synthetic equivalent of load_market, for data-free runs,
     windowed to the configured range like a file calendar."""
-    panel, _states = synth_regime_panel(cfg.synth_params)
+    panel, _states = _blame("synth", synth_regime_panel, cfg.synth_params)
     cal = _in_range(cfg, panel.calendar)
     print(f"data: synthetic panel, seed {cfg.synth_params.seed}, {len(cal)} days "
           f"from {cal.days[0]} to {cal.days[-1]}", file=sys.stderr)
@@ -697,7 +711,7 @@ class Run:
 
 def cmd_synth(run: Run) -> list[Path]:
     """Write the synthetic panel as index levels plus the true state path."""
-    panel, states = synth_regime_panel(run.cfg.synth_params)
+    panel, states = _blame("synth", synth_regime_panel, run.cfg.synth_params)
     dates = panel.calendar.days
     legs = ("BENCH_EQ", "BENCH_BD", "SPREAD")
     levels = [prices_from_returns(panel[sym]).values for sym in legs]

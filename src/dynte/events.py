@@ -131,7 +131,7 @@ def find_trough(benchmark: Series, window: tuple[dt.date, dt.date], vix: Series)
         raise ValueError(f"no trading days in [{start}, {end}]")
     t = i0 + int(np.argmax(dd[i0:i1]))
     date = cal[t]
-    return Trough(date=date, drawdown=float(dd[t]), vix=float(vix.at(date)))
+    return Trough(date=date, drawdown=float(dd[t]), vix=float(vix.values[vix.calendar.index(date)]))
 
 
 @record

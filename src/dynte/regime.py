@@ -31,7 +31,6 @@ collapse a start by underflow.
 
 from __future__ import annotations
 
-import enum
 import math
 from functools import cached_property
 
@@ -55,10 +54,8 @@ _MAX_ITER = 1000
 _BATCH_VALUES = 16_384
 
 
-class Regime(enum.IntEnum):
-    LOW = -1
-    NEUTRAL = 0
-    HIGH = 1
+# the int8 regime label codes
+LOW, NEUTRAL, HIGH = -1, 0, 1
 
 
 @record
@@ -97,15 +94,10 @@ class RegimePath:
     def labels(self) -> np.ndarray:
         v = self.signal.values
         labels = np.where(
-            v < self.thresholds.low,
-            int(Regime.LOW),
-            np.where(v > self.thresholds.high, int(Regime.HIGH), int(Regime.NEUTRAL)),
+            v < self.thresholds.low, LOW, np.where(v > self.thresholds.high, HIGH, NEUTRAL)
         ).astype(np.int8)
         labels.setflags(write=False)
         return labels
-
-    def fractions(self) -> dict[Regime, float]:
-        return {r: float(np.mean(self.labels == int(r))) for r in Regime}
 
 
 def classify(
@@ -414,12 +406,7 @@ def signal_agreement(path: RegimePath, ms_prob: Series) -> AgreementReport:
     """Rank correlation between the smoothed gauge and the model's
     high-state probability at weekly dates, plus the share of weeks where
     High-label and probability > 0.5 agree."""
-    sig = []
-    hi = []
-    for d in ms_prob.calendar.dates:
-        i = path.signal.calendar.index(d)
-        sig.append(path.signal.values[i])
-        hi.append(path.labels[i] == int(Regime.HIGH))
-    rho = spearman(np.asarray(sig), ms_prob.values)
-    agree = np.asarray(hi) == (ms_prob.values > 0.5)
+    weekly = RegimePath(path.signal.restrict(ms_prob.calendar), path.thresholds)
+    rho = spearman(weekly.signal.values, ms_prob.values)
+    agree = (weekly.labels == HIGH) == (ms_prob.values > 0.5)
     return AgreementReport(spearman=rho, concordance=float(np.mean(agree)))

@@ -12,7 +12,6 @@ import csv
 import datetime as dt
 import math
 import re
-from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -48,24 +47,17 @@ def parse_date(text) -> dt.date:
     return dt.date.fromisoformat(text)
 
 
-def _as_date(d) -> dt.date:
-    if isinstance(d, dt.datetime):
-        return d.date()
-    if isinstance(d, dt.date):
-        return d
-    return parse_date(str(d))
-
-
 def _as_day(d) -> np.datetime64:
-    if isinstance(d, np.datetime64):
-        return d.astype("datetime64[D]")
-    return np.datetime64(_as_date(d), "D")
+    """A datetime64, date or datetime, or YYYY-MM-DD text, as its day."""
+    if not isinstance(d, (np.datetime64, dt.date)):
+        d = parse_date(str(d))
+    return np.datetime64(d, "D")
 
 
 class TradingCalendar:
     """Strictly increasing, unique weekday dates, held as a read-only
-    datetime64[D] array (`days`); `dates` is the same as a tuple of
-    datetime.date. Two calendars are equal when their dates are."""
+    datetime64[D] array (`days`). Two calendars are equal when their days
+    are."""
 
     def __init__(self, dates):
         days = np.array(dates, dtype="datetime64[D]")
@@ -99,10 +91,6 @@ class TradingCalendar:
     @property
     def days(self) -> np.ndarray:
         return self._days
-
-    @cached_property
-    def dates(self) -> tuple[dt.date, ...]:
-        return tuple(self._days.tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TradingCalendar):
@@ -145,8 +133,8 @@ class TradingCalendar:
         """Sub-calendar with start <= date <= end (either bound optional)."""
         i0, i1 = self.span(start, end)
         if i1 <= i0:
-            lo = _as_date(start) if start is not None else self[0]
-            hi = _as_date(end) if end is not None else self[-1]
+            lo = _as_day(start) if start is not None else self._days[0]
+            hi = _as_day(end) if end is not None else self._days[-1]
             raise ValueError(f"no calendar dates in [{lo}, {hi}]")
         return TradingCalendar._unchecked(self._days[i0:i1])
 
@@ -198,9 +186,6 @@ class Series:
 
     def __len__(self) -> int:
         return len(self.calendar)
-
-    def at(self, d) -> float:
-        return float(self.values[self.calendar.index(d)])
 
     def restrict(self, calendar: TradingCalendar) -> "Series":
         """Values sampled at the given calendar; every date must exist here."""
@@ -295,9 +280,9 @@ def _plain_lines(body: str, n_lines: int, n_commas: int) -> tuple[np.ndarray, np
 
 
 def _parse_row(path, lineno: int, line: str, symbols: Sequence[str],
-               positions: Sequence[int]) -> tuple[dt.date, list[float | None]] | None:
+               positions: Sequence[int]) -> tuple[dt.date, list[float]] | None:
     """One line read cell by cell: None for a blank line, else its date and
-    the requested cells, None where a cell holds a missing token."""
+    the requested cells, NaN where a cell holds a missing token."""
     raw = next(csv.reader([line]))
     if not raw or all(not c.strip() for c in raw):
         return None
@@ -305,11 +290,11 @@ def _parse_row(path, lineno: int, line: str, symbols: Sequence[str],
         d = parse_date(raw[0].strip())
     except ValueError:
         raise ValueError(f"{path}:{lineno}: malformed date {raw[0]!r}") from None
-    cells: list[float | None] = []
+    cells: list[float] = []
     for sym, pos in zip(symbols, positions):
         cell = raw[pos].strip() if pos < len(raw) else ""
         if cell.lower() in _MISSING_CELLS:
-            cells.append(None)
+            cells.append(math.nan)
             continue
         try:
             x = float(cell)
@@ -370,39 +355,33 @@ def ingest_csv(path, columns: Sequence[str] | None, unit: str) -> IngestResult:
         symbols = list(columns)
     positions = [header.index(sym) for sym in symbols]
 
-    lines = body.split("\n")                       # lines[i] is line i + 2
+    # one slot per body line: slot i is line i + 2, and a blank line keeps NaT
+    lines = body.split("\n")
+    days = np.full(len(lines), np.datetime64("NaT"), dtype="datetime64[D]")
+    vals = np.full((len(lines), len(symbols)), np.nan)
     plain, plain_days = _plain_lines(body, len(lines), len(header) - 1)
-    plain_vals = np.empty((0, len(symbols)))
     if len(plain_days):
+        plain_at = np.flatnonzero(plain)
         try:
-            plain_vals = np.loadtxt(
-                [lines[i] for i in np.flatnonzero(plain).tolist()], delimiter=",",
-                usecols=positions, comments=None, ndmin=2,
-            )
+            got = np.loadtxt([lines[i] for i in plain_at.tolist()], delimiter=",",
+                             usecols=positions, comments=None, ndmin=2)
         except ValueError:
             # a cell that is no number: the row-by-row reader names the first
             plain[:] = False
-            plain_days = plain_days[:0]
-        # a cell that overflows, e.g. 1e999: the row-by-row reader names it too
-        finite = np.isfinite(plain_vals).all(axis=1)
-        if not finite.all():
-            plain[np.flatnonzero(plain)[~finite]] = False
-            plain_days, plain_vals = plain_days[finite], plain_vals[finite]
-    rows = [(i + 2, r) for i in np.flatnonzero(~plain).tolist()
-            if (r := _parse_row(path, i + 2, lines[i], symbols, positions)) is not None]
+        else:
+            # a cell that overflows, e.g. 1e999: the row-by-row reader names it too
+            finite = np.isfinite(got).all(axis=1)
+            plain[plain_at[~finite]] = False
+            days[plain_at[finite]], vals[plain_at[finite]] = plain_days[finite], got[finite]
+    for i in np.flatnonzero(~plain).tolist():
+        row = _parse_row(path, i + 2, lines[i], symbols, positions)
+        if row is not None:
+            days[i], vals[i] = row
 
-    days = np.concatenate([plain_days,
-                           np.array([d for _, (d, _) in rows], dtype="datetime64[D]")])
-    vals = np.concatenate([plain_vals, np.array(
-        [[np.nan if v is None else v for v in cells] for _, (_, cells) in rows],
-        dtype=np.float64).reshape(len(rows), len(symbols))])
-    complete = np.concatenate([np.ones(len(plain_days), dtype=bool), np.array(
-        [None not in cells for _, (_, cells) in rows], dtype=bool)])
-    linenos = np.concatenate([np.flatnonzero(plain) + 2,
-                              np.array([n for n, _ in rows], dtype=np.int64)])
-
-    order = np.argsort(days)
-    days, vals, complete, linenos = days[order], vals[order], complete[order], linenos[order]
+    slots = np.flatnonzero(~np.isnat(days))
+    slots = slots[np.argsort(days[slots])]
+    days, vals = days[slots], vals[slots]
+    complete = ~np.isnan(vals).any(axis=1)
     dup = np.flatnonzero(days[1:] == days[:-1])
     if len(dup):
         raise ValueError(f"{path}: duplicate date {days[dup[0]].item()}")
@@ -418,7 +397,7 @@ def ingest_csv(path, columns: Sequence[str] | None, unit: str) -> IngestResult:
             f"{kept[i + 1].item()}"
         )
 
-    at, mat = linenos[complete], vals[complete]
+    at, mat = slots[complete] + 2, vals[complete]
     weekend = np.flatnonzero(~np.is_busday(kept))
     if len(weekend):
         i = weekend[0]
@@ -499,6 +478,8 @@ class SynthParams:
             raise ValueError("transition must be 2x2 row-stochastic")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.start_state not in (STATE_LOW, STATE_HIGH):
             raise ValueError("start_state must be STATE_LOW or STATE_HIGH")
         for name in ("sigma", "eq_vol", "bd_vol"):

@@ -26,7 +26,6 @@ from dynte.inference import (
 from dynte.metrics import cagr, sharpe, summarize
 from dynte.model import GovernanceParams, RegimeParams, jensen_advantage, optimal_theta
 from dynte.regime import (
-    Regime,
     classify,
     fit_markov_switching,
     smoothed_high_prob,
@@ -261,7 +260,7 @@ def _planted_weekly(n, seed):
         states[t] = s if rng.random() < stay[s] else 1 - s
     vals = np.array([mu[s] + sd[s] * rng.standard_normal() for s in states])
     fridays = make_weekday_calendar(np.datetime64("1990-01-05").item(), 5 * n)
-    cal = TradingCalendar(fridays.dates[4::5])
+    cal = TradingCalendar(fridays.days[4::5])
     return Series(cal, vals, UNIT_RETURN), states
 
 
@@ -295,7 +294,7 @@ def test_criterion_08_truncation_leaves_history_unchanged():
 
     rng = np.random.default_rng(8)
     for cut in rng.integers(150, 1261, size=100):
-        cal = TradingCalendar(panel.calendar.dates[:cut])
+        cal = TradingCalendar(panel.calendar.days[:cut])
         part = run(eq.restrict(cal), bd.restrict(cal),
                    spread.restrict(cal), vix.restrict(cal))
         assert np.array_equal(part.theta, full.theta[:cut])

@@ -162,6 +162,27 @@ def test_a_crisis_name_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert os.listdir(out) == ["earlier.csv"] and files[0].read_text() == "kept\n"
 
 
+# JSON escapes for a lone surrogate, which no file name can hold
+@pytest.mark.parametrize("cfg,field,path", [
+    ({"out": "o\ud800"}, "out", "o\ud800"),
+    ({"data": {"eq": {"path": "x\ud800.csv", "column": "EQ"}}}, "data.eq.path", "x\ud800.csv"),
+], ids=["out", "data.eq.path"])
+def test_a_path_that_is_not_utf8_is_a_config_error(tmp_path, capsys, cfg, field, path):
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["props", "--config", str(tmp_path / "cfg.json")]) == 2
+    assert capsys.readouterr().err == f"config error: {field}: path {path!r} is not UTF-8 text\n"
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("synth", [{"sigma": [50, 50]}, {"eq_drift": [-300, -300]}],
+                         ids=["sigma", "eq_drift"])
+@pytest.mark.parametrize("form", [["exhibit", "3"], ["synth"]], ids=" ".join)
+def test_synthetic_draws_that_are_not_returns_name_synth(tmp_path, capsys, synth, form):
+    code, files = run(tmp_path, *form, config_extra={"synth": {"horizon": 300, **synth}})
+    assert code == 1 and files == []
+    assert capsys.readouterr().err == "error: synth: simple returns must be finite and > -1\n"
+
+
 def test_a_failed_command_publishes_nothing(tmp_path, monkeypatch, capsys):
     import dynte.cli
 
@@ -319,6 +340,11 @@ def test_unknown_subcommand_is_usage_error():
     ({"model": {"sigma": [0.1, "0.3"]}}, "model.sigma[1]"),
     ({"synth": {"foo": 1}}, "synth.foo"),
     ({"synth": {"seed": None}}, "synth.seed"),
+    # a negative seed, which numpy's generator would refuse naming no setting
+    ({"seed": -1}, "seed"),
+    ({"synth": {"seed": -3}}, "synth"),
+    # refused before any file is read
+    ({"seed": -1, "data": {"eq": {"path": "missing.csv", "column": "EQ"}}}, "seed"),
 ])
 def test_config_type_errors_name_the_field(tmp_path, capsys, cfg, field):
     path = tmp_path / "cfg.json"
@@ -936,7 +962,7 @@ def test_omega_synthetic(tmp_path):
 
 def test_regret_synthetic_crisis(tmp_path):
     panel, _ = synth_regime_panel(SynthParams(horizon=900))
-    dates = panel.calendar.dates
+    dates = panel.calendar.days.tolist()
     crises = {"synth_dip": [dates[100].isoformat(), dates[400].isoformat()]}
     code, files = run(tmp_path, "regret", config_extra={
         "synth": {"horizon": 900}, "crises": crises, "regret_horizons": [21, 63]})
@@ -1085,7 +1111,7 @@ def test_cells_print_in_one_format(tmp_path):
                                0.1, np.float64(2.0), float("inf"))] == [
         "", "true", "false", "7", "-3", "a b", "0.1", "2.0", "inf"]
     panel, _ = synth_regime_panel(SynthParams(horizon=900))
-    dates = panel.calendar.dates
+    dates = panel.calendar.days.tolist()
     extra = {"synth": {"horizon": 900}, "bootstrap": {"iterations": 200},
              "crises": {"dip": [dates[500].isoformat(), dates[700].isoformat()]},
              "regret_horizons": [21, 400]}  # 400 days run past the end
@@ -1157,10 +1183,10 @@ def test_date_columns_print_as_iso_dates(tmp_path):
     dates = [dt.date(1, 1, 1), dt.date(999, 12, 31), dt.date(2000, 2, 29), dt.date(9999, 12, 31)]
     cal = TradingCalendar(dates)
     assert _column_text(cal.days) == [d.isoformat() for d in dates] == list(
-        map(_cell, cal.dates))
-    # a chart reads the calendar's days and its dates alike
+        map(_cell, dates))
+    # a chart reads the calendar's days and a list of dates alike
     named = {"x": [1.0, 2.0, 3.0, 4.0]}
-    texts = [_svg(d, named, "y") for d in (cal.days, cal.dates)]
+    texts = [_svg(d, named, "y") for d in (cal.days, dates)]
     assert texts[0] == texts[1] and ">0001-01-01<" in texts[0] and ">9999-12-31<" in texts[0]
 
 

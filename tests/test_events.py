@@ -95,7 +95,7 @@ def test_forward_return_doubling_anchor():
     f = forward_return(pser(p), 252)
     assert len(f) == 1
     assert f.values[0] == pytest.approx(1.0, rel=1e-15)
-    assert f.calendar.dates[0] == MON
+    assert f.calendar[0] == MON
 
 
 def test_forward_return_quarterly_annualization():
@@ -189,7 +189,7 @@ def test_omega_independent_gauge_size_control():
 
 def test_omega_alignment_error():
     vix, prices = synth_vix_and_prices(seed=4)
-    short = Series(TradingCalendar(prices.calendar.dates[:-1]),
+    short = Series(TradingCalendar(prices.calendar.days[:-1]),
                    prices.values[:-1], UNIT_PRICE)
     with pytest.raises(ValueError, match="calendar"):
         omega_table(vix, short, (21,))
@@ -213,24 +213,24 @@ def flat_gauge(bench):
 def test_trough_textbook_wealth_path():
     bench = bench_from_wealth([1.0, 0.8, 0.9, 0.7, 1.0])
     cal = bench.calendar
-    t = find_trough(bench, (cal.dates[0], cal.dates[-1]), flat_gauge(bench))
-    assert t.date == cal.dates[2]
+    t = find_trough(bench, (cal[0], cal[-1]), flat_gauge(bench))
+    assert t.date == cal[2]
     assert t.drawdown == pytest.approx(0.30, rel=1e-12)
 
 
 def test_trough_rising_wealth():
     bench = bench_from_wealth([1.0, 1.01, 1.02, 1.05, 1.08])
     cal = bench.calendar
-    t = find_trough(bench, (cal.dates[1], cal.dates[-1]), flat_gauge(bench))
-    assert t.date == cal.dates[1]
+    t = find_trough(bench, (cal[1], cal[-1]), flat_gauge(bench))
+    assert t.date == cal[1]
     assert t.drawdown == pytest.approx(0.0, abs=1e-15)
 
 
 def test_trough_tie_takes_earliest():
     bench = bench_from_wealth([1.0, 0.9, 0.9, 0.95])
     cal = bench.calendar
-    t = find_trough(bench, (cal.dates[0], cal.dates[-1]), flat_gauge(bench))
-    assert t.date == cal.dates[0]
+    t = find_trough(bench, (cal[0], cal[-1]), flat_gauge(bench))
+    assert t.date == cal[0]
 
 
 def test_trough_uses_full_history_peak():
@@ -238,8 +238,8 @@ def test_trough_uses_full_history_peak():
     # window are still measured against it
     bench = bench_from_wealth([1.0, 2.0, 1.9, 1.5, 1.8])
     cal = bench.calendar
-    t = find_trough(bench, (cal.dates[2], cal.dates[-1]), flat_gauge(bench))
-    assert t.date == cal.dates[2]
+    t = find_trough(bench, (cal[2], cal[-1]), flat_gauge(bench))
+    assert t.date == cal[2]
     assert t.drawdown == pytest.approx(0.25, rel=1e-12)
 
 
@@ -247,8 +247,8 @@ def test_trough_reports_gauge_level():
     bench = bench_from_wealth([1.0, 0.8, 0.9, 0.7, 1.0])
     cal = bench.calendar
     vix = Series(cal, np.array([15.0, 25.0, 48.0, 20.0]), UNIT_LEVEL)
-    t = find_trough(bench, (cal.dates[0], cal.dates[-1]), vix=vix)
-    assert t.date == cal.dates[2]
+    t = find_trough(bench, (cal[0], cal[-1]), vix=vix)
+    assert t.date == cal[2]
     assert t.vix == 48.0
 
 
@@ -266,7 +266,7 @@ def test_regret_identical_legs_is_zero():
     r = 0.01 * rng.standard_normal(400)
     eq = rser(r)
     bd = rser(r.copy())
-    trough = Trough(date=eq.calendar.dates[50], drawdown=0.1, vix=None)
+    trough = Trough(date=eq.calendar[50], drawdown=0.1, vix=None)
     (entry,) = regret_table(eq, bd, [("x", trough)], horizons=(63, 126, 252))
     for reg in entry.regret:
         assert abs(reg) < 1e-12
@@ -276,7 +276,7 @@ def test_regret_antisymmetric_in_allocations():
     rng = np.random.default_rng(8)
     eq = rser(0.012 * rng.standard_normal(400) + 0.0006)
     bd = rser(0.004 * rng.standard_normal(400) + 0.0001)
-    trough = Trough(date=eq.calendar.dates[30], drawdown=0.2, vix=None)
+    trough = Trough(date=eq.calendar[30], drawdown=0.2, vix=None)
     (a,) = regret_table(eq, bd, [("x", trough)], horizons=(63, 126))
     # swapping the legs swaps the mixes: 70/30 of (bd, eq) is 30/70 of (eq, bd)
     (b,) = regret_table(bd, eq, [("x", trough)], horizons=(63, 126))
@@ -294,7 +294,7 @@ def test_regret_starts_day_after_trough():
     re[i + 1] = 0.10
     rb[i + 1] = 0.02
     eq, bd = rser(re), rser(rb)
-    trough = Trough(date=eq.calendar.dates[i], drawdown=0.5, vix=None)
+    trough = Trough(date=eq.calendar[i], drawdown=0.5, vix=None)
     (entry,) = regret_table(eq, bd, [("x", trough)], horizons=(1,))
     assert entry.stay[0] == pytest.approx(0.7 * 0.10 + 0.3 * 0.02, rel=1e-12)
     assert entry.derisk[0] == pytest.approx(0.3 * 0.10 + 0.7 * 0.02, rel=1e-12)
@@ -303,7 +303,7 @@ def test_regret_starts_day_after_trough():
 def test_regret_insufficient_forward_data():
     eq = rser(np.zeros(100))
     bd = rser(np.zeros(100))
-    trough = Trough(date=eq.calendar.dates[80], drawdown=0.1, vix=None)
+    trough = Trough(date=eq.calendar[80], drawdown=0.1, vix=None)
     (entry,) = regret_table(eq, bd, [("x", trough)], horizons=(19, 20))
     assert entry.stay[0] == entry.derisk[0] == entry.regret[0] == 0.0
     assert entry.stay[1] is entry.derisk[1] is entry.regret[1] is None

@@ -15,8 +15,10 @@ from dynte.regime import (
     _em_trial,
     _filter_smoother,
     AgreementReport,
+    HIGH,
+    LOW,
     MSModel,
-    Regime,
+    NEUTRAL,
     RegimePath,
     RegimeThresholds,
     classify,
@@ -92,10 +94,9 @@ def test_percentile_partition_fractions():
     s = lser(10.0 + 20.0 * rng.random(n))
     t = percentile_thresholds(s, 0.16, 0.76)
     path = classify(s, 1, t)
-    frac = path.fractions()
-    assert abs(frac[Regime.LOW] - 0.16) <= 1.0 / n
-    assert abs(frac[Regime.NEUTRAL] - 0.60) <= 2.0 / n
-    assert abs(frac[Regime.HIGH] - 0.24) <= 1.0 / n
+    assert abs(np.mean(path.labels == LOW) - 0.16) <= 1.0 / n
+    assert abs(np.mean(path.labels == NEUTRAL) - 0.60) <= 2.0 / n
+    assert abs(np.mean(path.labels == HIGH) - 0.24) <= 1.0 / n
 
 
 # --------------------------------------------------------------- classify
@@ -105,11 +106,11 @@ def test_classify_threshold_bands():
     s = lser([12.0, 17.0, 25.0, 13.0, 22.0])
     path = classify(s, 1, T13_22)
     assert list(path.labels) == [
-        Regime.LOW,
-        Regime.NEUTRAL,
-        Regime.HIGH,
-        Regime.NEUTRAL,  # sitting exactly on a threshold stays Neutral
-        Regime.NEUTRAL,
+        LOW,
+        NEUTRAL,
+        HIGH,
+        NEUTRAL,  # sitting exactly on a threshold stays Neutral
+        NEUTRAL,
     ]
 
 
@@ -117,7 +118,7 @@ def test_classify_constant_high():
     s = lser(np.full(60, 30.0))
     path = classify(s, 21, T13_22)
     assert len(path.labels) == 40
-    assert np.all(path.labels == int(Regime.HIGH))
+    assert np.all(path.labels == HIGH)
     assert_allclose(path.signal.values, 30.0)
 
 
@@ -141,16 +142,16 @@ def test_signal_on_a_threshold_is_neutral(low, gap, window, runs):
     sig = path.signal.values
     on = (sig == lo) | (sig == hi)
     assert on[0] and on[window]
-    assert np.all(path.labels[on] == int(Regime.NEUTRAL))
-    assert np.all(path.labels[sig < lo] == int(Regime.LOW))
-    assert np.all(path.labels[sig > hi] == int(Regime.HIGH))
+    assert np.all(path.labels[on] == NEUTRAL)
+    assert np.all(path.labels[sig < lo] == LOW)
+    assert np.all(path.labels[sig > hi] == HIGH)
 
 
 def test_classify_no_lookahead():
     rng = np.random.default_rng(1)
     s = lser(15.0 + 6.0 * rng.standard_normal(300))
     full = classify(s, 21, T13_22)
-    half = classify(s.restrict(TradingCalendar(s.calendar.dates[:150])), 21, T13_22)
+    half = classify(s.restrict(TradingCalendar(s.calendar.days[:150])), 21, T13_22)
     n = len(half.labels)
     assert np.array_equal(full.signal.calendar.days[:n], half.signal.calendar.days)
     assert np.array_equal(full.labels[:n], half.labels)
@@ -171,10 +172,9 @@ def test_classify_is_pointwise_and_idempotent():
 def test_label_at_and_fractions():
     s = lser([12.0, 25.0, 25.0, 17.0])
     path = classify(s, 1, T13_22)
-    assert list(path.labels) == [Regime.LOW, Regime.HIGH, Regime.HIGH, Regime.NEUTRAL]
-    f = path.fractions()
-    assert f[Regime.HIGH] == 0.5
-    assert f[Regime.LOW] == 0.25
+    assert list(path.labels) == [LOW, HIGH, HIGH, NEUTRAL]
+    assert np.mean(path.labels == HIGH) == 0.5
+    assert np.mean(path.labels == LOW) == 0.25
 
 
 def test_regime_path_labels_follow_signal_and_are_read_only():
@@ -199,7 +199,7 @@ def test_weekly_zero_and_compounding():
     assert weekly_returns(rser(np.zeros(5))).values[0] == 0.0
     got = weekly_returns(rser(np.full(5, 0.01)))
     assert_allclose(got.values[0], 1.01**5 - 1.0, rtol=1e-14)
-    assert got.calendar.dates[0] == MON + dt.timedelta(days=4)  # Friday
+    assert got.calendar[0] == MON + dt.timedelta(days=4)  # Friday
 
 
 def test_weekly_holiday_week_compounds_four():
@@ -210,7 +210,7 @@ def test_weekly_holiday_week_compounds_four():
     got = weekly_returns(s)
     assert len(got) == 2
     assert_allclose(got.values[1], 1.01**4 - 1.0, rtol=1e-15)
-    assert got.calendar.dates[1] == days[-1]
+    assert got.calendar[1] == days[-1]
 
 
 def test_weekly_partial_edge_weeks_kept():
@@ -224,7 +224,7 @@ def test_weekly_partial_edge_weeks_kept():
 def loop_weekly_returns(daily):
     """The week-by-week loop `weekly_returns` replaced, kept as its
     reference: ISO (year, week) keys, compounded in date order."""
-    dates = daily.calendar.dates
+    dates = daily.calendar.days.tolist()
     vals = daily.values
     out_dates = []
     out_vals = []
@@ -257,7 +257,7 @@ def test_weekly_matches_the_iso_week_loop(start, steps, seed):
     daily = Series(TradingCalendar(days), vals, UNIT_RETURN)
     got = weekly_returns(daily)
     want_dates, want_vals = loop_weekly_returns(daily)
-    assert got.calendar.dates == want_dates
+    assert tuple(got.calendar.days.tolist()) == want_dates
     assert got.values.tobytes() == want_vals.tobytes()  # the same products, bit for bit
 
 

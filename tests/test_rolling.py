@@ -31,7 +31,7 @@ def test_moving_average_basic():
     out = moving_average(rser([1.0, 2.0, 3.0, 4.0], UNIT_LEVEL), 2)
     assert_allclose(out.values, [1.5, 2.5, 3.5])
     # output starts once a full window exists
-    assert out.calendar.dates == make_weekday_calendar(dt.date(2016, 1, 4), 4).dates[1:]
+    assert out.calendar == make_weekday_calendar(dt.date(2016, 1, 4), 4).suffix(1)
 
 
 def test_moving_average_constant_and_identity():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dynte.cli import load_config
-from dynte.regime import Regime, classify
+from dynte.regime import HIGH, LOW, NEUTRAL, classify
 from dynte.rolling import rolling_vol
 from dynte.simulate import OverlayPolicy, benchmark_7030, fixed_mix, simulate_overlay, sizing_vol
 from dynte.timeseries import (
@@ -61,7 +61,7 @@ def test_fixed_mix_drift_day_two():
 def test_fixed_mix_resets_on_month_boundary():
     # 2015-01-30 is a Friday; the next weekday opens February
     cal = make_weekday_calendar(dt.date(2015, 1, 26), 6)
-    assert cal.dates[5].month == 2
+    assert cal[5].month == 2
     eq = Series(cal, np.full(6, 0.01), UNIT_RETURN)
     bd = Series(cal, np.zeros(6), UNIT_RETURN)
     out = benchmark_7030(eq, bd)
@@ -119,8 +119,7 @@ def test_overlay_theta_is_capped_target_over_lagged_vol(
     policy = OverlayPolicy(*targets, theta_cap=theta_cap, te_ceiling=ceiling)
     out = simulate_overlay(bench, spread, sizing_vol(spread, L), path, policy)
 
-    by_label = dict(zip((int(Regime.LOW), int(Regime.NEUTRAL), int(Regime.HIGH)),
-                        policy.effective_targets()))
+    by_label = dict(zip((LOW, NEUTRAL, HIGH), policy.effective_targets()))
     vol = rolling_vol(spread, L).values   # vol[k]: returns k..k+L-1
     assert np.all(out.theta[:L] == 0.0)
     for t in range(L, n):
@@ -257,7 +256,7 @@ def test_overlay_truncation_equivalence():
 
     full = run(panel["BENCH_EQ"], panel["BENCH_BD"], panel["SPREAD"], panel["VIX"])
     for cut in (200, 401):
-        cal = TradingCalendar(full.calendar.dates[:cut])
+        cal = TradingCalendar(full.calendar.days[:cut])
         part = run(
             panel["BENCH_EQ"].restrict(cal),
             panel["BENCH_BD"].restrict(cal),

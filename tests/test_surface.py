@@ -1,10 +1,11 @@
 """The library's public surface, read from the source with `ast`.
 
-Every public module-level function and class of `dynte` is reached from
-somewhere other than its own definition: the package itself, `demos/`,
-`bench/` or the console-script entry in `pyproject.toml`. A name that only
-tests reach is kept only while a ROADMAP item or acceptance criterion
-needs it, and is listed below with the reason. Every name a `dynte`
+Every public module-level function and class of `dynte`, and every public
+method and property of its classes, is reached from somewhere other than
+its own definition: the package itself, `demos/`, `bench/` or the
+console-script entry in `pyproject.toml`. A name that only tests reach is
+kept only while a ROADMAP item or acceptance criterion needs it, and is
+listed below with the reason. Every name a `dynte`
 module imports is used in that module. Every default of a public
 module-level function is left unset by some call in the package, `demos/`
 or `bench/`: a default that every such call overrides is a second home for
@@ -27,6 +28,10 @@ KEPT_FOR = {
     "optimal_theta": "acceptance criterion 1 checks it against a grid search",
 }
 
+
+# public methods and properties, as `Class.name`, no command, demo or bench
+# driver reaches yet, and what keeps each
+METHODS_KEPT_FOR = {}
 
 # defaults every call outside the tests overrides, and what keeps each
 DEFAULTS_KEPT_FOR = {}
@@ -63,21 +68,42 @@ def script_entries() -> set[str]:
     return set(re.findall(r'=\s*"[\w.]+:(\w+)"', section.group(1))) if section else set()
 
 
-def test_every_public_function_and_class_is_reached():
+def reach():
+    """(path, tree, names) for each module of the package, where `names`
+    are the names referenced outside that module: in the other modules,
+    `demos/`, `bench/` or the console-script entries."""
     others = [ast.parse(p.read_text(), str(p))
               for d in ("demos", "bench") for p in sorted((ROOT / d).glob("*.py"))]
     outside = set().union(*map(referenced_names, others), script_entries())
     package = modules()
     each = {path: referenced_names(tree) for path, tree in package.items()}
-    unreached = []
     for path, tree in package.items():
-        elsewhere = outside.union(*(names for p, names in each.items() if p != path))
+        yield path, tree, outside.union(*(names for p, names in each.items() if p != path))
+
+
+def test_every_public_function_and_class_is_reached():
+    unreached = []
+    for path, tree, elsewhere in reach():
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_") and node.name not in elsewhere
                     and node.name not in referenced_names(tree, skip=node)):
                 unreached.append(f"{path.stem}.{node.name}")
     assert sorted(n.split(".")[1] for n in unreached) == sorted(KEPT_FOR), unreached
+
+
+def test_every_public_method_and_property_is_reached():
+    unreached = []
+    for path, tree, elsewhere in reach():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                        and node.name not in elsewhere
+                        and node.name not in referenced_names(tree, skip=node)):
+                    unreached.append(f"{path.stem}.{cls.name}.{node.name}")
+    assert sorted(n.split(".", 1)[1] for n in unreached) == sorted(METHODS_KEPT_FOR), unreached
 
 
 def test_every_import_of_a_module_is_used():

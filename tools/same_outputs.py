@@ -8,8 +8,8 @@ charts on, and a 6552-day synthetic panel with charts on. The CSV inputs
 come from bench/inputs.py. For each run it compares the names and bytes of
 the files written, stdout, stderr and the exit code, prints each
 (config, form) that differs and exits 1; otherwise it prints
-`identical: N runs`. Each converge form holds about 1 GB at its peak, and
-the runs take a few minutes.
+`identical: N runs`. Each converge form peaks near 40 MB of resident
+memory, and the runs take a few minutes.
 """
 
 from __future__ import annotations
