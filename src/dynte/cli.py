@@ -25,8 +25,8 @@ Optional SVG charts accompany time-series tables. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime as dt
+import gc
 import hashlib
 import json
 import math
@@ -61,6 +61,9 @@ from .timeseries import (
     returns_from_prices,
     synth_regime_panel,
 )
+
+# every later collection, and the walk at exit, skips the import heap
+gc.freeze()
 
 CONFIG_VERSION = 1
 
@@ -321,6 +324,9 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
     synth_params = _checked("synth", SynthParams, **_merge_defaults(
         {"seed": raw["seed"], **raw["synth"]}, _SYNTH_DEFAULTS, "synth."))
     out_dir = _fs_path("out", raw["out"])
+    found = next((p for p in (out_dir, *out_dir.parents) if os.path.exists(p)), None)
+    if found is not None and not os.path.isdir(found):
+        raise ConfigError("out", f"{str(found)!r} is not a directory")
     roles, digests = _roles(raw["data"])
     r = raw["range"]
     date_range = _ordered("range", *(None if r[k] is None else _iso(f"range.{k}", r[k])
@@ -331,6 +337,8 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
             name.encode("utf-8")
         except UnicodeEncodeError:
             raise ConfigError("crises", f"name {name!r} is not UTF-8 text") from None
+        if "\r" in name or "\n" in name:
+            raise ConfigError("crises", f"name {name!r} is not one line of text")
         if not isinstance(span, list) or len(span) != 2:
             raise ConfigError(f"crises.{name}", "expected [start, end] ISO dates")
         crises[name] = _ordered(f"crises.{name}", *(_iso(f"crises.{name}", d) for d in span))
@@ -393,7 +401,8 @@ def _cell(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, str):
-        return x
+        # quoted as csv.writer quotes it; a table's other cells never need it
+        return '"' + x.replace('"', '""') + '"' if any(c in x for c in ',"\n') else x
     if isinstance(x, dt.date):
         return x.isoformat()
     return repr(float(x))
@@ -422,10 +431,9 @@ def _write_table(run: Run, stem: str, token: str, header: Sequence[str],
     cfg = run.cfg
     columns = list(columns)
     path = cfg.out_dir / f"{stem}_{_cfg_hash(cfg, token)}.csv"
+    lines = [",".join(map(_cell, header)), *map(",".join, zip(*map(_column_text, columns)))]
     with open(run.stage(path), "w", newline="", encoding="utf-8") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(header)
-        out.writerows(zip(*map(_column_text, columns)))
+        fh.write("\n".join(lines) + "\n")
     if not (chart and cfg.svg):
         return [path]
     cols = dict(zip(header, columns))
@@ -827,7 +835,12 @@ def cmd_converge(run: Run) -> list[Path]:
         sim = run.overlay(cfg.dynamic_policy.with_ceiling(cap))
         rep = summarize(sim.portfolio, rf=rf, te=sim.te, smoothed_vix=run.path.signal)
         # the CI is of the Sharpe the row reports, of returns in excess of rf
-        boot = circular_block_bootstrap(excess_returns(sim.portfolio, rf), cfg.bootstrap_spec)
+        excess, block = excess_returns(sim.portfolio, rf), cfg.bootstrap_spec.block
+        # one block of the whole series makes every resample a rotation of it
+        if block >= len(excess):
+            raise ValueError(f"bootstrap.block: the {block}-day block must be shorter than "
+                             f"the {len(excess)}-day series it resamples")
+        boot = circular_block_bootstrap(excess, cfg.bootstrap_spec)
         rows.append([
             "uncapped" if cap is None else cap,
             rep.cagr, rep.vol, rep.sharpe, rep.max_drawdown, rep.te_level, rep.te_sigma,

@@ -98,15 +98,17 @@ def fixed_mix(eq: Series, bd: Series, w_eq: float) -> Series:
         raise ValueError("w_eq must be in [0, 1]")
     months = eq.calendar.days.astype("datetime64[M]")
     month_start = np.r_[True, months[1:] != months[:-1]].tolist()
-    re, rb = eq.values, bd.values
     n = len(months)
     out = np.empty(n)
+    # a memoryview reads and writes Python floats, at a fraction of the cost
+    # of numpy's per-item indexing, with the same IEEE double arithmetic
+    re, rb, o = memoryview(eq.values), memoryview(bd.values), memoryview(out)
     w = w_eq
     for t in range(n):
         if month_start[t]:
             w = w_eq
         r = w * re[t] + (1.0 - w) * rb[t]
-        out[t] = r
+        o[t] = r
         w = w * (1.0 + re[t]) / (1.0 + r)
     return Series(eq.calendar, out, UNIT_RETURN)
 

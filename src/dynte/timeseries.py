@@ -237,12 +237,13 @@ _MISSING_CELLS = frozenset(("", "na", "nan", "null", "none", "#n/a"))
 
 # bytes of a line the vectorised reader takes: a YYYY-MM-DD date and plain
 # decimal numbers, comma-separated
+_PLAIN = b"0123456789+-.eE,\n"
 _PLAIN_BYTES = np.zeros(256, dtype=bool)
-_PLAIN_BYTES[list(b"0123456789+-.eE,\n")] = True
+_PLAIN_BYTES[list(_PLAIN)] = True
 _DATE_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9])
 
 
-def _plain_lines(body: str, n_lines: int, n_commas: int) -> tuple[np.ndarray, np.ndarray]:
+def _plain_lines(body: str, n_commas: int) -> tuple[np.ndarray, np.ndarray]:
     """Which lines of `body` are plain, and their dates.
 
     A plain line holds plain bytes only, starts with a valid YYYY-MM-DD
@@ -250,18 +251,19 @@ def _plain_lines(body: str, n_lines: int, n_commas: int) -> tuple[np.ndarray, np
     no missing token, quote, padding or short row, and np.loadtxt reads its
     numbers as float() would. Every other line goes through _parse_row.
     """
-    buf = np.frombuffer(body.encode(), dtype=np.uint8)
+    raw = body.encode()
+    buf = np.frombuffer(raw, dtype=np.uint8)
     newlines = np.flatnonzero(buf == 10)
     starts = np.r_[0, newlines + 1]
     ends = np.r_[newlines, len(buf)]
     ok = ends - starts > 10
-    ok[np.searchsorted(newlines, np.flatnonzero(~_PLAIN_BYTES[buf]))] = False
+    if raw.translate(None, _PLAIN):
+        ok[np.searchsorted(newlines, np.flatnonzero(~_PLAIN_BYTES[buf]))] = False
     commas = np.flatnonzero(buf == 44)
-    comma_line = np.searchsorted(newlines, commas)
-    ok &= np.bincount(comma_line, minlength=n_lines) == n_commas
+    ok &= np.diff(np.searchsorted(commas, ends), prepend=0) == n_commas
     after = buf[np.minimum(commas + 1, len(buf) - 1)]
     empty = (commas + 1 == len(buf)) | (after == 44) | (after == 10)
-    ok[comma_line[empty]] = False
+    ok[np.searchsorted(newlines, commas[empty])] = False
 
     lines = np.flatnonzero(ok)
     s = starts[lines]
@@ -359,7 +361,7 @@ def ingest_csv(path, columns: Sequence[str] | None, unit: str) -> IngestResult:
     lines = body.split("\n")
     days = np.full(len(lines), np.datetime64("NaT"), dtype="datetime64[D]")
     vals = np.full((len(lines), len(symbols)), np.nan)
-    plain, plain_days = _plain_lines(body, len(lines), len(header) - 1)
+    plain, plain_days = _plain_lines(body, len(header) - 1)
     if len(plain_days):
         plain_at = np.flatnonzero(plain)
         try:

@@ -1,6 +1,8 @@
 import csv
 import datetime as dt
+import gc
 import hashlib
+import io
 import json
 import os
 import re
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from dynte.cli import (COMMANDS, CONFIG_VERSION, ConfigError, Run, _cell, _column_text, _svg,
-                       cmd_converge, load_config, main)
+                       _write_table, cmd_converge, load_config, main)
 from dynte.inference import circular_block_bootstrap
 from dynte.metrics import excess_returns, sharpe, summarize
 from dynte.regime import classify
@@ -98,6 +100,19 @@ def test_synth_levels_parse_and_dates(tmp_path):
         float(cell)
 
 
+def test_the_import_heap_is_frozen_once_per_process(tmp_path):
+    proc = subprocess.run([sys.executable, "-c",
+                           "import dynte.cli, gc; print(gc.get_freeze_count())"],
+                          env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+                          text=True, check=True)
+    assert int(proc.stdout) > 0
+    # a call freezes nothing more, so no call's garbage outlives it
+    before = gc.get_freeze_count()
+    for _ in range(2):
+        assert run(tmp_path, "props")[0] == 0
+    assert gc.get_freeze_count() == before
+
+
 # ----------------------------------------------------------- config errors
 
 
@@ -160,6 +175,31 @@ def test_a_crisis_name_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == \
         "config error: crises: name 'gfc_\\ud800' is not UTF-8 text\n"
     assert os.listdir(out) == ["earlier.csv"] and files[0].read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("name", ["gfc\rcovid", "gfc\ncovid"], ids=["cr", "lf"])
+def test_a_crisis_name_that_breaks_a_line_is_a_config_error(tmp_path, capsys, name):
+    # a bare carriage return leaves csv.writer unquoted and splits the row
+    code, files = run(tmp_path, "regret", config_extra={
+        "crises": {name: ["2007-10-01", "2009-06-30"]}})
+    assert code == 2 and files == []
+    assert capsys.readouterr().err == \
+        f"config error: crises: name {name!r} is not one line of text\n"
+
+
+@pytest.mark.parametrize("out,flag", [("afile", False), ("afile/sub", True)],
+                         ids=["config", "flag below"])
+def test_an_out_that_names_a_file_is_a_config_error(tmp_path, capsys, out, flag):
+    (tmp_path / "afile").write_text("kept\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({} if flag else {"out": str(tmp_path / out)}))
+    argv = ["exhibit", "3", "--config", str(cfg)]
+    assert main(argv + ["--out", str(tmp_path / out)] if flag else argv) == 2
+    # refused before the synthetic panel is built, whose line would come first
+    assert capsys.readouterr().err == \
+        f"config error: out: {str(tmp_path / 'afile')!r} is not a directory\n"
+    assert sorted(os.listdir(tmp_path)) == ["afile", "cfg.json"]
+    assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 # JSON escapes for a lone surrogate, which no file name can hold
@@ -495,6 +535,21 @@ def test_a_long_signal_window_fails_only_where_it_sizes_an_overlay(tmp_path, cap
         code, _ = run(tmp_path, *form, config_extra={"synth": {"horizon": 700},
                                                      "windows": {"signal": 80}})
         assert code == 0, capsys.readouterr().err
+
+
+def test_a_bootstrap_block_as_long_as_the_sample_is_refused(tmp_path, capsys):
+    # one block of the whole sample makes every resample a rotation of it
+    n = len(synth_regime_panel(SynthParams(horizon=300))[0].calendar)
+    extra = {"synth": {"horizon": 300}, "caps": [0.02]}
+    code, files = run(tmp_path, "converge", config_extra={
+        **extra, "bootstrap": {"block": n, "iterations": 50}})
+    assert code == 1 and files == []
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: bootstrap.block: the {n}-day block must be shorter than the "
+        f"{n}-day series it resamples")
+    code, files = run(tmp_path, "converge", config_extra={
+        **extra, "bootstrap": {"block": n - 1, "iterations": 50}})
+    assert code == 0 and len(files) == 1, capsys.readouterr().err
 
 
 def test_tracking_error_needs_more_than_twice_the_vol_window(tmp_path, capsys):
@@ -1137,6 +1192,30 @@ def test_cells_print_in_one_format(tmp_path):
     assert empty == {("exhibit3", "te_level"), ("exhibit3", "te_sigma"),
                      ("exhibit3", "te_cyclicality"), ("exhibit6b", "stay_70_30"),
                      ("exhibit6b", "derisk_30_70"), ("exhibit6b", "regret")}
+
+
+def test_tables_are_written_as_csv_writer_writes_them(tmp_path):
+    days = np.arange("2024-01-01", "2024-01-07", dtype="datetime64[D]")
+    header = ["date", "x,y", 'say "q"', "n", "flag", "maybe", "text"]
+    columns = [days, np.array([0.1, -2.5e-300, 1 / 3, 1e22, -0.0, 7.0]),
+               [1, np.int64(-2), 0, 10**20, 5, 6],
+               [True, np.bool_(False), False, True, np.True_, False],
+               [None, 1.5, None, 2.0, None, 3.0],
+               ["a,b", 'say "hi"', "two\nlines", " padded ", "", "Zürich ≥ 2 – ok"]]
+    texts = [[d.isoformat() for d in days.tolist()], list(map(repr, columns[1].tolist())),
+             ["1", "-2", "0", str(10**20), "5", "6"],
+             ["true", "false", "false", "true", "true", "false"],
+             ["", "1.5", "", "2.0", "", "3.0"], columns[5]]
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*texts))
+    run_ = Run(load_config(write_config(tmp_path), {"out": str(tmp_path / "o")}), "t")
+    (path,) = _write_table(run_, "t", "t", header, columns)
+    run_.publish()
+    assert path.read_bytes() == want.getvalue().encode("utf-8")
+    with path.open(newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [header, *map(list, zip(*texts))]
 
 
 def test_exhibit4_svg_emitted(tmp_path):

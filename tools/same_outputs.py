@@ -1,7 +1,11 @@
 """Check that two source trees give the same command-line outputs.
 
     python tools/same_outputs.py PARENT_TREE CHANGE_TREE
+    python tools/same_outputs.py HEAD .
 
+Either argument may name a git revision of this repository in place of a
+source tree: its `src/` is extracted with `git archive` into a temporary
+directory, which leaves no worktree or other repository state behind.
 Runs the 13 command forms of `dynte` in each tree (PYTHONPATH=<tree>/src)
 on three configs: the empty config, the benchmark's seed-0 CSV inputs with
 charts on, and a 6552-day synthetic panel with charts on. The CSV inputs
@@ -22,7 +26,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
 import inputs  # noqa: E402  (bench/inputs.py)
 
 FORMS = (["synth"], *(["exhibit", str(n)] for n in range(1, 8)),
@@ -48,10 +53,26 @@ def outputs(tree: Path, work: Path, cfg: Path, form: list[str]):
             "names": sorted(files), "bytes": files}
 
 
-def main(parent: Path, change: Path) -> int:
+def source_tree(arg: str, tmp: Path) -> Path:
+    """`arg` as a source tree: a directory as it is, else a git revision of
+    this repository, whose `src/` is extracted under `tmp`."""
+    if Path(arg).is_dir():
+        return Path(arg)
+    tree = Path(tempfile.mkdtemp(dir=tmp))
+    archive = subprocess.run(["git", "archive", "--format=tar", arg, "src"], cwd=ROOT,
+                             capture_output=True)
+    if archive.returncode:
+        sys.exit(f"{arg}: neither a directory nor a revision: {archive.stderr.decode().strip()}")
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive.stdout, check=True)
+    return tree
+
+
+def main(parent_arg: str, change_arg: str) -> int:
     differ, runs = [], 0
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
+        parent, change = (source_tree(arg, Path(tmp)) for arg in (parent_arg, change_arg))
+        work = Path(tmp) / "work"
+        work.mkdir()
         for label, cfg in configs(work).items():
             path = work / "cfg.json"
             path.write_text(json.dumps(cfg))
@@ -71,4 +92,4 @@ def main(parent: Path, change: Path) -> int:
 if __name__ == "__main__":
     if len(sys.argv) != 3:
         sys.exit(__doc__)
-    sys.exit(main(Path(sys.argv[1]), Path(sys.argv[2])))
+    sys.exit(main(sys.argv[1], sys.argv[2]))
