@@ -47,7 +47,6 @@ from .regime import RegimePath, RegimeThresholds, classify, percentile_threshold
 from .rolling import moving_average, rolling_avg_pairwise_corr, rolling_corr
 from .simulate import OverlayPolicy, SimResult, benchmark_7030, simulate_overlay, sizing_vol
 from .timeseries import (
-    TRADING_DAYS_PER_YEAR,
     UNIT_LEVEL,
     UNIT_PRICE,
     AssetPanel,
@@ -549,7 +548,7 @@ def load_market(cfg: RunConfig, need: Sequence[str]) -> Market:
     roles = {name: v for name, (v, _) in loaded.items()}
 
     cal = intersect_calendars([v.calendar for v in roles.values()])
-    every = np.sort(np.concatenate([v.calendar.days for v in roles.values()]))
+    every = np.sort(np.concatenate([v.calendar.days for v in roles.values()]), kind="stable")
     lost = np.count_nonzero(every[1:] != every[:-1]) + 1 - len(cal)
     print("data: " + "; ".join(
         f"{cfg.roles[name][0]} dropped {n} incomplete rows"
@@ -573,13 +572,9 @@ def load_market(cfg: RunConfig, need: Sequence[str]) -> Market:
 
     vix_full = roles["vix"].restrict(cal)
 
-    rf: Series | float = 0.0
-    if "rf" in roles:
-        annual = roles["rf"].restrict(rcal)
-        rf = Series(rcal, annual.values / TRADING_DAYS_PER_YEAR, UNIT_LEVEL)
-
+    # the sectors file narrows every calendar, but only exhibit 1 reads its returns
     sectors = None
-    if "sectors" in roles:
+    if "sectors" in need:
         panel: AssetPanel = roles["sectors"]  # type: ignore[assignment]
         sectors = AssetPanel(
             rcal,
@@ -594,7 +589,7 @@ def load_market(cfg: RunConfig, need: Sequence[str]) -> Market:
         eq=eq,
         bd=bd,
         spread=spread,
-        rf=rf,
+        rf=roles["rf"].restrict(rcal) if "rf" in roles else 0.0,
         tlt=rets("tlt"),
         sectors=sectors,
     )

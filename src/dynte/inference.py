@@ -4,13 +4,15 @@ Long-run variances use the Bartlett kernel with weight 1 - j/(L+1) at lag j
 (Newey-West), scaled by n/(n-1), so bandwidth 0 reproduces the classical
 one-sample t. The circular block bootstrap follows Politis-Romano:
 fixed-length blocks with wraparound, percentile intervals, for the Sharpe
-ratio. A resample is reduced from its blocks' sums of x and x**2, read off
-per-start tables built once from prefix sums of the demeaned series, so it
-costs O(n/block) rather than O(n); only a resample with near-zero variance
-gathers its values. One series is bootstrapped per call; two series
-bootstrapped with one spec read the same block starts, draw by draw. Draws
-are processed in chunks sized by a value budget, so memory does not grow
-with the number of iterations beyond the iterations statistics.
+ratio; a BootstrapResult holds the interval alone, and the sample Sharpe
+ratio is metrics.sharpe's. A resample is reduced from its blocks' sums of
+x and x**2, read off per-start tables built once from prefix sums of the
+demeaned series, so it costs O(n/block) rather than O(n); only a resample
+with near-zero variance gathers its values. One series is bootstrapped
+per call; two series bootstrapped with one spec read the same block
+starts, draw by draw. Draws are processed in chunks sized by a value
+budget, so memory does not grow with the number of iterations beyond the
+iterations statistics.
 Percentiles, here and in the regime and event studies, are numpy's default
 linear ones, computed bit for bit by linear_quantiles from one partition,
 without np.quantile's import of numpy.ma.
@@ -123,10 +125,8 @@ class BootstrapSpec:
 
 @record
 class BootstrapResult:
-    point: float
     ci_lo: float
     ci_hi: float
-    spec: BootstrapSpec
 
     @property
     def width(self) -> float:
@@ -233,8 +233,7 @@ def circular_block_bootstrap(returns: np.ndarray, spec: BootstrapSpec) -> Bootst
     n = len(v)
     if n < 2:
         raise ValueError("need at least two observations")
-    point = float(_stat_sharpe(v[None, :])[0])
-    if not math.isfinite(point):
+    if not np.isfinite(_stat_sharpe(v[None, :])[0]):
         raise ValueError("statistic undefined on the original sample")
 
     nblocks = -(-n // spec.block)  # ceil
@@ -259,7 +258,7 @@ def circular_block_bootstrap(returns: np.ndarray, spec: BootstrapSpec) -> Bootst
         raise ValueError("bootstrap retry limit exceeded; statistic undefined too often")
     lo = (1.0 - spec.confidence) / 2.0
     ci_lo, ci_hi = linear_quantiles(stats, [lo, 1.0 - lo])
-    return BootstrapResult(point=point, ci_lo=float(ci_lo), ci_hi=float(ci_hi), spec=spec)
+    return BootstrapResult(ci_lo=float(ci_lo), ci_hi=float(ci_hi))
 
 
 @record

@@ -3,8 +3,9 @@
 Conventions: 252 trading days per year; CAGR compounds the full path and
 annualizes by exponent 252/n; volatility is the sample standard deviation
 scaled by sqrt(252); Sharpe divides the annualized mean excess return by
-the annualized volatility of excess returns. A scalar risk-free rate is an
-annual figure and is applied as rf/252 per day. Max drawdown is reported
+the annualized volatility of excess returns. The risk-free rate is an
+annual rate, a scalar or a Series on the returns' dates, and
+`excess_returns` alone applies it, as rf/252 a day. Max drawdown is reported
 as a magnitude in [0, 1], measured against a running peak that includes
 the starting wealth of 1. `summarize` is the one performance summary of a
 run, tracking-error statistics included; it returns a MetricsReport, and
@@ -55,13 +56,13 @@ def annualized_vol(returns) -> float:
 
 
 def excess_returns(returns, rf: Series | float) -> np.ndarray:
-    """Daily returns less the risk-free rate: a per-day rate series as
-    given, or a scalar annual rate spread evenly across days."""
+    """Daily returns less rf/252: rf is an annual rate, a scalar or a
+    Series on the returns' dates."""
     v = _returns(returns)
     if isinstance(rf, Series):
         if len(rf) != len(v):
             raise ValueError("risk-free series length mismatch")
-        return v - rf.values
+        return v - rf.values / TRADING_DAYS_PER_YEAR
     return v - float(rf) / TRADING_DAYS_PER_YEAR
 
 
@@ -106,6 +107,8 @@ def summarize(returns, rf: Series | float, te: Series | None = None,
     TE columns are its level (mean), its dispersion through time (sample
     standard deviation) and its cyclicality: its correlation with the
     smoothed gauge on the path's dates, None when either has zero variance."""
+    if te is not None and smoothed_vix is None:
+        raise ValueError("smoothed_vix is required with a tracking-error path")
     c = cagr(returns)
     dd = max_drawdown(returns)
     te_level = te_sigma = te_cyc = None

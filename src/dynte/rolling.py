@@ -11,8 +11,6 @@ are NaN.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -30,6 +28,7 @@ from .timeseries import (
 # buffers are a few arrays of this size per column, whatever the length, and
 # each stays under 120 KB, below glibc's default 128 KiB mmap threshold, so it
 # is reused from the heap rather than mapped and page-faulted anew each chunk
+# (rolling_avg_pairwise_corr stacks its columns' buffers into one array)
 _CHUNK_FLOATS = 15_000
 
 
@@ -95,21 +94,22 @@ def rolling_corr(a: Series, b: Series, w: int) -> Series:
 def rolling_avg_pairwise_corr(panel: AssetPanel, w: int) -> Series:
     """Mean of all pairwise trailing correlations across the panel's symbols.
 
-    A date where any pair is undefined (zero variance) carries NaN. Each
-    symbol's windows are demeaned once, not once per pair.
+    A date where any pair is undefined (zero variance) carries NaN. The
+    symbols' windows are stacked and demeaned once, each symbol is
+    correlated with all later ones in one pass, and the pairs are summed in
+    (i, j) order, i < j.
     """
     syms = panel.symbols
     if len(syms) < 2:
         raise ValueError("need at least two symbols for pairwise correlation")
-    pairs = list(combinations(range(len(syms)), 2))
 
     def mean_corr(*cols):
-        parts = [_demean(c) for c in cols]
+        xd, ss = _demean(np.stack(cols))
         acc = None
-        for i, j in pairs:
-            c = _correlate(*parts[i], *parts[j])
-            acc = c if acc is None else acc + c
-        return acc / len(pairs)
+        for i in range(len(cols) - 1):
+            for c in _correlate(xd[i], ss[i], xd[i + 1:], ss[i + 1:]):
+                acc = c if acc is None else acc + c
+        return acc / (len(cols) * (len(cols) - 1) // 2)
 
     return _trailing(panel.calendar, [panel[s].values for s in syms], w, 2,
                      mean_corr, UNIT_LEVEL)

@@ -143,9 +143,11 @@ def intersect_calendars(cals: Iterable[TradingCalendar]) -> TradingCalendar:
     cals = list(cals)
     if not cals:
         raise ValueError("need at least one calendar")
+    # every calendar is sorted and unique: keep the dates of `common` found
+    # in each, in order, rather than re-sorting both as np.intersect1d does
     common = cals[0].days
     for c in cals[1:]:
-        common = np.intersect1d(common, c.days, assume_unique=True)
+        common = common[c.days.take(np.searchsorted(c.days, common), mode="clip") == common]
     if len(common) == 0:
         raise ValueError("calendars have empty intersection")
     return TradingCalendar._unchecked(common)
@@ -381,7 +383,7 @@ def ingest_csv(path, columns: Sequence[str] | None, unit: str) -> IngestResult:
             days[i], vals[i] = row
 
     slots = np.flatnonzero(~np.isnat(days))
-    slots = slots[np.argsort(days[slots])]
+    slots = slots[np.argsort(days[slots], kind="stable")]
     days, vals = days[slots], vals[slots]
     complete = ~np.isnan(vals).any(axis=1)
     dup = np.flatnonzero(days[1:] == days[:-1])

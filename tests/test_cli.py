@@ -294,6 +294,23 @@ def test_a_bad_sector_column_list_names_the_setting(tmp_path, capsys, monkeypatc
                                        f"more names, none twice, got {columns}\n")
 
 
+def test_exhibit1_needs_two_sector_columns(tmp_path, capsys):
+    _, files = run(tmp_path, "synth", config_extra={"synth": {"horizon": 300}})
+    panel = str(next(f for f in files if f.name.startswith("synth_panel")))
+    data = {"sectors": {"path": panel, "columns": ["BENCH_EQ"]},
+            "vix": {"path": panel, "column": "VIX"}}
+    code, _ = run(tmp_path, "exhibit", "1", config_extra={"data": data})
+    assert code == 2
+    assert capsys.readouterr().err.endswith(
+        "config error: data.sectors: need at least two sector columns\n")
+
+
+def test_a_null_data_role_is_skipped(tmp_path, capsys):
+    code, files = run(tmp_path, "exhibit", "3", config_extra={"data": {"eq": None}})
+    assert code == 0 and files
+    assert "data: synthetic panel" in capsys.readouterr().err
+
+
 def test_exhibit_number_out_of_range(tmp_path, capsys):
     code, _ = run(tmp_path, "exhibit", "9")
     assert code == 2
@@ -385,6 +402,9 @@ def test_unknown_subcommand_is_usage_error():
     ({"synth": {"seed": -3}}, "synth"),
     # refused before any file is read
     ({"seed": -1, "data": {"eq": {"path": "missing.csv", "column": "EQ"}}}, "seed"),
+    ({"data": {"eq": "eq.csv"}}, "data.eq"),
+    ([{"seed": 1}], "config"),
+    ({"crises": {"gfc": ["2007-10-01"]}}, "crises.gfc"),
 ])
 def test_config_type_errors_name_the_field(tmp_path, capsys, cfg, field):
     path = tmp_path / "cfg.json"
@@ -413,8 +433,9 @@ def test_a_non_finite_number_names_its_setting(tmp_path, capsys, form, text, fie
     assert not (tmp_path / "o").exists()
 
 
-FORMS = [("synth",)] + [("exhibit", str(n)) for n in range(1, 8)] + [
-    ("converge",), ("omega",), ("regret",), ("sweep",), ("props",)]
+# every command form, read off the command table: an exhibit number is a form
+FORMS = [form for name, (_, cmd) in COMMANDS.items()
+         for form in ([(name, str(n)) for n in cmd] if isinstance(cmd, dict) else [(name,)])]
 
 
 @pytest.mark.parametrize("form", FORMS, ids=" ".join)

@@ -9,6 +9,7 @@ from dynte.metrics import (
     MetricsReport,
     annualized_vol,
     cagr,
+    excess_returns,
     max_drawdown,
     sharpe,
     summarize,
@@ -95,19 +96,27 @@ def test_sharpe_scalar_rf_is_annual():
     assert_allclose(sharpe(r, rf=0.0252), sharpe(r - 0.0001, 0.0), rtol=1e-10)
 
 
-def test_sharpe_series_rf_used_as_is():
+def test_sharpe_series_rf_is_annual():
     rng = np.random.default_rng(2)
     r = 0.01 * rng.standard_normal(200) + 0.0005
-    rf_daily = np.full(200, 0.0001)
-    got = sharpe(r, rf=rser(rf_daily))
-    assert_allclose(got, sharpe(r - 0.0001, 0.0), rtol=1e-12)
+    # a daily rate of 0.0001 given as the annual rate it is on each date
+    got = sharpe(r, rf=rser(np.full(200, 0.0252)))
+    assert_allclose(got, sharpe(r - 0.0001, 0.0), rtol=1e-10)
+
+
+def test_series_rf_and_scalar_rf_agree_bit_for_bit():
+    rng = np.random.default_rng(4)
+    r = 0.01 * rng.standard_normal(300) + 0.0005
+    rf = rser(np.full(300, 0.0437))
+    assert np.array_equal(excess_returns(r, rf), excess_returns(r, 0.0437))
+    assert sharpe(r, rf) == sharpe(r, 0.0437)
 
 
 def test_sharpe_excess_of_itself_errors():
-    rng = np.random.default_rng(3)
-    r = rser(0.01 * rng.standard_normal(100))
+    # dyadic returns, so 252 r / 252 is r exactly and the excess is 0
+    r = np.random.default_rng(3).integers(-500, 500, 100) * 2.0**-16
     with pytest.raises(ValueError, match="zero volatility"):
-        sharpe(r.values, rf=r)
+        sharpe(r, rf=Series(make_weekday_calendar(MON, 100), 252.0 * r, UNIT_LEVEL))
 
 
 def test_rf_length_mismatch():
@@ -224,4 +233,10 @@ def test_summarize_with_te_and_gauge():
     assert rep.te_level is not None
     assert rep.te_sigma is not None
     assert rep.te_cyclicality is not None
+
+
+def test_summarize_te_without_gauge_names_it():
+    te = vix_like(np.full(40, 0.02))
+    with pytest.raises(ValueError, match="smoothed_vix"):
+        summarize(0.01 * np.random.default_rng(11).standard_normal(50), 0.0, te=te)
 

@@ -131,6 +131,24 @@ def test_pairwise_corr_independent_noise_near_zero():
     assert np.max(np.abs(out.values)) < 0.1
 
 
+def test_pairwise_corr_equals_a_per_pair_loop_bit_for_bit():
+    rng = np.random.default_rng(3)
+    n, w = 1000, 21  # more windows than one chunk evaluates
+    cal = make_weekday_calendar(dt.date(2010, 1, 4), n)
+    vals = 0.01 * rng.standard_normal((5, n))
+    vals[2, 300:340] = 0.0  # zero-variance windows: NaN on their dates
+    series = [Series(cal, v, UNIT_RETURN) for v in vals]
+    panel = AssetPanel(cal, {f"S{i}": s for i, s in enumerate(series)})
+    acc = None
+    for i in range(5):
+        for j in range(i + 1, 5):
+            c = rolling_corr(series[i], series[j], w).values
+            acc = c if acc is None else acc + c
+    got = rolling_avg_pairwise_corr(panel, w).values
+    assert np.isnan(got).any()
+    assert np.array_equal(got, acc / 10, equal_nan=True)
+
+
 def test_pairwise_corr_needs_two_symbols():
     cal = make_weekday_calendar(dt.date(2016, 1, 4), 10)
     panel = AssetPanel(cal, {"A": Series(cal, np.zeros(10), UNIT_RETURN)})

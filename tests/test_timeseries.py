@@ -137,6 +137,23 @@ def test_intersect_calendars():
         intersect_calendars([a, c])
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 59), min_size=1), min_size=1, max_size=5))
+def test_intersect_calendars_matches_intersect1d(picks):
+    days = make_weekday_calendar(MON, 60).days
+    cals = [TradingCalendar(days[sorted(p)]) for p in picks]
+    want = cals[0].days
+    for c in cals[1:]:
+        want = np.intersect1d(want, c.days)
+    if len(want) == 0:
+        with pytest.raises(ValueError, match="empty intersection"):
+            intersect_calendars(cals)
+    else:
+        got = intersect_calendars(cals).days
+        assert got.dtype == want.dtype
+        assert_array_equal(got, want)
+
+
 # ------------------------------------------------------------------ series
 
 

@@ -6,10 +6,12 @@
 Either argument may name a git revision of this repository in place of a
 source tree: its `src/` is extracted with `git archive` into a temporary
 directory, which leaves no worktree or other repository state behind.
-Runs the 13 command forms of `dynte` in each tree (PYTHONPATH=<tree>/src)
-on three configs: the empty config, the benchmark's seed-0 CSV inputs with
-charts on, and a 6552-day synthetic panel with charts on. The CSV inputs
-come from bench/inputs.py. For each run it compares the names and bytes of
+Runs every command form of `dynte` in each tree (PYTHONPATH=<tree>/src),
+as this checkout's command table `dynte.cli.COMMANDS` lists them, on four
+configs: the empty config, the benchmark's seed-0 CSV inputs with charts
+on, those inputs with a constant annual risk-free rate file as `data.rf`,
+and a 6552-day synthetic panel with charts on. The CSV inputs come from
+bench/inputs.py. For each run it compares the names and bytes of
 the files written, stdout, stderr and the exit code, prints each
 (config, form) that differs and exits 1; otherwise it prints
 `identical: N runs`. Each converge form peaks near 40 MB of resident
@@ -27,16 +29,22 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "bench"))
+sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src")]
 import inputs  # noqa: E402  (bench/inputs.py)
+from dynte.cli import COMMANDS  # noqa: E402
 
-FORMS = (["synth"], *(["exhibit", str(n)] for n in range(1, 8)),
-         ["converge"], ["omega"], ["regret"], ["sweep"], ["props"])
+FORMS = [form for name, (_, cmd) in COMMANDS.items()
+         for form in ([[name, str(n)] for n in cmd] if isinstance(cmd, dict) else [[name]])]
 
 
 def configs(work: Path) -> dict[str, dict]:
     csv = inputs.csv_config(inputs.write_csv_inputs(0, work))
+    rf = work / "rf.csv"
+    rf.write_text("date,RATE\n" + "".join(
+        f"{d},0.0437\n" for d in inputs.weekdays(inputs.START, inputs.N_DAYS)))
+    rf_data = {**csv["data"], "rf": {"path": str(rf), "column": "RATE"}}
     return {"empty": {}, "csv seed 0": {**csv, "svg": True},
+            "csv seed 0 with rf": {**csv, "data": rf_data, "svg": True},
             "synth 6552": {"synth": {"horizon": inputs.N_DAYS}, "svg": True}}
 
 
