@@ -10,11 +10,11 @@ index, e.g. `synth.transition[0][0]`. Each command takes a Run, which
 builds the market, benchmark, regime path and overlays its tables share
 once; Run.overlay simulates every overlay a table shows, the sweep's
 included, each sized on the one trailing spread vol, Run.vol. The library
-returns results; each command here lays out its own table's columns, and
-every table goes through one writer, _write_table, which stages each file
-under a temporary name; main publishes a command's files once it has
-returned, and a command that fails publishes none. Outputs are CSV tables
-named {name}_{hash}.csv where the hash is derived from the command, the
+returns results; each command here lays out its own tables' columns and
+returns them as Table values, touching no file; main hands them to the one
+writer, _write_tables, which publishes all of a command's files or, when a
+command or a write fails, none. Outputs are CSV tables named
+{name}_{hash}.csv where the hash is derived from the command, the
 effective config less `out` and `svg`, and the bytes of the input files,
 never from the clock, so a re-run with the same config and inputs writes
 byte-identical CSVs under the same names.
@@ -24,7 +24,6 @@ Optional SVG charts accompany time-series tables. Exit codes: 0 success,
 
 from __future__ import annotations
 
-import argparse
 import datetime as dt
 import gc
 import hashlib
@@ -420,26 +419,55 @@ def _column_text(column) -> list[str]:
     return [_cell(x) for x in column]
 
 
-def _write_table(run: Run, stem: str, token: str, header: Sequence[str],
-                 columns, chart: dict[str, str] | None = None, ylabel: str = "") -> list[Path]:
-    """The one way a table is written: `header`, then a line per row of
-    `columns`, one sequence per header field, formatted column by column.
-    With `chart` (legend label -> column), an SVG of those columns against
-    the `date` column goes alongside. Each file is staged on `run`; the
-    paths returned are the names Run.publish gives them."""
-    cfg = run.cfg
-    columns = list(columns)
-    path = cfg.out_dir / f"{stem}_{_cfg_hash(cfg, token)}.csv"
-    lines = [",".join(map(_cell, header)), *map(",".join, zip(*map(_column_text, columns)))]
-    with open(run.stage(path), "w", newline="", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    if not (chart and cfg.svg):
-        return [path]
-    cols = dict(zip(header, columns))
-    svg = path.with_suffix(".svg")
-    run.stage(svg).write_text(_svg(cols["date"], {label: cols[c] for label, c in chart.items()},
-                                   ylabel), encoding="utf-8")
-    return [path, svg]
+@record
+class Table:
+    """One output table: `header`, and in `columns` a sequence of cells per
+    header field, written as {stem}_{hash}.csv with the hash taken over
+    `token`; with `chart` (legend label -> column), an SVG of those columns
+    against the `date` column, its y axis labelled `ylabel`, goes alongside."""
+
+    stem: str
+    token: str
+    header: Sequence[str]
+    columns: Sequence[Sequence]
+    chart: dict[str, str] | None = None
+    ylabel: str = ""
+
+
+def _from_rows(stem: str, token: str, header: Sequence[str], rows: list[list]) -> Table:
+    """The table of `rows`, each a list of one cell per header field."""
+    return Table(stem, token, header, [[row[i] for row in rows] for i in range(len(header))])
+
+
+def _write_tables(cfg: RunConfig, tables: Sequence[Table]) -> list[Path]:
+    """The one writer: each table as a line of `header`, then one per row
+    of its columns, formatted column by column, and its chart when `svg` is
+    on. Every file is written under a temporary name and moved into place
+    once all are written; if any fails, none is published or left behind."""
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    staged: list[tuple[Path, Path]] = []
+
+    def stage(path: Path, text: str) -> None:
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        staged.append((tmp, path))
+        tmp.write_text(text, encoding="utf-8", newline="")
+
+    try:
+        for t in tables:
+            path = cfg.out_dir / f"{t.stem}_{_cfg_hash(cfg, t.token)}.csv"
+            lines = [",".join(map(_cell, t.header)),
+                     *map(",".join, zip(*map(_column_text, t.columns)))]
+            stage(path, "\n".join(lines) + "\n")
+            if t.chart and cfg.svg:
+                cols = dict(zip(t.header, t.columns))
+                stage(path.with_suffix(".svg"), _svg(
+                    cols["date"], {label: cols[c] for label, c in t.chart.items()}, t.ylabel))
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+    return [path for _, path in staged]
 
 
 _SVG_W, _SVG_H = 900, 450
@@ -636,34 +664,12 @@ class Run:
     """One command's config and what its tables share: the market, the 70/30
     benchmark, the spread's sizing vol, the regime path and the reference
     overlays, each built on first use. `command` is the form the user typed,
-    for error messages. The files the command writes are staged here until
-    published."""
+    for error messages. It touches no file; main writes what a command returns."""
 
     def __init__(self, cfg: RunConfig, command: str):
         self.cfg = cfg
         self.command = command
         self._markets: dict[tuple[str, ...], Market] = {}
-        self._staged: list[tuple[Path, Path]] = []
-
-    def stage(self, path: Path) -> Path:
-        """The temporary name, in `path`'s directory, that `path` is written
-        under until publish moves it into place."""
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        self._staged.append((tmp, path))
-        return tmp
-
-    def publish(self) -> None:
-        """Move every staged file into place under its final name."""
-        for tmp, path in self._staged:
-            os.replace(tmp, path)
-        self._staged.clear()
-
-    def discard(self) -> None:
-        """Remove every staged file not yet published."""
-        for tmp, _ in self._staged:
-            tmp.unlink(missing_ok=True)
-        self._staged.clear()
 
     def market(self, need: tuple[str, ...] = ("eq", "bd", "vix")) -> Market:
         """The market with the roles in `need`, built once per role set: the
@@ -712,39 +718,39 @@ class Run:
 
 # -------------------------------------------------------------- commands --
 
-def cmd_synth(run: Run) -> list[Path]:
-    """Write the synthetic panel as index levels plus the true state path."""
+def cmd_synth(run: Run) -> list[Table]:
+    """The synthetic panel as index levels, and its true state path."""
     panel, states = _blame("synth", synth_regime_panel, run.cfg.synth_params)
     dates = panel.calendar.days
     legs = ("BENCH_EQ", "BENCH_BD", "SPREAD")
     levels = [prices_from_returns(panel[sym]).values for sym in legs]
-    return (_write_table(run, "synth_panel", "synth", ["date", *legs, "VIX"],
-                         [dates, *levels, panel["VIX"].values])
-            + _write_table(run, "synth_states", "synth", ["date", "state"], [dates, states]))
+    return [Table("synth_panel", "synth", ["date", *legs, "VIX"],
+                  [dates, *levels, panel["VIX"].values]),
+            Table("synth_states", "synth", ["date", "state"], [dates, states])]
 
 
-def _exhibit1(run: Run) -> list[Path]:
+def _exhibit1(run: Run) -> list[Table]:
     cfg, market = run.cfg, run.market(need=("sectors", "vix"))
     avg = _blame("windows.pairwise_corr", rolling_avg_pairwise_corr, market.sectors,
                  cfg.windows["pairwise_corr"])
     vix = market.vix_full.restrict(avg.calendar)
-    return _write_table(run, "exhibit1", "exhibit1", ["date", "avg_pairwise_corr", "vix"],
-                        [avg.calendar.days, avg.values, vix.values],
-                        {"avg pairwise corr": "avg_pairwise_corr"}, "correlation")
+    return [Table("exhibit1", "exhibit1", ["date", "avg_pairwise_corr", "vix"],
+                  [avg.calendar.days, avg.values, vix.values],
+                  {"avg pairwise corr": "avg_pairwise_corr"}, "correlation")]
 
 
-def _exhibit2(run: Run) -> list[Path]:
+def _exhibit2(run: Run) -> list[Table]:
     cfg, market = run.cfg, run.market()
     legs = {"eq_bd": market.bd, "eq_tlt": market.tlt}
     corr = {k: _blame("windows.stock_bond_corr", rolling_corr, market.eq, leg,
                       cfg.windows["stock_bond_corr"])
             for k, leg in legs.items() if leg is not None}
-    return _write_table(run, "exhibit2", "exhibit2", ["date", *(f"corr_{k}" for k in corr)],
-                        [corr["eq_bd"].calendar.days, *(c.values for c in corr.values())],
-                        {k: f"corr_{k}" for k in corr}, "correlation")
+    return [Table("exhibit2", "exhibit2", ["date", *(f"corr_{k}" for k in corr)],
+                  [corr["eq_bd"].calendar.days, *(c.values for c in corr.values())],
+                  {k: f"corr_{k}" for k in corr}, "correlation")]
 
 
-def _exhibit3(run: Run) -> list[Path]:
+def _exhibit3(run: Run) -> list[Table]:
     metrics = ("cagr", "vol", "sharpe", "max_drawdown", "cagr_over_maxdd",
                "te_level", "te_sigma", "te_cyclicality")
     rows = []
@@ -756,24 +762,22 @@ def _exhibit3(run: Run) -> list[Path]:
         # display convention: drawdowns are losses, shown negative
         cells["max_drawdown"] = -rep.max_drawdown
         rows.append([name, *cells.values()])
-    return _write_table(run, "exhibit3", "exhibit3", ["portfolio", *metrics], zip(*rows))
+    return [_from_rows("exhibit3", "exhibit3", ["portfolio", *metrics], rows)]
 
 
-def _exhibit4(run: Run) -> list[Path]:
+def _exhibit4(run: Run) -> list[Table]:
     te_s, te_d = run.static.te, run.dynamic.te
     if te_s is None or te_d is None:
         raise ValueError(f"windows.vol: a realized tracking error needs more than twice the "
                          f"{run.cfg.windows['vol']}-day window, and the sample "
                          f"has {len(run.bench.calendar)} days")
     sm = run.path.signal.restrict(te_s.calendar)
-    return _write_table(run, "exhibit4", "exhibit4",
-                        ["date", "te_static", "te_dynamic", "smoothed_vix"],
-                        [te_s.calendar.days, te_s.values, te_d.values, sm.values],
-                        {"static": "te_static", "dynamic": "te_dynamic"},
-                        "realized tracking error")
+    return [Table("exhibit4", "exhibit4", ["date", "te_static", "te_dynamic", "smoothed_vix"],
+                  [te_s.calendar.days, te_s.values, te_d.values, sm.values],
+                  {"static": "te_static", "dynamic": "te_dynamic"}, "realized tracking error")]
 
 
-def cmd_omega(run: Run) -> list[Path]:
+def cmd_omega(run: Run) -> list[Table]:
     cfg, market = run.cfg, run.market(need=("eq", "vix"))
     rep = _blame("omega_horizons", omega_table, market.vix_full, market.eq_prices,
                  cfg.omega_horizons)
@@ -781,10 +785,10 @@ def cmd_omega(run: Run) -> list[Path]:
               *(f"n_q{k}" for k in range(1, 6)), *(f"boundary_{p}" for p in (20, 40, 60, 80))]
     rows = [[h, *rep.means[i], rep.spreads[i], rep.t_stats[i], *rep.counts[i], *rep.boundaries]
             for i, h in enumerate(rep.horizons)]
-    return _write_table(run, "exhibit5", "omega", header, zip(*rows))
+    return [_from_rows("exhibit5", "omega", header, rows)]
 
 
-def cmd_regret(run: Run) -> list[Path]:
+def cmd_regret(run: Run) -> list[Table]:
     """Stay-vs-derisk table from the trough of each crisis window; windows
     with no trading day in the sample are skipped, and horizons that run past
     its end are left empty, both named on stderr."""
@@ -809,19 +813,19 @@ def cmd_regret(run: Run) -> list[Path]:
               "horizon_days", "stay_70_30", "derisk_30_70", "regret"]
     rows = [[e.name, e.trough.date, e.trough.drawdown, e.trough.vix, h, s, d, r]
             for e in entries for h, s, d, r in zip(e.horizons, e.stay, e.derisk, e.regret)]
-    return _write_table(run, "exhibit6b", "regret", header, zip(*rows))
+    return [_from_rows("exhibit6b", "regret", header, rows)]
 
 
-def _exhibit6(run: Run) -> list[Path]:
+def _exhibit6(run: Run) -> list[Table]:
     market, bench = run.market(), run.bench
     dd = drawdown_path(bench.values)
-    return _write_table(run, "exhibit6a", "exhibit6", ["date", "drawdown", "vix"],
-                        [bench.calendar.days, dd, market.vix.values],
-                        {"drawdown": "drawdown"}, "drawdown from peak"
-                        ) + cmd_regret(run)
+    return [Table("exhibit6a", "exhibit6", ["date", "drawdown", "vix"],
+                  [bench.calendar.days, dd, market.vix.values],
+                  {"drawdown": "drawdown"}, "drawdown from peak"),
+            *cmd_regret(run)]
 
 
-def cmd_converge(run: Run) -> list[Path]:
+def cmd_converge(run: Run) -> list[Table]:
     cfg, rf = run.cfg, run.market().rf
     header = ["cap", "cagr", "vol", "sharpe", "max_drawdown", "te_level",
               "te_sigma", "sharpe_ci_lo", "sharpe_ci_hi", "ci_width"]
@@ -841,10 +845,10 @@ def cmd_converge(run: Run) -> list[Path]:
             rep.cagr, rep.vol, rep.sharpe, rep.max_drawdown, rep.te_level, rep.te_sigma,
             boot.ci_lo, boot.ci_hi, boot.width,
         ])
-    return _write_table(run, "exhibit7", "converge", header, zip(*rows))
+    return [_from_rows("exhibit7", "converge", header, rows)]
 
 
-def cmd_sweep(run: Run) -> list[Path]:
+def cmd_sweep(run: Run) -> list[Table]:
     """The dynamic overlay re-run with the gauge smoothed over each sweep
     window, thresholds re-fit at the same percentiles of each smoothed
     distribution, each scored against the run's static overlay."""
@@ -869,15 +873,14 @@ def cmd_sweep(run: Run) -> list[Path]:
     header = ["window", "threshold_low", "threshold_high", "cagr", "sharpe",
               "cagr_over_maxdd", "excess_cagr", "static_cagr", "static_sharpe",
               "static_cagr_over_maxdd", "passes_sharpe", "passes_calmar", "passes_both"]
-    return _write_table(run, "sweep", "sweep", header, zip(*rows))
+    return [_from_rows("sweep", "sweep", header, rows)]
 
 
-def cmd_props(run: Run) -> list[Path]:
+def cmd_props(run: Run) -> list[Table]:
     rows = [[c.prop, c.status, c.boundary,
              ";".join(f"{k}={v!r}" for k, v in c.values.items()), c.note]
             for c in proposition_suite(*run.cfg.model_params)]
-    return _write_table(run, "props", "props",
-                        ["prop", "status", "boundary", "values", "note"], zip(*rows))
+    return [_from_rows("props", "props", ["prop", "status", "boundary", "values", "note"], rows)]
 
 
 # ------------------------------------------------------------------ main --
@@ -897,6 +900,7 @@ COMMANDS: dict[str, tuple[str, Any]] = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # here, so a process that imports cli but runs no command skips it
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file")
     common.add_argument("--out", metavar="DIR", help="output directory")
@@ -915,7 +919,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    run = None
     try:
         cfg = load_config(args.config, {"out": args.out})
         command, label = COMMANDS[args.command][1], args.command
@@ -923,18 +926,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.n not in command:
                 raise ConfigError("exhibit", f"exhibit number must be 1..7, got {args.n}")
             command, label = command[args.n], f"exhibit {args.n}"
-        run = Run(cfg, label)
-        paths = command(run)
-        run.publish()
+        paths = _write_tables(cfg, command(Run(cfg, label)))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except Exception as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    finally:
-        if run is not None:
-            run.discard()
     for path in paths:
         print(path)
     return 0

@@ -387,12 +387,9 @@ def test_criterion_12_cap_spectrum_on_market_data(tmp_path):
 def test_criterion_13_signal_window_sweep(tmp_path):
     cfg = _real_config(tmp_path)
     assert cfg.sweep_windows == (1, 5, 21, 63)
-    run = Run(cfg, "acceptance")
-    (table,) = cmd_sweep(run)
-    run.publish()
-    header, *rows = (line.split(",") for line in table.read_text().splitlines())
-    rows = [dict(zip(header, r)) for r in rows]
+    (table,) = cmd_sweep(Run(cfg, "acceptance"))
+    rows = [dict(zip(table.header, r)) for r in zip(*table.columns)]
     for row in rows:
-        assert float(row["excess_cagr"]) > 0.0, f"window {row['window']}"
-    row21 = next(r for r in rows if r["window"] == "21")
-    assert row21["passes_both"] == "true"
+        assert row["excess_cagr"] > 0.0, f"window {row['window']}"
+    row21 = next(r for r in rows if r["window"] == 21)
+    assert row21["passes_both"] is True

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynte.cli import (COMMANDS, CONFIG_VERSION, ConfigError, Run, _cell, _column_text, _svg,
-                       _write_table, cmd_converge, load_config, main)
+from dynte.cli import (COMMANDS, CONFIG_VERSION, ConfigError, Run, Table, _cell, _column_text,
+                       _svg, _write_tables, cmd_converge, cmd_regret, load_config, main)
 from dynte.inference import circular_block_bootstrap
 from dynte.metrics import excess_returns, sharpe, summarize
 from dynte.regime import classify
@@ -234,13 +234,13 @@ def test_a_failed_command_publishes_nothing(tmp_path, monkeypatch, capsys):
     def fails(*args):
         raise ValueError("no regret table")
     monkeypatch.setattr(dynte.cli, "regret_table", fails)
-    # the second table fails after the first was written: neither is
-    # published, no staged file is left, and earlier files keep their bytes
+    # the second table fails after the first was computed: neither is
+    # published, nothing is written, and earlier files keep their bytes
     fresh = tmp_path / "fresh"
     code = main(["exhibit", "6", "--config", write_config(tmp_path, svg=True),
                  "--out", str(fresh)])
     assert code == 1 and capsys.readouterr().err.endswith("error: no regret table\n")
-    assert os.listdir(fresh) == []
+    assert not fresh.exists()
     assert run(tmp_path, "exhibit", "6", config_extra={"svg": True}) == (1, earlier)
     assert sorted(os.listdir(tmp_path / "out")) == sorted(f.name for f in earlier)
     assert all(f.read_text() == "an earlier run\n" for f in earlier)
@@ -928,6 +928,28 @@ def test_a_run_builds_what_its_tables_share_once(tmp_path, monkeypatch, form):
         *["simulate_overlay"] * OVERLAYS.get(form, 0)])
 
 
+def test_commands_compute_tables_and_write_nothing(tmp_path):
+    # a command returns its tables as values; only main's writer makes files
+    out = tmp_path / "never"
+    empty = load_config(None, {"out": str(out)})
+    data = {role: spec for role, spec in bench_style_data(tmp_path).items()
+            if role in ("sectors", "vix")}
+    sectors = load_config(None, {"out": str(out), "data": data})
+    for form in FORMS:
+        command = COMMANDS[form[0]][1]
+        if isinstance(command, dict):
+            command = command[int(form[1])]
+        tables = command(Run(sectors if form == ("exhibit", "1") else empty, " ".join(form)))
+        assert tables and all(isinstance(t, Table) for t in tables), form
+        for t in tables:
+            assert len(t.columns) == len(t.header), (form, t.stem)
+            assert len({len(column) for column in t.columns}) == 1, (form, t.stem)
+    # a table of no rows still has a column per header field
+    (t,) = cmd_regret(Run(load_config(None, {"out": str(out), "crises": {}}), "regret"))
+    assert t.columns == [[]] * len(t.header)
+    assert not out.exists()
+
+
 def test_converge_sizes_every_cap_on_one_trailing_vol(tmp_path, monkeypatch):
     import dynte.simulate
 
@@ -1170,10 +1192,11 @@ def test_converge_memory_does_not_grow_with_the_caps(tmp_path):
         shared.market()
         tracemalloc.start()
         try:
-            cmd_converge(shared)
+            (table,) = cmd_converge(shared)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+        assert table.columns[0] == caps
     assert peaks[1] - peaks[0] < 10 * (2 * n + iterations) * 8 / 4, peaks
 
 
@@ -1231,12 +1254,25 @@ def test_tables_are_written_as_csv_writer_writes_them(tmp_path):
     writer = csv.writer(want, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(zip(*texts))
-    run_ = Run(load_config(write_config(tmp_path), {"out": str(tmp_path / "o")}), "t")
-    (path,) = _write_table(run_, "t", "t", header, columns)
-    run_.publish()
+    cfg = load_config(write_config(tmp_path), {"out": str(tmp_path / "o")})
+    (path,) = _write_tables(cfg, [Table("t", "t", header, columns)])
     assert path.read_bytes() == want.getvalue().encode("utf-8")
     with path.open(newline="", encoding="utf-8") as fh:
         assert list(csv.reader(fh)) == [header, *map(list, zip(*texts))]
+
+
+def test_a_failed_write_publishes_no_file(tmp_path):
+    out = tmp_path / "o"
+    cfg = load_config(write_config(tmp_path, svg=True), {"out": str(out)})
+    days = np.arange("2024-01-01", "2024-01-03", dtype="datetime64[D]")
+    good = Table("good", "good", ["date", "y"], [days, [1.0, 2.0]], {"y": "y"})
+    # the good table's CSV and SVG are written before the bad cell fails
+    with pytest.raises(TypeError):
+        _write_tables(cfg, [good, Table("bad", "bad", ["x"], [[object()]])])
+    assert os.listdir(out) == []
+    paths = _write_tables(cfg, [good])
+    assert [p.suffix for p in paths] == [".csv", ".svg"]
+    assert sorted(os.listdir(out)) == sorted(p.name for p in paths)
 
 
 def test_exhibit4_svg_emitted(tmp_path):

@@ -314,18 +314,16 @@ def test_regret_insufficient_forward_data():
 # its table against the library calls it stands for.
 
 
-def sweep_table(tmp_path, windows, seed=0, horizon=900):
-    cfg = load_config(None, {"seed": seed, "synth": {"horizon": horizon}, "svg": False,
-                             "out": str(tmp_path), "sweep_windows": list(windows)})
+def sweep_table(windows, seed=0, horizon=900):
+    cfg = load_config(None, {"seed": seed, "synth": {"horizon": horizon},
+                             "sweep_windows": list(windows)})
     run = Run(cfg, "sweep")
-    (path,) = cmd_sweep(run)
-    run.publish()
-    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
-    return run.market(), [dict(zip(header, r)) for r in rows]
+    (table,) = cmd_sweep(run)
+    return run.market(), [dict(zip(table.header, map(_cell, r))) for r in zip(*table.columns)]
 
 
 def test_sweep_single_window_reproduces_main_run(tmp_path):
-    m, rows = sweep_table(tmp_path, (21,))
+    m, rows = sweep_table((21,))
     assert len(rows) == 1
     row = rows[0]
 
@@ -344,7 +342,7 @@ def test_sweep_single_window_reproduces_main_run(tmp_path):
 
 
 def test_sweep_static_baseline_shared(tmp_path):
-    m, rows = sweep_table(tmp_path, (5, 21), seed=2)
+    m, rows = sweep_table((5, 21), seed=2)
     bench = benchmark_7030(m.eq, m.bd)
     vol_w = DEFAULTS.windows["vol"]
     sres = simulate_overlay(bench, m.spread, sizing_vol(m.spread, vol_w), None,
