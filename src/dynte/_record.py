@@ -15,11 +15,11 @@ number of positional arguments given, each unknown or repeated keyword and
 each missing field.
 
 The stdlib writes those methods as source text and compiles it with `exec`
-for every class; for dynte's 24 records that was about 30 ms, a third of
-what `import dynte.cli` adds to every process. Here they are closures over
-each class's field names, made once per class. Ordering, `replace`,
-`asdict`, `__match_args__`, slots, subclassing and the recursive-repr guard
-are left out: no record uses them.
+for every class; for the 24 records dynte then had, that was about 30 ms,
+a third of what `import dynte.cli` adds to every process. Here they are
+closures over each class's field names, made once per class. Ordering,
+`replace`, `asdict`, `__match_args__`, slots, subclassing and the
+recursive-repr guard are left out: no record uses them.
 """
 
 from __future__ import annotations

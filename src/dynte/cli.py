@@ -539,8 +539,11 @@ def _svg(dates, named_series: dict, ylabel: str) -> str:
 @record
 class Market:
     """Everything the exhibit pipeline needs, aligned to one calendar of
-    daily returns (prices keep one extra leading date). Roles a command did
-    not ask for stay None."""
+    daily returns. From files, eq_prices and vix_full keep the price
+    calendar, one date longer at the start; the synthetic panel has no
+    price file, so there both are on the return calendar (vix_full is vix,
+    and eq_prices compounds eq). Roles a command did not ask for stay
+    None."""
 
     vix: Series            # level, on the return calendar
     vix_full: Series       # level, on the price calendar
@@ -784,7 +787,7 @@ def cmd_omega(run: Run) -> list[Table]:
     header = ["horizon_days", *(f"q{k}" for k in range(1, 6)), "spread_q5_q1", "nw_t",
               *(f"n_q{k}" for k in range(1, 6)), *(f"boundary_{p}" for p in (20, 40, 60, 80))]
     rows = [[h, *rep.means[i], rep.spreads[i], rep.t_stats[i], *rep.counts[i], *rep.boundaries]
-            for i, h in enumerate(rep.horizons)]
+            for i, h in enumerate(cfg.omega_horizons)]
     return [_from_rows("exhibit5", "omega", header, rows)]
 
 
@@ -793,26 +796,28 @@ def cmd_regret(run: Run) -> list[Table]:
     with no trading day in the sample are skipped, and horizons that run past
     its end are left empty, both named on stderr."""
     cfg, market, bench = run.cfg, run.market(), run.bench
-    troughs, skipped = [], []
+    horizons, vix = cfg.regret_horizons, market.vix
+    troughs, skipped = {}, []
     for name, w in cfg.crises.items():
         i0, i1 = bench.calendar.span(*w)
         if i1 > i0:
-            troughs.append((name, find_trough(bench, w, market.vix)))
+            troughs[name] = find_trough(bench, w)
         else:
             skipped.append(name)
     if skipped:
         print(f"regret: skipped crisis windows with no trading days: "
               f"{', '.join(skipped)}", file=sys.stderr)
-    entries = regret_table(market.eq, market.bd, troughs, cfg.regret_horizons)
-    short = [f"{e.name} {h}" for e in entries
-             for h, s in zip(e.horizons, e.stay) if s is None]
+    entries = regret_table(market.eq, market.bd, [t.date for t in troughs.values()], horizons)
+    short = [f"{name} {h}" for name, e in zip(troughs, entries)
+             for h, s in zip(horizons, e.stay) if s is None]
     if short:
         print(f"regret: left empty, horizons past the end of the sample: "
               f"{', '.join(short)}", file=sys.stderr)
     header = ["crisis", "trough_date", "max_drawdown", "vix_at_trough",
               "horizon_days", "stay_70_30", "derisk_30_70", "regret"]
-    rows = [[e.name, e.trough.date, e.trough.drawdown, e.trough.vix, h, s, d, r]
-            for e in entries for h, s, d, r in zip(e.horizons, e.stay, e.derisk, e.regret)]
+    rows = [[name, t.date, t.drawdown, float(vix.values[vix.calendar.index(t.date)]), h, s, d, r]
+            for (name, t), e in zip(troughs.items(), entries)
+            for h, s, d, r in zip(horizons, e.stay, e.derisk, e.regret)]
     return [_from_rows("exhibit6b", "regret", header, rows)]
 
 

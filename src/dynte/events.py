@@ -58,7 +58,6 @@ def forward_return(prices: Series, horizon: int) -> Series:
 @record
 class QuintileReport:
     boundaries: np.ndarray
-    horizons: tuple[int, ...]
     means: np.ndarray        # horizons x 5, annualized forward return means
     spreads: np.ndarray      # top minus bottom quintile, per horizon
     t_stats: np.ndarray      # Newey-West t per horizon (bandwidth = horizon)
@@ -100,10 +99,9 @@ def omega_table(vix: Series, prices: Series, horizons: Sequence[int]) -> Quintil
         w = np.zeros(N)
         w[lab == 5] = N / counts[i, 4]
         w[lab == 1] = -N / counts[i, 0]
-        tstats[i] = newey_west_mean_test(fwd.values * w, bandwidth=h).t
+        tstats[i] = newey_west_mean_test(fwd.values * w, bandwidth=h)
     return QuintileReport(
         boundaries=bounds,
-        horizons=tuple(int(h) for h in horizons),
         means=means,
         spreads=spreads,
         t_stats=tstats,
@@ -115,10 +113,9 @@ def omega_table(vix: Series, prices: Series, horizons: Sequence[int]) -> Quintil
 class Trough:
     date: dt.date
     drawdown: float          # magnitude at the trough vs the running peak
-    vix: float
 
 
-def find_trough(benchmark: Series, window: tuple[dt.date, dt.date], vix: Series) -> Trough:
+def find_trough(benchmark: Series, window: tuple[dt.date, dt.date]) -> Trough:
     """Deepest point of the wealth path inside [start, end], measured
     against the running peak since the start of the whole series. Ties take
     the earliest date; a window of rising wealth yields drawdown 0 at the
@@ -130,19 +127,16 @@ def find_trough(benchmark: Series, window: tuple[dt.date, dt.date], vix: Series)
     if i1 <= i0:
         raise ValueError(f"no trading days in [{start}, {end}]")
     t = i0 + int(np.argmax(dd[i0:i1]))
-    date = cal[t]
-    return Trough(date=date, drawdown=float(dd[t]), vix=float(vix.values[vix.calendar.index(date)]))
+    return Trough(date=cal[t], drawdown=float(dd[t]))
 
 
 @record
 class RegretEntry:
     """Cumulative returns from the day after a trough: staying in the
-    aggressive mix versus de-risking into the mirrored mix, per horizon.
-    Regret is stay minus de-risk, as a plain fraction."""
+    aggressive mix versus de-risking into the mirrored mix, one per horizon
+    of the regret_table call. Regret is stay minus de-risk, as a plain
+    fraction."""
 
-    name: str
-    trough: Trough
-    horizons: tuple[int, ...]
     stay: tuple[float | None, ...]      # None where the horizon runs past the sample
     derisk: tuple[float | None, ...]
 
@@ -162,10 +156,10 @@ def _cum_mix(eq: Series, bd: Series, i0: int, h: int, w_eq: float) -> float:
 def regret_table(
     eq: Series,
     bd: Series,
-    troughs: Sequence[tuple[str, Trough]],
+    dates: Sequence[dt.date],
     horizons: Sequence[int],
 ) -> tuple[RegretEntry, ...]:
-    """Stay-vs-derisk outcomes from each trough. Both paths restart at
+    """Stay-vs-derisk outcomes from each trough date. Both paths restart at
     their target weights on the day after the trough and rebalance monthly
     thereafter: staying holds the benchmark's 70/30 weights, and the
     de-risked path mirrors them. A horizon that runs
@@ -174,19 +168,13 @@ def regret_table(
         raise ValueError("legs are not on the same calendar")
     out = []
     n = len(eq)
-    for name, trough in troughs:
-        i = eq.calendar.index(trough.date)
+    for date in dates:
+        i = eq.calendar.index(date)
         stay: list[float | None] = []
         derisk: list[float | None] = []
         for h in horizons:
             fits = i + h <= n - 1
             stay.append(_cum_mix(eq, bd, i + 1, h, _W_EQ) if fits else None)
             derisk.append(_cum_mix(eq, bd, i + 1, h, 1.0 - _W_EQ) if fits else None)
-        out.append(RegretEntry(
-            name=name,
-            trough=trough,
-            horizons=tuple(int(h) for h in horizons),
-            stay=tuple(stay),
-            derisk=tuple(derisk),
-        ))
+        out.append(RegretEntry(stay=tuple(stay), derisk=tuple(derisk)))
     return tuple(out)

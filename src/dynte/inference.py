@@ -70,18 +70,10 @@ def linear_quantiles(a: np.ndarray, qs) -> np.ndarray:
     return out
 
 
-@record
-class MeanTest:
-    mean: float
-    se: float
-    t: float
-    bandwidth: int
-    n: int
-
-
-def newey_west_mean_test(x, bandwidth: int) -> MeanTest:
-    """t-test of zero mean with a Bartlett long-run variance at the given lag
-    truncation. bandwidth 0 degenerates to the classical one-sample t."""
+def newey_west_mean_test(x, bandwidth: int) -> float:
+    """The t statistic of a zero-mean test with a Bartlett long-run variance
+    at the given lag truncation: mean(x) / sqrt(lrv / n). bandwidth 0
+    degenerates to the classical one-sample t."""
     v = _values(x)
     n = len(v)
     if bandwidth < 0:
@@ -103,8 +95,7 @@ def newey_west_mean_test(x, bandwidth: int) -> MeanTest:
     lrv *= n / (n - 1.0)
     if lrv <= 0.0:
         raise ValueError("long-run variance is not positive")
-    se = math.sqrt(lrv / n)
-    return MeanTest(mean=m, se=se, t=m / se, bandwidth=bandwidth, n=n)
+    return m / math.sqrt(lrv / n)
 
 
 @record
@@ -265,8 +256,6 @@ def circular_block_bootstrap(returns: np.ndarray, spec: BootstrapSpec) -> Bootst
 class SharpeEquality:
     z: float
     p: float
-    sharpe_1: float
-    sharpe_2: float
 
 
 def sharpe_equality_test(r1, r2) -> SharpeEquality:
@@ -292,7 +281,7 @@ def sharpe_equality_test(r1, r2) -> SharpeEquality:
 
     num = s2 * mu1 - s1 * mu2
     if num == 0.0:
-        return SharpeEquality(z=0.0, p=1.0, sharpe_1=sr1, sharpe_2=sr2)
+        return SharpeEquality(z=0.0, p=1.0)
     theta = (
         2.0 * (1.0 - rho)
         + 0.5 * (sr1 * sr1 + sr2 * sr2)
@@ -302,7 +291,7 @@ def sharpe_equality_test(r1, r2) -> SharpeEquality:
         raise ValueError("degenerate variance in Sharpe difference")
     z = (sr1 - sr2) / math.sqrt(theta)
     p = math.erfc(abs(z) / math.sqrt(2.0))
-    return SharpeEquality(z=z, p=p, sharpe_1=sr1, sharpe_2=sr2)
+    return SharpeEquality(z=z, p=p)
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:

@@ -125,16 +125,15 @@ def weekly_returns(daily: Series) -> Series:
 
 @record
 class MSModel:
-    """Two-state Gaussian HMM; state 0 is low-variance, state 1 high."""
+    """Two-state Gaussian HMM; state 0 is low-variance, state 1 high. trace
+    is the fit's log-likelihood after each EM iteration."""
 
     mu: tuple[float, float]
     var: tuple[float, float]
     transition: np.ndarray
     initial: tuple[float, float]
-    loglik: float
     trace: tuple[float, ...]
     converged: bool
-    n_iter: int
 
     def __post_init__(self):
         P = np.asarray(self.transition, dtype=np.float64)
@@ -149,6 +148,14 @@ class MSModel:
         P = P.copy()
         P.setflags(write=False)
         object.__setattr__(self, "transition", P)
+
+    @property
+    def loglik(self) -> float:
+        return self.trace[-1]
+
+    @property
+    def n_iter(self) -> int:
+        return len(self.trace)
 
 
 def _messages(m):
@@ -330,6 +337,8 @@ def fit_markov_switching(weekly: Series, restarts: int, seed: int) -> MSModel:
     log-likelihood wins. converged is False if that trial hit _MAX_ITER."""
     if weekly.unit != UNIT_RETURN:
         raise ValueError(f"need a return series, got unit {weekly.unit!r}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     y = np.asarray(weekly.values, dtype=np.float64)
     if len(y) < 4:
         raise ValueError("need at least four observations")
@@ -376,10 +385,8 @@ def fit_markov_switching(weekly: Series, restarts: int, seed: int) -> MSModel:
         var=tuple(var.tolist()),
         transition=P,
         initial=tuple(pi.tolist()),
-        loglik=trace[-1],
         trace=tuple(trace),
         converged=bool(converged),
-        n_iter=len(trace),
     )
 
 

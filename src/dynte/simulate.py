@@ -71,18 +71,15 @@ class SimResult:
     construction; te is the realized tracking-error path over the active
     period (None where the active period gives it fewer than two values)."""
 
-    calendar: TradingCalendar
     portfolio: np.ndarray
     theta: np.ndarray
     te: Series | None
 
     def __post_init__(self):
-        n = len(self.calendar)
+        if len(self.portfolio) != len(self.theta):
+            raise ValueError("portfolio and theta lengths differ")
         for name in ("portfolio", "theta"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if len(arr) != n:
-                raise ValueError(f"{name} length must match the calendar")
-            arr = arr.copy()
+            arr = np.array(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -185,5 +182,4 @@ def simulate_overlay(
 
     active = Series(cal.suffix(L), theta[L:] * spread.values[L:], UNIT_RETURN)
     te = rolling_vol(active, L) if len(active) > max(L, 2) else None
-    return SimResult(calendar=cal, portfolio=benchmark.values + theta * spread.values,
-                     theta=theta, te=te)
+    return SimResult(portfolio=benchmark.values + theta * spread.values, theta=theta, te=te)

@@ -220,7 +220,7 @@ def test_criterion_06_inference_calibration():
     rng = np.random.default_rng(6)
 
     draws = 0.01 * rng.standard_normal((1000, 5000))
-    inside = sum(abs(newey_west_mean_test(row, bandwidth=21).t) < 2.0
+    inside = sum(abs(newey_west_mean_test(row, bandwidth=21)) < 2.0
                  for row in draws)
     assert inside >= 930, f"NW size control: {inside}/1000 inside"
 
@@ -362,12 +362,11 @@ def test_criterion_11_crisis_regret(tmp_path):
         "covid": (dt.date(2020, 1, 1), dt.date(2020, 6, 30), 0.296),
         "tightening_2022": (dt.date(2022, 1, 1), dt.date(2022, 12, 31), 0.088),
     }
-    troughs = [(name, find_trough(bench, (lo, hi), market.vix))
-               for name, (lo, hi, _) in expected.items()]
-    entries = regret_table(market.eq, market.bd, troughs, horizons=(252,))
-    for entry in entries:
-        want = expected[entry.name][2]
-        assert entry.regret[0] == pytest.approx(want, abs=0.02), entry.name
+    dates = [find_trough(bench, (lo, hi)).date for lo, hi, _ in expected.values()]
+    entries = regret_table(market.eq, market.bd, dates, horizons=(252,))
+    for name, entry in zip(expected, entries):
+        want = expected[name][2]
+        assert entry.regret[0] == pytest.approx(want, abs=0.02), name
 
 
 @needs_data

@@ -1073,6 +1073,21 @@ def test_regret_synthetic_crisis(tmp_path):
         assert float(r[7]) == pytest.approx(float(r[5]) - float(r[6]), abs=1e-15)
 
 
+def test_regret_reads_the_gauge_on_each_trough_date(tmp_path):
+    # from files the gauge keeps the price calendar's extra leading date
+    data = bench_style_data(tmp_path)
+    header, *body = read_rows(Path(data["vix"]["path"]))
+    gauge = {r[0]: r[header.index("VIX")] for r in body}
+    dates = [r[0] for r in body]
+    crises = {f"dip_{i}": [dates[i], dates[i + 200]] for i in (100, 400, 650)}
+    code, files = run(tmp_path, "exhibit", "6", config_extra={"data": data, "crises": crises})
+    assert code == 0
+    rows = read_rows(next(f for f in files if f.name.startswith("exhibit6b_")))[1:]
+    assert sorted({r[0] for r in rows}) == sorted(crises)
+    for r in rows:
+        assert r[3] == gauge[r[1]], r
+
+
 def test_regret_leaves_horizons_past_the_sample_empty(tmp_path, capsys):
     # the 1150-day default panel ends 162 trading days after the gfc trough
     code, files = run(tmp_path, "regret", config_extra={"synth": {"horizon": 1150}})

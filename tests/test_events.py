@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dynte.events import (
-    Trough,
     find_trough,
     forward_return,
     omega_table,
@@ -161,10 +160,9 @@ def test_omega_tstat_matches_documented_construction():
         z[lab == 5] = N / n5
         z[lab == 1] = -N / n1
         z *= fwd.values
-        want = newey_west_mean_test(z, bandwidth=h)
-        assert rep.t_stats[i] == want.t
+        assert rep.t_stats[i] == newey_west_mean_test(z, bandwidth=h)
         # the weighting makes the mean of z the quintile-mean spread
-        assert_allclose(rep.spreads[i], want.mean, rtol=1e-12)
+        assert_allclose(rep.spreads[i], np.mean(z), rtol=1e-12)
 
 
 def test_omega_counts_and_means():
@@ -206,14 +204,10 @@ def bench_from_wealth(wealth, start=MON):
     return benchmark_7030(leg, rser(rets.copy(), start))
 
 
-def flat_gauge(bench):
-    return Series(bench.calendar, np.full(len(bench.calendar), 20.0), UNIT_LEVEL)
-
-
 def test_trough_textbook_wealth_path():
     bench = bench_from_wealth([1.0, 0.8, 0.9, 0.7, 1.0])
     cal = bench.calendar
-    t = find_trough(bench, (cal[0], cal[-1]), flat_gauge(bench))
+    t = find_trough(bench, (cal[0], cal[-1]))
     assert t.date == cal[2]
     assert t.drawdown == pytest.approx(0.30, rel=1e-12)
 
@@ -221,7 +215,7 @@ def test_trough_textbook_wealth_path():
 def test_trough_rising_wealth():
     bench = bench_from_wealth([1.0, 1.01, 1.02, 1.05, 1.08])
     cal = bench.calendar
-    t = find_trough(bench, (cal[1], cal[-1]), flat_gauge(bench))
+    t = find_trough(bench, (cal[1], cal[-1]))
     assert t.date == cal[1]
     assert t.drawdown == pytest.approx(0.0, abs=1e-15)
 
@@ -229,7 +223,7 @@ def test_trough_rising_wealth():
 def test_trough_tie_takes_earliest():
     bench = bench_from_wealth([1.0, 0.9, 0.9, 0.95])
     cal = bench.calendar
-    t = find_trough(bench, (cal[0], cal[-1]), flat_gauge(bench))
+    t = find_trough(bench, (cal[0], cal[-1]))
     assert t.date == cal[0]
 
 
@@ -238,24 +232,15 @@ def test_trough_uses_full_history_peak():
     # window are still measured against it
     bench = bench_from_wealth([1.0, 2.0, 1.9, 1.5, 1.8])
     cal = bench.calendar
-    t = find_trough(bench, (cal[2], cal[-1]), flat_gauge(bench))
+    t = find_trough(bench, (cal[2], cal[-1]))
     assert t.date == cal[2]
     assert t.drawdown == pytest.approx(0.25, rel=1e-12)
-
-
-def test_trough_reports_gauge_level():
-    bench = bench_from_wealth([1.0, 0.8, 0.9, 0.7, 1.0])
-    cal = bench.calendar
-    vix = Series(cal, np.array([15.0, 25.0, 48.0, 20.0]), UNIT_LEVEL)
-    t = find_trough(bench, (cal[0], cal[-1]), vix=vix)
-    assert t.date == cal[2]
-    assert t.vix == 48.0
 
 
 def test_trough_empty_window():
     bench = bench_from_wealth([1.0, 0.9, 1.0])
     with pytest.raises(ValueError, match="no trading days"):
-        find_trough(bench, (dt.date(2030, 1, 1), dt.date(2030, 2, 1)), flat_gauge(bench))
+        find_trough(bench, (dt.date(2030, 1, 1), dt.date(2030, 2, 1)))
 
 
 # -------------------------------------------------------------------- regret
@@ -266,8 +251,7 @@ def test_regret_identical_legs_is_zero():
     r = 0.01 * rng.standard_normal(400)
     eq = rser(r)
     bd = rser(r.copy())
-    trough = Trough(date=eq.calendar[50], drawdown=0.1, vix=None)
-    (entry,) = regret_table(eq, bd, [("x", trough)], horizons=(63, 126, 252))
+    (entry,) = regret_table(eq, bd, [eq.calendar[50]], horizons=(63, 126, 252))
     for reg in entry.regret:
         assert abs(reg) < 1e-12
 
@@ -276,10 +260,9 @@ def test_regret_antisymmetric_in_allocations():
     rng = np.random.default_rng(8)
     eq = rser(0.012 * rng.standard_normal(400) + 0.0006)
     bd = rser(0.004 * rng.standard_normal(400) + 0.0001)
-    trough = Trough(date=eq.calendar[30], drawdown=0.2, vix=None)
-    (a,) = regret_table(eq, bd, [("x", trough)], horizons=(63, 126))
+    (a,) = regret_table(eq, bd, [eq.calendar[30]], horizons=(63, 126))
     # swapping the legs swaps the mixes: 70/30 of (bd, eq) is 30/70 of (eq, bd)
-    (b,) = regret_table(bd, eq, [("x", trough)], horizons=(63, 126))
+    (b,) = regret_table(bd, eq, [eq.calendar[30]], horizons=(63, 126))
     assert a.stay == pytest.approx(b.derisk, rel=1e-12)
     assert a.derisk == pytest.approx(b.stay, rel=1e-12)
     assert a.regret == pytest.approx([-r for r in b.regret], rel=1e-9)
@@ -294,8 +277,7 @@ def test_regret_starts_day_after_trough():
     re[i + 1] = 0.10
     rb[i + 1] = 0.02
     eq, bd = rser(re), rser(rb)
-    trough = Trough(date=eq.calendar[i], drawdown=0.5, vix=None)
-    (entry,) = regret_table(eq, bd, [("x", trough)], horizons=(1,))
+    (entry,) = regret_table(eq, bd, [eq.calendar[i]], horizons=(1,))
     assert entry.stay[0] == pytest.approx(0.7 * 0.10 + 0.3 * 0.02, rel=1e-12)
     assert entry.derisk[0] == pytest.approx(0.3 * 0.10 + 0.7 * 0.02, rel=1e-12)
 
@@ -303,8 +285,7 @@ def test_regret_starts_day_after_trough():
 def test_regret_insufficient_forward_data():
     eq = rser(np.zeros(100))
     bd = rser(np.zeros(100))
-    trough = Trough(date=eq.calendar[80], drawdown=0.1, vix=None)
-    (entry,) = regret_table(eq, bd, [("x", trough)], horizons=(19, 20))
+    (entry,) = regret_table(eq, bd, [eq.calendar[80]], horizons=(19, 20))
     assert entry.stay[0] == entry.derisk[0] == entry.regret[0] == 0.0
     assert entry.stay[1] is entry.derisk[1] is entry.regret[1] is None
 

@@ -283,18 +283,24 @@ def planted_weekly(n, mu, sd, stay, seed):
     return Series(friday_calendar(n), vals, UNIT_RETURN), states
 
 
-def hmm(mu, var, transition, initial=(0.5, 0.5)) -> MSModel:
-    return MSModel(mu=mu, var=var, transition=np.asarray(transition), initial=initial,
-                   loglik=float("nan"), trace=(), converged=True, n_iter=0)
+def hmm(mu, var, transition, initial, fit_on) -> MSModel:
+    """The model an EM fit to `fit_on` returns when stopped after its first
+    iteration from these parameters: their log-likelihood is its one trace
+    entry, and it has not converged."""
+    P = np.asarray(transition)
+    ll, *_ = _filter_smoother(fit_on.values, mu, var, P, initial)
+    return MSModel(mu=mu, var=var, transition=P, initial=initial, trace=(float(ll),),
+                   converged=False)
 
 
 def test_ms_model_validation():
+    weekly, _ = planted_weekly(40, (0.0, 0.0), (0.01, 0.02), (0.9, 0.9), seed=0)
     with pytest.raises(ValueError, match="row-stochastic"):
-        hmm((0.0, 0.0), (1.0, 2.0), [[0.9, 0.2], [0.1, 0.9]])
+        hmm((0.0, 0.0), (1.0, 2.0), [[0.9, 0.2], [0.1, 0.9]], (0.5, 0.5), weekly)
     with pytest.raises(ValueError, match="ordered"):
-        hmm((0.0, 0.0), (2.0, 1.0), [[0.9, 0.1], [0.1, 0.9]])
+        hmm((0.0, 0.0), (2.0, 1.0), [[0.9, 0.1], [0.1, 0.9]], (0.5, 0.5), weekly)
     with pytest.raises(ValueError, match="positive"):
-        hmm((0.0, 0.0), (0.0, 1.0), [[0.9, 0.1], [0.1, 0.9]])
+        hmm((0.0, 0.0), (0.0, 1.0), [[0.9, 0.1], [0.1, 0.9]], (0.5, 0.5), weekly)
 
 
 def test_em_recovers_planted_parameters():
@@ -358,6 +364,12 @@ def test_em_input_validation():
         fit_markov_switching(lser(np.arange(120.0) + 10.0), restarts=4, seed=0)
 
 
+def test_em_needs_at_least_one_restart():
+    weekly, _ = planted_weekly(100, (0.02, -0.01), (0.008, 0.02), (0.9, 0.9), seed=8)
+    with pytest.raises(ValueError, match="restarts must be >= 1, got 0"):
+        fit_markov_switching(weekly, restarts=0, seed=1)
+
+
 def test_em_unconverged_flag(monkeypatch):
     weekly, _ = planted_weekly(200, (0.02, -0.01), (0.008, 0.02), (0.9, 0.9), seed=8)
     monkeypatch.setattr(regime, "_MAX_ITER", 2)
@@ -371,16 +383,19 @@ def test_em_unconverged_flag(monkeypatch):
 
 def test_smoothed_prob_identical_states_is_stationary():
     # the chain starts in its stationary distribution (4/7, 3/7)
-    m = hmm((0.001, 0.001), (0.0001, 0.0001), [[0.7, 0.3], [0.4, 0.6]], (4 / 7, 3 / 7))
     weekly, _ = planted_weekly(100, (0.0, 0.0), (0.01, 0.01), (0.9, 0.9), seed=9)
+    m = hmm((0.001, 0.001), (0.0001, 0.0001), [[0.7, 0.3], [0.4, 0.6]], (4 / 7, 3 / 7),
+            weekly)
     prob = smoothed_high_prob(m, weekly)
     assert_allclose(prob.values, 3 / 7, atol=1e-12)
 
 
 def test_smoothed_prob_rejects_a_model_that_rules_out_a_week():
-    # the chain never leaves its narrow state, which gives a week at 1.0 no
-    # density at all
-    m = hmm((0.0, 0.0), (1e-6, 1.0), [[1.0, 0.0], [0.0, 1.0]], (1.0, 0.0))
+    # fitted to flat weeks, the chain never leaves its narrow state, which
+    # gives a week at 1.0 no density at all
+    flat = Series(friday_calendar(3), np.zeros(3), UNIT_RETURN)
+    m = hmm((0.0, 0.0), (1e-6, 1.0), [[1.0, 0.0], [0.0, 1.0]], (1.0, 0.0), flat)
+    assert math.isfinite(m.loglik)
     weekly = Series(friday_calendar(3), np.array([0.0, 1.0, 0.0]), UNIT_RETURN)
     with pytest.raises(ValueError, match="zero likelihood"):
         smoothed_high_prob(m, weekly)

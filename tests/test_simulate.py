@@ -256,7 +256,7 @@ def test_overlay_truncation_equivalence():
 
     full = run(panel["BENCH_EQ"], panel["BENCH_BD"], panel["SPREAD"], panel["VIX"])
     for cut in (200, 401):
-        cal = TradingCalendar(full.calendar.days[:cut])
+        cal = TradingCalendar(panel.calendar.days[:cut])
         part = run(
             panel["BENCH_EQ"].restrict(cal),
             panel["BENCH_BD"].restrict(cal),

@@ -11,7 +11,11 @@ module-level function is left unset by some call in the package, `demos/`
 or `bench/`: a default that every such call overrides is a second home for
 a value that belongs to its callers. Conversely, every defaulted parameter
 of such a function, and every defaulted field of a record, is set by some
-call there: a setting that only tests turn is a constant.
+call there: a setting that only tests turn is a constant. Every field of a
+record is read there too, as an attribute or by its name in a string (for
+`getattr`): a field nothing reads is an echo of an argument, or a second
+home for what another field or function computes. A field only tests read
+is listed below with the ROADMAP item that keeps it.
 """
 
 import ast
@@ -39,9 +43,22 @@ DEFAULTS_KEPT_FOR = {}
 # defaults no call outside the tests sets, and what keeps each
 NEVER_SET_KEPT_FOR = {}
 
+# record fields, as `Class.field`, that no command, demo or bench driver
+# reads yet, and what keeps each
+FIELDS_KEPT_FOR = {
+    "SharpeEquality.z": "ROADMAP item 1 runs the Sharpe-equality test across the caps",
+    "AgreementReport.spearman": "ROADMAP item 9 wires the regime EM into a command",
+    "AgreementReport.concordance": "ROADMAP item 9 wires the regime EM into a command",
+}
+
 
 def modules():
     return {p: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def demos_and_bench() -> list[ast.Module]:
+    return [ast.parse(p.read_text(), str(p))
+            for d in ("demos", "bench") for p in sorted((ROOT / d).glob("*.py"))]
 
 
 def referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -72,9 +89,7 @@ def reach():
     """(path, tree, names) for each module of the package, where `names`
     are the names referenced outside that module: in the other modules,
     `demos/`, `bench/` or the console-script entries."""
-    others = [ast.parse(p.read_text(), str(p))
-              for d in ("demos", "bench") for p in sorted((ROOT / d).glob("*.py"))]
-    outside = set().union(*map(referenced_names, others), script_entries())
+    outside = set().union(*map(referenced_names, demos_and_bench()), script_entries())
     package = modules()
     each = {path: referenced_names(tree) for path, tree in package.items()}
     for path, tree in package.items():
@@ -197,10 +212,8 @@ def calls_outside_tests(modules: set[str]):
     counts as called with the arguments that follow it, a bare decorator as
     called with what it decorates, and any other function passed on as
     called with no arguments."""
-    trees = [ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))] + [
-        ast.parse(p.read_text(), str(p))
-        for d in ("demos", "bench") for p in sorted((ROOT / d).glob("*.py"))]
-    for tree in trees:
+    trees = [ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))]
+    for tree in trees + demos_and_bench():
         aliases = {a.asname: a.name for node in ast.walk(tree)
                    if isinstance(node, ast.ImportFrom) for a in node.names if a.asname}
         done = set()
@@ -250,3 +263,22 @@ def test_every_default_is_set_by_some_call():
     never_set = sorted(f"{name}.{arg}" for name, sig in callables.items()
                        for arg in defaulted(sig) if arg not in was_set[name])
     assert never_set == sorted(NEVER_SET_KEPT_FOR), never_set
+
+
+def read_names(tree: ast.AST) -> set[str]:
+    """The attributes `tree` loads and the strings it spells out."""
+    return {node.attr if isinstance(node, ast.Attribute) else node.value
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.Constant) and isinstance(node.value, str))}
+
+
+def test_every_record_field_is_read():
+    package = modules()
+    read = set().union(*map(read_names, [*package.values(), *demos_and_bench()]))
+    unread = sorted(f"{cls.name}.{field.target.id}"
+                    for tree in package.values() for cls in tree.body
+                    if isinstance(cls, ast.ClassDef) and record_signature(cls) is not None
+                    for field in cls.body
+                    if isinstance(field, ast.AnnAssign) and field.target.id not in read)
+    assert unread == sorted(FIELDS_KEPT_FOR), unread
