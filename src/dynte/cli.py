@@ -13,11 +13,12 @@ included, each sized on the one trailing spread vol, Run.vol. The library
 returns results; each command here lays out its own tables' columns and
 returns them as Table values, touching no file; main hands them to the one
 writer, _write_tables, which publishes all of a command's files or, when a
-command or a write fails, none. Outputs are CSV tables named
-{name}_{hash}.csv where the hash is derived from the command, the
-effective config less `out` and `svg`, and the bytes of the input files,
-never from the clock, so a re-run with the same config and inputs writes
-byte-identical CSVs under the same names.
+command or a write fails, none. Only this module touches the file
+system: load_config reads each input file once and keeps its bytes, which
+the library parses. Outputs are CSV tables named {name}_{hash}.csv where
+the hash is derived from the command, the effective config less `out` and
+`svg`, and those bytes, never from the clock, so a re-run with the same
+config and inputs writes byte-identical CSVs under the same names.
 Optional SVG charts accompany time-series tables. Exit codes: 0 success,
 2 bad flags or config, 1 runtime failure.
 """
@@ -52,6 +53,7 @@ from .timeseries import (
     Series,
     SynthParams,
     TradingCalendar,
+    csv_header,
     ingest_csv,
     intersect_calendars,
     parse_date,
@@ -224,13 +226,19 @@ class RunConfig:
     date_range: tuple[dt.date | None, dt.date | None]
     # role -> (path, columns); columns None reads every column of a sectors file
     roles: dict[str, tuple[str, list[str] | None]]
-    # role -> SHA-256 of its file, read once per run
-    input_digests: dict[str, str]
+    # role -> the bytes of its file, read once per run
+    inputs: dict[str, bytes]
+
+    @cached_property
+    def input_digests(self) -> dict[str, str]:
+        return {name: hashlib.sha256(data).hexdigest() for name, data in self.inputs.items()}
 
 
-def _roles(data: dict) -> tuple[dict, dict[str, str]]:
-    """Each configured input role as (path, columns), and its file's digest;
-    every role is checked before any file is read."""
+def _roles(data: dict) -> tuple[dict, dict[str, bytes]]:
+    """Each configured input role as (path, columns), and its file's bytes;
+    every role is checked before any file is read, and each file's header
+    must hold the columns its role names, two or more for sectors (a
+    malformed header raises the ValueError ingest_csv would)."""
     roles = {}
     for name, spec in data.items():
         if name not in _ROLE_KEYS:
@@ -256,9 +264,17 @@ def _roles(data: dict) -> tuple[dict, dict[str, str]]:
                     raise ConfigError("data.sectors.columns",
                                       f"expected one or more names, none twice, got {cols}")
         roles[name] = (spec["path"], cols)
-    digests = {name: hashlib.sha256(_read_bytes(f"data.{name}.path", path)).hexdigest()
-               for name, (path, _) in roles.items()}
-    return roles, digests
+    inputs = {}
+    for name, (path, cols) in roles.items():
+        inputs[name] = _read_bytes(f"data.{name}.path", path)
+        symbols = csv_header(path, inputs[name])[1:]
+        missing = [c for c in cols or () if c not in symbols]
+        if missing:
+            key = "columns" if name == "sectors" else "column"
+            raise ConfigError(f"data.{name}.{key}", f"{path}: columns not found: {missing}")
+        if name == "sectors" and len(cols or symbols) < 2:
+            raise ConfigError("data.sectors", "need at least two sector columns")
+    return roles, inputs
 
 
 def _fs_path(fieldname: str, path: str) -> Path:
@@ -284,7 +300,8 @@ def _read_bytes(fieldname: str, path: str) -> bytes:
 
 def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
     """The config file merged over the defaults, with each non-None override
-    (keyed by config field) in place of its field, checked and converted."""
+    (keyed by config field) in place of its field, checked and converted,
+    and the bytes of each configured input file."""
     user: dict = {}
     if path is not None:
         try:
@@ -325,7 +342,7 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
     found = next((p for p in (out_dir, *out_dir.parents) if os.path.exists(p)), None)
     if found is not None and not os.path.isdir(found):
         raise ConfigError("out", f"{str(found)!r} is not a directory")
-    roles, digests = _roles(raw["data"])
+    roles, inputs = _roles(raw["data"])
     r = raw["range"]
     date_range = _ordered("range", *(None if r[k] is None else _iso(f"range.{k}", r[k])
                                      for k in ("start", "end")))
@@ -373,7 +390,7 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
         )),
         date_range=date_range,
         roles=roles,
-        input_digests=digests,
+        inputs=inputs,
     )
 
 
@@ -542,8 +559,9 @@ class Market:
     daily returns. From files, eq_prices and vix_full keep the price
     calendar, one date longer at the start; the synthetic panel has no
     price file, so there both are on the return calendar (vix_full is vix,
-    and eq_prices compounds eq). Roles a command did not ask for stay
-    None."""
+    and eq_prices compounds eq). Only omega reads those two fields; every
+    other command reads the return calendar's series. Roles a command did
+    not ask for stay None."""
 
     vix: Series            # level, on the return calendar
     vix_full: Series       # level, on the price calendar
@@ -562,12 +580,8 @@ def _load_role(cfg: RunConfig, name: str) -> tuple[Series | AssetPanel, int]:
     number of incomplete rows the file dropped."""
     path, cols = cfg.roles[name]
     unit = UNIT_LEVEL if name in ("vix", "rf") else UNIT_PRICE
-    res = ingest_csv(path, columns=cols, unit=unit)
-    if name != "sectors":
-        return res.panel[cols[0]], res.n_dropped
-    if len(res.panel.symbols) < 2:
-        raise ConfigError("data.sectors", "need at least two sector columns")
-    return res.panel, res.n_dropped
+    res = ingest_csv(path, cfg.inputs[name], columns=cols, unit=unit)
+    return res.panel if name == "sectors" else res.panel[cols[0]], res.n_dropped
 
 
 def load_market(cfg: RunConfig, need: Sequence[str]) -> Market:
@@ -736,7 +750,7 @@ def _exhibit1(run: Run) -> list[Table]:
     cfg, market = run.cfg, run.market(need=("sectors", "vix"))
     avg = _blame("windows.pairwise_corr", rolling_avg_pairwise_corr, market.sectors,
                  cfg.windows["pairwise_corr"])
-    vix = market.vix_full.restrict(avg.calendar)
+    vix = market.vix.restrict(avg.calendar)
     return [Table("exhibit1", "exhibit1", ["date", "avg_pairwise_corr", "vix"],
                   [avg.calendar.days, avg.values, vix.values],
                   {"avg pairwise corr": "avg_pairwise_corr"}, "correlation")]

@@ -59,9 +59,13 @@ def forward_return(prices: Series, horizon: int) -> Series:
 class QuintileReport:
     boundaries: np.ndarray
     means: np.ndarray        # horizons x 5, annualized forward return means
-    spreads: np.ndarray      # top minus bottom quintile, per horizon
     t_stats: np.ndarray      # Newey-West t per horizon (bandwidth = horizon)
     counts: np.ndarray       # horizons x 5 observation counts
+
+    @property
+    def spreads(self) -> np.ndarray:
+        """Top minus bottom quintile mean, per horizon."""
+        return self.means[:, 4] - self.means[:, 0]
 
 
 def omega_table(vix: Series, prices: Series, horizons: Sequence[int]) -> QuintileReport:
@@ -80,7 +84,6 @@ def omega_table(vix: Series, prices: Series, horizons: Sequence[int]) -> Quintil
     nh = len(horizons)
     means = np.empty((nh, 5))
     counts = np.empty((nh, 5), dtype=np.int64)
-    spreads = np.empty(nh)
     tstats = np.empty(nh)
     for i, h in enumerate(horizons):
         if 2 * h >= len(prices):
@@ -95,7 +98,6 @@ def omega_table(vix: Series, prices: Series, horizons: Sequence[int]) -> Quintil
             if counts[i, k - 1] == 0:
                 raise ValueError(f"quintile {k} empty at horizon {h}")
             means[i, k - 1] = float(np.mean(fwd.values[mask]))
-        spreads[i] = means[i, 4] - means[i, 0]
         w = np.zeros(N)
         w[lab == 5] = N / counts[i, 4]
         w[lab == 1] = -N / counts[i, 0]
@@ -103,7 +105,6 @@ def omega_table(vix: Series, prices: Series, horizons: Sequence[int]) -> Quintil
     return QuintileReport(
         boundaries=bounds,
         means=means,
-        spreads=spreads,
         t_stats=tstats,
         counts=counts,
     )

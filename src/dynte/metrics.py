@@ -95,10 +95,14 @@ class MetricsReport:
     vol: float
     sharpe: float
     max_drawdown: float
-    cagr_over_maxdd: float | None
     te_level: float | None = None
     te_sigma: float | None = None
     te_cyclicality: float | None = None
+
+    @property
+    def cagr_over_maxdd(self) -> float | None:
+        """CAGR per unit of maximum drawdown; None for a run that never draws down."""
+        return self.cagr / self.max_drawdown if self.max_drawdown > 0.0 else None
 
 
 def summarize(returns, rf: Series | float, te: Series | None = None,
@@ -109,8 +113,6 @@ def summarize(returns, rf: Series | float, te: Series | None = None,
     smoothed gauge on the path's dates, None when either has zero variance."""
     if te is not None and smoothed_vix is None:
         raise ValueError("smoothed_vix is required with a tracking-error path")
-    c = cagr(returns)
-    dd = max_drawdown(returns)
     te_level = te_sigma = te_cyc = None
     if te is not None:
         if len(te) < 2:
@@ -126,11 +128,10 @@ def summarize(returns, rf: Series | float, te: Series | None = None,
         if vx != 0.0 and vy != 0.0:
             te_cyc = float(np.dot(xd, yd) / math.sqrt(vx * vy))
     return MetricsReport(
-        cagr=c,
+        cagr=cagr(returns),
         vol=annualized_vol(returns),
         sharpe=sharpe(returns, rf),
-        max_drawdown=dd,
-        cagr_over_maxdd=(c / dd) if dd > 0.0 else None,
+        max_drawdown=max_drawdown(returns),
         te_level=te_level,
         te_sigma=te_sigma,
         te_cyclicality=te_cyc,

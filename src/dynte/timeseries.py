@@ -1,5 +1,5 @@
-"""Calendar-aligned market data containers, CSV ingestion, and a seeded
-two-state synthetic market generator.
+"""Calendar-aligned market data containers, a parser of CSV files' bytes,
+and a seeded two-state synthetic market generator.
 
 Containers are frozen records (`dynte._record`), immutable after
 construction and safe to share across threads. All annualization in this
@@ -235,6 +235,7 @@ class IngestResult:
         return len(self.dropped_dates)
 
 
+_BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
 _MISSING_CELLS = frozenset(("", "na", "nan", "null", "none", "#n/a"))
 
 # bytes of a line the vectorised reader takes: a YYYY-MM-DD date and plain
@@ -312,37 +313,17 @@ def _parse_row(path, lineno: int, line: str, symbols: Sequence[str],
     return d, cells
 
 
-def ingest_csv(path, columns: Sequence[str] | None, unit: str) -> IngestResult:
-    """Load a wide CSV (first column `date`, ISO dates; remaining columns
-    symbols): the `columns` asked for, or every column for None. The file
-    is UTF-8 text, with or without a byte-order mark.
-
-    Rows may come in any order. Rows where any requested symbol is missing
-    are dropped and reported. Raises, naming the line, on a byte that is not
-    UTF-8; then on a column name the header repeats,
-    malformed dates, non-numeric or non-finite cells (inf, a signed NaN, a
-    number that overflows), duplicate dates, empty result, or a gap of more
-    than MAX_WEEKDAY_GAP weekdays between consecutive surviving rows; then,
-    naming the line, on a surviving row dated on a weekend or, for
-    UNIT_PRICE, holding a price <= 0. A quoted cell must not span lines.
-
-    Plain lines (see _plain_lines) are parsed as arrays; the rest, typically
-    the few rows with a missing cell, one by one.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8-sig")
-    except UnicodeDecodeError as e:
-        head = data[:e.start]
-        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        raise ValueError(f"{path}:{line}: not UTF-8 text") from None
-    if not text:
+def csv_header(path, data: bytes) -> list[str]:
+    """The column names on the first line of a wide CSV file's bytes: `date`,
+    then one or more symbols, none twice. `path` names the file in errors:
+    an empty file, a first line that is not UTF-8 text (with or without a
+    byte-order mark), or a header of any other shape."""
+    if not data.removeprefix(_BOM):
         raise ValueError(f"{path}: empty file")
-    if "\r" in text:
-        # the line ends csv.reader knows
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    head, _, body = text.partition("\n")
+    try:
+        head = re.match(rb"[^\r\n]*", data)[0].decode("utf-8-sig")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}:1: not UTF-8 text") from None
     header = [h.strip() for h in next(csv.reader([head]))]
     if len(header) < 2:
         raise ValueError(f"{path}: need a date column plus at least one symbol")
@@ -351,6 +332,29 @@ def ingest_csv(path, columns: Sequence[str] | None, unit: str) -> IngestResult:
     dup = next((h for i, h in enumerate(header) if h in header[:i]), None)
     if dup is not None:
         raise ValueError(f"{path}: duplicate column {dup!r} in header")
+    return header
+
+
+def ingest_csv(path, data: bytes, columns: Sequence[str] | None, unit: str) -> IngestResult:
+    """Parse `data`, the bytes of a wide CSV file (first column `date`, ISO
+    dates; remaining columns symbols): the `columns` asked for, or every
+    column for None. The file is UTF-8 text, with or without a byte-order
+    mark. `path` names the file in errors; nothing is opened.
+
+    Rows may come in any order. Rows where any requested symbol is missing
+    are dropped and reported. Raises on a header csv_header refuses or
+    without a column asked for; then, naming the line, on a byte that is
+    not UTF-8; then on malformed dates, non-numeric or non-finite cells
+    (inf, a signed NaN, a number that overflows), duplicate dates, empty
+    result, or a gap of more than MAX_WEEKDAY_GAP weekdays between
+    consecutive surviving rows; then, naming the line, on a surviving row
+    dated on a weekend or, for UNIT_PRICE, holding a price <= 0. A quoted
+    cell must not span lines.
+
+    Plain lines (see _plain_lines) are parsed as arrays; the rest, typically
+    the few rows with a missing cell, one by one.
+    """
+    header = csv_header(path, data)
     symbols = header[1:]
     if columns is not None:
         missing = [c for c in columns if c not in symbols]
@@ -358,6 +362,16 @@ def ingest_csv(path, columns: Sequence[str] | None, unit: str) -> IngestResult:
             raise ValueError(f"{path}: columns not found: {missing}")
         symbols = list(columns)
     positions = [header.index(sym) for sym in symbols]
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as e:
+        head = data[:e.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise ValueError(f"{path}:{line}: not UTF-8 text") from None
+    if "\r" in text:
+        # the line ends csv.reader knows
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    body = text.partition("\n")[2]
 
     # one slot per body line: slot i is line i + 2, and a blank line keeps NaT
     lines = body.split("\n")

@@ -873,8 +873,10 @@ NEEDS_DATA = [f for f in FORMS if f not in (("synth",), ("exhibit", "1"), ("prop
 @pytest.mark.parametrize("form", NEEDS_DATA, ids=" ".join)
 def test_partial_data_names_the_first_missing_role(tmp_path, capsys, form):
     # the synthetic panel stands in only when no data role is configured
-    tlt = {"tlt": {"path": __file__, "column": "TLT"}}
-    bd = {"bd": {"path": __file__, "column": "BD"}}
+    other = tmp_path / "other.csv"
+    other.write_text("date,TLT,BD\n2015-01-05,100,100\n")
+    tlt = {"tlt": {"path": str(other), "column": "TLT"}}
+    bd = {"bd": {"path": str(other), "column": "BD"}}
     for data in (tlt, bd) if form in (("omega",), ("exhibit", "5")) else (tlt,):
         code, files = run(tmp_path, *form, config_extra={"data": data})
         assert (code, files) == (2, []), data
@@ -926,6 +928,74 @@ def test_a_run_builds_what_its_tables_share_once(tmp_path, monkeypatch, form):
         *["benchmark_7030"] * (form in BENCHMARKS),
         *["sizing_vol"] * (form in OVERLAYS),
         *["simulate_overlay"] * OVERLAYS.get(form, 0)])
+
+
+def test_a_command_reads_each_input_file_once(tmp_path):
+    data = bench_style_data(tmp_path)
+    paths = [spec["path"] for spec in data.values()]
+    opened, counting = [], [True]
+
+    def record_open(event, args):
+        # an audit hook sees every open, however the file is opened
+        if counting and event == "open" and isinstance(args[0], (str, os.PathLike)):
+            opened.extend(p for p in paths if p == os.fspath(args[0]))
+
+    sys.addaudithook(record_open)  # hooks outlive the test; `counting` turns this one off
+    try:
+        code, _ = run(tmp_path, "exhibit", "3", config_extra={"data": data})
+    finally:
+        counting.clear()
+    assert code == 0
+    # exhibit 3 parses every configured role; see READS
+    assert sorted(opened) == sorted(paths)
+
+
+def test_tables_are_computed_from_the_bytes_load_config_read(tmp_path):
+    data = {k: v for k, v in bench_style_data(tmp_path).items() if k in ("eq", "bd", "vix")}
+
+    def config(out):
+        return load_config(write_config(tmp_path, data=data), {"out": str(tmp_path / out)})
+
+    def exhibit3(cfg):
+        paths = _write_tables(cfg, COMMANDS["exhibit"][1][3](Run(cfg, "exhibit 3")))
+        return {p.name: p.read_bytes() for p in paths}
+
+    before, cfg = exhibit3(config("a")), config("b")
+    # the equity column now holds the bond prices
+    eq = Path(data["eq"]["path"])
+    eq.write_text(eq.read_text().replace("date,BENCH_EQ,BENCH_BD,", "date,BENCH_BD,BENCH_EQ,", 1))
+    assert exhibit3(cfg) == before
+    # a config loaded after the rewrite reads the new bytes, under a new name
+    after = exhibit3(config("c"))
+    assert after.keys().isdisjoint(before)
+    assert sorted(after.values()) != sorted(before.values())
+
+
+@pytest.mark.parametrize("form", FORMS, ids=" ".join)
+def test_columns_a_role_cannot_read_fail_every_command_at_load(tmp_path, capsys, form):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    data = bench_style_data(inputs)
+    capsys.readouterr()
+    missing = "{path}: columns not found: ['NOPE']"
+    for role, key, bad, error in (
+            ("eq", "column", "NOPE", "data.eq.column: " + missing),
+            ("sectors", "columns", ["BENCH_EQ", "NOPE"], "data.sectors.columns: " + missing),
+            ("sectors", "columns", ["VIX"], "data.sectors: need at least two sector columns")):
+        spec = {**data[role], key: bad}
+        code, files = run(tmp_path, *form, config_extra={"data": {**data, role: spec}})
+        assert (code, files) == (2, [])
+        assert capsys.readouterr().err == f"config error: {error.format(**spec)}\n"
+
+
+def test_a_malformed_header_stops_every_command(tmp_path, capsys):
+    # props parses no input, yet every configured file is checked as the config loads
+    bad = tmp_path / "vix.csv"
+    bad.write_text("date,VIX,VIX\n2015-01-05,20,20\n")
+    code, files = run(tmp_path, "props", config_extra={
+        "data": {"vix": {"path": str(bad), "column": "VIX"}}})
+    assert (code, files) == (1, [])
+    assert capsys.readouterr().err == f"error: {bad}: duplicate column 'VIX' in header\n"
 
 
 def test_commands_compute_tables_and_write_nothing(tmp_path):

@@ -63,11 +63,11 @@ def level(cal, values):
 
 
 @pytest.mark.parametrize("real, cases", [
-    (MetricsReport, [((0.05, 0.1, 0.5, 0.2, 0.25), {}), ((0.05, 0.1, 0.5, 0.2, 0.25, 0.02), {}),
+    (MetricsReport, [((0.05, 0.1, 0.5, 0.2), {}), ((0.05, 0.1, 0.5, 0.2, 0.02), {}),
                      ((), {"cagr": 0.05, "vol": 0.1, "sharpe": 0.5, "max_drawdown": 0.2,
-                           "cagr_over_maxdd": 0.25, "te_sigma": 0.01}),
-                     ((0.05, 0.1, 0.5, 0.2, 0.25), {"te_level": None}),
-                     ((0.07, 0.1, 0.7, 0.2, 0.35), {})]),
+                           "te_sigma": 0.01}),
+                     ((0.05, 0.1, 0.5, 0.2), {"te_level": None}),
+                     ((0.07, 0.1, 0.7, 0.2), {})]),
     (OverlayPolicy, [((0.005, 0.02, 0.05, 0.25), {}), ((0.02, 0.02, 0.02, 0.25), {}),
                      ((0.005, 0.02, 0.05, 0.25, 0.03), {}),
                      ((0.005, 0.02), {"target_high": 0.05, "theta_cap": 0.25,

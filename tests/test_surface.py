@@ -15,7 +15,10 @@ call there: a setting that only tests turn is a constant. Every field of a
 record is read there too, as an attribute or by its name in a string (for
 `getattr`): a field nothing reads is an echo of an argument, or a second
 home for what another field or function computes. A field only tests read
-is listed below with the ROADMAP item that keeps it.
+is listed below with the ROADMAP item that keeps it. Only `cli` touches the
+file system: no other module calls `open` or imports a file-system module
+(FILE_SYSTEM), so the library computes on what it is handed, and the bytes
+an output name is hashed from are the bytes its tables were computed from.
 """
 
 import ast
@@ -50,6 +53,10 @@ FIELDS_KEPT_FOR = {
     "AgreementReport.spearman": "ROADMAP item 9 wires the regime EM into a command",
     "AgreementReport.concordance": "ROADMAP item 9 wires the regime EM into a command",
 }
+
+# modules that reach the file system; of dynte's modules only `cli` imports them
+FILE_SYSTEM = {"os", "pathlib", "shutil", "tempfile"}
+
 
 
 def modules():
@@ -282,3 +289,20 @@ def test_every_record_field_is_read():
                     for field in cls.body
                     if isinstance(field, ast.AnnAssign) and field.target.id not in read)
     assert unread == sorted(FIELDS_KEPT_FOR), unread
+
+
+def test_only_cli_touches_the_file_system():
+    found = []
+    for path, tree in modules().items():
+        if path.stem == "cli":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                names = ["open"] if called(node, "open") else []
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in FILE_SYSTEM | {"open"}]
+    assert found == [], found

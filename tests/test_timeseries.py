@@ -241,76 +241,56 @@ def test_price_return_round_trip():
 # --------------------------------------------------------------- ingestion
 
 
-def write_csv(path, text):
-    path.write_text(text)
-    return str(path)
-
-
-def test_ingest_round_trip(tmp_path):
-    p = write_csv(
-        tmp_path / "a.csv",
-        "date,AAA,BBB\n2015-01-05,100,50\n2015-01-06,101,51\n2015-01-07,99,52\n",
-    )
-    res = ingest_csv(p, None, UNIT_PRICE)
+def test_ingest_round_trip():
+    p = ("a.csv", b"date,AAA,BBB\n2015-01-05,100,50\n2015-01-06,101,51\n2015-01-07,99,52\n")
+    res = ingest_csv(*p, None, UNIT_PRICE)
     assert res.n_dropped == 0
     assert res.panel.symbols == ("AAA", "BBB")
     assert len(res.panel.calendar) == 3
     assert_array_equal(res.panel["BBB"].values, [50.0, 51.0, 52.0])
 
 
-def test_ingest_drops_incomplete_rows(tmp_path):
-    p = write_csv(
-        tmp_path / "b.csv",
-        "date,AAA,BBB\n2015-01-05,100,50\n2015-01-06,101,\n2015-01-07,99,52\n",
-    )
-    res = ingest_csv(p, None, UNIT_PRICE)
+def test_ingest_drops_incomplete_rows():
+    p = ("b.csv", b"date,AAA,BBB\n2015-01-05,100,50\n2015-01-06,101,\n2015-01-07,99,52\n")
+    res = ingest_csv(*p, None, UNIT_PRICE)
     assert res.n_dropped == 1
     assert res.dropped_dates == (dt.date(2015, 1, 6),)
     assert len(res.panel.calendar) == 2
 
 
-def test_ingest_column_subset_ignores_other_gaps(tmp_path):
-    p = write_csv(
-        tmp_path / "c.csv",
-        "date,AAA,BBB\n2015-01-05,100,50\n2015-01-06,101,\n2015-01-07,99,52\n",
-    )
-    res = ingest_csv(p, ["AAA"], UNIT_PRICE)
+def test_ingest_column_subset_ignores_other_gaps():
+    p = ("c.csv", b"date,AAA,BBB\n2015-01-05,100,50\n2015-01-06,101,\n2015-01-07,99,52\n")
+    res = ingest_csv(*p, ["AAA"], UNIT_PRICE)
     assert res.n_dropped == 0
     assert res.panel.symbols == ("AAA",)
 
 
-def test_ingest_column_order_insensitive(tmp_path):
-    p1 = write_csv(
-        tmp_path / "d1.csv", "date,AAA,BBB\n2015-01-05,100,50\n2015-01-06,101,51\n"
-    )
-    p2 = write_csv(
-        tmp_path / "d2.csv", "date,BBB,AAA\n2015-01-05,50,100\n2015-01-06,51,101\n"
-    )
-    r1 = ingest_csv(p1, ["AAA", "BBB"], UNIT_PRICE)
-    r2 = ingest_csv(p2, ["AAA", "BBB"], UNIT_PRICE)
+def test_ingest_column_order_insensitive():
+    p1 = ("d1.csv", b"date,AAA,BBB\n2015-01-05,100,50\n2015-01-06,101,51\n")
+    p2 = ("d2.csv", b"date,BBB,AAA\n2015-01-05,50,100\n2015-01-06,51,101\n")
+    r1 = ingest_csv(*p1, ["AAA", "BBB"], UNIT_PRICE)
+    r2 = ingest_csv(*p2, ["AAA", "BBB"], UNIT_PRICE)
     for sym in ("AAA", "BBB"):
         assert_array_equal(r1.panel[sym].values, r2.panel[sym].values)
 
 
-def test_ingest_error_messages_name_the_row(tmp_path):
-    p = write_csv(
-        tmp_path / "e.csv", "date,AAA\n2015-01-05,100\nnot-a-date,101\n"
-    )
+def test_ingest_error_messages_name_the_row():
+    p = ("e.csv", b"date,AAA\n2015-01-05,100\nnot-a-date,101\n")
     with pytest.raises(ValueError, match=r"e\.csv:3.*malformed date"):
-        ingest_csv(p, None, UNIT_PRICE)
-    p = write_csv(tmp_path / "f.csv", "date,AAA\n2015-01-05,100\n2015-01-06,abc\n")
+        ingest_csv(*p, None, UNIT_PRICE)
+    p = ("f.csv", b"date,AAA\n2015-01-05,100\n2015-01-06,abc\n")
     with pytest.raises(ValueError, match=r"f\.csv:3.*non-numeric.*AAA"):
-        ingest_csv(p, None, UNIT_PRICE)
+        ingest_csv(*p, None, UNIT_PRICE)
 
 
 @pytest.mark.parametrize("date", ["20150106", "2015-W02-2", "2015-01-06T00:00",
                                   "2015-1-6", " 2015-01-06x"])
-def test_ingest_reads_only_yyyy_mm_dd_dates(tmp_path, date):
+def test_ingest_reads_only_yyyy_mm_dd_dates(date):
     # Python 3.11's date.fromisoformat takes the first two
     for row in (date + ",101", date + ',"101"'):  # the array path and the row path
-        p = write_csv(tmp_path / "d.csv", f"date,AAA\n2015-01-05,100\n{row}\n")
+        p = ("d.csv", f"date,AAA\n2015-01-05,100\n{row}\n".encode())
         with pytest.raises(ValueError, match=r"d\.csv:3: malformed date"):
-            ingest_csv(p, None, UNIT_PRICE)
+            ingest_csv(*p, None, UNIT_PRICE)
 
 
 def test_parse_date_is_strict():
@@ -321,49 +301,43 @@ def test_parse_date_is_strict():
             parse_date(text)
 
 
-def test_ingest_duplicate_date(tmp_path):
-    p = write_csv(
-        tmp_path / "g.csv", "date,AAA\n2015-01-05,100\n2015-01-05,101\n"
-    )
+def test_ingest_duplicate_date():
+    p = ("g.csv", b"date,AAA\n2015-01-05,100\n2015-01-05,101\n")
     with pytest.raises(ValueError, match="duplicate date"):
-        ingest_csv(p, None, UNIT_PRICE)
+        ingest_csv(*p, None, UNIT_PRICE)
 
 
-def test_ingest_duplicate_column(tmp_path):
+def test_ingest_duplicate_column():
     # the second XLB column would otherwise be lost without a word
-    p = write_csv(tmp_path / "g.csv", "date,XLB,XLK,XLB\n2015-01-05,1,2,3\n")
+    p = ("g.csv", b"date,XLB,XLK,XLB\n2015-01-05,1,2,3\n")
     for columns in (None, ["XLK"]):
         with pytest.raises(ValueError, match=r"g\.csv: duplicate column 'XLB' in header$"):
-            ingest_csv(p, columns, UNIT_PRICE)
+            ingest_csv(*p, columns, UNIT_PRICE)
 
 
-def test_ingest_unsorted_rows_accepted(tmp_path):
-    p = write_csv(
-        tmp_path / "h.csv", "date,AAA\n2015-01-06,101\n2015-01-05,100\n"
-    )
-    res = ingest_csv(p, None, UNIT_PRICE)
+def test_ingest_unsorted_rows_accepted():
+    p = ("h.csv", b"date,AAA\n2015-01-06,101\n2015-01-05,100\n")
+    res = ingest_csv(*p, None, UNIT_PRICE)
     assert_array_equal(res.panel["AAA"].values, [100.0, 101.0])
 
 
-def test_ingest_gap_guard(tmp_path):
+def test_ingest_gap_guard():
     # 2015-01-05 to 2015-02-05 leaves far more than 10 missing weekdays
-    p = write_csv(
-        tmp_path / "i.csv", "date,AAA\n2015-01-05,100\n2015-02-05,101\n"
-    )
+    p = ("i.csv", b"date,AAA\n2015-01-05,100\n2015-02-05,101\n")
     with pytest.raises(ValueError, match="gap of"):
-        ingest_csv(p, None, UNIT_PRICE)
+        ingest_csv(*p, None, UNIT_PRICE)
 
 
-def test_ingest_all_rows_incomplete(tmp_path):
-    p = write_csv(tmp_path / "j.csv", "date,AAA\n2015-01-05,\n2015-01-06,\n")
+def test_ingest_all_rows_incomplete():
+    p = ("j.csv", b"date,AAA\n2015-01-05,\n2015-01-06,\n")
     with pytest.raises(ValueError, match="no complete rows"):
-        ingest_csv(p, None, UNIT_PRICE)
+        ingest_csv(*p, None, UNIT_PRICE)
 
 
-def test_ingest_missing_column(tmp_path):
-    p = write_csv(tmp_path / "k.csv", "date,AAA\n2015-01-05,100\n")
+def test_ingest_missing_column():
+    p = ("k.csv", b"date,AAA\n2015-01-05,100\n")
     with pytest.raises(ValueError, match="columns not found"):
-        ingest_csv(p, ["ZZZ"], UNIT_PRICE)
+        ingest_csv(*p, ["ZZZ"], UNIT_PRICE)
 
 
 # The row-by-row reader ingest_csv replaced, kept as the oracle it must match.
@@ -524,6 +498,11 @@ def csv_texts(draw):
     return text, columns, unit
 
 
+def ingest_file(path, columns, unit):
+    """ingest_csv on the bytes of the file at `path`, which the oracle opens."""
+    return ingest_csv(path, path.read_bytes(), columns, unit)
+
+
 def ingest_outcome(reader, path, columns, unit):
     try:
         res = reader(path, columns=columns, unit=unit)
@@ -541,7 +520,7 @@ def test_ingest_matches_row_by_row_oracle(tmp_path, case):
     text, columns, unit = case
     path = tmp_path / "x.csv"
     path.write_bytes(text.encode())
-    assert ingest_outcome(ingest_csv, path, columns, unit) == \
+    assert ingest_outcome(ingest_file, path, columns, unit) == \
         ingest_outcome(oracle_ingest_csv, path, columns, unit)
 
 
@@ -559,7 +538,7 @@ def test_ingest_edge_files_match_oracle(tmp_path):
         path = tmp_path / f"e{k}.csv"
         path.write_bytes(text.encode())
         for columns in (None, ["A"]):
-            assert ingest_outcome(ingest_csv, path, columns, UNIT_PRICE) == \
+            assert ingest_outcome(ingest_file, path, columns, UNIT_PRICE) == \
                 ingest_outcome(oracle_ingest_csv, path, columns, UNIT_PRICE), text
 
 
