@@ -4,15 +4,15 @@ containers use.
 `@record` on a class with annotated fields gives it the constructor,
 `__repr__`, `__eq__` and `__hash__` that a frozen `@dataclass` would:
 positional or keyword arguments with class-level defaults, then
-`__post_init__` if the class has one; `QualName(f=...)` over every field;
-equal when of the same class and equal field by field; a hash of the field
-tuple. Every record is frozen: assignment and deletion raise an
-AttributeError, as the stdlib's do, so `__post_init__` sets fields through
-`object.__setattr__`, and a value derived from the fields is a
-`functools.cached_property`, which writes the instance `__dict__` directly.
-Bad arguments raise one TypeError that names the record, its fields, the
-number of positional arguments given, each unknown or repeated keyword and
-each missing field.
+`__post_init__` if the class has one; `QualName(f=...)` over every field,
+unless the class body defines a `__repr__`; equal when of the same class
+and equal field by field; a hash of the field tuple. Every record is
+frozen: assignment and deletion raise an AttributeError, as the stdlib's
+do, so `__post_init__` sets fields through `object.__setattr__`, and a
+value derived from the fields is a `functools.cached_property`, which
+writes the instance `__dict__` directly. Bad arguments raise one TypeError
+that names the record, its fields, the number of positional arguments
+given, each unknown or repeated keyword and each missing field.
 
 The stdlib writes those methods as source text and compiles it with `exec`
 for every class; for the 24 records dynte then had, that was about 30 ms,
@@ -75,5 +75,6 @@ def record(cls):
 
     for fn in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
         fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
-        setattr(cls, fn.__name__, fn)
+        if fn is not __repr__ or "__repr__" not in cls.__dict__:  # as dataclass does
+            setattr(cls, fn.__name__, fn)
     return cls

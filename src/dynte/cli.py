@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Subcommands: synth, exhibit N (1..7), converge, omega, regret, sweep,
-props. Settings come from the versioned JSON config --config names, and
---out names the output directory; there are no other flags.
+The forms are the keys of COMMANDS, and no two write one table. Settings
+come from the versioned JSON config --config names, and --out names the
+output directory; there are no other flags.
 _merge_defaults alone decides which JSON value a setting takes,
 checking each against its default (the `synth` section against
 SynthParams' field defaults), and a bad value fails naming its key and
@@ -34,7 +34,7 @@ import os
 import sys
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -232,6 +232,13 @@ class RunConfig:
     @cached_property
     def input_digests(self) -> dict[str, str]:
         return {name: hashlib.sha256(data).hexdigest() for name, data in self.inputs.items()}
+
+    def __repr__(self) -> str:
+        # each input file by its size and digest, not its bytes
+        fields = {name: getattr(self, name) for name in self.__annotations__}
+        fields["inputs"] = {name: f"{len(data)} bytes, sha256 {self.input_digests[name][:12]}"
+                            for name, data in self.inputs.items()}
+        return f"RunConfig({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
 
 
 def _roles(data: dict) -> tuple[dict, dict[str, bytes]]:
@@ -559,7 +566,7 @@ class Market:
     daily returns. From files, eq_prices and vix_full keep the price
     calendar, one date longer at the start; the synthetic panel has no
     price file, so there both are on the return calendar (vix_full is vix,
-    and eq_prices compounds eq). Only omega reads those two fields; every
+    and eq_prices compounds eq). Only exhibit 5 reads those two fields; every
     other command reads the return calendar's series. Roles a command did
     not ask for stay None."""
 
@@ -746,7 +753,7 @@ def cmd_synth(run: Run) -> list[Table]:
             Table("synth_states", "synth", ["date", "state"], [dates, states])]
 
 
-def _exhibit1(run: Run) -> list[Table]:
+def cmd_exhibit1(run: Run) -> list[Table]:
     cfg, market = run.cfg, run.market(need=("sectors", "vix"))
     avg = _blame("windows.pairwise_corr", rolling_avg_pairwise_corr, market.sectors,
                  cfg.windows["pairwise_corr"])
@@ -756,7 +763,7 @@ def _exhibit1(run: Run) -> list[Table]:
                   {"avg pairwise corr": "avg_pairwise_corr"}, "correlation")]
 
 
-def _exhibit2(run: Run) -> list[Table]:
+def cmd_exhibit2(run: Run) -> list[Table]:
     cfg, market = run.cfg, run.market()
     legs = {"eq_bd": market.bd, "eq_tlt": market.tlt}
     corr = {k: _blame("windows.stock_bond_corr", rolling_corr, market.eq, leg,
@@ -767,7 +774,7 @@ def _exhibit2(run: Run) -> list[Table]:
                   {k: f"corr_{k}" for k in corr}, "correlation")]
 
 
-def _exhibit3(run: Run) -> list[Table]:
+def cmd_exhibit3(run: Run) -> list[Table]:
     metrics = ("cagr", "vol", "sharpe", "max_drawdown", "cagr_over_maxdd",
                "te_level", "te_sigma", "te_cyclicality")
     rows = []
@@ -782,7 +789,7 @@ def _exhibit3(run: Run) -> list[Table]:
     return [_from_rows("exhibit3", "exhibit3", ["portfolio", *metrics], rows)]
 
 
-def _exhibit4(run: Run) -> list[Table]:
+def cmd_exhibit4(run: Run) -> list[Table]:
     te_s, te_d = run.static.te, run.dynamic.te
     if te_s is None or te_d is None:
         raise ValueError(f"windows.vol: a realized tracking error needs more than twice the "
@@ -794,7 +801,7 @@ def _exhibit4(run: Run) -> list[Table]:
                   {"static": "te_static", "dynamic": "te_dynamic"}, "realized tracking error")]
 
 
-def cmd_omega(run: Run) -> list[Table]:
+def cmd_exhibit5(run: Run) -> list[Table]:
     cfg, market = run.cfg, run.market(need=("eq", "vix"))
     rep = _blame("omega_horizons", omega_table, market.vix_full, market.eq_prices,
                  cfg.omega_horizons)
@@ -805,10 +812,11 @@ def cmd_omega(run: Run) -> list[Table]:
     return [_from_rows("exhibit5", "omega", header, rows)]
 
 
-def cmd_regret(run: Run) -> list[Table]:
-    """Stay-vs-derisk table from the trough of each crisis window; windows
-    with no trading day in the sample are skipped, and horizons that run past
-    its end are left empty, both named on stderr."""
+def cmd_exhibit6(run: Run) -> list[Table]:
+    """The benchmark's drawdown path, and the stay-vs-derisk table from the
+    trough of each crisis window; windows with no trading day in the sample
+    are skipped, and horizons that run past its end are left empty, both
+    named on stderr."""
     cfg, market, bench = run.cfg, run.market(), run.bench
     horizons, vix = cfg.regret_horizons, market.vix
     troughs, skipped = {}, []
@@ -832,16 +840,10 @@ def cmd_regret(run: Run) -> list[Table]:
     rows = [[name, t.date, t.drawdown, float(vix.values[vix.calendar.index(t.date)]), h, s, d, r]
             for (name, t), e in zip(troughs.items(), entries)
             for h, s, d, r in zip(horizons, e.stay, e.derisk, e.regret)]
-    return [_from_rows("exhibit6b", "regret", header, rows)]
-
-
-def _exhibit6(run: Run) -> list[Table]:
-    market, bench = run.market(), run.bench
-    dd = drawdown_path(bench.values)
     return [Table("exhibit6a", "exhibit6", ["date", "drawdown", "vix"],
-                  [bench.calendar.days, dd, market.vix.values],
+                  [bench.calendar.days, drawdown_path(bench.values), vix.values],
                   {"drawdown": "drawdown"}, "drawdown from peak"),
-            *cmd_regret(run)]
+            _from_rows("exhibit6b", "regret", header, rows)]
 
 
 def cmd_converge(run: Run) -> list[Table]:
@@ -904,15 +906,16 @@ def cmd_props(run: Run) -> list[Table]:
 
 # ------------------------------------------------------------------ main --
 
-# subcommand -> (help, command); `exhibit` maps its number N to a command
-COMMANDS: dict[str, tuple[str, Any]] = {
+# form -> (help, command); no two forms write one table
+COMMANDS: dict[str, tuple[str, Callable[[Run], list[Table]]]] = {
     "synth": ("write a synthetic two-regime panel", cmd_synth),
-    "exhibit": ("reproduce one of the numbered report tables",
-                {1: _exhibit1, 2: _exhibit2, 3: _exhibit3, 4: _exhibit4,
-                 5: cmd_omega, 6: _exhibit6, 7: cmd_converge}),
+    "exhibit 1": ("average pairwise sector correlation and the gauge", cmd_exhibit1),
+    "exhibit 2": ("rolling stock-bond correlations", cmd_exhibit2),
+    "exhibit 3": ("benchmark, static and dynamic overlay metrics", cmd_exhibit3),
+    "exhibit 4": ("realized tracking error of the static and dynamic overlays", cmd_exhibit4),
+    "exhibit 5": ("forward returns by fear-gauge quintile", cmd_exhibit5),
+    "exhibit 6": ("drawdowns, and stay-vs-derisk outcomes from crisis troughs", cmd_exhibit6),
     "converge": ("metrics and bootstrap CIs across the TE-cap spectrum", cmd_converge),
-    "omega": ("forward returns by fear-gauge quintile", cmd_omega),
-    "regret": ("stay-vs-derisk outcomes from crisis troughs", cmd_regret),
     "sweep": ("signal-window robustness sweep", cmd_sweep),
     "props": ("closed-form model checks as a pass/fail table", cmd_props),
 }
@@ -929,23 +932,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regime-conditioned tracking-error engine",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (text, run) in COMMANDS.items():
-        sp = sub.add_parser(name, parents=[common], help=text)
-        if isinstance(run, dict):
-            sp.add_argument("n", type=int, help="exhibit number, 1..7")
+    for form, (text, _) in COMMANDS.items():
+        name, *n = form.split()
+        if not n:
+            sub.add_parser(name, parents=[common], help=text)
+        elif name not in sub.choices:  # `exhibit N`: one subcommand for every N the table holds
+            numbers = {int(f.split()[1]): h for f, (h, _) in COMMANDS.items()
+                       if f.startswith(f"{name} ")}
+            sp = sub.add_parser(name, parents=[common], help=f"one of the numbered {name}s")
+            sp.add_argument("n", type=int, choices=list(numbers),
+                            help="; ".join(f"{k}: {h}" for k, h in numbers.items()))
     return p
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    form = f"{args.command} {args.n}" if "n" in args else args.command
     try:
         cfg = load_config(args.config, {"out": args.out})
-        command, label = COMMANDS[args.command][1], args.command
-        if isinstance(command, dict):
-            if args.n not in command:
-                raise ConfigError("exhibit", f"exhibit number must be 1..7, got {args.n}")
-            command, label = command[args.n], f"exhibit {args.n}"
-        paths = _write_tables(cfg, command(Run(cfg, label)))
+        paths = _write_tables(cfg, COMMANDS[form][1](Run(cfg, form)))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

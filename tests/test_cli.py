@@ -2,6 +2,7 @@ import csv
 import datetime as dt
 import gc
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -17,7 +18,8 @@ import numpy as np
 import pytest
 
 from dynte.cli import (COMMANDS, CONFIG_VERSION, ConfigError, Run, Table, _cell, _column_text,
-                       _svg, _write_tables, cmd_converge, cmd_regret, load_config, main)
+                       _svg, _write_tables, cmd_converge, cmd_exhibit3, cmd_exhibit6,
+                       load_config, main)
 from dynte.inference import circular_block_bootstrap
 from dynte.metrics import excess_returns, sharpe, summarize
 from dynte.regime import classify
@@ -159,7 +161,7 @@ def test_a_config_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
 def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes('{"crises": {"gfc_\u00e9": ["2007-10-01", "2009-06-30"]}}'.encode("latin-1"))
-    assert main(["regret", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert main(["exhibit", "6", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "config error: config: not UTF-8 text\n"
     assert not (tmp_path / "o").exists()
 
@@ -180,7 +182,7 @@ def test_a_crisis_name_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("name", ["gfc\rcovid", "gfc\ncovid"], ids=["cr", "lf"])
 def test_a_crisis_name_that_breaks_a_line_is_a_config_error(tmp_path, capsys, name):
     # a bare carriage return leaves csv.writer unquoted and splits the row
-    code, files = run(tmp_path, "regret", config_extra={
+    code, files = run(tmp_path, "exhibit", "6", config_extra={
         "crises": {name: ["2007-10-01", "2009-06-30"]}})
     assert code == 2 and files == []
     assert capsys.readouterr().err == \
@@ -312,9 +314,12 @@ def test_a_null_data_role_is_skipped(tmp_path, capsys):
 
 
 def test_exhibit_number_out_of_range(tmp_path, capsys):
-    code, _ = run(tmp_path, "exhibit", "9")
-    assert code == 2
-    assert "1..7" in capsys.readouterr().err
+    # the message lists the exhibit numbers the command table holds; the
+    # removed exhibit 7 is converge
+    for n in ("7", "9"):
+        with pytest.raises(SystemExit, match="^2$"):
+            run(tmp_path, "exhibit", n)
+        assert f"invalid choice: {n} (choose from 1, 2, 3, 4, 5, 6)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,value", [("--seed", "5"), ("--caps", "0.01,uncapped"),
@@ -332,11 +337,11 @@ def test_readme_flags_are_the_parsers_options(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     sentence = re.search(r"^Flags:(.*?)\.\s", readme, re.M | re.S).group(1)
     listed = set(re.findall(r"`(--[\w-]+)", sentence))
-    for name in COMMANDS:
+    for form in COMMANDS:
         with pytest.raises(SystemExit):
-            main([name, "--help"])
+            main([*form.split(), "--help"])
         options = set(re.findall(r"(?<![\w-])(--[\w-]+)", capsys.readouterr().out))
-        assert options - {"--help"} == listed, name
+        assert options - {"--help"} == listed, form
 
 
 def test_config_error_field_attribute():
@@ -354,9 +359,13 @@ def test_a_window_is_a_positive_day_count(name, days):
     assert str(exc.value) == f"windows.{name}: expected a positive integer, got {days}"
 
 
-def test_unknown_subcommand_is_usage_error():
-    with pytest.raises(SystemExit):
-        main(["frobnicate"])
+def test_unknown_subcommand_is_usage_error(tmp_path, capsys):
+    # the removed omega is exhibit 5, and regret the second table of exhibit 6
+    for name in ("frobnicate", "omega", "regret"):
+        with pytest.raises(SystemExit, match="^2$"):
+            run(tmp_path, name)
+        assert f"invalid choice: {name!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("cfg,field", [
@@ -418,7 +427,7 @@ def test_config_type_errors_name_the_field(tmp_path, capsys, cfg, field):
     (["converge"], '{"caps": [Infinity]}', "caps[0]", "inf"),
     (["exhibit", "3"], '{"synth": {"alpha": [Infinity, 0.1]}}', "synth.alpha[0]", "inf"),
     (["converge"], '{"synth": {"sigma": [NaN, 0.1]}}', "synth.sigma[0]", "nan"),
-    (["omega"], '{"synth": {"vix_noise": NaN}}', "synth.vix_noise", "nan"),
+    (["exhibit", "5"], '{"synth": {"vix_noise": NaN}}', "synth.vix_noise", "nan"),
     (["props"], '{"model": {"alpha": [NaN, 0.1]}}', "model.alpha[0]", "nan"),
     (["exhibit", "3"], '{"policy": {"theta_cap": Infinity}}', "policy.theta_cap", "inf"),
     (["exhibit", "3"], '{"thresholds": {"high": -Infinity}}', "thresholds.high", "-inf"),
@@ -433,9 +442,8 @@ def test_a_non_finite_number_names_its_setting(tmp_path, capsys, form, text, fie
     assert not (tmp_path / "o").exists()
 
 
-# every command form, read off the command table: an exhibit number is a form
-FORMS = [form for name, (_, cmd) in COMMANDS.items()
-         for form in ([(name, str(n)) for n in cmd] if isinstance(cmd, dict) else [(name,)])]
+# every command form, read off the command table, as its argument list
+FORMS = [tuple(form.split()) for form in COMMANDS]
 
 
 @pytest.mark.parametrize("form", FORMS, ids=" ".join)
@@ -449,7 +457,7 @@ def test_every_subcommand_runs_on_an_empty_config(tmp_path, capsys, form):
         assert code == 2 and "data.sectors" in err
         return
     assert code == 0, err
-    if form in (("regret",), ("exhibit", "6")):
+    if form == ("exhibit", "6"):
         assert "skipped crisis windows with no trading days: covid, tightening_2022" in err
         assert sum(1 for _ in tmp_path.glob("o/exhibit6b_*.csv")) == 1
 
@@ -473,10 +481,7 @@ HEADERS = {
     ("exhibit", "4"): {"exhibit4": ["date", "te_static", "te_dynamic", "smoothed_vix"]},
     ("exhibit", "5"): {"exhibit5": OMEGA},
     ("exhibit", "6"): {"exhibit6a": ["date", "drawdown", "vix"], "exhibit6b": REGRET},
-    ("exhibit", "7"): {"exhibit7": CONVERGE},
     ("converge",): {"exhibit7": CONVERGE},
-    ("omega",): {"exhibit5": OMEGA},
-    ("regret",): {"exhibit6b": REGRET},
     ("sweep",): {"sweep": ["window", "threshold_low", "threshold_high", "cagr", "sharpe",
                            "cagr_over_maxdd", "excess_cagr", "static_cagr", "static_sharpe",
                            "static_cagr_over_maxdd", "passes_sharpe", "passes_calmar",
@@ -518,7 +523,7 @@ def test_short_samples_name_the_setting(tmp_path, capsys):
     for form, days, field, extra in (
             (["exhibit", "2"], 100, "windows.stock_bond_corr", {}),
             (["exhibit", "4"], 100, "windows.vol", {}),
-            (["omega"], 100, "omega_horizons", {}),
+            (["exhibit", "5"], 100, "omega_horizons", {}),
             (["sweep"], 50, "windows.vol", {}),
             (["exhibit", "3"], 15, "windows.vol", {}),
             (["converge"], 15, "windows.signal", {}),
@@ -552,7 +557,7 @@ def test_a_signal_that_cannot_size_the_overlay_names_its_setting(tmp_path, capsy
 
 
 def test_a_long_signal_window_fails_only_where_it_sizes_an_overlay(tmp_path, capsys):
-    for form in (["omega"], ["exhibit", "2"], ["exhibit", "6"], ["props"]):
+    for form in (["exhibit", "5"], ["exhibit", "2"], ["exhibit", "6"], ["props"]):
         code, _ = run(tmp_path, *form, config_extra={"synth": {"horizon": 700},
                                                      "windows": {"signal": 80}})
         assert code == 0, capsys.readouterr().err
@@ -673,7 +678,7 @@ def test_output_names_ignore_out_and_svg(tmp_path):
      ["props_da17964c909e.csv"]),
     # the names the --caps/--seed and --horizons flags' runs had on an empty config
     (("converge",), {"caps": [0.01, None], "seed": 5}, ["exhibit7_ad86a7041973.csv"]),
-    (("omega",), {"omega_horizons": [21, 63], "regret_horizons": [21, 63]},
+    (("exhibit", "5"), {"omega_horizons": [21, 63], "regret_horizons": [21, 63]},
      ["exhibit5_4d64fcab2c7e.csv"]),
 ], ids=["props-empty", "synth-empty", "props-int-model", "converge-caps-seed",
         "omega-horizons"])
@@ -692,16 +697,29 @@ def test_output_name_covers_input_bytes(tmp_path):
     data = {role: {"path": str(panel), "column": col}
             for role, col in (("eq", "BENCH_EQ"), ("bd", "BENCH_BD"), ("vix", "VIX"))}
     extra = {"data": data, "omega_horizons": [21, 63]}
-    code, first = run(tmp_path, "omega", config_extra=extra)
+    code, first = run(tmp_path, "exhibit", "5", config_extra=extra)
     assert code == 0
     omega = [f.name for f in first if f.name.startswith("exhibit5_")]
     lines = panel.read_text().splitlines()
     lines[-1] = ",".join(lines[-1].split(",")[:-1] + ["20.5"])  # one VIX cell
     panel.write_text("\n".join(lines) + "\n")
-    code, second = run(tmp_path, "omega", config_extra=extra)
+    code, second = run(tmp_path, "exhibit", "5", config_extra=extra)
     assert code == 0
     new = [f.name for f in second if f.name.startswith("exhibit5_")]
     assert len(omega) == 1 and len(new) == 2 and omega[0] in new
+
+
+def test_a_config_repr_shows_each_input_file_by_size_and_digest(tmp_path, monkeypatch):
+    # on the benchmark's seed-0 CSV inputs, about 1.4 MB of file bytes
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    inputs = importlib.import_module("inputs")
+    cfg = load_config(write_config(
+        tmp_path, **inputs.csv_config(inputs.write_csv_inputs(0, tmp_path))), {})
+    text = repr(cfg)
+    assert len(text) < 10_000 and f"caps={cfg.caps!r}" in text
+    for role, data in cfg.inputs.items():
+        digest = hashlib.sha256(data).hexdigest()[:12]
+        assert f"'{role}': '{len(data)} bytes, sha256 {digest}'" in text
 
 
 def test_dropped_rows_reported_on_stderr(tmp_path, capsys):
@@ -877,7 +895,7 @@ def test_partial_data_names_the_first_missing_role(tmp_path, capsys, form):
     other.write_text("date,TLT,BD\n2015-01-05,100,100\n")
     tlt = {"tlt": {"path": str(other), "column": "TLT"}}
     bd = {"bd": {"path": str(other), "column": "BD"}}
-    for data in (tlt, bd) if form in (("omega",), ("exhibit", "5")) else (tlt,):
+    for data in (tlt, bd) if form == ("exhibit", "5") else (tlt,):
         code, files = run(tmp_path, *form, config_extra={"data": data})
         assert (code, files) == (2, []), data
         assert capsys.readouterr().err == (
@@ -899,13 +917,10 @@ def bench_style_data(tmp_path):
 
 # what each form reads, when not every file
 READS = {("synth",): (), ("props",): (), ("exhibit", "1"): ("sectors", "vix", "tlt"),
-         ("exhibit", "5"): ("eq", "vix", "tlt", "sectors"),
-         ("omega",): ("eq", "vix", "tlt", "sectors")}
-BENCHMARKS = {("exhibit", "3"), ("exhibit", "4"), ("exhibit", "6"), ("exhibit", "7"),
-              ("converge",), ("regret",), ("sweep",)}
+         ("exhibit", "5"): ("eq", "vix", "tlt", "sectors")}
+BENCHMARKS = {("exhibit", "3"), ("exhibit", "4"), ("exhibit", "6"), ("converge",), ("sweep",)}
 # static and dynamic; one per default cap; static and one per default sweep window
-OVERLAYS = {("exhibit", "3"): 2, ("exhibit", "4"): 2, ("exhibit", "7"): 11, ("converge",): 11,
-            ("sweep",): 5}
+OVERLAYS = {("exhibit", "3"): 2, ("exhibit", "4"): 2, ("converge",): 11, ("sweep",): 5}
 
 
 @pytest.mark.parametrize("form", FORMS, ids=" ".join)
@@ -957,7 +972,7 @@ def test_tables_are_computed_from_the_bytes_load_config_read(tmp_path):
         return load_config(write_config(tmp_path, data=data), {"out": str(tmp_path / out)})
 
     def exhibit3(cfg):
-        paths = _write_tables(cfg, COMMANDS["exhibit"][1][3](Run(cfg, "exhibit 3")))
+        paths = _write_tables(cfg, cmd_exhibit3(Run(cfg, "exhibit 3")))
         return {p.name: p.read_bytes() for p in paths}
 
     before, cfg = exhibit3(config("a")), config("b")
@@ -998,26 +1013,35 @@ def test_a_malformed_header_stops_every_command(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {bad}: duplicate column 'VIX' in header\n"
 
 
-def test_commands_compute_tables_and_write_nothing(tmp_path):
-    # a command returns its tables as values; only main's writer makes files
-    out = tmp_path / "never"
+def tables_of_every_form(tmp_path, out):
+    """Each form's tables, its command called without main: on the empty
+    config, and for exhibit 1 on the bench-style sectors and gauge files."""
     empty = load_config(None, {"out": str(out)})
     data = {role: spec for role, spec in bench_style_data(tmp_path).items()
             if role in ("sectors", "vix")}
     sectors = load_config(None, {"out": str(out), "data": data})
-    for form in FORMS:
-        command = COMMANDS[form[0]][1]
-        if isinstance(command, dict):
-            command = command[int(form[1])]
-        tables = command(Run(sectors if form == ("exhibit", "1") else empty, " ".join(form)))
+    return {form: command(Run(sectors if form == "exhibit 1" else empty, form))
+            for form, (_, command) in COMMANDS.items()}
+
+
+def test_commands_compute_tables_and_write_nothing(tmp_path):
+    # a command returns its tables as values; only main's writer makes files
+    out = tmp_path / "never"
+    for form, tables in tables_of_every_form(tmp_path, out).items():
         assert tables and all(isinstance(t, Table) for t in tables), form
         for t in tables:
             assert len(t.columns) == len(t.header), (form, t.stem)
             assert len({len(column) for column in t.columns}) == 1, (form, t.stem)
     # a table of no rows still has a column per header field
-    (t,) = cmd_regret(Run(load_config(None, {"out": str(out), "crises": {}}), "regret"))
-    assert t.columns == [[]] * len(t.header)
+    _, t = cmd_exhibit6(Run(load_config(None, {"out": str(out), "crises": {}}), "exhibit 6"))
+    assert t.stem == "exhibit6b" and t.columns == [[]] * len(t.header)
     assert not out.exists()
+
+
+def test_no_two_forms_write_one_table(tmp_path):
+    stems = [t.stem for tables in tables_of_every_form(tmp_path, tmp_path / "never").values()
+             for t in tables]
+    assert len(COMMANDS) == 10 and len(stems) == len(set(stems)), stems
 
 
 def test_converge_sizes_every_cap_on_one_trailing_vol(tmp_path, monkeypatch):
@@ -1043,7 +1067,7 @@ def test_no_command_imports_numpy_ma(tmp_path):
     # reproduces it without that import
     (tmp_path / "cfg.json").write_text("{}")
     code = ("import sys; from dynte.cli import main\n"
-            "for form in (['converge'], ['omega'], ['sweep']):\n"
+            "for form in (['converge'], ['exhibit', '5'], ['sweep']):\n"
             "    assert main([*form, '--config', 'cfg.json', '--out', 'o']) == 0\n"
             "print('numpy.ma' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
@@ -1120,7 +1144,7 @@ def test_a_spread_file_replaces_the_leg_difference(tmp_path):
 
 
 def test_omega_synthetic(tmp_path):
-    code, files = run(tmp_path, "omega", config_extra={"omega_horizons": [21, 63]})
+    code, files = run(tmp_path, "exhibit", "5", config_extra={"omega_horizons": [21, 63]})
     assert code == 0
     rows = read_rows(files[0])
     assert files[0].name.startswith("exhibit5_")
@@ -1132,10 +1156,10 @@ def test_regret_synthetic_crisis(tmp_path):
     panel, _ = synth_regime_panel(SynthParams(horizon=900))
     dates = panel.calendar.days.tolist()
     crises = {"synth_dip": [dates[100].isoformat(), dates[400].isoformat()]}
-    code, files = run(tmp_path, "regret", config_extra={
+    code, files = run(tmp_path, "exhibit", "6", config_extra={
         "synth": {"horizon": 900}, "crises": crises, "regret_horizons": [21, 63]})
     assert code == 0
-    rows = read_rows(files[0])
+    rows = read_rows(next(f for f in files if f.name.startswith("exhibit6b_")))
     assert rows[0][0] == "crisis"
     assert [r[0] for r in rows[1:]] == ["synth_dip", "synth_dip"]
     assert [r[4] for r in rows[1:]] == ["21", "63"]
@@ -1160,10 +1184,10 @@ def test_regret_reads_the_gauge_on_each_trough_date(tmp_path):
 
 def test_regret_leaves_horizons_past_the_sample_empty(tmp_path, capsys):
     # the 1150-day default panel ends 162 trading days after the gfc trough
-    code, files = run(tmp_path, "regret", config_extra={"synth": {"horizon": 1150}})
+    code, files = run(tmp_path, "exhibit", "6", config_extra={"synth": {"horizon": 1150}})
     err = capsys.readouterr().err
     assert code == 0, err
-    rows = read_rows(files[0])
+    rows = read_rows(next(f for f in files if f.name.startswith("exhibit6b_")))
     assert [r[4] for r in rows[1:]] == ["63", "126", "252"]
     for r in rows[1:3]:
         assert "" not in r and np.isfinite([float(c) for c in r[2:]]).all()
@@ -1287,7 +1311,8 @@ def test_converge_memory_does_not_grow_with_the_caps(tmp_path):
 
 INT_COLUMNS = {"horizon_days", "window", "prop", *(f"n_q{k}" for k in range(1, 6))}
 BOOL_COLUMNS = {"passes_sharpe", "passes_calmar", "passes_both", "boundary"}
-TEXT_COLUMNS = {"portfolio", "crisis", "trough_date", "status", "values", "note"}
+TEXT_COLUMNS = {"portfolio", "crisis", "status", "values", "note"}
+DATE_COLUMNS = {"date", "trough_date"}
 
 
 def test_cells_print_in_one_format(tmp_path):
@@ -1299,7 +1324,8 @@ def test_cells_print_in_one_format(tmp_path):
     extra = {"synth": {"horizon": 900}, "bootstrap": {"iterations": 200},
              "crises": {"dip": [dates[500].isoformat(), dates[700].isoformat()]},
              "regret_horizons": [21, 400]}  # 400 days run past the end
-    for form in (["exhibit", "3"], ["converge"], ["omega"], ["sweep"], ["props"], ["regret"]):
+    for form in (["exhibit", "3"], ["converge"], ["exhibit", "5"], ["sweep"], ["props"],
+                 ["exhibit", "6"]):
         assert run(tmp_path, *form, config_extra=extra)[0] == 0
     empty = set()
     for path in sorted((tmp_path / "out").glob("*.csv")):
@@ -1311,6 +1337,8 @@ def test_cells_print_in_one_format(tmp_path):
                     assert re.fullmatch(r"-?\d+", cell), (path.name, name, cell)
                 elif name in BOOL_COLUMNS:
                     assert cell in ("true", "false"), (path.name, name, cell)
+                elif name in DATE_COLUMNS:
+                    assert re.fullmatch(r"\d{4}-\d\d-\d\d", cell), (path.name, name, cell)
                 elif name in TEXT_COLUMNS or cell == "uncapped":
                     continue
                 elif cell == "":

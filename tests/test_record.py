@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dynte._record import record
 from dynte.metrics import MetricsReport
 from dynte.model import GovernanceParams
 from dynte.regime import RegimePath, RegimeThresholds
@@ -86,6 +87,20 @@ def test_repr_eq_and_hash_match_the_stdlib(real, cases):
             assert (r != r2) == (s != s2)
             if r == r2:
                 assert hash(r) == hash(r2)
+
+
+def test_a_repr_the_class_defines_is_kept():
+    # as a dataclass keeps it; the other methods are still made
+    body = {"__annotations__": {"name": "str", "blob": "bytes"},
+            "__repr__": lambda self: f"Sized({self.name!r}, {len(self.blob)} bytes)"}
+    for cls in (record(type("Sized", (), dict(body))),
+                dataclasses.dataclass(frozen=True)(type("Sized", (), dict(body)))):
+        a = cls("eq", b"abc")
+        assert repr(a) == "Sized('eq', 3 bytes)"
+        b = cls(name="eq", blob=b"abc")
+        assert a == b != cls("eq", b"abd") and hash(a) == hash(b)
+        with pytest.raises(AttributeError):
+            a.name = "bd"
 
 
 def test_bad_arguments_raise_one_type_error_naming_them():

@@ -17,9 +17,8 @@ from dynte.cli import COMMANDS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# every command form, read off the command table: an exhibit number is a form
-FORMS = [form for name, (_, cmd) in COMMANDS.items()
-         for form in ([[name, str(n)] for n in cmd] if isinstance(cmd, dict) else [[name]])]
+# every command form, read off the command table, as its argument list
+FORMS = [form.split() for form in COMMANDS]
 # the exit code of each form on a config with no data files: the synthetic
 # panel has no sectors, so exhibit 1 is a config error
 NO_DATA_CODES = [2 if form == ["exhibit", "1"] else 0 for form in FORMS]

@@ -7,15 +7,16 @@ Either argument may name a git revision of this repository in place of a
 source tree: its `src/` is extracted with `git archive` into a temporary
 directory, which leaves no worktree or other repository state behind.
 Runs every command form of `dynte` in each tree (PYTHONPATH=<tree>/src),
-as this checkout's command table `dynte.cli.COMMANDS` lists them, on four
-configs: the empty config, the benchmark's seed-0 CSV inputs with charts
-on, those inputs with a constant annual risk-free rate file as `data.rf`,
-and a 6552-day synthetic panel with charts on. The CSV inputs come from
+each key of this checkout's command table `dynte.cli.COMMANDS` split into
+its arguments (`exhibit 5` runs as `dynte exhibit 5`), on four configs:
+the empty config, the benchmark's seed-0 CSV inputs with charts on, those
+inputs with a constant annual risk-free rate file as `data.rf`, and a
+6552-day synthetic panel with charts on. The CSV inputs come from
 bench/inputs.py. For each run it compares the names and bytes of
 the files written, stdout, stderr and the exit code, prints each
 (config, form) that differs and exits 1; otherwise it prints
-`identical: N runs`. Each converge form peaks near 40 MB of resident
-memory, and the runs take a few minutes.
+`identical: N runs`, four per form. The converge form peaks near 40 MB
+of resident memory, and the runs take a few minutes.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src")]
 import inputs  # noqa: E402  (bench/inputs.py)
 from dynte.cli import COMMANDS  # noqa: E402
 
-FORMS = [form for name, (_, cmd) in COMMANDS.items()
-         for form in ([[name, str(n)] for n in cmd] if isinstance(cmd, dict) else [[name]])]
+FORMS = [form.split() for form in COMMANDS]
 
 
 def configs(work: Path) -> dict[str, dict]:
